@@ -24,7 +24,7 @@ import subprocess
 import sys
 import time
 import urllib.request
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -122,6 +122,9 @@ ZIPF_DRAWS = 200_000
 #: Pairs checked against counting Dijkstra after the fleet-live stream.
 POST_STREAM_SOURCES = 16
 POST_STREAM_TARGETS = 16
+#: Rebuild-and-swaps every run must make (the overlay stays below the
+#: default ``overlay_threshold``).
+REBUILDS = 0
 
 
 @dataclass
@@ -208,6 +211,7 @@ def setup_once(spec: Spec, prep: Prepared, work: Path, env, launcher
 
 @dataclass
 class Measured:
+    warmup: loadgen.PhaseResult
     closed: loadgen.PhaseResult
     opened: loadgen.PhaseResult
     updates: Optional[loadgen.PhaseResult]
@@ -220,6 +224,16 @@ class Measured:
     steal: Tuple[float, float]
     pss_mb: float
     metrics: Tuple[dict, dict, dict]
+
+    def phases(self) -> Dict[str, loadgen.PhaseResult]:
+        """Every phase whose requests were checked, by name."""
+        phases = {"warmup": self.warmup, "closed": self.closed,
+                  "open": self.opened, "updates": self.updates,
+                  "post_stream": self.verify}
+        return {name: p for name, p in phases.items() if p is not None}
+
+    def rebuilds(self) -> int:
+        return traced.rebuilds(self.metrics[0], self.metrics[2])
 
 
 async def _with_updates(phase, spec: Spec, server, batches, mirror):
@@ -242,7 +256,10 @@ async def measure(spec: Spec, prep: Prepared, server: procs.Server,
                   seconds: float) -> Measured:
     host, port = server.host, server.port
     half = seconds / 2
-    await loadgen.closed_loop(
+    # The server starts from the generated graph, so every answer is
+    # checked exactly until the first weight batch is sent.
+    prep.workload.exact = True
+    warmup = await loadgen.closed_loop(
         host, port, prep.workload, seconds=spec.warmup_s,
         connections=spec.query_connections, depth=spec.depth,
         window_s=spec.warmup_s,
@@ -285,7 +302,7 @@ async def measure(spec: Spec, prep: Prepared, server: procs.Server,
             acks=upd1.acks + upd2.acks,
         )
         verify = await _verify_post_stream(spec, prep, server, mirror)
-    return Measured(closed, opened, updates, verify, router_cpu,
+    return Measured(warmup, closed, opened, updates, verify, router_cpu,
                     probe_ns, steal, pss, (m0, m1, m2))
 
 
@@ -340,8 +357,32 @@ def diagnostics(m: Measured, setups, host0, host1) -> dict:
             statistics.median(m.updates.acks) * 1e3, 3
         ) if m.updates.acks else None
         diag["update_acks"] = len(m.updates.acks)
-        diag["rebuilds"] = traced.rebuilds(m.metrics[0], m.metrics[2])
+        diag["rebuilds"] = m.rebuilds()
+    diag["requests"] = {
+        name: {"attempted": p.attempted, "succeeded": p.succeeded,
+               "failed": p.failed}
+        for name, p in m.phases().items()
+    }
     return diag
+
+
+def totals(runs: Sequence[Measured]) -> Tuple[int, int]:
+    """Requests attempted and failed over every phase of ``runs``."""
+    phases = [p for m in runs for p in m.phases().values()]
+    return (sum(p.attempted for p in phases), sum(p.failed for p in phases))
+
+
+def steady(m: Measured) -> bool:
+    """Whether the run made :data:`REBUILDS` rebuild-and-swaps.
+
+    A rebuild moves the CPU per request of the windows it lands in, so a
+    run with another count is not comparable and is not counted correct.
+    """
+    made = m.rebuilds()
+    if made != REBUILDS:
+        print(f"error: {made} rebuild-and-swaps in the measured phases, "
+              f"expected {REBUILDS}", file=sys.stderr)
+    return made == REBUILDS
 
 
 def _host_sample() -> dict:
@@ -379,11 +420,9 @@ def run(spec: Spec, seed: int, seconds: float, trace: bool,
     host1 = _host_sample()
     index_bytes = (work / "index.bin").stat().st_size
     metrics = end_to_end(m, setups, index_bytes)
-    phases = [m.closed, m.opened] + [p for p in (m.updates, m.verify) if p]
-    attempted = sum(p.attempted for p in phases)
-    failed = sum(p.failed for p in phases)
+    attempted, failed = totals([m])
     return {
-        "correct": failed == 0,
+        "correct": failed == 0 and steady(m),
         "attempted": attempted,
         "failed": failed,
         "metrics": {name: {"value": value, "unit": unit}
@@ -398,14 +437,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--tiny", action="store_true",
-                        help="self-test sizes (seconds-long, not measured)")
     args = parser.parse_args(argv)
     # A SIGTERM still runs the finally blocks that stop the servers.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     spec = WORKLOADS[args.workload]
-    if args.tiny:
-        spec = replace(spec, **TINY)
     work = WORK / f"{spec.name}-{args.seed}-{args.trace}-{int(time.time() * 1e3)}"
     work.mkdir(parents=True)
     try:

@@ -236,12 +236,10 @@ def run_traced(spec, prep, seconds: float, work: Path, env, bench) -> dict:
             m.closed.throughput() / reference.throughput()
             if reference.throughput() else 0.0),
     }
-    phases = [p for run in (untraced, m)
-              for p in (run.closed, run.opened, run.updates, run.verify) if p]
-    attempted = sum(p.attempted for p in phases)
-    failed = sum(p.failed for p in phases)
+    attempted, failed = bench.totals([untraced, m])
     return {
-        "correct": failed == 0 and not problems,
+        "correct": (failed == 0 and not problems
+                    and bench.steady(untraced) and bench.steady(m)),
         "attempted": attempted,
         "failed": failed,
         "metrics": {name: {"value": float(values[name]), "unit": unit}
@@ -253,6 +251,12 @@ def run_traced(spec, prep, seconds: float, work: Path, env, bench) -> dict:
             "processes": [p["role"] for p in processes],
             "untraced_rps": reference.throughput(),
             "traced_rps": m.closed.throughput(),
+            "requests": {
+                label: {name: {"attempted": p.attempted,
+                               "succeeded": p.succeeded, "failed": p.failed}
+                        for name, p in run.phases().items()}
+                for label, run in (("untraced", untraced), ("traced", m))
+            },
         },
     }
 
