@@ -29,8 +29,8 @@ Installed as the ``repro-spc`` console script::
 Graphs are DIMACS ``.gr`` files (``.json``/``.txt`` edge lists are
 auto-detected by extension); indexes use the formats of
 :mod:`repro.core.serialize` — inspectable JSON (v1) or the packed
-binary container (v4, mmap-native and checksummed; v3/v2 still
-load), auto-detected on load.  ``verify-index`` validates a file's
+binary container (v4, mmap-native and checksummed), auto-detected on
+load.  ``verify-index`` validates a file's
 checksums before deployment, ``serve --workers N`` runs a
 multi-process fleet behind one port, and ``serve --fault-plan``
 injects deterministic chaos for resilience testing (see
@@ -59,7 +59,7 @@ from repro.bench.measure import profile_queries
 from repro.bench.report import render_profile
 from repro.core.ctl import CTLIndex
 from repro.core.ctls import CTLSIndex
-from repro.core.serialize import load_index, save_index
+from repro.core.serialize import FORMATS, load_index, save_index
 from repro.exceptions import ParseError, ReproError
 from repro.graph.generators import power_grid_network, road_network
 from repro.graph.graph import Graph
@@ -725,9 +725,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.core.serialize import describe_index
 
     _require_index_file(args.index)
-    # Lazy for binary containers: reads the footer + JSON header (and,
-    # for v4 CTL/CTLS, maps the two small tree-shape sections), never
-    # the label arrays — `stats` on a multi-GB index stays instant.
+    # Lazy for the v4 container: reads the footer + JSON header (and,
+    # for CTL/CTLS, the two small tree-shape sections), never the
+    # label arrays — `stats` on a multi-GB index stays instant.
     summary = describe_index(args.index)
     print(f"type:               {summary['type']}Index")
     print(f"vertices:           {summary['num_vertices']}")
@@ -852,12 +852,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_build.add_argument(
         "--format",
-        choices=("json", "binary", "binary-v3", "binary-v2"),
+        choices=FORMATS,
         default="json",
         help="on-disk index format: inspectable JSON (v1, default) or "
         "packed binary (v4: checksummed, page-aligned sections loaded "
-        "zero-copy via mmap; binary-v3/-v2 write the older containers "
-        "for downgrades)",
+        "zero-copy via mmap)",
     )
     p_build.add_argument(
         "--progress",

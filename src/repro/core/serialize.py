@@ -1,34 +1,18 @@
-"""Index serialization: JSON (v1) and packed binary (v2/v3/v4) formats.
+"""Index serialization: JSON (v1) and the packed binary v4 container.
 
-Four on-disk formats coexist:
+Two on-disk formats:
 
 * **v1 (JSON)** — inspectable and safe to load from untrusted sources;
   Python's arbitrary-precision integers survive the round trip, so
   exact path counts are preserved.  ``INF`` distances (disconnected
   label entries) are encoded as ``null``.  The default for
   :func:`save_index`.
-* **v2 (binary, legacy)** — the packed :class:`~repro.labels.LabelArena`
-  written verbatim: an 8-byte magic (``RSPCIDX2``), an 8-byte
-  little-endian header length, a JSON header (index type, tree
-  structure, overflow-lane big integers, byte order), then the raw
-  ``array`` buffers (vertex ids, offset table, distances, counts).
-  Still readable; still writable via ``format="binary-v2"`` for
-  compatibility with older readers.
-* **v3 (binary, ``format="binary-v3"``)** — the v2 layout hardened for
-  crash-safety: magic ``RSPCIDX3``, the same JSON header and raw
-  section buffers, then a fixed-size footer carrying a CRC32 per
-  section (header, vertices, offsets, dist, count), the total file
-  length, and an end marker.  :func:`load_index` verifies every
-  checksum and the recorded length, so a truncated write, a torn page,
-  or a single flipped bit raises a typed
-  :class:`~repro.exceptions.IndexCorruptError` naming the bad section
-  instead of producing silently wrong counts.
-* **v4 (binary, default for ``format="binary"``)** — the mmap-native
-  container: magic ``RSPCIDX4``, a JSON header (index type, arena
-  metadata, overflow lane), a binary section table of ``(offset,
-  nbytes)`` pairs, then each data section zero-padded to a page-size
-  boundary so every buffer starts 8-byte (in fact page-) aligned in
-  the file.  The cut tree rides as three flat int64 sections
+* **v4 (binary, ``format="binary"``)** — the mmap-native container:
+  magic ``RSPCIDX4``, a JSON header (index type, arena metadata,
+  overflow lane), a binary section table of ``(offset, nbytes)``
+  pairs, then each data section zero-padded to a page-size boundary so
+  every buffer starts 8-byte (in fact page-) aligned in the file.  The
+  cut tree rides as three flat int64 sections
   (``tree_parents``/``tree_blocks``/``tree_vertices``) instead of JSON,
   so a reload never re-parses the tree.  A variable-size footer carries
   one CRC32 per section plus the header CRC, the section count, the
@@ -37,9 +21,12 @@ Four on-disk formats coexist:
   :class:`~repro.labels.LabelArena` zero-copy ``memoryview`` windows
   over the mapping — cold start is page-fault-time, not parse-time,
   and every process serving the same file shares one physical copy
-  through the OS page cache.  Pass ``verify=True`` to additionally
-  checksum every mapped section, or ``mmap=False`` for a heap load
-  (always fully verified, and the fallback on byte-order mismatch).
+  through the OS page cache.
+
+Earlier binary containers (v2 and v3) are retired: their magic is
+still recognised, but only to raise a one-line
+:class:`~repro.exceptions.SerializationError` telling the operator to
+rebuild with ``repro-spc build --format binary``.
 
 Every ``save_index`` call is **atomic**: the bytes go to a temp file in
 the destination directory, are fsync'd, and only then renamed over the
@@ -50,11 +37,10 @@ target — a crash mid-save never clobbers the previous index file.
 **Provenance.** ``save_index(..., build_info=...)`` embeds a build
 provenance dict (git sha, build wall-time, per-phase costs — see
 :func:`repro.obs.buildphase.make_build_info`) into the v1 document and
-the v3 header; loaders attach whatever they find — plus the format
-version and the v3 per-section byte sizes — to the returned index as
+the v4 header; loaders attach whatever they find — plus the format
+version and the v4 per-section byte sizes — to the returned index as
 ``index.provenance``, which ``repro-spc stats`` and the server's
-``/stats`` endpoint surface.  v2 is a frozen legacy layout and carries
-none.
+``/stats`` endpoint surface.
 """
 
 from __future__ import annotations
@@ -86,27 +72,18 @@ PathLike = Union[str, Path]
 _FORMAT = "repro-spc-index"
 _VERSION = 1
 
-#: Magic prefix of the v2 binary container (legacy, no checksums).
-_MAGIC = b"RSPCIDX2"
-_BINARY_VERSION = 2
-
-#: Magic prefix and end marker of the checksummed v3 container.
-_MAGIC3 = b"RSPCIDX3"
-_END_MAGIC3 = b"RSPC3END"
-_BINARY_VERSION3 = 3
-
-#: v3 footer: five little-endian CRC32s (header, vertices, offsets,
-#: dist, count), the total file length as u64, then the end marker.
-_FOOTER_STRUCT = struct.Struct("<5IQ")
-_FOOTER_LEN = _FOOTER_STRUCT.size + len(_END_MAGIC3)
-
-#: Data sections of a binary container, in on-disk order.
-_SECTION_NAMES = ("vertices", "offsets", "dist", "count")
-
 #: Magic prefix and end marker of the aligned, mmap-native v4 container.
 _MAGIC4 = b"RSPCIDX4"
 _END_MAGIC4 = b"RSPC4END"
 _BINARY_VERSION4 = 4
+
+#: Magic prefixes of retired binary containers, refused on sight.
+_RETIRED_MAGICS = (b"RSPCIDX2", b"RSPCIDX3")
+
+#: Sections whose size grows with the label entries.  A default mmap
+#: open leaves them unchecked (that is the cold-start win); every other
+#: section is O(n) and always checksummed.
+_ENTRY_SECTIONS = ("dist", "count")
 
 #: v4 section-table entry: ``(file offset, byte length)`` per section.
 _SECTION_ENTRY = struct.Struct("<QQ")
@@ -128,7 +105,7 @@ _MAX_SECTIONS = 64
 _ALIGN = max(4096, _mmaplib.ALLOCATIONGRANULARITY)
 
 #: Serialisable formats accepted by :func:`save_index`.
-FORMATS = ("json", "binary", "binary-v2", "binary-v3")
+FORMATS = ("json", "binary")
 
 
 def _footer4_len(nsections: int) -> int:
@@ -254,13 +231,10 @@ def save_index(
     """Serialise a built index (CTL, CTLS, or TL) to ``path``.
 
     ``format="json"`` writes the inspectable v1 document;
-    ``format="binary"`` writes the aligned mmap-native v4 container;
-    ``format="binary-v3"`` writes the checksummed v3 container and
-    ``format="binary-v2"`` the legacy v2 container for older readers.
-    :func:`load_index` reads all four.  Every format is written
-    atomically (temp file + fsync + rename).  ``build_info`` (optional)
-    is embedded verbatim as provenance in the v1, v3, and v4 formats;
-    v2 has a frozen layout and silently drops it.
+    ``format="binary"`` writes the aligned mmap-native v4 container.
+    :func:`load_index` reads both.  Every format is written atomically
+    (temp file + fsync + rename).  ``build_info`` (optional) is
+    embedded verbatim as provenance.
     """
     if format not in FORMATS:
         raise SerializationError(
@@ -270,14 +244,6 @@ def save_index(
         _atomic_write(
             path, "wb", lambda h: _write_binary_v4(index, h, build_info)
         )
-        return
-    if format == "binary-v3":
-        _atomic_write(
-            path, "wb", lambda h: _write_binary_v3(index, h, build_info)
-        )
-        return
-    if format == "binary-v2":
-        _atomic_write(path, "wb", lambda h: _write_binary_v2(index, h))
         return
     if isinstance(index, CTLSIndex):
         payload = {
@@ -335,44 +301,52 @@ def _attach_provenance(
     index.provenance = provenance
 
 
+def _sniff_magic(path: PathLike) -> bytes:
+    """The file's leading magic bytes; retired containers stop here."""
+    with open(path, "rb") as handle:
+        magic = handle.read(len(_MAGIC4))
+    if magic in _RETIRED_MAGICS:
+        raise SerializationError(
+            f"{path}: retired container {magic.decode('ascii')}; "
+            "rebuild with `repro-spc build --format binary`"
+        )
+    return magic
+
+
 def load_index(path: PathLike, *, mmap: bool = True, verify: bool = None):
     """Load an index previously written by :func:`save_index`.
 
     The format is auto-detected: ``RSPCIDX4`` parses as the aligned
-    mmap-native v4 container, ``RSPCIDX3`` as the checksummed v3
-    container (fully verified — any truncation or bit corruption raises
-    :class:`IndexCorruptError` naming the bad section), ``RSPCIDX2`` as
-    the legacy v2 container (length-checked), and a leading ``{`` as
-    the v1 JSON document.  An empty or unrecognisable file raises a
-    typed error instead of a raw ``struct.error``/``EOFError``.
+    mmap-native v4 container and a leading ``{`` as the v1 JSON
+    document.  A retired v2/v3 container raises a one-line
+    :class:`SerializationError`; an empty or unrecognisable file raises
+    a typed error instead of a raw ``struct.error``/``EOFError``.
 
-    ``mmap`` and ``verify`` apply to v4 files only.  With ``mmap=True``
-    (default) the arena gets zero-copy views over a read-only mapping;
-    the header checksum and the structural layout (alignment, bounds,
-    overlaps, recorded length) are always validated, but the data
-    sections are only checksummed when ``verify=True`` — a deliberate
-    trade: page-fault-time cold start versus full-file CRC sweeps.
+    ``mmap`` and ``verify`` apply to v4 files only.  Every open
+    validates the header checksum and the structural layout (alignment,
+    bounds, overlaps, recorded length) and checksums the O(n) sections
+    (``vertices``, ``offsets``, ``tree_*``), so a flipped byte there
+    raises :class:`IndexCorruptError` naming the section.  With
+    ``mmap=True`` (default) the arena gets zero-copy views over a
+    read-only mapping and the O(entries) ``dist``/``count`` sections
+    are only checksummed when ``verify=True`` — a deliberate trade:
+    page-fault-time cold start versus full-file CRC sweeps.
     ``mmap=False`` reads everything onto the heap and always verifies,
     as does the automatic heap fallback for cross-endian files.
     """
     size = os.path.getsize(path)
-    with open(path, "rb") as handle:
-        magic = handle.read(len(_MAGIC3))
+    magic = _sniff_magic(path)
     if magic == _MAGIC4:
         return _load_binary_v4(path, size, use_mmap=mmap, verify=verify)
-    if magic == _MAGIC3:
-        return _load_binary_v3(path, size)
-    if magic == _MAGIC:
-        return _load_binary_v2(path, size)
     if size == 0:
         raise IndexCorruptError(
             path, "file", "empty index file",
-            expected=f">= {len(_MAGIC3)} bytes", actual="0 bytes",
+            expected=f">= {len(_MAGIC4)} bytes", actual="0 bytes",
         )
     if not magic.lstrip().startswith(b"{"):
         raise SerializationError(
             f"{path}: not a recognised index file (no {_FORMAT} JSON "
-            f"document or RSPCIDX2/RSPCIDX3/RSPCIDX4 magic)"
+            f"document or RSPCIDX4 magic)"
         )
     with open(path, encoding="utf-8") as handle:
         try:
@@ -419,31 +393,24 @@ def load_index(path: PathLike, *, mmap: bool = True, verify: bool = None):
 
 
 # ----------------------------------------------------------------------
-# binary containers (v2 legacy, v3 checksummed)
+# v4: aligned, page-padded, mmap-native container
 # ----------------------------------------------------------------------
-def _binary_header(index) -> dict:
-    """The JSON header shared by the v2 and v3 containers."""
+def _v4_header(index) -> dict:
+    """The v4 JSON header's index metadata and arena description."""
     if isinstance(index, CTLSIndex):
-        header = {
-            "type": "CTLS",
-            "strategy": index.strategy,
-            "tree": _tree_payload(index.tree),
-            "num_vertices": index.stats().num_vertices,
-            "num_edges": index.stats().num_edges,
-        }
+        header = {"type": "CTLS", "strategy": index.strategy}
     elif isinstance(index, CTLIndex):
-        header = {
-            "type": "CTL",
-            "tree": _tree_payload(index.tree),
-            "num_vertices": index.stats().num_vertices,
-            "num_edges": index.stats().num_edges,
-        }
+        header = {"type": "CTL"}
     elif isinstance(index, TLIndex):
         header = {"type": "TL", **_tl_metadata_payload(index)}
     else:
         raise SerializationError(
             f"cannot serialise index of type {type(index).__name__}"
         )
+    if header["type"] != "TL":
+        stats = index.stats()
+        header["num_vertices"] = stats.num_vertices
+        header["num_edges"] = stats.num_edges
     arena = index.arena
     header["format"] = _FORMAT
     header["arena"] = {
@@ -459,79 +426,22 @@ def _binary_header(index) -> dict:
     return header
 
 
-def _section_arrays(index) -> List[Tuple[str, array]]:
-    """The raw data sections of ``index``'s arena, in on-disk order.
+def _v4_sections(index) -> List[Tuple[str, object]]:
+    """All v4 data sections: the arena plus the flattened cut tree.
 
     Buffers come back as whatever the arena holds — ``array`` for a
     built/heap-loaded index, ``memoryview`` for an mmap-loaded one —
-    so writers must use ``handle.write(buf)``, never ``buf.tofile``.
+    so the writer uses ``handle.write(buf)``, never ``buf.tofile``.
+    TL keeps its bag metadata in the JSON header (it is not scanned at
+    query time), so only CTL/CTLS grow the three tree sections.
     """
     arena = index.arena
-    return [
+    sections = [
         ("vertices", array("q", arena.vertices)),
         ("offsets", arena.offsets),
         ("dist", arena.dist),
         ("count", arena.count),
     ]
-
-
-def _buf_nbytes(buf) -> int:
-    return len(buf) * buf.itemsize
-
-
-def _write_binary_v2(index, handle) -> None:
-    """The legacy v2 layout: JSON header + raw arena buffers, no CRCs."""
-    header = _binary_header(index)
-    header["version"] = _BINARY_VERSION
-    blob = json.dumps(header).encode("utf-8")
-    handle.write(_MAGIC)
-    handle.write(struct.pack("<Q", len(blob)))
-    handle.write(blob)
-    for _, section in _section_arrays(index):
-        handle.write(section)
-
-
-def _write_binary_v3(index, handle, build_info: dict = None) -> None:
-    """The v3 layout: v2 plus a per-section CRC32 + total-length footer.
-
-    CRCs are computed over the raw on-disk bytes (native byte order),
-    so a cross-endian loader verifies *before* byteswapping.  The
-    header CRC covers the magic and the length field too — a flipped
-    bit anywhere in the fixed prefix is caught, not just in the JSON.
-    """
-    header = _binary_header(index)
-    header["version"] = _BINARY_VERSION3
-    if build_info is not None:
-        header["build_info"] = build_info
-    sections = _section_arrays(index)
-    header["sections"] = {
-        name: _buf_nbytes(arr) for name, arr in sections
-    }
-    blob = json.dumps(header).encode("utf-8")
-    prefix = _MAGIC3 + struct.pack("<Q", len(blob))
-    crcs = [zlib.crc32(blob, zlib.crc32(prefix))]
-    handle.write(prefix)
-    handle.write(blob)
-    total = len(prefix) + len(blob)
-    for _, arr in sections:
-        handle.write(arr)
-        crcs.append(zlib.crc32(arr))
-        total += _buf_nbytes(arr)
-    total += _FOOTER_LEN
-    handle.write(_FOOTER_STRUCT.pack(*crcs, total))
-    handle.write(_END_MAGIC3)
-
-
-# ----------------------------------------------------------------------
-# v4: aligned, page-padded, mmap-native container
-# ----------------------------------------------------------------------
-def _v4_sections(index) -> List[Tuple[str, object]]:
-    """All v4 data sections: the arena plus the flattened cut tree.
-
-    TL keeps its bag metadata in the JSON header (it is not scanned at
-    query time), so only CTL/CTLS grow the three tree sections.
-    """
-    sections = list(_section_arrays(index))
     if isinstance(index, (CTLIndex, CTLSIndex)):
         parents, node_offsets, flat_vertices = index.tree.to_flat()
         sections.append(("tree_parents", array("q", parents)))
@@ -540,9 +450,17 @@ def _v4_sections(index) -> List[Tuple[str, object]]:
     return sections
 
 
-def _section_layout_v4(header: dict) -> List[Tuple[str, str, int]]:
+def _section_layout(header: dict) -> List[Tuple[str, str, int]]:
     """``(name, typecode, item count)`` per v4 section, in table order."""
-    layout = _section_layout(header["arena"])
+    meta = header["arena"]
+    n = meta["num_vertices"]
+    entries = meta["num_entries"]
+    layout = [
+        ("vertices", "q", n),
+        ("offsets", "q", n + 1),
+        ("dist", meta["dist_typecode"], entries),
+        ("count", "q", entries),
+    ]
     tree_flat = header.get("tree_flat")
     if tree_flat is not None:
         nodes = tree_flat["nodes"]
@@ -550,6 +468,10 @@ def _section_layout_v4(header: dict) -> List[Tuple[str, str, int]]:
         layout.append(("tree_blocks", "q", nodes + 1))
         layout.append(("tree_vertices", "q", tree_flat["vertices"]))
     return layout
+
+
+def _buf_nbytes(buf) -> int:
+    return len(buf) * buf.itemsize
 
 
 def _write_binary_v4(index, handle, build_info: dict = None) -> None:
@@ -561,8 +483,7 @@ def _write_binary_v4(index, handle, build_info: dict = None) -> None:
     the fixed prefix, the JSON blob, *and* the binary section table —
     a flipped offset is caught before any section is trusted.
     """
-    header = _binary_header(index)
-    header.pop("tree", None)  # the cut tree ships as binary sections
+    header = _v4_header(index)
     header["version"] = _BINARY_VERSION4
     header["align"] = _ALIGN
     if build_info is not None:
@@ -603,9 +524,9 @@ def _write_binary_v4(index, handle, build_info: dict = None) -> None:
 def _read_v4_layout(handle, path: PathLike, size: int):
     """Validate the v4 envelope; returns header, table entries, CRCs.
 
-    Footer-first, like v3: the end marker, recorded length, section
-    count, and header CRC (which covers the section table) are all
-    checked before the JSON or any offset is trusted.
+    Footer-first: the end marker, recorded length, section count, and
+    header CRC (which covers the section table) are all checked before
+    the JSON or any offset is trusted.
     """
     min_size = len(_MAGIC4) + 8 + _footer4_len(0)
     if size < min_size:
@@ -677,6 +598,23 @@ def _read_v4_layout(handle, path: PathLike, size: int):
     return header, entries, crcs, data_start, size - footer_len
 
 
+def _check_v4_header(path: PathLike, header: dict) -> dict:
+    """Format/version/typecode validation; returns the arena meta."""
+    if header.get("format") != _FORMAT:
+        raise SerializationError(f"{path}: not a {_FORMAT} file")
+    if header.get("version") != _BINARY_VERSION4:
+        raise SerializationError(
+            f"{path}: unsupported binary version {header.get('version')}"
+        )
+    meta = header["arena"]
+    typecode = meta["dist_typecode"]
+    if typecode not in ("q", "d"):
+        raise SerializationError(
+            f"{path}: unsupported distance typecode {typecode!r}"
+        )
+    return meta
+
+
 def _check_v4_entries(path, layout, entries, data_start, data_end):
     """Cross-check the section table against the header's declared
     layout: sizes, 8-byte alignment, file bounds, and no overlaps."""
@@ -714,32 +652,37 @@ def _check_v4_entries(path, layout, entries, data_start, data_end):
             )
 
 
-def _check_v4_padding(path, handle, entries, data_start, data_end):
-    """Require the alignment padding between sections to be zero.
+def _check_crc(path: PathLike, name: str, buf, want: int) -> None:
+    got = zlib.crc32(buf)
+    if got != want:
+        raise IndexCorruptError(
+            path, name, "checksum mismatch",
+            expected=f"crc32 {want:#010x}", actual=f"{got:#010x}",
+        )
 
-    Padding is the only part of a v4 file no section CRC covers; a
-    verifying load refuses non-zero bytes there so that *every* byte
-    of the file is under some check.
+
+def _scan_padding(handle, spans, data_start, data_end) -> Tuple[int, int]:
+    """``(non-zero bytes, total bytes)`` of the alignment padding.
+
+    Padding is the only part of a v4 file no section CRC covers; the
+    verifying paths require it to be zero so that *every* byte of the
+    file is under some check.
     """
-    spans = sorted((offset, offset + nbytes) for offset, nbytes in entries)
+    dirty = total = 0
     cursor = data_start
-    for start, end in spans + [(data_end, data_end)]:
+    for start, end in sorted(spans) + [(data_end, data_end)]:
         if start > cursor:
             handle.seek(cursor)
             remaining = start - cursor
+            total += remaining
             while remaining:
                 chunk = handle.read(min(remaining, 1 << 20))
                 if not chunk:
                     break
-                if chunk.count(0) != len(chunk):
-                    raise IndexCorruptError(
-                        path, "padding",
-                        "non-zero bytes in alignment padding",
-                        expected="zeroes",
-                        actual=f"dirty bytes after offset {cursor}",
-                    )
+                dirty += len(chunk) - chunk.count(0)
                 remaining -= len(chunk)
         cursor = max(cursor, end)
+    return dirty, total
 
 
 def _index_from_binary_v4(path: PathLike, header: dict, arena, views):
@@ -778,59 +721,46 @@ def _load_binary_v4(
         header, entries, crcs, data_start, data_end = _read_v4_layout(
             handle, path, size
         )
-        meta = _check_binary_header(path, header, _BINARY_VERSION4)
-        layout = _section_layout_v4(header)
+        meta = _check_v4_header(path, header)
+        layout = _section_layout(header)
         _check_v4_entries(path, layout, entries, data_start, data_end)
         swap = meta["byteorder"] != sys.byteorder
         region = None
-        views = {}
         if use_mmap and not swap:
             region = _mmaplib.mmap(
                 handle.fileno(), 0, access=_mmaplib.ACCESS_READ
             )
             base = memoryview(region)
-            for (name, typecode, _), (offset, nbytes) in zip(
-                layout, entries
-            ):
-                window = base[offset:offset + nbytes]
-                if verify:
-                    got = zlib.crc32(window)
-                    want = crcs[1 + len(views)]
-                    if got != want:
-                        raise IndexCorruptError(
-                            path, name, "checksum mismatch",
-                            expected=f"crc32 {want:#010x}",
-                            actual=f"{got:#010x}",
-                        )
-                views[name] = window.cast(typecode)
-        else:
-            # Heap load: cross-endian files or an explicit mmap opt-out.
-            # Always verified — we are reading every byte anyway.
-            for index_no, ((name, typecode, _), (offset, nbytes)) in (
-                enumerate(zip(layout, entries))
-            ):
+        # A heap load (cross-endian file or explicit mmap opt-out) reads
+        # every byte anyway, so it always verifies everything.
+        full = verify or region is None
+        views = {}
+        for i, ((name, typecode, _), (offset, nbytes)) in enumerate(
+            zip(layout, entries)
+        ):
+            if region is not None:
+                buf = base[offset:offset + nbytes]
+            else:
                 handle.seek(offset)
-                raw = handle.read(nbytes)
-                if len(raw) != nbytes:
-                    raise IndexCorruptError(
-                        path, name, "truncated section",
-                        expected=f"{nbytes} bytes",
-                        actual=f"{len(raw)} bytes",
-                    )
-                got = zlib.crc32(raw)
-                if got != crcs[1 + index_no]:
-                    raise IndexCorruptError(
-                        path, name, "checksum mismatch",
-                        expected=f"crc32 {crcs[1 + index_no]:#010x}",
-                        actual=f"{got:#010x}",
-                    )
-                section = array(typecode)
-                section.frombytes(raw)
-                if swap:
-                    section.byteswap()
-                views[name] = section
-        if verify or not (use_mmap and not swap):
-            _check_v4_padding(path, handle, entries, data_start, data_end)
+                buf = handle.read(nbytes)
+            if full or name not in _ENTRY_SECTIONS:
+                _check_crc(path, name, buf, crcs[1 + i])
+            if region is not None:
+                views[name] = buf.cast(typecode)
+                continue
+            section = array(typecode)
+            section.frombytes(buf)
+            if swap:
+                section.byteswap()
+            views[name] = section
+        if full:
+            spans = [(offset, offset + nbytes) for offset, nbytes in entries]
+            dirty, _ = _scan_padding(handle, spans, data_start, data_end)
+            if dirty:
+                raise IndexCorruptError(
+                    path, "padding", "non-zero bytes in alignment padding",
+                    expected="0 dirty bytes", actual=f"{dirty}",
+                )
     finally:
         handle.close()
     arena = LabelArena(
@@ -847,223 +777,6 @@ def _load_binary_v4(
     return index
 
 
-def _check_binary_header(path: PathLike, header: dict, version: int) -> dict:
-    """Shared format/version/typecode validation; returns arena meta."""
-    if header.get("format") != _FORMAT:
-        raise SerializationError(f"{path}: not a {_FORMAT} file")
-    if header.get("version") != version:
-        raise SerializationError(
-            f"{path}: unsupported binary version {header.get('version')}"
-        )
-    meta = header["arena"]
-    typecode = meta["dist_typecode"]
-    if typecode not in ("q", "d"):
-        raise SerializationError(
-            f"{path}: unsupported distance typecode {typecode!r}"
-        )
-    return meta
-
-
-def _section_layout(meta: dict) -> List[Tuple[str, str, int]]:
-    """``(name, typecode, item count)`` per data section, in file order."""
-    n = meta["num_vertices"]
-    entries = meta["num_entries"]
-    return [
-        ("vertices", "q", n),
-        ("offsets", "q", n + 1),
-        ("dist", meta["dist_typecode"], entries),
-        ("count", "q", entries),
-    ]
-
-
-def _index_from_binary(path: PathLike, header: dict, arena: LabelArena):
-    """Construct the in-memory index from a parsed binary container."""
-    kind = header.get("type")
-    if kind == "CTLS":
-        return CTLSIndex(
-            _tree_from_payload(header["tree"]),
-            arena,
-            BuildStats(),
-            header["num_vertices"],
-            header["num_edges"],
-            header["strategy"],
-        )
-    if kind == "CTL":
-        return CTLIndex(
-            _tree_from_payload(header["tree"]),
-            arena,
-            BuildStats(),
-            header["num_vertices"],
-            header["num_edges"],
-        )
-    if kind == "TL":
-        return _tl_from_payload(header, None, None, arena=arena)
-    raise SerializationError(f"{path}: unknown index type {kind!r}")
-
-
-def _load_binary_v2(path: PathLike, size: int):
-    """Load a legacy v2 container, with typed truncation errors."""
-    with open(path, "rb") as handle:
-        prefix = handle.read(len(_MAGIC) + 8)
-        if len(prefix) < len(_MAGIC) + 8:
-            raise IndexCorruptError(
-                path, "header", "file shorter than the fixed prefix",
-                expected=f"{len(_MAGIC) + 8} bytes",
-                actual=f"{len(prefix)} bytes",
-            )
-        (header_len,) = struct.unpack("<Q", prefix[len(_MAGIC):])
-        if len(prefix) + header_len > size:
-            raise IndexCorruptError(
-                path, "header", "header length field exceeds file size",
-                expected=f"{len(prefix) + header_len} bytes",
-                actual=f"{size} bytes",
-            )
-        try:
-            header = json.loads(handle.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise IndexCorruptError(
-                path, "header", f"corrupt binary header: {exc}"
-            ) from exc
-        meta = _check_binary_header(path, header, _BINARY_VERSION)
-        layout = _section_layout(meta)
-        expected = len(prefix) + header_len + sum(
-            length * array(typecode).itemsize
-            for _, typecode, length in layout
-        )
-        if size < expected:
-            raise IndexCorruptError(
-                path, "file", "truncated index file",
-                expected=f"{expected} bytes", actual=f"{size} bytes",
-            )
-        swap = meta["byteorder"] != sys.byteorder
-        arrays = {}
-        for name, typecode, length in layout:
-            section = array(typecode)
-            try:
-                section.fromfile(handle, length)
-            except EOFError as exc:
-                raise IndexCorruptError(
-                    path, name, f"truncated section: {exc}",
-                    expected=f"{length * section.itemsize} bytes",
-                ) from exc
-            if swap:
-                section.byteswap()
-            arrays[name] = section
-    arena = LabelArena(
-        list(arrays["vertices"]), arrays["offsets"], arrays["dist"],
-        arrays["count"], meta["overflow_positions"],
-        meta["overflow_counts"],
-    )
-    index = _index_from_binary(path, header, arena)
-    _attach_provenance(index, path, format_version=_BINARY_VERSION)
-    return index
-
-
-def _read_v3_layout(handle, path: PathLike, size: int):
-    """Validate the fixed v3 structure; returns header parts + footer.
-
-    Reads the footer *before* trusting the header JSON: the header CRC
-    is verified first, so a bit flip inside the header can never steer
-    section parsing (or JSON decoding) off a cliff.
-    """
-    min_size = len(_MAGIC3) + 8 + _FOOTER_LEN
-    if size < min_size:
-        raise IndexCorruptError(
-            path, "file", "file shorter than the v3 envelope",
-            expected=f">= {min_size} bytes", actual=f"{size} bytes",
-        )
-    prefix = handle.read(len(_MAGIC3) + 8)
-    (header_len,) = struct.unpack("<Q", prefix[len(_MAGIC3):])
-    if len(prefix) + header_len + _FOOTER_LEN > size:
-        raise IndexCorruptError(
-            path, "header", "header length field exceeds file size",
-            expected=f"<= {size - len(prefix) - _FOOTER_LEN} bytes",
-            actual=f"{header_len} bytes",
-        )
-    blob = handle.read(header_len)
-    header_crc = zlib.crc32(blob, zlib.crc32(prefix))
-    handle.seek(size - _FOOTER_LEN)
-    footer = handle.read(_FOOTER_LEN)
-    if footer[_FOOTER_STRUCT.size:] != _END_MAGIC3:
-        raise IndexCorruptError(
-            path, "footer", "missing end marker — truncated or overwritten",
-            expected=_END_MAGIC3.decode("latin-1"),
-            actual=footer[_FOOTER_STRUCT.size:].decode("latin-1", "replace"),
-        )
-    *crcs, total = _FOOTER_STRUCT.unpack(footer[:_FOOTER_STRUCT.size])
-    if total != size:
-        raise IndexCorruptError(
-            path, "file", "recorded length does not match the file",
-            expected=f"{total} bytes", actual=f"{size} bytes",
-        )
-    if crcs[0] != header_crc:
-        raise IndexCorruptError(
-            path, "header", "checksum mismatch",
-            expected=f"crc32 {crcs[0]:#010x}", actual=f"{header_crc:#010x}",
-        )
-    try:
-        header = json.loads(blob)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        # CRC passed but JSON did not — a writer bug, not bit rot.
-        raise SerializationError(
-            f"{path}: undecodable v3 header: {exc}"
-        ) from exc
-    return len(prefix) + header_len, header, crcs
-
-
-def _load_binary_v3(path: PathLike, size: int):
-    """Load a v3 container, verifying every checksum along the way."""
-    with open(path, "rb") as handle:
-        data_start, header, crcs = _read_v3_layout(handle, path, size)
-        meta = _check_binary_header(path, header, _BINARY_VERSION3)
-        layout = _section_layout(meta)
-        section_bytes = sum(
-            length * array(typecode).itemsize
-            for _, typecode, length in layout
-        )
-        if data_start + section_bytes + _FOOTER_LEN != size:
-            raise IndexCorruptError(
-                path, "file", "section sizes do not add up to the file",
-                expected=f"{data_start + section_bytes + _FOOTER_LEN} bytes",
-                actual=f"{size} bytes",
-            )
-        handle.seek(data_start)
-        swap = meta["byteorder"] != sys.byteorder
-        arrays = {}
-        for (name, typecode, length), want_crc in zip(layout, crcs[1:]):
-            nbytes = length * array(typecode).itemsize
-            raw = handle.read(nbytes)
-            if len(raw) != nbytes:
-                raise IndexCorruptError(
-                    path, name, "truncated section",
-                    expected=f"{nbytes} bytes", actual=f"{len(raw)} bytes",
-                )
-            got_crc = zlib.crc32(raw)
-            if got_crc != want_crc:
-                raise IndexCorruptError(
-                    path, name, "checksum mismatch",
-                    expected=f"crc32 {want_crc:#010x}",
-                    actual=f"{got_crc:#010x}",
-                )
-            section = array(typecode)
-            section.frombytes(raw)
-            if swap:
-                section.byteswap()
-            arrays[name] = section
-    arena = LabelArena(
-        list(arrays["vertices"]), arrays["offsets"], arrays["dist"],
-        arrays["count"], meta["overflow_positions"],
-        meta["overflow_counts"],
-    )
-    index = _index_from_binary(path, header, arena)
-    _attach_provenance(
-        index, path, format_version=_BINARY_VERSION3,
-        build_info=header.get("build_info"),
-        sections=header.get("sections"),
-    )
-    return index
-
-
 # ----------------------------------------------------------------------
 # integrity verification (repro-spc verify-index)
 # ----------------------------------------------------------------------
@@ -1071,10 +784,12 @@ def verify_index_file(path: PathLike) -> List[Tuple[str, bool, str]]:
     """Validate an index file's integrity; never raises for corruption.
 
     Returns a per-section report ``[(section, ok, detail), ...]``.  For
-    a v3 or v4 container every section is checked (checksum + length —
-    and, for v4, alignment and bounds) even after an earlier one fails,
-    so one run reports all the damage; v1 and v2 files (no checksums)
-    get a single structural ``file`` entry from attempting a full load.
+    a v4 container every section is checked (checksum, length,
+    alignment and bounds) even after an earlier one fails, so one run
+    reports all the damage; a v1 JSON file (no checksums) gets a single
+    structural ``file`` entry from attempting a full load.  A retired
+    v2/v3 container is not corruption: it raises the same one-line
+    :class:`SerializationError` as :func:`load_index`.
 
     The envelope is opened lazily — footer and header only — and each
     section is then streamed through CRC32 without ever materialising
@@ -1083,52 +798,18 @@ def verify_index_file(path: PathLike) -> List[Tuple[str, bool, str]]:
     """
     try:
         size = os.path.getsize(path)
-        with open(path, "rb") as handle:
-            magic = handle.read(len(_MAGIC3))
+        magic = _sniff_magic(path)
     except OSError as exc:
         return [("file", False, str(exc))]
     if magic == _MAGIC4:
         return _verify_v4(path, size)
-    if magic != _MAGIC3:
-        try:
-            load_index(path)
-        except SerializationError as exc:
-            return [("file", False, str(exc))]
-        except Exception as exc:  # pragma: no cover - defensive
-            return [("file", False, f"{type(exc).__name__}: {exc}")]
-        return [("file", True, "structural load ok (no checksums)")]
-    report: List[Tuple[str, bool, str]] = []
-    with open(path, "rb") as handle:
-        try:
-            data_start, header, crcs = _read_v3_layout(handle, path, size)
-            meta = _check_binary_header(path, header, _BINARY_VERSION3)
-        except SerializationError as exc:
-            section = getattr(exc, "section", "header")
-            return [(section, False, str(exc))]
-        report.append(("header", True, "checksum ok"))
-        handle.seek(data_start)
-        for (name, typecode, length), want_crc in zip(
-            _section_layout(meta), crcs[1:]
-        ):
-            nbytes = length * array(typecode).itemsize
-            raw = handle.read(nbytes)
-            if len(raw) != nbytes:
-                report.append((
-                    name, False,
-                    f"truncated: expected {nbytes} bytes, "
-                    f"got {len(raw)}",
-                ))
-                continue
-            got_crc = zlib.crc32(raw)
-            if got_crc == want_crc:
-                report.append((name, True, f"checksum ok ({nbytes} bytes)"))
-            else:
-                report.append((
-                    name, False,
-                    f"checksum mismatch: expected crc32 "
-                    f"{want_crc:#010x}, got {got_crc:#010x}",
-                ))
-    return report
+    try:
+        load_index(path)
+    except SerializationError as exc:
+        return [("file", False, str(exc))]
+    except Exception as exc:  # pragma: no cover - defensive
+        return [("file", False, f"{type(exc).__name__}: {exc}")]
+    return [("file", True, "structural load ok (no checksums)")]
 
 
 def _verify_v4(path: PathLike, size: int) -> List[Tuple[str, bool, str]]:
@@ -1139,8 +820,8 @@ def _verify_v4(path: PathLike, size: int) -> List[Tuple[str, bool, str]]:
             header, entries, crcs, data_start, data_end = _read_v4_layout(
                 handle, path, size
             )
-            meta = _check_binary_header(path, header, _BINARY_VERSION4)
-            layout = _section_layout_v4(header)
+            _check_v4_header(path, header)
+            layout = _section_layout(header)
         except SerializationError as exc:
             section = getattr(exc, "section", "header")
             return [(section, False, str(exc))]
@@ -1209,29 +890,9 @@ def _verify_v4(path: PathLike, size: int) -> List[Tuple[str, bool, str]]:
                 ))
             else:
                 report.append((name, True, f"checksum ok ({nbytes} bytes)"))
-        # Alignment padding between sections is outside every section
-        # CRC; require it to be zero so no byte of the file can flip
-        # silently.
-        dirty = 0
-        total_pad = 0
-        cursor = data_start
-        for start, end, _ in spans:
-            if start > cursor:
-                handle.seek(cursor)
-                remaining = start - cursor
-                total_pad += remaining
-                while remaining:
-                    chunk = handle.read(min(remaining, 1 << 20))
-                    if not chunk:
-                        break
-                    dirty += len(chunk) - chunk.count(0)
-                    remaining -= len(chunk)
-            cursor = max(cursor, end)
-        if data_end > cursor:
-            handle.seek(cursor)
-            tail = handle.read(data_end - cursor)
-            total_pad += len(tail)
-            dirty += len(tail) - tail.count(0)
+        dirty, total_pad = _scan_padding(
+            handle, [span[:2] for span in spans], data_start, data_end
+        )
         if dirty:
             report.append((
                 "padding", False,
@@ -1250,12 +911,13 @@ def _verify_v4(path: PathLike, size: int) -> List[Tuple[str, bool, str]]:
 def describe_index(path: PathLike) -> dict:
     """Structural summary of an index file without loading its labels.
 
-    For binary containers (v2/v3/v4) only the footer and JSON header
-    are read — the dist/count sections, usually >99% of the file, are
-    never touched.  A v4 CTL/CTLS file additionally maps its three
-    small flat-tree sections on demand to recover tree height/width.
-    The v1 JSON document has no lazy path and falls back to a full
-    :func:`load_index`.
+    For a v4 container only the footer and JSON header are read — the
+    dist/count sections, usually >99% of the file, are never touched;
+    a CTL/CTLS file additionally reads (and checksums) its two small
+    tree-shape sections to recover tree height/width.  The v1 JSON
+    document has no lazy path and falls back to a full
+    :func:`load_index`; a retired v2/v3 container raises the same
+    one-line :class:`SerializationError`.
 
     Returns a dict with ``type``, ``format_version``, ``num_vertices``,
     ``num_edges``, ``tree_nodes``, ``height``, ``width``,
@@ -1264,54 +926,33 @@ def describe_index(path: PathLike) -> dict:
     ``sections`` and ``build_info`` when the container records them.
     """
     size = os.path.getsize(path)
+    if _sniff_magic(path) != _MAGIC4:
+        index = load_index(path)
+        stats = index.stats()
+        provenance = getattr(index, "provenance", {}) or {}
+        return {
+            "type": type(index).__name__.replace("Index", ""),
+            "format_version": provenance.get("format_version", _VERSION),
+            "num_vertices": stats.num_vertices,
+            "num_edges": stats.num_edges,
+            "tree_nodes": stats.tree_nodes,
+            "height": stats.height,
+            "width": stats.width,
+            "total_label_entries": stats.total_label_entries,
+            "size_bytes": stats.size_bytes,
+            "file_bytes": size,
+            "sections": None,
+            "build_info": provenance.get("build_info"),
+            "lazy": False,
+        }
     with open(path, "rb") as handle:
-        magic = handle.read(len(_MAGIC3))
-        if magic == _MAGIC4:
-            header, entries, _, _, _ = _read_v4_layout(handle, path, size)
-            version = _BINARY_VERSION4
-        elif magic == _MAGIC3:
-            handle.seek(0)
-            _, header, _ = _read_v3_layout(handle, path, size)
-            version = _BINARY_VERSION3
-        elif magic == _MAGIC:
-            prefix = handle.read(8)
-            if len(prefix) < 8:
-                raise IndexCorruptError(
-                    path, "header", "file shorter than the fixed prefix"
-                )
-            (header_len,) = struct.unpack("<Q", prefix)
-            try:
-                header = json.loads(handle.read(header_len))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise IndexCorruptError(
-                    path, "header", f"corrupt binary header: {exc}"
-                ) from exc
-            version = _BINARY_VERSION
-        else:
-            index = load_index(path)
-            stats = index.stats()
-            provenance = getattr(index, "provenance", {}) or {}
-            return {
-                "type": type(index).__name__.replace("Index", ""),
-                "format_version": provenance.get("format_version", _VERSION),
-                "num_vertices": stats.num_vertices,
-                "num_edges": stats.num_edges,
-                "tree_nodes": stats.tree_nodes,
-                "height": stats.height,
-                "width": stats.width,
-                "total_label_entries": stats.total_label_entries,
-                "size_bytes": stats.size_bytes,
-                "file_bytes": size,
-                "sections": None,
-                "build_info": provenance.get("build_info"),
-                "lazy": False,
-            }
-        meta = _check_binary_header(path, header, version)
+        header, entries, crcs, _, _ = _read_v4_layout(handle, path, size)
+        meta = _check_v4_header(path, header)
         kind = header.get("type")
         entries_count = meta["num_entries"]
         summary = {
             "type": kind,
-            "format_version": version,
+            "format_version": _BINARY_VERSION4,
             "num_vertices": header.get("num_vertices", meta["num_vertices"]),
             "num_edges": header["num_edges"],
             "total_label_entries": entries_count,
@@ -1334,49 +975,28 @@ def describe_index(path: PathLike) -> dict:
             summary["width"] = max(
                 (len(bag) + 1 for bag in header["bags"].values()), default=0
             )
-        elif "tree" in header:
-            # v2/v3: the tree payload is already in the header.
-            nodes = header["tree"]["nodes"]
-            block_end = []
-            height = 0
-            width = 0
-            for node in nodes:
-                own = len(node["vertices"])
-                parent = node["parent"]
-                end = own + (block_end[parent] if parent >= 0 else 0)
-                block_end.append(end)
-                height = max(height, end)
-                width = max(width, own)
-            summary["tree_nodes"] = len(nodes)
-            summary["height"] = height
-            summary["width"] = width
-        else:
-            # v4: map just the two small tree-shape sections on demand.
-            tree_flat = header["tree_flat"]
-            names = header["section_names"]
-            by_name = dict(zip(names, entries))
-            region = _mmaplib.mmap(
-                handle.fileno(), 0, access=_mmaplib.ACCESS_READ
-            )
-            try:
-                base = memoryview(region)
-                off, nbytes = by_name["tree_parents"]
-                parents = base[off:off + nbytes].cast("q")
-                off, nbytes = by_name["tree_blocks"]
-                blocks = base[off:off + nbytes].cast("q")
-                block_end = []
-                height = 0
-                width = 0
-                for i, parent in enumerate(parents):
-                    own = blocks[i + 1] - blocks[i]
-                    end = own + (block_end[parent] if parent >= 0 else 0)
-                    block_end.append(end)
-                    height = max(height, end)
-                    width = max(width, own)
-                del parents, blocks, base
-            finally:
-                region.close()
-            summary["tree_nodes"] = tree_flat["nodes"]
-            summary["height"] = height
-            summary["width"] = width
+            return summary
+        # Read (and checksum) just the two small tree-shape sections.
+        shape = {}
+        for i, (name, (offset, nbytes)) in enumerate(
+            zip(header["section_names"], entries)
+        ):
+            if name in ("tree_parents", "tree_blocks"):
+                handle.seek(offset)
+                raw = handle.read(nbytes)
+                _check_crc(path, name, raw, crcs[1 + i])
+                shape[name] = array("q", raw)
+        parents, blocks = shape["tree_parents"], shape["tree_blocks"]
+        block_end = []
+        height = 0
+        width = 0
+        for i, parent in enumerate(parents):
+            own = blocks[i + 1] - blocks[i]
+            end = own + (block_end[parent] if parent >= 0 else 0)
+            block_end.append(end)
+            height = max(height, end)
+            width = max(width, own)
+        summary["tree_nodes"] = header["tree_flat"]["nodes"]
+        summary["height"] = height
+        summary["width"] = width
     return summary

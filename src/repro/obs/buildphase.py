@@ -13,7 +13,7 @@ Two complementary views, both cheap enough to leave on:
   one vocabulary.
 
 The resulting ``build_info`` dict (:func:`make_build_info`) travels in
-the v1/v3 index headers: ``repro-spc stats`` and the server's
+the v1 document and the v4 header: ``repro-spc stats`` and the server's
 ``/stats`` endpoint can then answer "how was the index that is serving
 right now built, and at what cost?".
 """

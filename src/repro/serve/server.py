@@ -1073,7 +1073,7 @@ class SPCServer:
         """Static index identity for ``/health``+``/stats`` (cached).
 
         Includes the load provenance :func:`repro.core.serialize` left
-        on the index (format version, v3 section byte sizes, embedded
+        on the index (format version, v4 section byte sizes, embedded
         ``build_info``) so perf records taken against this server can
         be correlated with the exact index build that answered them.
         """

@@ -1,10 +1,10 @@
 """Index provenance: loaders stamp where an index came from.
 
-Every load path (JSON v1, binary v2, binary v3) must attach a
-``provenance`` dict to the returned index; v1 and v3 additionally
-round-trip the ``build_info`` block ``save_index`` embeds, which is
-how ``repro-spc stats`` and the server's ``/stats`` endpoint answer
-"how was the index serving right now built?".
+Every load path (JSON v1, binary v4) must attach a ``provenance``
+dict to the returned index, and both round-trip the ``build_info``
+block ``save_index`` embeds, which is how ``repro-spc stats`` and the
+server's ``/stats`` endpoint answer "how was the index serving right
+now built?".
 """
 
 import pytest
@@ -35,29 +35,6 @@ def test_v1_provenance_and_build_info(tmp_path, index):
     assert prov["format_version"] == 1
     assert prov["path"] == str(path)
     assert prov["build_info"]["git_sha"] == "abc123"
-
-
-def test_v2_provenance_without_build_info(tmp_path, index):
-    path = tmp_path / "idx.bin"
-    save_index(index, path, format="binary-v2", build_info=BUILD_INFO)
-    loaded = load_index(path)
-    prov = loaded.provenance
-    assert prov["format_version"] == 2
-    # v2 is a frozen legacy container: build_info is dropped silently.
-    assert "build_info" not in prov
-
-
-def test_v3_provenance_with_sections_and_build_info(tmp_path, index):
-    path = tmp_path / "idx.bin"
-    save_index(index, path, format="binary-v3", build_info=BUILD_INFO)
-    loaded = load_index(path)
-    prov = loaded.provenance
-    assert prov["format_version"] == 3
-    assert prov["build_info"]["label_entries"] == 999
-    sections = prov["sections"]
-    assert sections, "v3 provenance must carry section byte sizes"
-    for name, size in sections.items():
-        assert size > 0, name
 
 
 def test_v4_provenance_with_sections_and_build_info(tmp_path, index):

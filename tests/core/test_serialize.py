@@ -7,7 +7,12 @@ import pytest
 from repro.baselines.tl import TLIndex
 from repro.core.ctl import CTLIndex
 from repro.core.ctls import CTLSIndex
-from repro.core.serialize import load_index, save_index
+from repro.core.serialize import (
+    describe_index,
+    load_index,
+    save_index,
+    verify_index_file,
+)
 from repro.exceptions import SerializationError
 from repro.graph.generators import grid_graph
 
@@ -95,7 +100,7 @@ def test_big_counts_survive_json(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# v2 binary container
+# v4 binary container
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "builder",
@@ -152,7 +157,7 @@ def test_binary_preserves_inf(tmp_path, two_components):
 
 
 def test_binary_preserves_overflow_counts(tmp_path):
-    # Label counts beyond 64 bits ride in the v2 header, not the raw
+    # Label counts beyond 64 bits ride in the v4 header, not the raw
     # int64 buffer; they must come back exactly.
     from tests.labels.test_arena import diamond_chain
 
@@ -197,8 +202,9 @@ def test_binary_round_trip_via_cli_roundabout(tmp_path, graph):
 
 def test_unknown_save_format_rejected(tmp_path, graph):
     index = CTLSIndex.build(graph)
-    with pytest.raises(SerializationError):
-        save_index(index, tmp_path / "x.idx", format="pickle")
+    for fmt in ("pickle", "binary-v2", "binary-v3"):
+        with pytest.raises(SerializationError, match="unknown format"):
+            save_index(index, tmp_path / "x.idx", format=fmt)
 
 
 def test_binary_unknown_object_rejected(tmp_path):
@@ -219,7 +225,23 @@ def test_truncated_binary_rejected(tmp_path, graph):
 def test_corrupt_binary_header_rejected(tmp_path):
     import struct
 
+    # A retired v2 container is refused by its magic alone — the
+    # (here undecodable) header behind it is never parsed.
     path = tmp_path / "index.bin"
     path.write_bytes(b"RSPCIDX2" + struct.pack("<Q", 4) + b"\xff\xfe\x00\x01")
-    with pytest.raises(SerializationError):
+    with pytest.raises(SerializationError, match="retired container") as exc:
         load_index(path)
+    assert "\n" not in str(exc.value)
+    assert "repro-spc build --format binary" in str(exc.value)
+
+
+@pytest.mark.parametrize("magic", [b"RSPCIDX2", b"RSPCIDX3"])
+@pytest.mark.parametrize(
+    "reader", [load_index, verify_index_file, describe_index],
+    ids=["load", "verify", "describe"],
+)
+def test_retired_containers_rejected(tmp_path, magic, reader):
+    path = tmp_path / "old.bin"
+    path.write_bytes(magic + bytes(64))
+    with pytest.raises(SerializationError, match="retired container"):
+        reader(path)

@@ -2,17 +2,20 @@
 
 v4 exists so ``load_index`` can hand the query kernel ``memoryview``s
 straight over an ``mmap`` region — no parse, no copy.  That only works
-if the on-disk layout is trustworthy, so these tests pin three
+if the on-disk layout is trustworthy, so these tests pin four
 contracts:
 
 * **layout** — every section offset is 8-byte *and* page aligned, and
-  the file round-trips through older formats;
+  the file round-trips through v4 and the v1 JSON document;
 * **parity** — an mmap-loaded index answers ``query``/``query_batch``
-  bit-identically to a heap-loaded one and to the v3 container;
+  bit-identically to a heap-loaded one;
 * **hardening** — a hostile section table (overlaps, out-of-bounds,
-  unaligned offsets) is rejected at load, and flipped bytes anywhere
-  in the file (sections *or* alignment padding) are caught by
-  ``verify``.
+  unaligned offsets) is rejected at load, a flipped byte in an O(n)
+  section is caught by every open, and flipped bytes anywhere in the
+  file (sections *or* alignment padding) are caught by ``verify``;
+* **crash safety** — no single-byte corruption or truncation loads
+  silently, and an interrupted ``save_index`` never clobbers the
+  previous file.
 """
 
 import struct
@@ -133,14 +136,16 @@ class TestLayout:
         self, tmp_path, v4_file, index
     ):
         loaded = load_index(v4_file)  # mmap-backed views
-        for fmt, version in (
-            ("binary-v3", 3), ("binary-v2", 2), ("binary", 4),
-        ):
-            out = tmp_path / f"again-{fmt}.bin"
+        for fmt, version in (("binary", 4), ("json", 1)):
+            out = tmp_path / f"again-{fmt}.idx"
             save_index(loaded, out, format=fmt)
             again = load_index(out)
             assert again.arena == index.arena, fmt
             assert again.provenance["format_version"] == version
+        # v4 -> v4 through mmap-backed views rewrites the same bytes
+        assert (tmp_path / "again-binary.idx").read_bytes() == (
+            v4_file.read_bytes()
+        )
 
 
 # ----------------------------------------------------------------------
@@ -155,18 +160,12 @@ class TestParity:
         loaded = load_index(v4_file, mmap=False)
         assert not loaded.arena.is_mapped
 
-    def test_mmap_heap_and_v3_bit_identical(
-        self, tmp_path, v4_file, index, pairs
-    ):
-        v3_path = tmp_path / "index.v3.bin"
-        save_index(index, v3_path, format="binary-v3")
+    def test_mmap_and_heap_bit_identical(self, v4_file, index, pairs):
         mapped = load_index(v4_file)
         heap = load_index(v4_file, mmap=False)
-        v3 = load_index(v3_path)
         want = index.query_batch(pairs)
         assert mapped.query_batch(pairs) == want
         assert heap.query_batch(pairs) == want
-        assert v3.query_batch(pairs) == want
         for source, target in pairs[:20]:
             assert mapped.query(source, target) == index.query(
                 source, target
@@ -268,3 +267,167 @@ class TestHardening:
         v4_file.write_bytes(bytes(data))
         with pytest.raises(SerializationError):
             load_index(v4_file)
+
+    @pytest.mark.parametrize("section", [
+        "vertices", "offsets", "tree_parents", "tree_blocks",
+        "tree_vertices",
+    ])
+    def test_small_section_flip_caught_on_default_open(
+        self, v4_file, section
+    ):
+        # The O(n) sections are checksummed on every open, so a flip
+        # there can never surface as a raw KeyError/ValueError from the
+        # arena or tree rebuild, nor load as a silently wrong index.
+        header, entries, _, _, _ = _layout(v4_file)
+        offset, nbytes = entries[header["section_names"].index(section)]
+        pristine = v4_file.read_bytes()
+        for at in (offset, offset + nbytes // 2, offset + nbytes - 1):
+            data = bytearray(pristine)
+            data[at] ^= 0x01
+            v4_file.write_bytes(bytes(data))
+            with pytest.raises(IndexCorruptError) as excinfo:
+                load_index(v4_file)
+            assert excinfo.value.section == section, at
+
+    def test_describe_checksums_tree_shape(self, v4_file):
+        header, entries, _, _, _ = _layout(v4_file)
+        offset, _ = entries[header["section_names"].index("tree_parents")]
+        data = bytearray(v4_file.read_bytes())
+        data[offset] ^= 0x01
+        v4_file.write_bytes(bytes(data))
+        with pytest.raises(IndexCorruptError) as excinfo:
+            describe_index(v4_file)
+        assert excinfo.value.section == "tree_parents"
+
+
+# ----------------------------------------------------------------------
+# crash safety (5x5 grid: small enough for a sweep, real padding)
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def grid_index():
+    return CTLSIndex.build(grid_graph(5, 5))
+
+
+@pytest.fixture
+def grid_file(grid_index, tmp_path):
+    path = tmp_path / "grid.bin"
+    save_index(grid_index, path, format="binary")
+    return path
+
+
+#: Every part of a v4 file a corruption error may name.
+PARTS = (
+    "header", "vertices", "offsets", "dist", "count", "tree_parents",
+    "tree_blocks", "tree_vertices", "padding", "footer", "file",
+)
+
+
+class TestCrashSafety:
+    @pytest.mark.parametrize("opts", [
+        pytest.param({"verify": True}, id="verify"),
+        pytest.param({"mmap": False}, id="heap"),
+    ])
+    def test_single_byte_flips_always_detected(self, grid_file, opts):
+        # Property-style sweep: flip one byte at ~100 sampled offsets
+        # (always including the length field and the end marker) —
+        # every flip must be rejected, and flips past the magic must
+        # surface as a typed IndexCorruptError naming a real part.
+        data = grid_file.read_bytes()
+        step = max(1, len(data) // 97)
+        offsets = sorted(
+            set(range(0, len(data), step)) | {8, len(data) - 1}
+        )
+        for offset in offsets:
+            corrupted = bytearray(data)
+            corrupted[offset] ^= 0x40
+            grid_file.write_bytes(bytes(corrupted))
+            with pytest.raises(SerializationError) as excinfo:
+                load_index(grid_file, **opts)
+            if offset >= 8:  # inside-magic flips fail format sniffing
+                assert isinstance(excinfo.value, IndexCorruptError), (
+                    f"offset {offset}: expected a typed corruption error"
+                )
+                assert excinfo.value.section in PARTS, (
+                    f"offset {offset}: bad section {excinfo.value.section!r}"
+                )
+
+    @pytest.mark.parametrize("keep", [0.0, 0.1, 0.5, 0.95])
+    def test_truncation_rejected(self, grid_file, keep):
+        data = grid_file.read_bytes()
+        grid_file.write_bytes(data[: int(len(data) * keep)])
+        with pytest.raises(IndexCorruptError) as excinfo:
+            load_index(grid_file)
+        assert excinfo.value.path == str(grid_file)
+        assert str(grid_file) in str(excinfo.value)
+
+    def test_zero_byte_file_is_typed_error(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        with pytest.raises(IndexCorruptError) as excinfo:
+            load_index(path)
+        assert excinfo.value.section == "file"
+        assert str(path) in str(excinfo.value)
+
+    def test_truncation_error_reports_sizes(self, grid_file):
+        data = grid_file.read_bytes()
+        grid_file.write_bytes(data[: len(data) - 1])
+        with pytest.raises(IndexCorruptError) as excinfo:
+            load_index(grid_file)
+        err = excinfo.value
+        assert err.expected is not None and err.actual is not None
+
+    def test_interrupted_save_preserves_previous_file(
+        self, grid_file, grid_index, monkeypatch
+    ):
+        before = grid_file.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("simulated crash before rename")
+
+        monkeypatch.setattr(ser.os, "replace", crash)
+        with pytest.raises(OSError):
+            save_index(grid_index, grid_file, format="binary")
+        monkeypatch.undo()
+        assert grid_file.read_bytes() == before, "previous index clobbered"
+        leftovers = [
+            p for p in grid_file.parent.iterdir() if ".tmp-" in p.name
+        ]
+        assert not leftovers, f"temp files left behind: {leftovers}"
+        assert load_index(grid_file).arena == grid_index.arena
+
+    def test_rejected_object_preserves_previous_file(self, grid_file):
+        before = grid_file.read_bytes()
+        with pytest.raises(SerializationError):
+            save_index(object(), grid_file, format="binary")
+        assert grid_file.read_bytes() == before
+
+    def test_save_overwrites_atomically(self, grid_file, grid_index):
+        # Re-saving over a live file goes through rename, so the target
+        # is always either the old complete file or the new one.
+        save_index(grid_index, grid_file, format="binary")
+        assert load_index(grid_file).arena == grid_index.arena
+
+
+class TestVerifyReport:
+    def test_verify_reports_every_section_ok(self, grid_file):
+        header, _, _, _, _ = _layout(grid_file)
+        report = verify_index_file(grid_file)
+        assert [name for name, _, _ in report] == (
+            ["header"] + header["section_names"] + ["padding"]
+        )
+        assert all(ok for _, ok, _ in report)
+
+    def test_verify_names_the_corrupt_section(self, grid_file):
+        header, entries, _, _, _ = _layout(grid_file)
+        offset, nbytes = entries[header["section_names"].index("count")]
+        data = bytearray(grid_file.read_bytes())
+        data[offset + nbytes // 2] ^= 0xFF
+        grid_file.write_bytes(bytes(data))
+        report = verify_index_file(grid_file)
+        assert [name for name, ok, _ in report if not ok] == ["count"]
+
+    def test_verify_handles_structurally_broken_files(self, tmp_path):
+        path = tmp_path / "junk.bin"
+        path.write_bytes(b"RSPCIDX4 definitely not a real index")
+        report = verify_index_file(path)
+        assert report and not all(ok for _, ok, _ in report)

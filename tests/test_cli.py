@@ -289,6 +289,27 @@ class TestVerifyIndex:
         assert main(["verify-index", str(tmp_path / "nope.bin")]) == 1
 
 
+class TestRetiredContainers:
+    @pytest.mark.parametrize("magic", ["RSPCIDX2", "RSPCIDX3"])
+    @pytest.mark.parametrize("command", [
+        ["stats"], ["query", "{path}", "0", "1"], ["verify-index"],
+    ], ids=["stats", "query", "verify-index"])
+    def test_one_line_error(self, tmp_path, capsys, magic, command):
+        path = tmp_path / "old.bin"
+        path.write_bytes(magic.encode() + bytes(64))
+        argv = [part.format(path=path) for part in command]
+        if "{path}" not in command:
+            argv.append(str(path))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: ")
+        assert "retired container" in lines[0]
+        assert "repro-spc build --format binary" in lines[0]
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestServeFlags:
     def test_fault_and_breaker_flags_parse(self):
         from repro.cli import build_parser
