@@ -16,37 +16,33 @@ above ``v``.
 
 TL-Query scans all common ancestors — label positions ``0 .. depth of
 the LCA`` — hence ``O(h)`` visits that *shrink* as query distance grows
-(shallower LCAs), the behaviour Exp-3 contrasts with CTLS-Query.  The
-labels live in the same packed :class:`~repro.labels.LabelArena` as the
-CTL/CTLS indexes (dense id = position in the elimination order); the
-original dict-of-lists layout remains available as the ``"dict"`` query
-engine and for JSON serialization.
+(shallower LCAs), the behaviour Exp-3 contrasts with CTLS-Query.  That
+prefix is the index's scan window (:meth:`TLIndex._window`); the shared
+:class:`~repro.core.base.ArenaIndex` path merges it over the same packed
+:class:`~repro.labels.LabelArena` as the CTL/CTLS indexes (dense id =
+position in the elimination order).  The dict-of-lists layout is
+rebuilt on demand for JSON serialization.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import repro.obs as obs
 from repro.baselines.tree_decomposition import (
     TreeDecomposition,
     minimum_degree_elimination,
 )
-from repro.core.base import (
-    SELF_QUERY_RESULT,
-    BuildStats,
-    IndexStats,
-    SPCIndex,
-)
+from repro.core.base import ArenaIndex, BuildStats, IndexStats
 from repro.exceptions import IndexQueryError, SerializationError
 from repro.graph.graph import Graph
 from repro.labels.arena import LabelArena, record_layout_gauges
 from repro.tree.lca import LCATable
-from repro.types import INF, QueryResult, Vertex
+from repro.types import INF, Vertex
 
 
-class TLIndex(SPCIndex):
+class TLIndex(ArenaIndex):
     """Tree-decomposition hub-labeling index for shortest path counting."""
 
     name = "TL"
@@ -57,7 +53,6 @@ class TLIndex(SPCIndex):
         dist: Optional[Dict[Vertex, List]],
         count: Optional[Dict[Vertex, List[int]]],
         lca: LCATable,
-        vertex_ids: Dict[Vertex, int],
         build_stats: BuildStats,
         num_edges: int,
         *,
@@ -76,14 +71,10 @@ class TLIndex(SPCIndex):
             )
         self._label_dist = dist
         self._label_count = count
-        self._lca = lca
-        self._vertex_ids = vertex_ids
+        self._lca = lca.lca
         self.build_stats = build_stats
         self._num_edges = num_edges
         self._depth_by_id = [decomposition.depth[v] for v in decomposition.order]
-        #: Query implementation: ``"arena"`` (packed, default) or
-        #: ``"dict"`` (reference); identical answers.
-        self.query_engine = "arena"
 
     @property
     def label_dist(self) -> Dict[Vertex, List]:
@@ -140,17 +131,14 @@ class TLIndex(SPCIndex):
 
             # O(1) LCA over the vertex tree.
             with rec.span("tl.build.lca"):
-                vertex_ids = {v: i for i, v in enumerate(td.order)}
                 parents = [
-                    -1 if td.parent[v] is None else vertex_ids[td.parent[v]]
+                    -1 if td.parent[v] is None else td.order_of[td.parent[v]]
                     for v in td.order
                 ]
                 lca = LCATable(parents)
 
         rec.gauge_max("build.peak_edges", graph.num_edges)
-        index = cls(
-            td, dist, count, lca, vertex_ids, BuildStats(), graph.num_edges
-        )
+        index = cls(td, dist, count, lca, BuildStats(), graph.num_edges)
         record_layout_gauges(rec, index.arena)
         index.build_stats = BuildStats.from_recorder(
             rec, seconds=time.perf_counter() - started, arena=index.arena
@@ -160,110 +148,15 @@ class TLIndex(SPCIndex):
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def _window(self, a: int, b: int) -> Tuple[int, int]:
+        """TL-Query: label positions ``0 ..`` depth of the LCA (Eq. 1)."""
+        return 0, self._depth_by_id[self._lca(a, b)] + 1
+
     def _lca_depth(self, source: Vertex, target: Vertex):
         try:
-            a = self._vertex_ids[source]
-            b = self._vertex_ids[target]
-        except KeyError:
+            return self.window(source, target)[1] - 1  # end = depth + 1
+        except IndexQueryError:
             return None
-        return self._depth_by_id[self._lca.lca(a, b)]
-
-    def _query_scan(self, source: Vertex, target: Vertex):
-        """TL-Query: scan labels of all common ancestors (Eq. 1)."""
-        if self.query_engine == "dict":
-            return self._query_scan_dict(source, target)
-        try:
-            a = self._vertex_ids[source]
-            b = self._vertex_ids[target]
-        except KeyError as exc:
-            raise IndexQueryError(f"vertex {exc.args[0]} is not indexed") from exc
-        if source == target:
-            return SELF_QUERY_RESULT, 0
-        prefix = self._depth_by_id[self._lca.lca(a, b)] + 1
-        distance, count = self.arena.scan(a, b, 0, prefix)
-        return QueryResult(distance, count), prefix
-
-    def _query_scan_dict(self, source: Vertex, target: Vertex):
-        """Reference scan over the dict-of-lists label layout."""
-        if source == target:
-            if source not in self._vertex_ids:
-                raise IndexQueryError(f"vertex {source} is not indexed")
-            return QueryResult(0, 1), 0
-        try:
-            a = self._vertex_ids[source]
-            b = self._vertex_ids[target]
-        except KeyError as exc:
-            raise IndexQueryError(f"vertex {exc.args[0]} is not indexed") from exc
-        prefix = self._depth_by_id[self._lca.lca(a, b)] + 1
-
-        best = INF
-        total = 0
-        for d_s, d_t, c_s, c_t in zip(
-            self.label_dist[source][:prefix],
-            self.label_dist[target][:prefix],
-            self.label_count[source][:prefix],
-            self.label_count[target][:prefix],
-        ):
-            d = d_s + d_t
-            if d < best:
-                best = d
-                total = c_s * c_t
-            elif d == best:
-                total += c_s * c_t
-        if total == 0:
-            return QueryResult(INF, 0), prefix
-        return QueryResult(best, total), prefix
-
-    def query_batch(self, pairs):
-        """TL-Query over many pairs via one batched arena scan.
-
-        Phase 1 resolves ids and ancestor prefixes for every pair in a
-        single tight loop; phase 2 hands all scan windows to
-        :meth:`LabelArena.scan_batch`, which merges them in one
-        vectorised pass when numpy is available.
-        """
-        if self.query_engine == "dict":
-            return super().query_batch(pairs)
-        enabled = obs.ENABLED
-        started = time.perf_counter() if enabled else 0.0
-        ids = self._vertex_ids
-        offsets = self.arena.offsets
-        depth_by_id = self._depth_by_id
-        lca = self._lca.lca
-        results: List[Optional[QueryResult]] = []
-        append = results.append
-        starts_a: List[int] = []
-        starts_b: List[int] = []
-        lengths: List[int] = []
-        slots: List[int] = []
-        visited = 0
-        for s, t in pairs:
-            try:
-                a = ids[s]
-                b = ids[t]
-            except KeyError as exc:
-                raise IndexQueryError(
-                    f"vertex {exc.args[0]} is not indexed"
-                ) from exc
-            if s == t:
-                append(SELF_QUERY_RESULT)
-                continue
-            prefix = depth_by_id[lca(a, b)] + 1
-            starts_a.append(offsets[a])
-            starts_b.append(offsets[b])
-            lengths.append(prefix)
-            slots.append(len(results))
-            visited += prefix
-            append(None)
-        for slot, scanned in zip(
-            slots, self.arena.scan_batch(starts_a, starts_b, lengths)
-        ):
-            results[slot] = QueryResult(*scanned)
-        if enabled:
-            self._record_batch(
-                time.perf_counter() - started, len(results), visited
-            )
-        return results
 
     # ------------------------------------------------------------------
     # statistics

@@ -3,7 +3,8 @@
 ``TLIndex``, ``CTLIndex`` and ``CTLSIndex`` all answer
 ``query(s, t) -> QueryResult(distance, count)`` and expose the same
 statistics surface, so benchmarks and applications treat them
-interchangeably.
+interchangeably.  The three labeling indexes share one query path,
+:class:`ArenaIndex`: each states only its scan window.
 
 Query instrumentation lives here: when :mod:`repro.obs` is configured,
 every query records its latency, visited label entries, and LCA depth
@@ -16,9 +17,10 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import repro.obs as obs
+from repro.exceptions import IndexQueryError
 from repro.types import QueryResult, QueryStats, Vertex
 
 #: The conventional ``Q(v, v)`` answer, shared so batch loops can avoid
@@ -157,18 +159,12 @@ class SPCIndex(abc.ABC):
     def query_batch(self, pairs):
         """Answer a batch of ``Q(s, t)`` queries; returns a result list.
 
-        The batched fast paths of the concrete indexes resolve vertex
-        ids and LCA ranges once per pair inside a single tight loop over
-        the packed label arena, which amortises the per-call overhead of
-        :meth:`query`.  This default implementation just loops — it is
-        the reference the fast paths are tested against.
+        This default just loops over :meth:`query`.  The labeling
+        indexes override it with :meth:`ArenaIndex.query_batch`, one
+        batched scan of the packed label arena.
         """
         query = self.query
         return [query(s, t) for s, t in pairs]
-
-    def query_many(self, pairs):
-        """Alias of :meth:`query_batch` (kept for API compatibility)."""
-        return self.query_batch(pairs)
 
     def _record_batch(self, elapsed: float, count: int, visited: int) -> None:
         """Record one batch's observability metrics (obs is enabled)."""
@@ -199,3 +195,88 @@ class SPCIndex(abc.ABC):
             f"h={stats.height}, w={stats.width}, "
             f"entries={stats.total_label_entries})"
         )
+
+
+class ArenaIndex(SPCIndex):
+    """An index whose queries merge a window of two packed label rows.
+
+    CTL-Query, CTLS-Query and TL-Query all merge the same label
+    positions ``[start, end)`` of both endpoints in ``self.arena`` (a
+    :class:`~repro.labels.LabelArena`); they differ only in which
+    positions.  Subclasses state that rule once, as :meth:`_window` on
+    dense ids, and this class turns it into the scalar and batched
+    query paths.
+    """
+
+    @abc.abstractmethod
+    def _window(self, a: int, b: int) -> Tuple[int, int]:
+        """Label positions ``[start, end)`` merged for dense ids ``a, b``."""
+
+    def window(self, source: Vertex, target: Vertex) -> Tuple[int, int]:
+        """Label positions ``[start, end)`` that ``Q(s, t)`` merges."""
+        ids = self.arena.vertex_ids
+        try:
+            return self._window(ids[source], ids[target])
+        except KeyError as exc:
+            raise IndexQueryError(f"vertex {exc.args[0]} is not indexed") from exc
+
+    def _query_scan(self, source: Vertex, target: Vertex):
+        ids = self.arena.vertex_ids
+        try:
+            a = ids[source]
+            b = ids[target]
+        except KeyError as exc:
+            raise IndexQueryError(f"vertex {exc.args[0]} is not indexed") from exc
+        if source == target:
+            return SELF_QUERY_RESULT, 0
+        start, end = self._window(a, b)
+        distance, count = self.arena.scan(a, b, start, end)
+        return QueryResult(distance, count), end - start
+
+    def query_batch(self, pairs):
+        """Answer many pairs with one batched arena scan.
+
+        Phase 1 resolves ids and scan windows for every pair in a single
+        tight loop; phase 2 hands all windows to
+        :meth:`LabelArena.scan_batch`, which merges them in one
+        vectorised pass when numpy is available.
+        """
+        enabled = obs.ENABLED
+        started = time.perf_counter() if enabled else 0.0
+        ids = self.arena.vertex_ids
+        offsets = self.arena.offsets
+        window = self._window
+        results: List[Optional[QueryResult]] = []
+        append = results.append
+        starts_a: List[int] = []
+        starts_b: List[int] = []
+        lengths: List[int] = []
+        slots: List[int] = []
+        visited = 0
+        for s, t in pairs:
+            try:
+                a = ids[s]
+                b = ids[t]
+            except KeyError as exc:
+                raise IndexQueryError(
+                    f"vertex {exc.args[0]} is not indexed"
+                ) from exc
+            if s == t:
+                append(SELF_QUERY_RESULT)
+                continue
+            start, end = window(a, b)
+            starts_a.append(offsets[a] + start)
+            starts_b.append(offsets[b] + start)
+            lengths.append(end - start)
+            slots.append(len(results))
+            visited += end - start
+            append(None)
+        for slot, scanned in zip(
+            slots, self.arena.scan_batch(starts_a, starts_b, lengths)
+        ):
+            results[slot] = QueryResult(*scanned)
+        if enabled:
+            self._record_batch(
+                time.perf_counter() - started, len(results), visited
+            )
+        return results

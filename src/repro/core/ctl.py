@@ -11,45 +11,41 @@ queries every shortest path is counted exactly once — at its
 highest-ranked hub.
 
 Query (Algorithm 1, ``CTL-Query``) scans the aligned label prefix of the
-two vertices' common ancestors: ``O(h)`` label visits.  Two query
-engines share the semantics: ``"arena"`` (default) resolves the
-endpoints to dense ids and scans the packed
-:class:`~repro.labels.LabelArena`; ``"dict"`` is the original
-dict-of-lists scan, kept as the cross-tested reference — the same
-pairing as the construction-side ``engine="csr"``/``"dict"`` split.
+two vertices' common ancestors: ``O(h)`` label visits.  That prefix is
+the index's scan window (:meth:`CTLIndex._window`); the shared
+:class:`~repro.core.base.ArenaIndex` path merges it over the packed
+:class:`~repro.labels.LabelArena`.  :class:`CutTreeIndex` holds what
+CTL and CTLS share, including the one ``(LCA, end)`` rule both windows
+are cut from.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 import repro.obs as obs
-from repro.core.base import (
-    SELF_QUERY_RESULT,
-    BuildStats,
-    IndexStats,
-    SPCIndex,
-)
+from repro.core.base import ArenaIndex, BuildStats, IndexStats
 from repro.core.labeling import compute_node_labels
-from repro.exceptions import IndexBuildError, IndexQueryError
+from repro.exceptions import IndexBuildError
 from repro.graph.graph import Graph
 from repro.labels.arena import LabelArena, record_layout_gauges
 from repro.labels.store import LabelStore
 from repro.partition.balanced_cut import balanced_cut
 from repro.tree.cut_tree import CutTree
-from repro.types import INF, QueryResult, Vertex
-
-QUERY_ENGINES = ("arena", "dict")
+from repro.types import Vertex
 
 
-class CTLIndex(SPCIndex):
-    """Cut-tree hub-labeling index for shortest path counting."""
+class CutTreeIndex(ArenaIndex):
+    """What CTL and CTLS share: a cut tree over a packed label arena.
 
-    name = "CTL"
+    Both scan windows end where the two endpoints' ancestor lists stop
+    agreeing, which :meth:`_lca_end` computes once for both; they differ
+    only in where the window starts.
+    """
 
     def __init__(
         self,
@@ -69,28 +65,28 @@ class CTLIndex(SPCIndex):
         self.build_stats = build_stats
         self._num_vertices = num_vertices
         self._num_edges = num_edges
-        #: Query implementation: ``"arena"`` (packed, default) or
-        #: ``"dict"`` (reference); identical answers.
-        self.query_engine = "arena"
         self._bind_dense()
 
     def _bind_dense(self) -> None:
-        """Precompute dense-id lookup arrays for the arena query engine."""
+        """Precompute the dense-id lookup arrays the window rule reads."""
         tree = self.tree
         node_of_vertex = tree.node_of_vertex
         self._node_of_dense: List[int] = [
             node_of_vertex[v] for v in self.arena.vertices
         ]
-        # |A(v)| equals the arena's per-vertex entry count; offset
-        # deltas beat per-vertex tree lookups on the load path.
+        # |A(v)| equals the arena's per-vertex entry count (the sealed
+        # arena stores exactly the ancestor labels); offset deltas beat
+        # per-vertex tree lookups on the load path.
         self._label_len_dense: List[int] = np.diff(
             np.asarray(self.arena.offsets, dtype=np.int64)
         ).tolist()
+        self._block_starts: List[int] = tree.block_starts
         self._block_ends: List[int] = tree.block_ends
+        self._lca = tree.lca_table.lca
 
     @property
     def labels(self) -> LabelStore:
-        """Dict-of-lists reference store (rebuilt on demand after load)."""
+        """Dict-of-lists label store (rebuilt on demand after load)."""
         if self._labels is None:
             self._labels = self.arena.to_store()
         return self._labels
@@ -99,6 +95,59 @@ class CTLIndex(SPCIndex):
         """Re-pack the arena after in-place label mutation (dynamic repair)."""
         self.arena = self.labels.seal()
         self._bind_dense()
+
+    def _lca_end(self, a: int, b: int) -> Tuple[int, int]:
+        """``(LCA node, common-prefix length)`` of dense ids ``a``, ``b``.
+
+        The prefix is every position of the common ancestor nodes,
+        truncated inside a shared node at the lower-ranked endpoint.
+        """
+        node_of = self._node_of_dense
+        nu = node_of[a]
+        nv = node_of[b]
+        lens = self._label_len_dense
+        if nu == nv:
+            lu = lens[a]
+            lv = lens[b]
+            return nu, lu if lu < lv else lv
+        lca = self._lca(nu, nv)
+        if lca == nu:
+            return lca, lens[a]
+        if lca == nv:
+            return lca, lens[b]
+        return lca, self._block_ends[lca]
+
+    def _lca_depth(self, source: Vertex, target: Vertex):
+        try:
+            return self.tree.lca_node(source, target).depth
+        except KeyError:
+            return None
+
+    def stats(self) -> IndexStats:
+        """Static index shape (32-bit label-entry size model)."""
+        return IndexStats(
+            num_vertices=self._num_vertices,
+            num_edges=self._num_edges,
+            tree_nodes=self.tree.num_nodes,
+            height=self.tree.height,
+            width=self.tree.width,
+            total_label_entries=self.arena.total_entries,
+            size_bytes=self.arena.size_bytes(),
+        )
+
+
+class CTLIndex(CutTreeIndex):
+    """Cut-tree hub-labeling index for shortest path counting."""
+
+    name = "CTL"
+
+    def _window(self, a: int, b: int) -> Tuple[int, int]:
+        """CTL-Query (Algorithm 1): the whole common-ancestor prefix."""
+        return 0, self._lca_end(a, b)[1]
+
+    # Bound in the class body, not only inherited, so each index class
+    # owns an attribute a tracer can wrap on its own.
+    query_batch = ArenaIndex.query_batch
 
     # ------------------------------------------------------------------
     # construction
@@ -176,155 +225,3 @@ class CTLIndex(SPCIndex):
             rec, seconds=time.perf_counter() - started, arena=index.arena
         )
         return index
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def _lca_depth(self, source: Vertex, target: Vertex):
-        try:
-            return self.tree.lca_node(source, target).depth
-        except KeyError:
-            return None
-
-    def _dense_prefix(self, source_dense: int, target_dense: int) -> int:
-        """Common-prefix length of two dense ids (array lookups only)."""
-        node_of = self._node_of_dense
-        nu = node_of[source_dense]
-        nv = node_of[target_dense]
-        lens = self._label_len_dense
-        if nu == nv:
-            lu = lens[source_dense]
-            lv = lens[target_dense]
-            return lu if lu < lv else lv
-        lca = self.tree.lca_index(nu, nv)
-        if lca == nu:
-            return lens[source_dense]
-        if lca == nv:
-            return lens[target_dense]
-        return self._block_ends[lca]
-
-    def _query_scan(self, source: Vertex, target: Vertex):
-        """CTL-Query (Algorithm 1): scan common-ancestor labels."""
-        if self.query_engine == "dict":
-            return self._query_scan_dict(source, target)
-        ids = self.arena.vertex_ids
-        try:
-            source_dense = ids[source]
-            target_dense = ids[target]
-        except KeyError as exc:
-            raise IndexQueryError(f"vertex {exc.args[0]} is not indexed") from exc
-        if source == target:
-            return SELF_QUERY_RESULT, 0
-        prefix = self._dense_prefix(source_dense, target_dense)
-        distance, count = self.arena.scan(source_dense, target_dense, 0, prefix)
-        return QueryResult(distance, count), prefix
-
-    def _query_scan_dict(self, source: Vertex, target: Vertex):
-        """Reference scan over the dict-of-lists :class:`LabelStore`."""
-        if source == target:
-            if source not in self.labels.dist:
-                raise IndexQueryError(f"vertex {source} is not indexed")
-            return QueryResult(0, 1), 0
-        try:
-            prefix = self.tree.common_prefix_length(source, target)
-        except KeyError as exc:
-            raise IndexQueryError(f"vertex {exc.args[0]} is not indexed") from exc
-        labels = self.labels
-        best = INF
-        total = 0
-        for d_s, d_t, c_s, c_t in zip(
-            labels.dist[source][:prefix],
-            labels.dist[target][:prefix],
-            labels.count[source][:prefix],
-            labels.count[target][:prefix],
-        ):
-            d = d_s + d_t
-            if d < best:
-                best = d
-                total = c_s * c_t
-            elif d == best:
-                total += c_s * c_t
-        if total == 0:
-            return QueryResult(INF, 0), prefix
-        return QueryResult(best, total), prefix
-
-    def query_batch(self, pairs):
-        """CTL-Query over many pairs via one batched arena scan.
-
-        Phase 1 resolves ids and LCA prefixes for every pair in a single
-        tight loop; phase 2 hands all scan windows to
-        :meth:`LabelArena.scan_batch`, which merges them in one
-        vectorised pass when numpy is available.
-        """
-        if self.query_engine == "dict":
-            return super().query_batch(pairs)
-        enabled = obs.ENABLED
-        started = time.perf_counter() if enabled else 0.0
-        ids = self.arena.vertex_ids
-        offsets = self.arena.offsets
-        node_of = self._node_of_dense
-        lens = self._label_len_dense
-        block_ends = self._block_ends
-        lca = self.tree.lca_table.lca
-        results: List[Optional[QueryResult]] = []
-        append = results.append
-        starts_a: List[int] = []
-        starts_b: List[int] = []
-        lengths: List[int] = []
-        slots: List[int] = []
-        visited = 0
-        for s, t in pairs:
-            try:
-                a = ids[s]
-                b = ids[t]
-            except KeyError as exc:
-                raise IndexQueryError(
-                    f"vertex {exc.args[0]} is not indexed"
-                ) from exc
-            if s == t:
-                append(SELF_QUERY_RESULT)
-                continue
-            nu = node_of[a]
-            nv = node_of[b]
-            if nu == nv:
-                lu = lens[a]
-                lv = lens[b]
-                prefix = lu if lu < lv else lv
-            else:
-                at = lca(nu, nv)
-                if at == nu:
-                    prefix = lens[a]
-                elif at == nv:
-                    prefix = lens[b]
-                else:
-                    prefix = block_ends[at]
-            starts_a.append(offsets[a])
-            starts_b.append(offsets[b])
-            lengths.append(prefix)
-            slots.append(len(results))
-            visited += prefix
-            append(None)
-        for slot, scanned in zip(
-            slots, self.arena.scan_batch(starts_a, starts_b, lengths)
-        ):
-            results[slot] = QueryResult(*scanned)
-        if enabled:
-            self._record_batch(
-                time.perf_counter() - started, len(results), visited
-            )
-        return results
-
-    # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
-    def stats(self) -> IndexStats:
-        """Static index shape (32-bit label-entry size model)."""
-        return IndexStats(
-            num_vertices=self._num_vertices,
-            num_edges=self._num_edges,
-            tree_nodes=self.tree.num_nodes,
-            height=self.tree.height,
-            width=self.tree.width,
-            total_label_entries=self.arena.total_entries,
-            size_bytes=self.arena.size_bytes(),
-        )

@@ -12,9 +12,10 @@ Labels are *strong convex* distances/counts (only same-node
 higher-ranked vertices are excluded), which lets CTLS-Query
 (Algorithm 3) scan a single tree node — the LCA — instead of all common
 ancestors: ``O(w)`` label visits, the paper's headline improvement for
-short-distance queries.  Like CTL, the default ``"arena"`` query engine
-scans the packed :class:`~repro.labels.LabelArena` by dense id; the
-``"dict"`` engine is the retained dict-of-lists reference.
+short-distance queries.  That block is the index's scan window
+(:meth:`CTLSIndex._window`), cut from the same ``(LCA, end)`` rule as
+CTL's prefix; the shared :class:`~repro.core.base.ArenaIndex` path
+merges it over the packed :class:`~repro.labels.LabelArena`.
 
 Construction strategies (Section IV-C, compared in Exp-4):
 
@@ -29,30 +30,23 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable, List, Optional, Union
-
-import numpy as np
+from typing import Callable, Optional, Tuple, Union
 
 import repro.obs as obs
-from repro.core.base import (
-    SELF_QUERY_RESULT,
-    BuildStats,
-    IndexStats,
-    SPCIndex,
-)
+from repro.core.base import ArenaIndex, BuildStats
+from repro.core.ctl import CutTreeIndex
 from repro.core.labeling import compute_node_labels
 from repro.core.spc_graph_build import (
     BlockOutDist,
     build_spc_graph_basic,
     build_spc_graph_cutsearch,
 )
-from repro.exceptions import IndexBuildError, IndexQueryError
+from repro.exceptions import IndexBuildError
 from repro.graph.graph import Graph
 from repro.labels.arena import LabelArena, record_layout_gauges
 from repro.labels.store import LabelStore
 from repro.partition.balanced_cut import balanced_cut
 from repro.tree.cut_tree import CutTree
-from repro.types import INF, QueryResult, Vertex
 
 STRATEGIES = ("basic", "pruned", "cutsearch")
 
@@ -64,7 +58,7 @@ STRATEGY_LABELS = {
 }
 
 
-class CTLSIndex(SPCIndex):
+class CTLSIndex(CutTreeIndex):
     """GSP-cut-tree hub-labeling index for shortest path counting."""
 
     name = "CTLS"
@@ -78,50 +72,17 @@ class CTLSIndex(SPCIndex):
         num_edges: int,
         strategy: str,
     ) -> None:
-        self.tree = tree
-        if isinstance(labels, LabelArena):
-            self._labels: Optional[LabelStore] = None
-            self.arena = labels
-        else:
-            self._labels = labels
-            self.arena = labels.seal()
-        self.build_stats = build_stats
+        super().__init__(tree, labels, build_stats, num_vertices, num_edges)
         self.strategy = strategy
-        self._num_vertices = num_vertices
-        self._num_edges = num_edges
-        #: Query implementation: ``"arena"`` (packed, default) or
-        #: ``"dict"`` (reference); identical answers.
-        self.query_engine = "arena"
-        self._bind_dense()
 
-    def _bind_dense(self) -> None:
-        """Precompute dense-id lookup arrays for the arena query engine."""
-        tree = self.tree
-        node_of_vertex = tree.node_of_vertex
-        self._node_of_dense: List[int] = [
-            node_of_vertex[v] for v in self.arena.vertices
-        ]
-        # |A(v)| equals the arena's per-vertex entry count (the sealed
-        # arena stores exactly the ancestor labels), and the offset
-        # deltas are far cheaper than per-vertex tree lookups on the
-        # load path.
-        self._label_len_dense: List[int] = np.diff(
-            np.asarray(self.arena.offsets, dtype=np.int64)
-        ).tolist()
-        self._block_starts: List[int] = tree.block_starts
-        self._block_ends: List[int] = tree.block_ends
+    def _window(self, a: int, b: int) -> Tuple[int, int]:
+        """CTLS-Query (Algorithm 3): only the LCA node's label block."""
+        lca, end = self._lca_end(a, b)
+        return self._block_starts[lca], end
 
-    @property
-    def labels(self) -> LabelStore:
-        """Dict-of-lists reference store (rebuilt on demand after load)."""
-        if self._labels is None:
-            self._labels = self.arena.to_store()
-        return self._labels
-
-    def refresh_arena(self) -> None:
-        """Re-pack the arena after in-place label mutation."""
-        self.arena = self.labels.seal()
-        self._bind_dense()
+    # Bound in the class body, not only inherited, so each index class
+    # owns an attribute a tracer can wrap on its own.
+    query_batch = ArenaIndex.query_batch
 
     # ------------------------------------------------------------------
     # construction
@@ -243,158 +204,3 @@ class CTLSIndex(SPCIndex):
         stats.extras["strategy"] = strategy
         index.build_stats = stats
         return index
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def _lca_depth(self, source: Vertex, target: Vertex):
-        try:
-            return self.tree.lca_node(source, target).depth
-        except KeyError:
-            return None
-
-    def _dense_block_range(self, source_dense: int, target_dense: int):
-        """The LCA node's label positions ``[start, end)`` by dense id."""
-        node_of = self._node_of_dense
-        nu = node_of[source_dense]
-        nv = node_of[target_dense]
-        lens = self._label_len_dense
-        if nu == nv:
-            lu = lens[source_dense]
-            lv = lens[target_dense]
-            return self._block_starts[nu], lu if lu < lv else lv
-        lca = self.tree.lca_index(nu, nv)
-        if lca == nu:
-            return self._block_starts[lca], lens[source_dense]
-        if lca == nv:
-            return self._block_starts[lca], lens[target_dense]
-        return self._block_starts[lca], self._block_ends[lca]
-
-    def _query_scan(self, source: Vertex, target: Vertex):
-        """CTLS-Query (Algorithm 3): scan only the LCA node's labels."""
-        if self.query_engine == "dict":
-            return self._query_scan_dict(source, target)
-        ids = self.arena.vertex_ids
-        try:
-            source_dense = ids[source]
-            target_dense = ids[target]
-        except KeyError as exc:
-            raise IndexQueryError(f"vertex {exc.args[0]} is not indexed") from exc
-        if source == target:
-            return SELF_QUERY_RESULT, 0
-        start, end = self._dense_block_range(source_dense, target_dense)
-        distance, count = self.arena.scan(source_dense, target_dense, start, end)
-        return QueryResult(distance, count), end - start
-
-    def _query_scan_dict(self, source: Vertex, target: Vertex):
-        """Reference scan over the dict-of-lists :class:`LabelStore`."""
-        if source == target:
-            if source not in self.labels.dist:
-                raise IndexQueryError(f"vertex {source} is not indexed")
-            return QueryResult(0, 1), 0
-        try:
-            start, end = self.tree.lca_block_range(source, target)
-        except KeyError as exc:
-            raise IndexQueryError(f"vertex {exc.args[0]} is not indexed") from exc
-        labels = self.labels
-        best = INF
-        total = 0
-        for d_s, d_t, c_s, c_t in zip(
-            labels.dist[source][start:end],
-            labels.dist[target][start:end],
-            labels.count[source][start:end],
-            labels.count[target][start:end],
-        ):
-            d = d_s + d_t
-            if d < best:
-                best = d
-                total = c_s * c_t
-            elif d == best:
-                total += c_s * c_t
-        if total == 0:
-            return QueryResult(INF, 0), end - start
-        return QueryResult(best, total), end - start
-
-    def query_batch(self, pairs):
-        """CTLS-Query over many pairs via one batched arena scan.
-
-        Phase 1 resolves ids and LCA block ranges for every pair in a
-        single tight loop; phase 2 hands all scan windows to
-        :meth:`LabelArena.scan_batch`, which merges them in one
-        vectorised pass when numpy is available.
-        """
-        if self.query_engine == "dict":
-            return super().query_batch(pairs)
-        enabled = obs.ENABLED
-        started = time.perf_counter() if enabled else 0.0
-        ids = self.arena.vertex_ids
-        offsets = self.arena.offsets
-        node_of = self._node_of_dense
-        lens = self._label_len_dense
-        block_starts = self._block_starts
-        block_ends = self._block_ends
-        lca = self.tree.lca_table.lca
-        results: List[Optional[QueryResult]] = []
-        append = results.append
-        starts_a: List[int] = []
-        starts_b: List[int] = []
-        lengths: List[int] = []
-        slots: List[int] = []
-        visited = 0
-        for s, t in pairs:
-            try:
-                a = ids[s]
-                b = ids[t]
-            except KeyError as exc:
-                raise IndexQueryError(
-                    f"vertex {exc.args[0]} is not indexed"
-                ) from exc
-            if s == t:
-                append(SELF_QUERY_RESULT)
-                continue
-            nu = node_of[a]
-            nv = node_of[b]
-            if nu == nv:
-                lu = lens[a]
-                lv = lens[b]
-                start = block_starts[nu]
-                end = lu if lu < lv else lv
-            else:
-                at = lca(nu, nv)
-                start = block_starts[at]
-                if at == nu:
-                    end = lens[a]
-                elif at == nv:
-                    end = lens[b]
-                else:
-                    end = block_ends[at]
-            starts_a.append(offsets[a] + start)
-            starts_b.append(offsets[b] + start)
-            lengths.append(end - start)
-            slots.append(len(results))
-            visited += end - start
-            append(None)
-        for slot, scanned in zip(
-            slots, self.arena.scan_batch(starts_a, starts_b, lengths)
-        ):
-            results[slot] = QueryResult(*scanned)
-        if enabled:
-            self._record_batch(
-                time.perf_counter() - started, len(results), visited
-            )
-        return results
-
-    # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
-    def stats(self) -> IndexStats:
-        """Static index shape (32-bit label-entry size model)."""
-        return IndexStats(
-            num_vertices=self._num_vertices,
-            num_edges=self._num_edges,
-            tree_nodes=self.tree.num_nodes,
-            height=self.tree.height,
-            width=self.tree.width,
-            total_label_entries=self.arena.total_entries,
-            size_bytes=self.arena.size_bytes(),
-        )

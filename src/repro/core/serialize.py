@@ -182,13 +182,12 @@ def _tl_from_payload(payload: dict, dist, count, arena=None) -> TLIndex:
     td = TreeDecomposition(
         order=order, order_of=order_of, bags=bags, parent=parent, depth=depth
     )
-    vertex_ids = {v: i for i, v in enumerate(order)}
     parents = [
-        -1 if td.parent[v] is None else vertex_ids[td.parent[v]]
+        -1 if td.parent[v] is None else order_of[td.parent[v]]
         for v in td.order
     ]
     return TLIndex(
-        td, dist, count, LCATable(parents), vertex_ids, BuildStats(),
+        td, dist, count, LCATable(parents), BuildStats(),
         payload["num_edges"], arena=arena,
     )
 

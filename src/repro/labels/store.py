@@ -4,8 +4,8 @@ Every vertex stores two parallel arrays over its ancestor vertices
 ``A(v)`` in the canonical order defined by :class:`repro.tree.CutTree`:
 convex shortest path *distances* and *counts*.  Because all vertices lay
 their arrays out in the same global block order, the arrays of two
-vertices agree position-by-position on the common prefix computed by
-``CutTree.common_prefix_length`` — queries are plain array scans.
+vertices agree position-by-position on their common prefix — queries
+are plain array scans over the window each index states.
 
 Counts are Python integers (exact, arbitrary precision).  Distances are
 whatever weight type the graph uses (int for road networks).

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.ctl import CTLIndex
-from repro.exceptions import EdgeError, LiveUpdateError
+from repro.exceptions import EdgeError, IndexQueryError, LiveUpdateError
 from repro.graph.graph import Graph
 from repro.live.overlay import LiveIndex, OverlayState, PatchEntry
 from repro.obs import NULL_RECORDER
@@ -92,8 +92,8 @@ class StaleRouter:
         _, min_block = pending
         base, _ = coordinator.live_index.view
         try:
-            prefix = base.tree.common_prefix_length(source, target)
-        except KeyError:
+            prefix = base.window(source, target)[1]
+        except IndexQueryError:
             return None  # unknown vertex: let the base scan raise
         if prefix <= min_block:
             return None  # scan cannot reach an affected block

@@ -183,12 +183,8 @@ class LiveIndex:
     # queries
     # ------------------------------------------------------------------
     def _prefix(self, base: CTLIndex, source: Vertex, target: Vertex) -> int:
-        try:
-            return base.tree.common_prefix_length(source, target)
-        except KeyError as exc:
-            raise IndexQueryError(
-                f"vertex {exc.args[0]} is not indexed"
-            ) from exc
+        """CTL-Query's scan length: the end of the base index's window."""
+        return base.window(source, target)[1]
 
     def query(self, source: Vertex, target: Vertex) -> QueryResult:
         base, state = self._view

@@ -134,9 +134,6 @@ _UPDATE_LOG_MAX = 4096
 #: process is killed and treated as dead.
 _PROBE_STRIKES = 3
 
-#: Values accepted as "true" in admin query parameters.
-_TRUTHY = {"1", "true", "yes", "on"}
-
 
 class FleetError(ReproError):
     """The fleet could not be started or a worker misbehaved."""
@@ -1464,7 +1461,7 @@ class FleetRouter:
                 {"error": f"unknown trace format {fmt!r}"},
                 keep_alive=keep_alive,
             )
-        clear = request.params.get("clear", "") in _TRUTHY
+        clear = request.flag("clear")
         if fmt == "fragment":
             return response_bytes(
                 200,

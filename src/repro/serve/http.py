@@ -32,6 +32,9 @@ class HTTPProtocolError(ReproError):
 
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 
+#: Query-parameter values read as "true", compared lowercased.
+TRUTHY = frozenset({"1", "true", "yes", "on"})
+
 
 @dataclass
 class Request:
@@ -51,6 +54,10 @@ class Request:
         if self.version == "HTTP/1.0":
             return connection == "keep-alive"
         return connection != "close"
+
+    def flag(self, name: str) -> bool:
+        """Whether query parameter ``name`` is one of :data:`TRUTHY`."""
+        return self.params.get(name, "").lower() in TRUTHY
 
     def json(self) -> object:
         """The body decoded as JSON (``{}`` when empty)."""

@@ -98,8 +98,6 @@ _CLOSE = object()
 #: records.  Connection close and shutdown flush regardless.
 _LOG_DRAIN_MIN_RECORDS = 24
 
-_TRUTHY = ("1", "true", "yes")
-
 
 class _Waiter:
     """An admitted query waiting on its batcher future.
@@ -1743,7 +1741,7 @@ class SPCServer:
             return (
                 400, {"error": "format must be 'chrome' or 'fragment'"}, ()
             )
-        clear = request.params.get("clear", "").lower() in _TRUTHY
+        clear = request.flag("clear")
         fragment = self.tracer.fragment(clear=clear)
         if fmt == "fragment":
             return 200, fragment, ()
@@ -1874,9 +1872,7 @@ class SPCServer:
                 raise HTTPProtocolError(
                     "query body needs integer 'source' and 'target'"
                 ) from exc
-        explain = (
-            request.params.get("explain", "").lower() in _TRUTHY
-        )
+        explain = request.flag("explain")
         try:
             return (
                 None,

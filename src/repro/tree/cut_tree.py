@@ -62,7 +62,6 @@ class CutTree:
         # Flat query-time arrays, filled by ``finalize``.
         self._block_start: List[int] = []
         self._block_end: List[int] = []
-        self._label_len: Dict[Vertex, int] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -156,8 +155,7 @@ class CutTree:
             block_ends.append(node.block_end)
         # Per-vertex maps, built in bulk: vertex i of the flat layout
         # lives in the node whose offset range covers i, at rank
-        # ``i - node_offsets[node]``, with label length
-        # ``block_start[node] + rank + 1``.
+        # ``i - node_offsets[node]``.
         offsets_arr = np.asarray(node_offsets, dtype=np.int64)
         counts = np.diff(offsets_arr)
         node_ids = np.repeat(
@@ -166,7 +164,6 @@ class CutTree:
         ranks = np.arange(len(flat_vertices), dtype=np.int64)
         ranks -= np.repeat(offsets_arr[:-1], counts)
         block_start = np.asarray(block_ends, dtype=np.int64) - counts
-        lens = np.repeat(block_start, counts) + ranks + 1
         node_of.update(zip(flat_vertices, node_ids.tolist()))
         rank_of.update(zip(flat_vertices, ranks.tolist()))
         if len(node_of) != len(flat_vertices):
@@ -176,7 +173,6 @@ class CutTree:
         tree._lca = LCATable(parents)
         tree._block_start = block_start.tolist()
         tree._block_end = block_ends
-        tree._label_len = dict(zip(flat_vertices, lens.tolist()))
         return tree
 
     def to_flat(self) -> Tuple[List[int], List[int], List[Vertex]]:
@@ -208,10 +204,6 @@ class CutTree:
         self._lca = LCATable([node.parent for node in self.nodes])
         self._block_start = [node.block_start for node in self.nodes]
         self._block_end = [node.block_end for node in self.nodes]
-        self._label_len = {
-            v: self._block_start[idx] + self._rank_in_node[v] + 1
-            for v, idx in self.node_of_vertex.items()
-        }
 
     # ------------------------------------------------------------------
     # inspection
@@ -227,10 +219,6 @@ class CutTree:
         if self._lca is None:
             raise IndexBuildError("CutTree.finalize() has not been called")
         return self._lca
-
-    def lca_index(self, a: int, b: int) -> int:
-        """Index of the lowest common ancestor of nodes ``a`` and ``b``."""
-        return self.lca_table.lca(a, b)
 
     @property
     def block_starts(self) -> List[int]:
@@ -304,48 +292,6 @@ class CutTree:
         a = self.node_of_vertex[u]
         b = self.node_of_vertex[v]
         return self.nodes[self._lca.lca(a, b)]
-
-    def common_prefix_length(self, u: Vertex, v: Vertex) -> int:
-        """Length of the shared prefix of ``A(u)`` and ``A(v)``.
-
-        This is exactly the number of label positions CTL-Query scans:
-        all vertices of common ancestor nodes, truncated within a shared
-        node to ids ``<= min(u, v)``.
-        """
-        node_u = self.node_of_vertex[u]
-        node_v = self.node_of_vertex[v]
-        label_len = self._label_len
-        if node_u == node_v:
-            len_u = label_len[u]
-            len_v = label_len[v]
-            return len_u if len_u < len_v else len_v
-        lca_index = self._lca.lca(node_u, node_v)
-        if lca_index == node_u:
-            return label_len[u]
-        if lca_index == node_v:
-            return label_len[v]
-        return self._block_end[lca_index]
-
-    def lca_block_range(self, u: Vertex, v: Vertex) -> "tuple[int, int]":
-        """Label positions ``[start, end)`` of the LCA node's block.
-
-        The range CTLS-Query scans: the LCA node's whole block, truncated
-        at a query vertex's own position when its node *is* the LCA.
-        """
-        node_u = self.node_of_vertex[u]
-        node_v = self.node_of_vertex[v]
-        label_len = self._label_len
-        if node_u == node_v:
-            len_u = label_len[u]
-            len_v = label_len[v]
-            end = len_u if len_u < len_v else len_v
-            return self._block_start[node_u], end
-        lca_index = self._lca.lca(node_u, node_v)
-        if lca_index == node_u:
-            return self._block_start[lca_index], label_len[u]
-        if lca_index == node_v:
-            return self._block_start[lca_index], label_len[v]
-        return self._block_start[lca_index], self._block_end[lca_index]
 
     def validate(self) -> None:
         """Cheap structural sanity checks; raises ``IndexBuildError``."""

@@ -5,10 +5,10 @@ from repro.graph.generators import grid_graph
 
 
 class TestSPCIndexInterface:
-    def test_query_many_matches_query(self):
+    def test_query_batch_matches_query(self):
         index = CTLSIndex.build(grid_graph(4, 4))
         pairs = [(0, 15), (3, 12), (7, 7)]
-        batch = index.query_many(pairs)
+        batch = index.query_batch(pairs)
         assert [tuple(r) for r in batch] == [
             tuple(index.query(s, t)) for s, t in pairs
         ]

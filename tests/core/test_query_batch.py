@@ -6,7 +6,8 @@ from repro.baselines.tl import TLIndex
 from repro.core.ctl import CTLIndex
 from repro.core.ctls import CTLSIndex
 from repro.exceptions import IndexQueryError
-from repro.types import INF
+from repro.search.dijkstra import ssspc
+from repro.types import INF, QueryResult
 
 BUILDERS = [
     pytest.param(lambda g: CTLIndex.build(g), id="ctl"),
@@ -47,19 +48,16 @@ class TestBatchParity:
         index = builder(small_grid)
         assert index.query_batch([]) == []
 
-    def test_dict_engine_agrees(self, builder, weighted_grid):
+    def test_agrees_with_counting_dijkstra(self, builder, weighted_grid):
         index = builder(weighted_grid)
         vertices = sorted(weighted_grid.vertices())
         pairs = [(s, t) for s in vertices[:8] for t in vertices[-8:]]
-        arena_results = index.query_batch(pairs)
-        index.query_engine = "dict"
-        assert index.query_batch(pairs) == arena_results
-
-    def test_query_many_is_alias(self, builder, small_grid):
-        index = builder(small_grid)
-        pairs = [(0, 15), (3, 12)]
-        assert index.query_many(pairs) == index.query_batch(pairs)
-
+        expected = []
+        for s, t in pairs:
+            dist, count = ssspc(weighted_grid, s)
+            expected.append(QueryResult(dist.get(t, INF), count.get(t, 0)))
+        assert [index.query(s, t) for s, t in pairs] == expected
+        assert index.query_batch(pairs) == expected
 
 def test_batch_records_metrics(small_grid):
     import repro.obs as obs

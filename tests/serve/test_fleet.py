@@ -371,6 +371,20 @@ class TestFleetTracing:
     in which a router span parents a worker-side span across process
     boundaries."""
 
+    @pytest.mark.parametrize("value", ["True", "on"])
+    def test_clear_accepts_any_truthy_spelling(self, fleet, workload, value):
+        host, port = fleet
+        replay(host, port, workload[:20], concurrency=2, trace_every=1)
+        status, _ = _http(
+            host, port, "POST", f"/admin/trace?format=fragment&clear={value}"
+        )
+        assert status == 200
+        status, body = _http(
+            host, port, "POST", "/admin/trace?format=fragment"
+        )
+        assert status == 200
+        assert json.loads(body)["spans"] == []
+
     def test_merged_trace_links_router_to_worker_spans(
         self, fleet, workload
     ):

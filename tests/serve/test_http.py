@@ -7,6 +7,7 @@ import pytest
 
 from repro.serve.http import (
     HTTPProtocolError,
+    Request,
     parse_request,
     read_request,
     read_response,
@@ -38,6 +39,19 @@ def test_get_request_round_trip():
     assert request.path == "/query"
     assert request.params == {"source": "3", "target": "9"}
     assert request.keep_alive
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [("1", True), ("true", True), ("True", True), ("YES", True),
+     ("on", True), ("On", True), ("0", False), ("false", False),
+     ("", False), ("no", False)],
+)
+def test_flag_is_case_insensitive(value, expected):
+    assert Request("POST", "/admin/trace", {"clear": value}).flag(
+        "clear"
+    ) is expected
+    assert not Request("POST", "/admin/trace").flag("clear")
 
 
 def test_post_request_with_body():

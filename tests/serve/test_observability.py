@@ -617,6 +617,18 @@ class TestDistributedTracing:
             )
         assert fragment["spans"] == []
 
+    @pytest.mark.parametrize("value", ["on", "True"])
+    def test_clear_accepts_any_truthy_spelling(self, index, value):
+        with ServerThread(
+            index, ServeConfig(port=0, trace_sample_every=1)
+        ) as (host, port):
+            _get(host, port, "/query?source=1&target=2")
+            _post(host, port, f"/admin/trace?clear={value}", {})
+            _, _, fragment = _post(
+                host, port, "/admin/trace?format=fragment", {}
+            )
+        assert fragment["spans"] == []
+
 
 class TestTopPairs:
     def test_heavy_pair_surfaces_with_cache_attribution(self, index):

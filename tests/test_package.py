@@ -32,7 +32,8 @@ class TestLabelAlignment:
         tree = index.tree
         vertices = sorted(graph.vertices())
         for s, t in [(vertices[0], vertices[-1]), (vertices[3], vertices[7])]:
-            k = tree.common_prefix_length(s, t)
+            start, k = index.window(s, t)
+            assert start == 0
             ancestors_s = tree.ancestor_vertices(s)
             ancestors_t = tree.ancestor_vertices(t)
             assert ancestors_s[:k] == ancestors_t[:k]

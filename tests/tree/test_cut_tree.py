@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.exceptions import IndexBuildError
+from repro.core.base import BuildStats
+from repro.core.ctl import CTLIndex
+from repro.core.ctls import CTLSIndex
+from repro.exceptions import IndexBuildError, IndexQueryError
+from repro.labels.store import LabelStore
 from repro.tree.cut_tree import CutTree
 
 
@@ -15,6 +19,24 @@ def build_sample():
     tree.add_node([6], parent=left)
     tree.finalize()
     return tree, root, left, right
+
+
+def sample_indexes():
+    """CTL and CTLS indexes over the sample tree (placeholder labels).
+
+    The scan windows depend only on the tree and the label lengths, so
+    every entry can be ``(0, 1)``.
+    """
+    tree, *_ = build_sample()
+    store = LabelStore(tree.node_of_vertex)
+    for v in tree.node_of_vertex:
+        for _ in range(tree.label_length(v)):
+            store.append(v, 0, 1)
+    ctl = CTLIndex(tree, store, BuildStats(), tree.num_vertices, 0)
+    ctls = CTLSIndex(
+        tree, store, BuildStats(), tree.num_vertices, 0, "cutsearch"
+    )
+    return ctl, ctls
 
 
 class TestConstruction:
@@ -93,32 +115,40 @@ class TestQueries:
         with pytest.raises(IndexBuildError):
             tree.lca_node(0, 1)
 
+    # CTL scans the common prefix of A(u) and A(v): window [0, end).
     def test_common_prefix_cross_branch(self):
-        tree, *_ = build_sample()
+        ctl, _ = sample_indexes()
         # 6 (left branch) vs 4 (right branch): LCA is the root block.
-        assert tree.common_prefix_length(6, 4) == 2
+        assert ctl.window(6, 4) == (0, 2)
 
     def test_common_prefix_ancestor_relation(self):
-        tree, *_ = build_sample()
+        ctl, _ = sample_indexes()
         # 2's node is an ancestor of 6's node: prefix = A(2).
-        assert tree.common_prefix_length(2, 6) == 3
-        assert tree.common_prefix_length(6, 2) == 3
+        assert ctl.window(2, 6) == (0, 3)
+        assert ctl.window(6, 2) == (0, 3)
 
     def test_common_prefix_same_node(self):
-        tree, *_ = build_sample()
+        ctl, _ = sample_indexes()
         # 3 and 4 share a node: truncate at min rank.
-        assert tree.common_prefix_length(3, 4) == 3
-        assert tree.common_prefix_length(1, 5) == 1
+        assert ctl.window(3, 4) == (0, 3)
+        assert ctl.window(1, 5) == (0, 1)
 
-    def test_lca_block_range_cross_branch(self):
-        tree, root, _l, right = build_sample()
-        assert tree.lca_block_range(6, 4) == (0, 2)
+    # CTLS scans only the LCA node's block of that prefix.
+    def test_lca_block_window_cross_branch(self):
+        _, ctls = sample_indexes()
+        assert ctls.window(6, 4) == (0, 2)
 
-    def test_lca_block_range_same_node(self):
-        tree, *_ = build_sample()
-        assert tree.lca_block_range(3, 4) == (2, 3)
+    def test_lca_block_window_same_node(self):
+        _, ctls = sample_indexes()
+        assert ctls.window(3, 4) == (2, 3)
 
-    def test_lca_block_range_ancestor(self):
-        tree, *_ = build_sample()
+    def test_lca_block_window_ancestor(self):
+        _, ctls = sample_indexes()
         # LCA node is 2's own node; end truncates at 2's label length.
-        assert tree.lca_block_range(2, 6) == (2, 3)
+        assert ctls.window(2, 6) == (2, 3)
+
+    def test_unknown_vertex_raises(self):
+        ctl, ctls = sample_indexes()
+        for index in (ctl, ctls):
+            with pytest.raises(IndexQueryError):
+                index.window(6, 99)

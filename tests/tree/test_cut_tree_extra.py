@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core.base import BuildStats
+from repro.core.ctl import CTLIndex
 from repro.exceptions import IndexBuildError
+from repro.labels.store import LabelStore
 from repro.tree.cut_tree import CutTree
 
 
@@ -29,7 +32,11 @@ class TestAncestors:
         tree = build_path_tree(3000)
         assert tree.label_length(2999) == 3000
         assert tree.lca_node(0, 2999).index == 0
-        assert tree.common_prefix_length(1500, 2999) == 1501
+        store = LabelStore(())
+        store.dist = {v: [0] * (v + 1) for v in range(3000)}
+        store.count = {v: [1] * (v + 1) for v in range(3000)}
+        index = CTLIndex(tree, store, BuildStats(), 3000, 0)
+        assert index.window(1500, 2999) == (0, 1501)
 
 
 class TestValidate:
