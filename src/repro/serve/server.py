@@ -74,7 +74,7 @@ from repro.obs import (
 )
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.cache import ResultCache
-from repro.serve.coalescer import MicroBatcher
+from repro.serve.coalescer import MicroBatcher, offload
 from repro.serve.config import ServeConfig
 from repro.serve.http import (
     HTTPProtocolError,
@@ -102,13 +102,13 @@ _LOG_DRAIN_MIN_RECORDS = 24
 class _Waiter:
     """An admitted query waiting on its batcher future.
 
-    The write loop peeks at ``future`` before awaiting: when a batch
-    scan has already resolved it (the common case under pipelining —
-    a whole window resolves at once), the response is finished
-    synchronously and coalesced into one socket write with its
-    batch-mates, skipping the per-request ``wait_for`` timer and task
-    wakeup entirely.  Awaiting the waiter (the slow path, and the
-    POST batch path) applies the request deadline.
+    The write loop peeks at ``future`` before awaiting: when the scan
+    has already resolved it (an inline window, or a whole executor
+    window resolving at once under pipelining), the response is
+    finished synchronously and coalesced into one socket write with
+    its batch-mates.  Awaiting the waiter (the slow path, and the POST
+    batch path) awaits the bare future; its deadline is armed where
+    the scan was handed off, so no per-request timer or task exists.
     """
 
     __slots__ = (
@@ -132,7 +132,11 @@ class _Waiter:
         self.trace = trace
 
     def __await__(self):
-        return self.server._finish(self).__await__()
+        try:
+            yield from self.future.__await__()
+        except Exception:
+            pass  # _finish reads the failure off the future
+        return self.server._finish(self)
 
 
 def encode_result(
@@ -261,6 +265,7 @@ class SPCServer:
                 executor=self._executor,
                 fault_plan=fault_plan,
                 tracer=self.tracer,
+                timeout_s=self.config.request_timeout_ms / 1000.0,
             )
         self._ids = RequestIdGenerator()
         #: Space-Saving sketch over symmetric query pairs — the
@@ -670,7 +675,7 @@ class SPCServer:
                 if type(entry) is tuple:
                     status, payload, extra = entry
                 elif type(entry) is _Waiter and entry.future.done():
-                    status, payload, extra = self._finish_done(entry)
+                    status, payload, extra = self._finish(entry)
                 else:
                     # About to suspend: ship what's already encoded.
                     if buf and not broken:
@@ -838,6 +843,7 @@ class SPCServer:
         self,
         source: int,
         target: int,
+        rid: str,
         *,
         cache_hit: bool,
         meta: Optional[dict],
@@ -851,6 +857,8 @@ class SPCServer:
         (the parity the tests pin).  Tree-based indexes also report
         the LCA node's depth and width (its cut size — the paper's
         per-node label-count driver).
+
+        The request id ``rid`` is echoed as ``request_id``.
         """
         counters: dict = {"cache_hit": cache_hit}
         try:
@@ -891,6 +899,7 @@ class SPCServer:
                 )
             if "scan_s" in meta:
                 counters["scan_us"] = round(meta["scan_s"] * 1e6, 1)
+        counters["request_id"] = rid
         return counters
 
     # ------------------------------------------------------------------
@@ -935,15 +944,16 @@ class SPCServer:
         no header dict, no :class:`Request` — which roughly halves the
         framing cost per query.  Anything unusual (other param order,
         percent-encoding, a body) returns ``None`` and takes the full
-        parser; behaviour is identical either way.  An inbound
-        ``X-Request-Id`` is honored here too: an exact-case find
-        first (free for the common canonical spelling), then one
-        lowercase pass over the small head when that misses.
+        parser; behaviour is identical either way.  Headers are found
+        in one lowercase copy of the small head: an inbound
+        ``X-Request-Id`` is honored, and keep-alive is decided exactly
+        as :attr:`Request.keep_alive` decides it.
         """
         if not head.startswith(b"GET /query?source="):
             return None
+        lower = head.lower()
         end = head.find(b" HTTP/", 18)
-        if end < 0 or b"ontent-" in head:
+        if end < 0 or b"content-" in lower:
             return None
         src, sep, tgt = head[18:end].partition(b"&")
         if not sep or not tgt.startswith(b"target="):
@@ -952,9 +962,24 @@ class SPCServer:
             source, target = int(src), int(tgt[7:])
         except ValueError:
             return None
-        mark = head.find(b"X-Request-Id:")
-        if mark < 0:
-            mark = head.lower().find(b"x-request-id:")
+        # Request.keep_alive's rule; an unusual Connection header (a
+        # second one, odd spacing) takes the full parser instead.
+        mark = lower.find(b"connection")
+        connection = ""
+        if mark >= 0:
+            if (
+                lower[mark - 2 : mark] != b"\r\n"
+                or lower[mark + 10 : mark + 11] != b":"
+                or lower.find(b"connection", mark + 10) >= 0
+            ):
+                return None
+            stop = lower.index(b"\r", mark)
+            connection = lower[mark + 11 : stop].decode("latin-1").strip()
+        if head[end + 1 : head.index(b"\r", end)] == b"HTTP/1.0":
+            keep_alive = connection == "keep-alive"
+        else:
+            keep_alive = connection != "close"
+        mark = lower.find(b"x-request-id:")
         if mark >= 0:
             stop = head.index(b"\r", mark)
             rid = head[mark + 13 : stop].strip().decode("latin-1")
@@ -962,28 +987,22 @@ class SPCServer:
             rid = self._ids.next_id()
         trace = None
         if self.tracer is not None:
-            # Same header-scan idiom as X-Request-Id: exact-case find
-            # for the canonical (lowercase, per W3C) spelling first.
-            # One find covers both the canonical lowercase spelling
-            # (per W3C) and title-case senders — no real header other
-            # than traceparent ends in "raceparent:".
-            mark = head.find(b"raceparent:")
-            if mark >= 0:
-                stop = head.index(b"\r", mark)
-                trace = self._trace_from_header(
-                    head[mark + 11 : stop].strip().decode("latin-1")
+            mark = lower.find(b"traceparent:")
+            trace = (
+                self._trace_from_header(
+                    head[mark + 12 : head.index(b"\r", mark)]
+                    .strip()
+                    .decode("latin-1")
                 )
-            else:
-                # _sample_trace() inlined: this branch runs once per
-                # fast-path request and almost always returns None.
-                sampler = self._trace_sampler
-                if sampler is not None and sampler.keep():
-                    ctx = TraceContext.generate()
-                    trace = (ctx.trace_id, ctx.span_id, None)
+                if mark >= 0
+                else self._sample_trace()
+            )
         self.recorder.incr("serve.requests")
         self._maybe_die()
-        keep_alive = (b"close" not in head) and not self._draining
-        return self._query_entry(source, target, rid, trace=trace), keep_alive
+        return (
+            self._query_entry(source, target, rid, trace=trace),
+            keep_alive and not self._draining,
+        )
 
     def _maybe_die(self) -> None:
         """Chaos site ``worker.kill``: SIGKILL this process mid-request.
@@ -1892,7 +1911,7 @@ class SPCServer:
 
         Cache hits, malformed requests, and shed responses come back as
         ready tuples; an admitted miss submits its scan *now* and
-        returns the :meth:`_finish` coroutine that waits for it.
+        returns the awaitable :class:`_Waiter` for its answer.
         """
         started = time.perf_counter()
         try:
@@ -1913,24 +1932,10 @@ class SPCServer:
             return self._query_entry(
                 *single, rid, explain=explain, trace=trace
             )
-        if self._draining:
-            self.recorder.incr("serve.shed.draining")
+        shed = self._shed(len(pairs))
+        if shed is not None:
             return self._finish_request(
-                503,
-                {"error": "draining"},
-                _RETRY_AFTER,
-                rid=rid,
-                started=started,
-                method=request.method,
-                trace=trace,
-            )
-        if self.queue_depth + len(pairs) > self.config.queue_high_water:
-            self.recorder.incr("serve.shed", len(pairs))
-            status, payload, extra = self._overloaded()
-            return self._finish_request(
-                status,
-                payload,
-                extra,
+                *shed,
                 rid=rid,
                 started=started,
                 method=request.method,
@@ -1938,16 +1943,24 @@ class SPCServer:
             )
         return self._answer_pairs(pairs, rid, started, explain, trace)
 
-    def _overloaded(self) -> Response:
-        return (
-            503,
-            {
-                "error": "overloaded",
-                "queue_depth": self.queue_depth,
-                "high_water": self.config.queue_high_water,
-            },
-            _RETRY_AFTER,
-        )
+    def _shed(self, pairs: int) -> Optional[Response]:
+        """The 503 for ``pairs`` more queries while draining or past
+        the queue high-water mark; ``None`` admits them."""
+        if self._draining:
+            self.recorder.incr("serve.shed.draining")
+            return 503, {"error": "draining"}, _RETRY_AFTER
+        if self.queue_depth + pairs > self.config.queue_high_water:
+            self.recorder.incr("serve.shed", pairs)
+            return (
+                503,
+                {
+                    "error": "overloaded",
+                    "queue_depth": self.queue_depth,
+                    "high_water": self.config.queue_high_water,
+                },
+                _RETRY_AFTER,
+            )
+        return None
 
     def _query_entry(
         self,
@@ -1964,25 +1977,10 @@ class SPCServer:
         :func:`encode_result_bytes`) unless ``explain`` asked for the
         annotated dict form."""
         started = time.perf_counter()
-        if self._draining:
-            self.recorder.incr("serve.shed.draining")
+        shed = self._shed(1)
+        if shed is not None:
             return self._finish_request(
-                503,
-                {"error": "draining"},
-                _RETRY_AFTER,
-                rid=rid,
-                started=started,
-                source=source,
-                target=target,
-                trace=trace,
-            )
-        if self.queue_depth >= self.config.queue_high_water:
-            self.recorder.incr("serve.shed")
-            status, payload, extra = self._overloaded()
-            return self._finish_request(
-                status,
-                payload,
-                extra,
+                *shed,
                 rid=rid,
                 started=started,
                 source=source,
@@ -2012,9 +2010,8 @@ class SPCServer:
             if explain:
                 payload = encode_result(source, target, cached)
                 payload["explain"] = self._explain_counters(
-                    source, target, cache_hit=True, meta=None
+                    source, target, rid, cache_hit=True, meta=None
                 )
-                payload["explain"]["request_id"] = rid
             else:
                 payload = encode_result_bytes(source, target, cached)
             return self._finish_request(
@@ -2038,35 +2035,48 @@ class SPCServer:
         started: float,
         explain: bool,
         trace=None,
-    ):
-        """Take a queue slot and start the scan; returns the waiter."""
+    ) -> "_Waiter":
+        """Take a queue slot and start the scan; returns the waiter.
+
+        With the breaker open and a fallback index configured, queries
+        route to the fallback's own executor (correct but slow) — the
+        breaker still lets one probe per cooldown through the real
+        index so it can close itself once the index heals.
+        """
         self._inflight += 1
         self.recorder.gauge_max("serve.queue.depth.max", self._inflight)
         meta = (
             {}
-            if (
-                explain
-                or self.request_log is not None
-                or trace is not None
-            )
+            if explain or self.request_log is not None or trace is not None
             else None
         )
-        if trace is not None and meta is not None:
+        if trace is not None:
             # The coalescer parents its scan_batch span to the request
             # span created in _finish_request — hand it the ids now.
             meta["trace"] = (trace[0], trace[1])
-        future, via_fallback = self._compute(source, target, meta)
+        fallback = self.fallback is not None and self.breaker.prefer_fallback()
+        if fallback:
+            self.recorder.incr("serve.fallback.queries")
+        if self.batcher is not None and not fallback:
+            future = self.batcher.submit(source, target, meta)
+        else:
+            if meta is not None:
+                meta["batch_size"] = 1
+                meta["flush_reason"] = (
+                    "fallback" if fallback else "uncoalesced"
+                )
+                if fallback:
+                    meta["fallback"] = True
+            future = offload(
+                self._fallback_executor if fallback else self._executor,
+                self.config.request_timeout_ms / 1000.0,
+                self.fallback.query if fallback else self.index.query,
+                source,
+                target,
+            )
         return _Waiter(
-            self,
-            future,
-            source,
-            target,
-            rid,
-            started,
-            meta,
-            explain,
-            via_fallback,
-            trace,
+            self, future, source, target, rid, started, meta, explain,
+            fallback, trace,
         )
 
     async def _answer_pairs(
@@ -2122,132 +2132,71 @@ class SPCServer:
             payload = json.loads(payload)
         return status, payload, extra
 
-    async def _finish(self, w: "_Waiter") -> Response:
-        # wait_for on the bare future: a deadline cancels only this
-        # request's future — the batcher skips done futures when its
-        # scan resolves, so batch-mates are unaffected.
-        try:
-            result = await asyncio.wait_for(
-                w.future,
-                timeout=self.config.request_timeout_ms / 1000.0,
-            )
-        except asyncio.TimeoutError:
-            self.recorder.incr("serve.timeouts")
-            return self._finish_request(
-                504,
-                {
-                    "error": "deadline exceeded",
-                    "timeout_ms": self.config.request_timeout_ms,
-                    "source": w.source,
-                    "target": w.target,
-                },
-                (),
-                rid=w.rid,
-                started=w.started,
-                source=w.source,
-                target=w.target,
-                meta=w.meta,
-                error="deadline exceeded",
-                trace=w.trace,
-            )
-        except ReproError as exc:
-            self.recorder.incr("serve.errors.query")
-            return self._query_error(w, exc)
-        except Exception as exc:  # noqa: BLE001 — scan-path crash
-            return self._scan_failure(w, exc)
-        finally:
-            self._inflight -= 1
-            self.recorder.observe(
-                "serve.latency_seconds", time.perf_counter() - w.started
-            )
-        return self._finish_ok(w, result)
+    def _finish(self, w: "_Waiter") -> Response:
+        """The response for a waiter whose future has resolved.
 
-    def _finish_done(self, w: "_Waiter") -> Response:
-        """Finish a waiter whose future already resolved — no await.
-
-        The synchronous twin of :meth:`_finish` for the write loop's
-        peek path; the deadline cannot fire on an answer that is
-        already here."""
+        A deadline (the batcher's window timer or :func:`offload`'s)
+        fails the future with ``TimeoutError``: a 504, and the scan's
+        late answer is dropped without touching batch-mates.
+        """
         self._inflight -= 1
         self.recorder.observe(
             "serve.latency_seconds", time.perf_counter() - w.started
         )
         exc = w.future.exception()
-        if exc is not None:
-            if isinstance(exc, ReproError):
-                self.recorder.incr("serve.errors.query")
-                return self._query_error(w, exc)
-            return self._scan_failure(w, exc)
-        return self._finish_ok(w, w.future.result())
-
-    def _query_error(self, w: "_Waiter", exc: ReproError) -> Response:
-        return self._finish_request(
-            400,
-            {"error": str(exc)},
-            (),
-            rid=w.rid,
-            started=w.started,
-            source=w.source,
-            target=w.target,
-            meta=w.meta,
-            error=str(exc),
-            trace=w.trace,
-        )
-
-    def _scan_failure(self, w: "_Waiter", exc: Exception) -> Response:
-        """A scan-path crash (not a client error): 500, count it
-        against the circuit breaker, batch-mates unaffected."""
-        self.recorder.incr("serve.errors.scan")
-        detail = str(exc) or type(exc).__name__
-        if self.breaker.record_failure():
-            self.recorder.incr("serve.breaker.trips")
-            if self.request_log is not None:
-                self.request_log.log_server(
-                    "breaker_open",
-                    consecutive_failures=self.breaker.threshold,
-                    last_error=detail,
+        cache_hit = labels_scanned = error = None
+        if exc is None:
+            result = w.future.result()
+            self.cache.put(w.source, w.target, result)
+            self.recorder.incr("serve.responses.ok")
+            if w.fallback:
+                # Fallback answers must not mask a broken index: only
+                # index-path successes close the breaker.
+                self.recorder.incr("serve.fallback.ok")
+            else:
+                self.breaker.record_success()
+            # A disabled cache performs no lookup — don't count one.
+            cache_hit = False if self.cache.capacity else None
+            status = 200
+            if w.explain:
+                payload = encode_result(w.source, w.target, result)
+                payload["explain"] = self._explain_counters(
+                    w.source, w.target, w.rid, cache_hit=False, meta=w.meta
                 )
-        return self._finish_request(
-            500,
-            {
-                "error": "scan failed",
+                labels_scanned = payload["explain"].get("labels_scanned")
+            else:
+                payload = encode_result_bytes(w.source, w.target, result)
+        elif isinstance(exc, asyncio.TimeoutError):
+            self.recorder.incr("serve.timeouts")
+            status, error = 504, "deadline exceeded"
+            payload = {
+                "error": error,
+                "timeout_ms": self.config.request_timeout_ms,
                 "source": w.source,
                 "target": w.target,
-            },
-            (),
-            rid=w.rid,
-            started=w.started,
-            source=w.source,
-            target=w.target,
-            meta=w.meta,
-            error=detail,
-            trace=w.trace,
-        )
-
-    def _finish_ok(self, w: "_Waiter", result: QueryResult) -> Response:
-        self.cache.put(w.source, w.target, result)
-        self.recorder.incr("serve.responses.ok")
-        if w.fallback:
-            # Fallback answers must not mask a broken index: only
-            # index-path successes close the breaker.
-            self.recorder.incr("serve.fallback.ok")
+            }
+        elif isinstance(exc, ReproError):
+            self.recorder.incr("serve.errors.query")
+            status, error = 400, str(exc)
+            payload = {"error": error}
         else:
-            self.breaker.record_success()
-        # A disabled cache performs no lookup — don't count one.
-        cache_hit = False if self.cache.capacity else None
-        labels_scanned = None
-        if w.explain:
-            payload = encode_result(w.source, w.target, result)
-            explain_fields = self._explain_counters(
-                w.source, w.target, cache_hit=False, meta=w.meta
-            )
-            explain_fields["request_id"] = w.rid
-            payload["explain"] = explain_fields
-            labels_scanned = explain_fields.get("labels_scanned")
-        else:
-            payload = encode_result_bytes(w.source, w.target, result)
+            # A scan-path crash, not a client error: 500, counted
+            # against the circuit breaker; batch-mates are unaffected.
+            self.recorder.incr("serve.errors.scan")
+            status, error = 500, str(exc) or type(exc).__name__
+            payload = {
+                "error": "scan failed", "source": w.source, "target": w.target
+            }
+            if self.breaker.record_failure():
+                self.recorder.incr("serve.breaker.trips")
+                if self.request_log is not None:
+                    self.request_log.log_server(
+                        "breaker_open",
+                        consecutive_failures=self.breaker.threshold,
+                        last_error=error,
+                    )
         return self._finish_request(
-            200,
+            status,
             payload,
             (),
             rid=w.rid,
@@ -2257,35 +2206,6 @@ class SPCServer:
             cache_hit=cache_hit,
             meta=w.meta,
             labels_scanned=labels_scanned,
+            error=error,
             trace=w.trace,
         )
-
-    def _compute(
-        self, source: int, target: int, meta: Optional[dict]
-    ) -> Tuple["asyncio.Future", bool]:
-        """One answer future, plus whether it rides the fallback.
-
-        With the breaker open and a fallback index configured, queries
-        route to the fallback's own executor (correct but slow) — the
-        breaker still lets one probe per cooldown through the real
-        index so it can close itself once the index heals.
-        """
-        if self.fallback is not None and self.breaker.prefer_fallback():
-            self.recorder.incr("serve.fallback.queries")
-            if meta is not None:
-                meta["batch_size"] = 1
-                meta["flush_reason"] = "fallback"
-                meta["fallback"] = True
-            future = asyncio.get_running_loop().run_in_executor(
-                self._fallback_executor, self.fallback.query, source, target
-            )
-            return future, True
-        if self.batcher is not None:
-            return self.batcher.submit(source, target, meta), False
-        if meta is not None:
-            meta["batch_size"] = 1
-            meta["flush_reason"] = "uncoalesced"
-        future = asyncio.get_running_loop().run_in_executor(
-            self._executor, self.index.query, source, target
-        )
-        return future, False

@@ -1,10 +1,16 @@
 """MicroBatcher semantics: windows, flush triggers, error isolation."""
 
 import asyncio
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.exceptions import IndexQueryError
+from repro.faults import FaultPlan
+from repro.obs import Recorder
+from repro.serve import coalescer
 from repro.serve.coalescer import MicroBatcher
 from repro.types import QueryResult
 
@@ -14,6 +20,7 @@ class FakeIndex:
 
     def __init__(self):
         self.batch_calls = []
+        self.threads = []
         self.scalar_calls = 0
 
     def query(self, source, target):
@@ -24,6 +31,7 @@ class FakeIndex:
 
     def query_batch(self, pairs):
         self.batch_calls.append(list(pairs))
+        self.threads.append(threading.get_ident())
         results = []
         for source, target in pairs:
             if source < 0 or target < 0:
@@ -131,3 +139,149 @@ def test_drain_flushes_pending_window():
 def test_rejects_bad_max_batch():
     with pytest.raises(ValueError):
         MicroBatcher(FakeIndex(), max_batch=0)
+
+
+class SlowFakeIndex(FakeIndex):
+    def query_batch(self, pairs):
+        time.sleep(0.02)
+        return super().query_batch(pairs)
+
+
+def _with_executor(index, scenario, **kwargs):
+    """Run ``scenario(batcher, recorder)`` against a batcher whose
+    windows may go to a real one-worker executor."""
+    recorder = Recorder()
+    executor = ThreadPoolExecutor(max_workers=1)
+
+    async def main():
+        batcher = MicroBatcher(
+            index, recorder=recorder, executor=executor, **kwargs
+        )
+        try:
+            return await scenario(batcher, recorder)
+        finally:
+            await batcher.drain()
+
+    try:
+        return asyncio.run(main()), recorder
+    finally:
+        executor.shutdown(wait=True)
+
+
+def _inline_windows(recorder):
+    return recorder.metrics_snapshot()["counters"].get(
+        "serve.batch.inline", 0
+    )
+
+
+async def _warm(batcher, count=40):
+    """Lone windows: enough for the averages to settle even when the
+    first, cold scan was slow."""
+    for i in range(count):
+        await batcher.submit(i, i)
+
+
+def test_first_window_goes_to_executor_then_lone_windows_inline():
+    index = FakeIndex()
+
+    async def scenario(batcher, recorder):
+        await batcher.submit(1, 2)
+        first = _inline_windows(recorder)
+        await _warm(batcher)
+        return first
+
+    first, recorder = _with_executor(index, scenario)
+    assert first == 0
+    assert index.threads[0] != threading.get_ident()
+    # a one-pair scan is far cheaper than a thread round trip
+    assert _inline_windows(recorder) >= 1
+    assert index.threads[-1] == threading.get_ident()
+
+
+def test_slow_index_stays_on_executor():
+    index = SlowFakeIndex()
+
+    async def scenario(batcher, recorder):
+        await _warm(batcher, count=5)
+
+    _, recorder = _with_executor(index, scenario)
+    assert _inline_windows(recorder) == 0
+    assert threading.get_ident() not in index.threads
+
+
+def test_swapped_index_is_measured_on_executor_again():
+    index, slow = FakeIndex(), SlowFakeIndex()
+
+    async def scenario(batcher, recorder):
+        await _warm(batcher)
+        before = _inline_windows(recorder)
+        batcher.swap_index(slow)
+        await _warm(batcher, count=3)
+        return _inline_windows(recorder) - before
+
+    inline_after_swap, _ = _with_executor(index, scenario)
+    assert inline_after_swap == 0
+    assert threading.get_ident() not in slow.threads
+
+
+def test_flush_fault_on_inline_window_isolates_and_answers():
+    index = FakeIndex()
+    recorder = Recorder()
+
+    async def scenario():
+        batcher = MicroBatcher(
+            index,
+            recorder=recorder,
+            fault_plan=FaultPlan.parse("flush.fail:1.0"),
+        )
+        futures = [batcher.submit(i, i + 1) for i in range(5)]
+        return await asyncio.gather(*futures)
+
+    results = asyncio.run(scenario())
+    assert results == [QueryResult(2 * i + 1, 1) for i in range(5)]
+    counters = recorder.metrics_snapshot()["counters"]
+    assert counters["serve.batch.inline"] == 1
+    assert counters["serve.batch.isolated"] == 1
+    assert counters["serve.batch.retry_ok"] == 5
+    assert index.batch_calls == []  # the fault fired before the scan
+
+
+def test_bad_pair_in_measured_inline_window_fails_only_its_future():
+    index = FakeIndex()
+
+    async def scenario(batcher, recorder):
+        await _warm(batcher)
+        before = _inline_windows(recorder)
+        futures = [
+            batcher.submit(1, 2), batcher.submit(-3, 2), batcher.submit(3, 4)
+        ]
+        results = await asyncio.gather(*futures, return_exceptions=True)
+        return results, _inline_windows(recorder) - before
+
+    (results, inline), _ = _with_executor(index, scenario)
+    assert inline == 1
+    first, bad, third = results
+    assert first == QueryResult(3, 1)
+    assert isinstance(bad, IndexQueryError)
+    assert third == QueryResult(7, 1)
+
+
+def test_executor_window_times_out_under_one_deadline(monkeypatch):
+    fired = []
+    expire = coalescer.expire
+
+    def counting_expire(futures):
+        fired.append(len(futures))
+        expire(futures)
+
+    monkeypatch.setattr(coalescer, "expire", counting_expire)
+    index = SlowFakeIndex()
+
+    async def scenario(batcher, recorder):
+        futures = [batcher.submit(i, i) for i in range(3)]
+        return await asyncio.gather(*futures, return_exceptions=True)
+
+    results, recorder = _with_executor(index, scenario, timeout_s=0.005)
+    assert all(isinstance(r, asyncio.TimeoutError) for r in results)
+    assert fired == [3]  # one timer for the whole window
+    assert recorder.metrics_snapshot()["counters"]["serve.batch.count"] == 1

@@ -210,6 +210,106 @@ def test_deadline_returns_504(index, workload):
     assert counters["serve.timeouts"] == 1
 
 
+def test_executor_window_members_all_time_out(index, workload):
+    # Three pipelined misses land in one window; the window's single
+    # deadline answers every member with a 504.
+    slow = SlowIndex(index, delay_s=0.25)
+    config = ServeConfig(port=0, request_timeout_ms=50, cache_size=0)
+    thread = ServerThread(slow, config)
+    pairs = workload[:3]
+    with thread as (host, port):
+
+        async def pipelined():
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"".join(
+                f"GET /query?source={s}&target={t} HTTP/1.1\r\n"
+                "Host: x\r\n\r\n".encode()
+                for s, t in pairs
+            ))
+            await writer.drain()
+            responses = [await read_response(reader) for _ in pairs]
+            writer.close()
+            return responses
+
+        responses = asyncio.run(pipelined())
+        counters = thread.server.recorder.metrics_snapshot()["counters"]
+    assert [status for status, _, _ in responses] == [504] * 3
+    assert counters["serve.timeouts"] == 3
+    assert counters["serve.batch.count"] == 1
+    assert counters.get("serve.batch.inline", 0) == 0
+
+
+def test_inline_window_explain_reports_timings(index, workload):
+    config = ServeConfig(port=0, cache_size=0)
+    thread = ServerThread(index, config)
+    with thread as (host, port):
+        # Lone requests: the first measures scan and hop on the
+        # executor, the rest let the averages settle.
+        replay(host, port, workload[:40], concurrency=1)
+        recorder = thread.server.recorder
+        before = recorder.metrics_snapshot()["counters"]
+        source, target = workload[5]
+        status, _, payload = _get(
+            host, port,
+            f"/query?source={source}&target={target}&explain=1",
+        )
+        after = recorder.metrics_snapshot()["counters"]
+    assert status == 200
+    assert after["serve.batch.inline"] == before["serve.batch.inline"] + 1
+    explain = payload["explain"]
+    assert explain["batch_size"] == 1
+    assert explain["queue_wait_us"] >= 0
+    assert explain["scan_us"] > 0
+
+
+#: Request heads whose keep-alive decision the fast path must share
+#: with the full parser, and the decision itself.
+_KEEP_ALIVE_HEADS = [
+    ("HTTP/1.1", "", True),
+    ("HTTP/1.0", "", False),
+    ("HTTP/1.0", "Connection: keep-alive\r\n", True),
+    ("HTTP/1.1", "Connection: Close\r\n", False),
+    ("HTTP/1.1", "connection:close\r\n", False),
+    ("HTTP/1.1", "X-Request-Id: closet-1\r\n", True),
+]
+
+
+@pytest.mark.parametrize(
+    "version,header,keep_alive",
+    _KEEP_ALIVE_HEADS,
+    ids=["1.1", "1.0", "1.0-keep-alive", "Close", "close-bare", "closet"],
+)
+@pytest.mark.parametrize("order", ["source-first", "target-first"])
+def test_keep_alive_same_on_fast_and_full_parser(
+    index, workload, version, header, keep_alive, order
+):
+    source, target = workload[0]
+    query = (
+        f"source={source}&target={target}"
+        if order == "source-first"
+        else f"target={target}&source={source}"
+    )
+    raw = f"GET /query?{query} {version}\r\nHost: x\r\n{header}\r\n"
+
+    async def exchange(host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(raw.encode())
+        await writer.drain()
+        status, headers, _ = await read_response(reader)
+        try:
+            closed = await asyncio.wait_for(reader.read(1), 0.3) == b""
+        except asyncio.TimeoutError:
+            closed = False
+        writer.close()
+        return status, headers["connection"], closed
+
+    with ServerThread(index, ServeConfig(port=0)) as (host, port):
+        status, connection, closed = asyncio.run(exchange(host, port))
+    assert status == 200
+    assert connection == ("keep-alive" if keep_alive else "close")
+    assert closed is not keep_alive
+
+
 def test_graceful_drain_finishes_inflight(index, workload):
     slow = SlowIndex(index, delay_s=0.05)
     thread = ServerThread(slow, ServeConfig(port=0, cache_size=0))
