@@ -7,11 +7,16 @@ delta batch is applied under one lock:
 
 1. validate every update (nothing is written on a bad batch),
 2. write the new weights into the graph (no-op writes skipped),
-3. repair the affected label blocks — the common ancestors of
-   ``X(a)``/``X(b)`` per updated edge, deduplicated across the batch —
-   with the same SSSPC-and-remove sweep :class:`DynamicCTL` uses,
-   diffing each recomputed entry against the immutable base arena,
+3. repair the label entries the changed edges reach with
+   :func:`~repro.core.dynamic.repair_labels` — the incremental repair
+   :class:`~repro.core.dynamic.DynamicCTL` uses — reading the current
+   overlay over the base arena, and turn the rewritten entries into an
+   overlay diff against the immutable base,
 4. publish a new immutable :class:`OverlayState` (seqno + 1).
+
+Adopting a rebuilt base and re-deriving the overlay after a WAL
+rotation do not know each edge's old weight; they recompute the
+affected blocks with :func:`~repro.core.dynamic.sweep_labels` instead.
 
 Because ``apply_batch`` returns only after step 4, an HTTP caller that
 got a 200 is guaranteed every subsequent query reflects the batch —
@@ -35,19 +40,23 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.ctl import CTLIndex
-from repro.exceptions import EdgeError, IndexQueryError, LiveUpdateError
+from repro.core.dynamic import (
+    WeightUpdate,
+    affected_nodes,
+    apply_weights,
+    repair_labels,
+    sweep_labels,
+    validate_updates,
+)
+from repro.exceptions import IndexQueryError, LiveUpdateError
 from repro.graph.graph import Graph
 from repro.live.overlay import LiveIndex, OverlayState, PatchEntry
 from repro.obs import NULL_RECORDER
-from repro.search.dijkstra import ssspc
 from repro.search.pairwise import spc_query
-from repro.types import INF, QueryResult, Vertex, Weight
-
-#: One edge-weight update ``(a, b, new_weight)`` (normalized form).
-WeightUpdate = Tuple[Vertex, Vertex, Weight]
+from repro.types import QueryResult, Vertex
 
 #: Retain at most this many applied batches for rebuild replay; older
 #: entries are dropped and a rebuild snapshotting before the drop line
@@ -67,6 +76,7 @@ class UpdateReport:
     overlay_entries: int
     changed_vertices: FrozenSet[Vertex] = field(default_factory=frozenset)
     seconds: float = 0.0
+    repaired_entries: int = 0
 
 
 class StaleRouter:
@@ -181,36 +191,11 @@ class UpdateCoordinator:
         Accepts an iterable of ``(a, b, weight)`` triples (lists or
         tuples, e.g. straight from JSON).  Raises
         :class:`LiveUpdateError` on malformed items and
-        :class:`EdgeError` on unknown edges or non-positive weights —
-        before any weight is written.
+        :class:`EdgeError` on unknown edges or weights that are not
+        positive and finite — before any weight is written.  The same
+        validator serves :class:`~repro.core.dynamic.DynamicCTL`.
         """
-        normalized: List[WeightUpdate] = []
-        for item in updates:
-            try:
-                a, b, weight = item
-            except (TypeError, ValueError):
-                raise LiveUpdateError(
-                    f"delta update must be [a, b, weight], got {item!r}"
-                ) from None
-            if isinstance(a, bool) or isinstance(b, bool) or not (
-                isinstance(a, int) and isinstance(b, int)
-            ):
-                raise LiveUpdateError(
-                    f"delta endpoints must be integers, got {item!r}"
-                )
-            if not isinstance(weight, (int, float)) or isinstance(weight, bool):
-                raise LiveUpdateError(
-                    f"delta weight must be a number, got {item!r}"
-                )
-            if not self.graph.has_edge(a, b):
-                raise EdgeError(f"edge ({a}, {b}) is not in the graph")
-            if weight <= 0:
-                raise EdgeError(
-                    f"edge ({a}, {b}): new weight must be positive, "
-                    f"got {weight}"
-                )
-            normalized.append((a, b, weight))
-        return normalized
+        return validate_updates(self.graph, updates)
 
     # ------------------------------------------------------------------
     # batch application
@@ -231,51 +216,61 @@ class UpdateCoordinator:
                 # acknowledged batch survives a crash and a failed
                 # append leaves the coordinator untouched.
                 self.wal.append_batch(state.epoch, state.seqno + 1, normalized)
-            effective: List[Tuple[Vertex, Vertex]] = []
-            for a, b, weight in normalized:
-                if self.graph.weight(a, b) == weight:
-                    continue
-                self.graph.add_edge(a, b, weight, self.graph.count(a, b))
-                effective.append((a, b))
+            transitions = apply_weights(self.graph, normalized)
+            for a, b, _old, weight in transitions:
                 key = (a, b) if a <= b else (b, a)
                 self._dirty_edges[key] = (a, b, weight)
             changed: Dict[Vertex, Dict[int, Optional[PatchEntry]]] = {}
-            affected: Dict[int, object] = {}
-            if effective:
-                affected = self._affected_union(base, effective)
-                nodes = [affected[i] for i in sorted(affected)]
-                self._pending = (
-                    time.monotonic(),
-                    min(node.block_start for node in nodes),
-                )
+            repaired_nodes = repaired_entries = 0
+            if transitions:
+                repaired_nodes = len(affected_nodes(base.tree, transitions))
+                # Every edge's root path starts at the root block, so
+                # the whole label prefix is in flight.
+                self._pending = (time.monotonic(), 0)
                 try:
-                    changed = self._diff_repair(base, nodes, state.patches)
+                    repaired = repair_labels(
+                        self.graph, base.tree, transitions,
+                        _overlay_reader(base, state),
+                    )
                 finally:
                     self._pending = None
+                repaired_entries = len(repaired)
+                entry = base.arena.entry
+                for (vertex, position), value in repaired.items():
+                    # A rewritten entry that matches the base again was
+                    # patched before: unpatch it.
+                    changed.setdefault(vertex, {})[position] = (
+                        None if value == entry(vertex, position) else value
+                    )
             new_state = state.with_batch(changed)
-            if effective:
-                self._batch_log.append((new_state.seqno, tuple(effective)))
+            if transitions:
+                self._batch_log.append((
+                    new_state.seqno,
+                    tuple((a, b) for a, b, _old, _new in transitions),
+                ))
                 if len(self._batch_log) > MAX_BATCH_LOG:
                     evicted = self._batch_log.pop(0)
                     self._log_floor = evicted[0]
             self.live_index.swap(base, new_state)
             self.applied_batches += 1
-            self.applied_edges += len(effective)
+            self.applied_edges += len(transitions)
             self.last_apply_seconds = time.perf_counter() - started
         rec = self.recorder
         rec.incr("live.updates.batches")
-        rec.incr("live.updates.edges", len(effective))
+        rec.incr("live.updates.edges", len(transitions))
+        rec.incr("live.repair.entries", repaired_entries)
         rec.observe("live.update.apply_seconds", self.last_apply_seconds)
         rec.gauge("live.overlay.entries", new_state.entries)
         return UpdateReport(
             epoch=new_state.epoch,
             seqno=new_state.seqno,
             submitted_edges=len(normalized),
-            updated_edges=len(effective),
-            repaired_nodes=len(affected),
+            updated_edges=len(transitions),
+            repaired_nodes=repaired_nodes,
             overlay_entries=new_state.entries,
             changed_vertices=frozenset(changed),
             seconds=self.last_apply_seconds,
+            repaired_entries=repaired_entries,
         )
 
     # ------------------------------------------------------------------
@@ -330,28 +325,14 @@ class UpdateCoordinator:
             if full_diff:
                 # The batch log no longer reaches back to the snapshot:
                 # diff every label block (correct, rarely needed).
-                nodes = [
-                    new_index.tree.node(i)
-                    for i in range(new_index.tree.num_nodes)
-                ]
+                nodes = new_index.tree.nodes
             else:
                 for seqno, edges in self._batch_log:
                     if seqno > base_seqno:
                         replayed.extend(edges)
-                affected = self._affected_union(new_index, replayed)
+                affected = affected_nodes(new_index.tree, replayed)
                 nodes = [affected[i] for i in sorted(affected)]
-            changed = self._diff_repair(new_index, nodes, {})
-            patches: Dict[Vertex, Dict[int, PatchEntry]] = {}
-            min_dirty: Dict[Vertex, int] = {}
-            for vertex, positions in changed.items():
-                kept = {
-                    position: value
-                    for position, value in positions.items()
-                    if value is not None
-                }
-                if kept:
-                    patches[vertex] = kept
-                    min_dirty[vertex] = min(kept)
+            patches, min_dirty = self.swept_overlay(new_index, nodes)
             new_state = OverlayState(
                 state.epoch + 1, state.seqno, patches, min_dirty
             )
@@ -410,66 +391,39 @@ class UpdateCoordinator:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    @staticmethod
-    def _affected_union(
-        index: CTLIndex, edges: Sequence[Tuple[Vertex, Vertex]]
-    ) -> Dict[int, object]:
-        """Deduped union of common-ancestor nodes over updated edges."""
-        tree = index.tree
-        affected: Dict[int, object] = {}
-        for a, b in edges:
-            lca = tree.lca_node(a, b)
-            if lca.index in affected:
-                continue  # ancestors of a known node are already in
-            for node in tree.ancestors(lca.index):
-                affected[node.index] = node
-        return affected
+    def swept_overlay(
+        self, base: CTLIndex, nodes
+    ) -> Tuple[Dict[Vertex, Dict[int, PatchEntry]], Dict[Vertex, int]]:
+        """``(patches, min_dirty)`` of the current graph against ``base``.
 
-    def _subtree_vertices(self, index: CTLIndex, root) -> set:
-        tree = index.tree
-        result: set = set()
-        stack = [root.index]
-        while stack:
-            at = stack.pop()
-            node = tree.node(at)
-            result.update(node.vertices)
-            stack.extend(node.children)
-        return result
-
-    def _diff_repair(
-        self,
-        base: CTLIndex,
-        nodes,
-        current_patches: Dict[Vertex, Dict[int, PatchEntry]],
-    ) -> Dict[Vertex, Dict[int, Optional[PatchEntry]]]:
-        """Recompute ``nodes``' label blocks; diff against ``base``.
-
-        Returns per-vertex position diffs: a new ``(dist, count)`` where
-        the recomputed value differs from the base arena, ``None`` where
-        it matches the base again but is currently patched (unpatch).
+        Recomputes ``nodes``' label blocks in full with
+        :func:`~repro.core.dynamic.sweep_labels` and keeps the entries
+        that differ from the base arena.  For the paths that do not
+        know each changed edge's old weight: adopting a rebuilt base
+        and re-deriving the overlay after a WAL rotation.
         """
-        arena = base.arena
-        changed: Dict[Vertex, Dict[int, Optional[PatchEntry]]] = {}
-        for node in nodes:
-            members = self._subtree_vertices(base, node)
-            subgraph = self.graph.induced_subgraph(members)
-            start = node.block_start
-            for offset, c in enumerate(node.vertices):
-                dist, count = ssspc(subgraph, c)
-                position = start + offset
-                for u in members:
-                    if not subgraph.has_vertex(u):
-                        continue  # higher-ranked cut vertex, already done
-                    new_dist = dist.get(u, INF)
-                    new_count = count.get(u, 0)
-                    old_dist, old_count = arena.entry(u, position)
-                    if new_dist == old_dist and new_count == old_count:
-                        patched = current_patches.get(u)
-                        if patched is not None and position in patched:
-                            changed.setdefault(u, {})[position] = None
-                    else:
-                        changed.setdefault(u, {})[position] = (
-                            new_dist, new_count
-                        )
-                subgraph.remove_vertex(c)
-        return changed
+        entry = base.arena.entry
+        patches: Dict[Vertex, Dict[int, PatchEntry]] = {}
+        for vertex, position, dist, count in sweep_labels(
+            self.graph, base.tree, nodes
+        ):
+            if entry(vertex, position) != (dist, count):
+                patches.setdefault(vertex, {})[position] = (dist, count)
+        min_dirty = {vertex: min(kept) for vertex, kept in patches.items()}
+        return patches, min_dirty
+
+
+def _overlay_reader(base: CTLIndex, state: OverlayState):
+    """``read(v, position)`` of the label entry a query currently sees."""
+    patches = state.patches
+    entry = base.arena.entry
+
+    def read(vertex: Vertex, position: int) -> PatchEntry:
+        patched = patches.get(vertex)
+        if patched is not None:
+            value = patched.get(position)
+            if value is not None:
+                return value
+        return entry(vertex, position)
+
+    return read

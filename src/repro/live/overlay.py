@@ -7,15 +7,16 @@ untouched and layers an :class:`OverlayState` on top: a side table of
 *patched* label entries plus, per vertex, the smallest patched label
 position (``min_dirty``).
 
-The poisoning analysis follows :class:`~repro.core.dynamic.DynamicCTL`
-(paper §IV-D.2): an update to edge ``(a, b)`` can only change label
-blocks of the common ancestors of ``X(a)`` and ``X(b)``.  Affected
-blocks are recomputed with the same SSSPC-and-remove sweep and *diffed*
-against the base arena — only entries whose value actually changed are
-recorded.  That entry-level diff is what keeps the overlay small and
-the clean-pair test sharp: the root node is an ancestor of everything,
-so node-level poisoning would degenerate to "all pairs poisoned", while
-in practice a weight delta shifts very few root-block entries.
+The repair is :func:`~repro.core.dynamic.repair_labels`, the one
+:class:`~repro.core.dynamic.DynamicCTL` uses (paper §IV-D.2): an update
+to edge ``(a, b)`` can only change label blocks of the common ancestors
+of ``X(a)`` and ``X(b)``, and inside them only the entries the edge
+reaches are rewritten.  The patch table records exactly the entries
+that differ from the base arena.  That entry-level table is what keeps
+the overlay small and the clean-pair test sharp: the root node is an
+ancestor of everything, so node-level poisoning would degenerate to
+"all pairs poisoned", while in practice a weight delta shifts very few
+root-block entries.
 
 A pair ``(s, t)`` whose scan prefix stops before either endpoint's
 first dirty position is *clean* — answered by the base index's
@@ -96,9 +97,9 @@ class OverlayState:
     ) -> "OverlayState":
         """A new state with ``changed`` merged in (``None`` = unpatch).
 
-        ``changed`` carries the diff of one repair sweep: positions that
-        now differ from the base map to their new value, positions that
-        drifted back to the base value map to ``None``.
+        ``changed`` carries the diff of one repaired batch: positions
+        that now differ from the base map to their new value, positions
+        that drifted back to the base value map to ``None``.
         """
         patches = dict(self.patches)
         min_dirty = dict(self.min_dirty)

@@ -53,12 +53,13 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
+from repro.core.dynamic import affected_nodes
 from repro.core.serialize import load_index
 from repro.exceptions import LiveUpdateError, ReproError
 from repro.live.coordinator import UpdateCoordinator
-from repro.live.overlay import OverlayState, PatchEntry
+from repro.live.overlay import OverlayState
 from repro.obs import NULL_RECORDER
 from repro.types import Vertex
 
@@ -573,21 +574,10 @@ def recover_coordinator(
         repair_edges = [edge for _, edges in pending for edge in edges]
     else:
         repair_edges = [(a, b) for a, b, _ in weights]
-    patches: Dict[Vertex, Dict[int, PatchEntry]] = {}
-    min_dirty: Dict[Vertex, int] = {}
-    if repair_edges:
-        affected = UpdateCoordinator._affected_union(base_index, repair_edges)
-        nodes = [affected[i] for i in sorted(affected)]
-        changed = coordinator._diff_repair(base_index, nodes, {})
-        for vertex, positions in changed.items():
-            kept = {
-                position: value
-                for position, value in positions.items()
-                if value is not None
-            }
-            if kept:
-                patches[vertex] = kept
-                min_dirty[vertex] = min(kept)
+    affected = affected_nodes(base_index.tree, repair_edges)
+    patches, min_dirty = coordinator.swept_overlay(
+        base_index, [affected[i] for i in sorted(affected)]
+    )
     coordinator.live_index.swap(
         base_index, OverlayState(epoch, rotation_seqno, patches, min_dirty)
     )

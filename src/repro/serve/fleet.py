@@ -1708,6 +1708,16 @@ class FleetRouter:
             )
         if not self._live_workers():
             return self._unavailable(keep_alive)
+        try:
+            request.json()
+        except HTTPProtocolError as exc:
+            # Not JSON (NaN and Infinity included): no worker sees it.
+            self.recorder.incr("fleet.update.failed")
+            return response_bytes(
+                400,
+                {"applied": False, "error": str(exc)},
+                keep_alive=keep_alive,
+            )
         body = request.body or b"{}"
         prepared = await self._fanout(
             "POST", "/admin/update/prepare", body
@@ -1759,6 +1769,8 @@ class FleetRouter:
                 "seqno",
                 "updated_edges",
                 "submitted_edges",
+                "repaired_nodes",
+                "repaired_entries",
                 "overlay_entries",
             ):
                 if key in report and key not in payload:

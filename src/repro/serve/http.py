@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import dataclass, field
 from http import HTTPStatus
 from typing import Dict, Optional, Sequence, Tuple
@@ -60,13 +61,33 @@ class Request:
         return self.params.get(name, "").lower() in TRUTHY
 
     def json(self) -> object:
-        """The body decoded as JSON (``{}`` when empty)."""
+        """The body decoded as JSON (``{}`` when empty).
+
+        Strict about numbers: ``NaN``, ``Infinity`` and literals that
+        overflow a float are not JSON, so they are rejected here rather
+        than reaching a handler as non-finite floats.
+        """
         if not self.body:
             return {}
         try:
-            return json.loads(self.body)
-        except json.JSONDecodeError as exc:
+            return json.loads(
+                self.body,
+                parse_constant=_reject_constant,
+                parse_float=_finite_float,
+            )
+        except ValueError as exc:
             raise HTTPProtocolError(f"request body is not JSON: {exc}") from exc
+
+
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
 def _parse_params(raw_query: str) -> Dict[str, str]:

@@ -1369,7 +1369,10 @@ class SPCServer:
                     parent_id=ctx.span_id,
                     start=apply_started,
                     duration=visible - apply_started,
-                    attrs={"repaired_nodes": report.repaired_nodes},
+                    attrs={
+                        "repaired_nodes": report.repaired_nodes,
+                        "repaired_entries": report.repaired_entries,
+                    },
                 )
         changed = report.changed_vertices
         dropped = 0
@@ -1391,6 +1394,7 @@ class SPCServer:
                 seqno=report.seqno,
                 edges=report.updated_edges,
                 repaired_nodes=report.repaired_nodes,
+                repaired_entries=report.repaired_entries,
                 overlay_entries=report.overlay_entries,
                 cache_dropped=dropped,
                 seconds=round(report.seconds, 6),
@@ -1411,6 +1415,8 @@ class SPCServer:
             "seqno": report.seqno,
             "updated_edges": report.updated_edges,
             "submitted_edges": report.submitted_edges,
+            "repaired_nodes": report.repaired_nodes,
+            "repaired_entries": report.repaired_entries,
             "overlay_entries": report.overlay_entries,
             "cache_dropped": dropped,
             "rebuild_due": rebuild_due,

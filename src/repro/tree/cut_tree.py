@@ -62,6 +62,7 @@ class CutTree:
         # Flat query-time arrays, filled by ``finalize``.
         self._block_start: List[int] = []
         self._block_end: List[int] = []
+        self._preorder: Optional[Tuple[List[int], List[int]]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -261,6 +262,33 @@ class CutTree:
         """``|A(v)|`` — number of ancestor vertices of ``v`` (incl. itself)."""
         node = self.node_of(v)
         return node.block_start + self._rank_in_node[v] + 1
+
+    def preorder(self) -> Tuple[List[int], List[int]]:
+        """``(first, end)`` preorder numbers per node index.
+
+        Node ``j`` lies in node ``i``'s subtree exactly when
+        ``first[i] <= first[j] < end[i]``, an O(1) membership test for
+        label repair.  Computed on first use and cached.
+        """
+        if self._preorder is None:
+            first = [0] * len(self.nodes)
+            end = [0] * len(self.nodes)
+            counter = 0
+            stack = [(root.index, False) for root in self.nodes
+                     if root.parent < 0]
+            while stack:
+                index, leaving = stack.pop()
+                if leaving:
+                    end[index] = counter
+                    continue
+                first[index] = counter
+                counter += 1
+                stack.append((index, True))
+                stack.extend(
+                    (child, False) for child in self.nodes[index].children
+                )
+            self._preorder = (first, end)
+        return self._preorder
 
     def ancestors(self, index: int) -> Iterator[TreeNode]:
         """Nodes from the root down to ``index`` (inclusive)."""

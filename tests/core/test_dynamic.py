@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.dynamic import DynamicCTL, DynamicCTLS
-from repro.exceptions import EdgeError
+from repro.exceptions import EdgeError, LiveUpdateError
 from repro.graph.generators import grid_graph, road_network
 from repro.search.pairwise import spc_query
 
@@ -39,6 +39,29 @@ class TestDynamicCTL:
         dyn = DynamicCTL(diamond)
         with pytest.raises(EdgeError):
             dyn.update_weight(0, 1, 0)
+
+    @pytest.mark.parametrize(
+        "weight", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_weight_rejected(self, diamond, weight):
+        dyn = DynamicCTL(diamond)
+        with pytest.raises(EdgeError, match="finite"):
+            dyn.update_weight(0, 1, weight)
+        assert dyn.graph.weight(0, 1) == 1
+        assert tuple(dyn.query(0, 3)) == (2, 2)
+
+    def test_boolean_weight_rejected(self, diamond):
+        dyn = DynamicCTL(diamond)
+        with pytest.raises(LiveUpdateError, match="number"):
+            dyn.update_weight(0, 1, True)
+        assert tuple(dyn.query(0, 3)) == (2, 2)
+
+    def test_last_repaired_entries(self, diamond):
+        dyn = DynamicCTL(diamond)
+        dyn.update_weight(0, 1, 5)
+        assert dyn.last_repaired_entries > 0
+        dyn.update_weight(0, 1, 5)
+        assert dyn.last_repaired_entries == 0
 
     def test_noop_update(self, diamond):
         dyn = DynamicCTL(diamond)

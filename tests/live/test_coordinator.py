@@ -58,6 +58,18 @@ class TestValidation:
         with pytest.raises(EdgeError):
             coordinator.apply_batch([(u, v, 0)])
 
+    @pytest.mark.parametrize(
+        "weight", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_rejects_non_finite_weight(self, coordinator, graph, weight):
+        u, v, w, _c = next(iter(graph.edges()))
+        with pytest.raises(EdgeError, match="finite"):
+            coordinator.validate_batch([(u, v, weight)])
+        with pytest.raises(EdgeError, match="finite"):
+            coordinator.apply_batch([(u, v, weight)])
+        assert coordinator.graph.weight(u, v) == w
+        assert coordinator.live_index.state.seqno == 0
+
     def test_rejects_malformed_updates(self, coordinator):
         for bad in [[(1, 2)], [(1, 2, 3, 4)], [(True, 2, 3)], "nope", [17]]:
             with pytest.raises(LiveUpdateError):
@@ -82,6 +94,7 @@ class TestApplyBatch:
         assert report.submitted_edges == 2
         assert report.updated_edges == 1  # deduplicated no-op second write
         assert report.repaired_nodes > 0
+        assert report.repaired_entries >= len(report.changed_vertices)
         assert u in report.changed_vertices or v in report.changed_vertices \
             or report.overlay_entries == 0
 

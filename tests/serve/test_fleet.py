@@ -680,6 +680,60 @@ class TestFleetSelfHealing:
             thread.stop()
 
 
+class TestFleetNonFiniteUpdate:
+    """A weight of NaN, Infinity or an overflowing literal is refused by
+    the router with a 400 before any worker prepares it: no worker's
+    seqno or write-ahead log moves."""
+
+    def test_router_rejects_non_finite_weights(self, tmp_path):
+        graph = road_network(60, seed=4)
+        a, b, weight, _count = next(iter(graph.edges()))
+        wal_dir = tmp_path / "wal"
+
+        def wal_bytes():
+            return sorted(
+                (path.name, path.stat().st_size)
+                for path in wal_dir.rglob("*") if path.is_file()
+            )
+
+        def worker_seqnos(host, port):
+            status, body = _http(host, port, "GET", "/stats")
+            assert status == 200
+            rows = json.loads(body)["fleet"]["per_worker"]
+            return [row["seqno"] for row in rows]
+
+        thread = _healing_fleet_thread(tmp_path, graph)
+        try:
+            host, port = thread.start()
+            before = wal_bytes()
+            assert worker_seqnos(host, port) == [0, 0]
+            for literal in (b"NaN", b"Infinity", b"-Infinity", b"1e400"):
+                conn = http.client.HTTPConnection(host, port, timeout=30.0)
+                try:
+                    conn.request(
+                        "POST", "/admin/update",
+                        body=b'{"updates": [[%d, %d, %s]]}' % (a, b, literal),
+                    )
+                    response = conn.getresponse()
+                    status = response.status
+                    payload = json.loads(response.read())
+                finally:
+                    conn.close()
+                assert status == 400, (literal, payload)
+                assert payload["applied"] is False
+            assert worker_seqnos(host, port) == [0, 0]
+            assert wal_bytes() == before
+            # The fleet still takes a well-formed batch.
+            status, body = _http(
+                host, port, "POST", "/admin/update",
+                {"updates": [[a, b, weight + 1]]},
+            )
+            assert status == 200, body
+            assert worker_seqnos(host, port) == [1, 1]
+        finally:
+            thread.stop()
+
+
 class TestFleetAllWorkersDown:
     """Satellite: every worker dead => 503 + ``Retry-After``, and
     ``/health`` reports the outage instead of hanging."""

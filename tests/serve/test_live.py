@@ -62,6 +62,26 @@ def _assert_parity(host, port, mirror, *, seed, samples=60):
         assert payload["distance"] == distance, (s, t, payload)
 
 
+def _post_raw(host, port, path, body):
+    """POST ``body`` bytes as-is (``json.dumps`` cannot write 1e400)."""
+    conn = http.client.HTTPConnection(host, port, timeout=30.0)
+    try:
+        conn.request("POST", path, body=body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+#: Update bodies whose weight is not a finite number.  Python's json
+#: module reads all three; none of them is JSON.
+NON_FINITE_BODIES = [
+    b'{"updates": [[%d, %d, NaN]]}',
+    b'{"updates": [[%d, %d, Infinity]]}',
+    b'{"updates": [[%d, %d, 1e400]]}',
+]
+
+
 def _mirror_apply(mirror, updates):
     for a, b, w in updates:
         mirror.add_edge(a, b, w, mirror.count(a, b))
@@ -158,6 +178,38 @@ class TestSingleServer:
                 assert response["applied"] is False
             # The graph is untouched: queries still match the original.
             _assert_parity(host, port, graph, seed=3, samples=20)
+
+    def test_non_finite_weights_rejected(self, graph):
+        thread, coordinator = _live_server(graph)
+        a, b, weight, _count = next(iter(graph.edges()))
+        with thread as (host, port):
+            for template in NON_FINITE_BODIES:
+                for path in ("/admin/update", "/admin/update/prepare"):
+                    status, response = _post_raw(
+                        host, port, path, template % (a, b)
+                    )
+                    assert status == 400, (template, response)
+                    assert response["applied"] is False
+            _, stats = _http(host, port, "GET", "/stats")
+            assert stats["live"]["seqno"] == 0
+            assert coordinator.graph.weight(a, b) == weight
+            _assert_parity(host, port, graph, seed=13, samples=20)
+
+    def test_update_reports_repaired_entries(self, graph):
+        thread, _ = _live_server(graph)
+        with thread as (host, port):
+            batch = synthesize_deltas(graph, batches=1, seed=15)[0]
+            status, payload = _http(
+                host, port, "POST", "/admin/update",
+                {"updates": [list(u) for u in batch.updates]},
+            )
+            assert status == 200, payload
+            assert payload["repaired_nodes"] > 0
+            assert payload["repaired_entries"] >= 0
+            _, metrics = _http(host, port, "GET", "/metrics")
+        assert metrics["counters"].get("live.repair.entries", 0) == (
+            payload["repaired_entries"]
+        )
 
     def test_two_phase_prepare_commit(self, graph):
         thread, _ = _live_server(graph)
