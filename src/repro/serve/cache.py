@@ -5,6 +5,11 @@ Graphs are undirected, so ``Q(s, t) == Q(t, s)`` exactly; caching under
 workload with symmetric traffic.  Hit/miss totals are kept locally and
 mirrored into the server's recorder (``serve.cache.hits`` /
 ``serve.cache.misses``) so ``/metrics`` exposes them.
+
+:class:`TopPairs` is the workload view beside it: a Space-Saving
+sketch of the queried pairs, with every cache lookup attributed to the
+heavy-hitter set or the tail.  The single server and the fleet router
+each own one, next to the cache they attribute.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from repro.obs import NULL_RECORDER
+from repro.obs import NULL_RECORDER, SpaceSaving
 from repro.types import QueryResult, Vertex
 
 Key = Tuple[Vertex, Vertex]
@@ -65,8 +70,8 @@ class ResultCache:
         """Drop every entry (hot reload: results may differ now)."""
         self._entries.clear()
 
-    def invalidate(self, should_drop) -> int:
-        """Drop entries whose key matches ``should_drop(key)``.
+    def invalidate(self, vertices) -> int:
+        """Drop every entry whose pair touches a vertex in ``vertices``.
 
         The targeted form of :meth:`clear` used by the live-update
         path: a delta batch only changes answers of pairs touching a
@@ -74,9 +79,12 @@ class ResultCache:
         cached.  Returns the number of entries dropped (mirrored into
         ``serve.cache.invalidated``).
         """
-        if not self._entries:
+        if not self._entries or not vertices:
             return 0
-        doomed = [key for key in self._entries if should_drop(key)]
+        doomed = [
+            key for key in self._entries
+            if key[0] in vertices or key[1] in vertices
+        ]
         for key in doomed:
             del self._entries[key]
         if doomed:
@@ -103,4 +111,48 @@ class ResultCache:
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": self.hit_rate,
+        }
+
+
+class TopPairs:
+    """Heavy-hitter pairs plus cache attribution (the ``top_pairs`` block).
+
+    ``offer`` counts one query of a symmetric pair key and attributes
+    its cache lookup — ``hit`` true or false, ``None`` when no lookup
+    was made (an ``explain`` query) — to the pairs the sketch already
+    tracked (hot) or to the rest (tail).  A hot set that misses the
+    cache is sized wrong.
+    """
+
+    __slots__ = ("sketch", "_counts")
+
+    def __init__(self, capacity: int) -> None:
+        self.sketch = SpaceSaving(capacity)
+        #: ``[hot hits, hot misses, tail hits, tail misses]``.
+        self._counts = [0, 0, 0, 0]
+
+    def offer(self, key: Key, hit: Optional[bool]) -> None:
+        """Count one query of ``key`` and attribute its lookup."""
+        hot = self.sketch.offer(key)
+        if hit is not None:
+            self._counts[(0 if hot else 2) + (0 if hit else 1)] += 1
+
+    def block(self) -> dict:
+        """The JSON ``top_pairs`` block of ``/stats``."""
+        attribution = {}
+        for side, offset in (("hot", 0), ("tail", 2)):
+            hits, misses = self._counts[offset : offset + 2]
+            lookups = hits + misses
+            attribution[side] = {
+                "hits": hits,
+                "misses": misses,
+                "hit_rate": hits / lookups if lookups else 0.0,
+            }
+        return {
+            "sketch": self.sketch.to_dict(),
+            "top": [
+                {"pair": list(key), "count": count, "error": error}
+                for key, count, error in self.sketch.top(20)
+            ],
+            "cache_attribution": attribution,
         }

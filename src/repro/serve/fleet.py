@@ -9,24 +9,33 @@ OS page cache shares one physical copy of the mapped arena across the
 whole fleet — cold start per worker is page-fault-time, and resident
 memory grows with *one* index, not ``N``.
 
-Routing is a consistent-hash ring over the symmetric query key
-``(min(s, t), max(s, t))`` (:class:`HashRing`).  The same pair always
-lands on the same worker, so per-worker LRU result caches stay hot and
-never duplicate entries across the fleet; the symmetric key means
-``(s, t)`` and ``(t, s)`` — identical answers on an undirected graph —
-share one cache slot too.
+The router owns the fleet's one result cache (``workers ×
+cache_size`` entries; the workers run without one), keyed on the
+symmetric pair ``(min(s, t), max(s, t))``, so a repeated query is
+answered without a worker hop.  A seqlock generation, odd while a
+commit fan-out is in flight, keeps it exact: an answer is cached only
+if no commit overlapped its request, an update commit drops every pair
+touching a vertex in the workers' ``changed_vertices``, and a reload
+clears it.
 
-The router terminates client HTTP itself and speaks plain keep-alive
-HTTP/1.1 to workers over pooled loopback connections.  Queries are
-pure reads, so a request that dies with its upstream connection (a
-worker restart, an injected ``conn.reset`` fault) is transparently
-resent a bounded number of times before the client sees a retryable
-502.
+Misses are routed by a consistent-hash ring over the same symmetric
+key (:class:`HashRing`), so ``(s, t)`` and ``(t, s)`` — identical
+answers on an undirected graph — reach the same worker.  The router
+terminates client HTTP itself.  The hot ``GET /query`` shape is
+parsed once at the byte level and a miss is forwarded as the client's
+own bytes; the worker's response is relayed verbatim.  A client that
+pipelines keeps several queries in flight upstream, each on a pooled
+keep-alive loopback connection of its own, and gets its answers back
+in request order.  Queries are pure reads, so a request that dies with
+its upstream connection (a worker restart, an injected ``conn.reset``
+fault) is transparently resent a bounded number of times before the
+client sees a retryable 502.
 
 Fleet-wide endpoints:
 
-* ``GET /query`` / ``POST /query`` — routed by pair; JSON batches are
-  scattered by owner and gathered back in request order.
+* ``GET /query`` / ``POST /query`` — answered from the router cache,
+  else routed by pair; JSON batches are scattered by owner for their
+  misses and gathered back in request order.
 * ``GET /metrics`` — per-worker snapshots merged (counters and gauges
   summed, histograms merged bucket-wise); Prometheus text on request.
 * ``GET /health`` — fleet status: ``ok`` only if every worker is ok.
@@ -43,19 +52,19 @@ Fleet-wide endpoints:
   coordinated rebuild: worker 0 builds and saves a fresh index, then
   the normal two-phase reload path swaps it in on every worker while
   each worker replays its post-snapshot batches onto the new base.
-* ``POST /admin/profile`` — proxied to worker 0.
+* ``POST /admin/profile`` — proxied to worker 0, headers and all.
 * ``POST /admin/trace`` — fleet trace capture: every worker's span
   ring (plus the router's own) drained, clock-aligned, and merged
   into one Chrome trace whose parent/child links cross the process
   boundary (router ``fleet.request`` → worker ``serve.request`` →
   ``serve.scan_batch``).
 * ``GET /stats`` — per-worker stats fanned out and merged: a
-  ``fleet.per_worker`` table (QPS, p99, cache hit rate, epoch/seqno
-  lag vs the fleet maximum) and the workers' Space-Saving sketches
-  merged into fleet-wide ``top_pairs``.
+  ``fleet.per_worker`` table (QPS, p99, epoch/seqno lag vs the fleet
+  maximum), the router's ``cache`` snapshot, and ``top_pairs`` from
+  the router's Space-Saving sketch of every routed query.
 
 ``SIGTERM``/``SIGINT`` drain in cascade: the router stops accepting,
-finishes in-flight client requests, then signals each worker to run
+answers every request already read, then signals each worker to run
 its own graceful drain — zero dropped requests end to end.
 
 **Self-healing.**  The router supervises its workers: a worker whose
@@ -80,12 +89,14 @@ from __future__ import annotations
 
 import asyncio
 import bisect
+import functools
 import json
 import multiprocessing
 import os
 import signal
 import time
 import zlib
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -93,31 +104,32 @@ from repro.exceptions import ReproError
 from repro.obs import (
     PROMETHEUS_CONTENT_TYPE,
     Recorder,
+    RequestIdGenerator,
     Sampler,
-    SpaceSaving,
     SpanCollector,
     TraceContext,
     merge_trace_fragments,
     new_span_id,
     render_prometheus,
 )
+from repro.serve.cache import ResultCache, TopPairs
 from repro.serve.config import ServeConfig
 from repro.serve.http import (
     HTTPProtocolError,
     Request,
+    parse_query_head,
     parse_request,
+    parse_response,
     read_head,
-    read_raw_response,
+    read_response_bytes,
     response_bytes,
 )
+from repro.serve.server import encode_result, encode_result_bytes
+from repro.types import INF, QueryResult
 
-#: Upstream response headers forwarded verbatim to the client.
-_FORWARD_HEADERS = (
-    ("content-type", "Content-Type"),
-    ("x-request-id", "X-Request-Id"),
-    ("retry-after", "Retry-After"),
-    ("allow", "Allow"),
-)
+#: Upstream response headers the router frames itself; every other
+#: header of a relayed admin response is forwarded.
+_FRAMING_HEADERS = frozenset({"content-length", "connection"})
 
 #: Transparent resends of an idempotent request after a transport
 #: failure (queries are pure reads; admin calls are never resent).
@@ -125,6 +137,10 @@ _UPSTREAM_RESENDS = 2
 
 #: Idle upstream connections kept pooled per worker.
 _POOL_SIZE = 32
+
+#: Answers one client connection may have waiting; past this the
+#: router stops reading that connection until the client takes some.
+_PIPELINE_DEPTH = 64
 
 #: Committed update bodies retained for respawn catch-up; matches the
 #: coordinator's own in-memory batch log bound.
@@ -137,6 +153,51 @@ _PROBE_STRIKES = 3
 
 class FleetError(ReproError):
     """The fleet could not be started or a worker misbehaved."""
+
+
+def _with_traceparent(head: bytes, trace) -> bytes:
+    """``head`` with its ``traceparent`` replaced by the router span's,
+    so the worker's request span links under ``fleet.request``."""
+    mark = head.lower().find(b"\r\ntraceparent:")
+    if mark >= 0:
+        head = head[:mark] + head[head.index(b"\r\n", mark + 2) :]
+    return b"%straceparent: 00-%s-%s-01\r\n\r\n" % (
+        head[:-2], trace[0].encode(), trace[1].encode(),
+    )
+
+
+def _probes(trace) -> bool:
+    """Whether a query consults the router cache.  A trace the client
+    started (a sampled inbound ``traceparent``, so the router span has
+    a parent) asks for the whole path through a worker, as ``explain``
+    does; its answer is still cached."""
+    return trace is None or trace[2] is None
+
+
+def _forward_headers(rid: Optional[str], trace) -> List[Tuple[str, str]]:
+    """The client's request id and the router span, for a worker."""
+    headers = [("X-Request-Id", rid)] if rid else []
+    if trace is not None:
+        headers.append(("traceparent", f"00-{trace[0]}-{trace[1]}-01"))
+    return headers
+
+
+def _closing(raw: bytes) -> bytes:
+    """A relayed keep-alive response re-framed to close the connection."""
+    end = raw.index(b"\r\n\r\n")
+    return raw[:end].replace(
+        b"\r\nConnection: keep-alive", b"\r\nConnection: close", 1
+    ) + raw[end:]
+
+
+def _target(request: Request) -> str:
+    """The request target (path and query string) to send upstream."""
+    if not request.params:
+        return request.path
+    query = "&".join(
+        f"{name}={value}" for name, value in request.params.items()
+    )
+    return f"{request.path}?{query}"
 
 
 # ----------------------------------------------------------------------
@@ -344,6 +405,22 @@ class FleetRouter:
         #: a respawned worker behind on epoch adopts this base.
         self._last_rebuild: Optional[Tuple[str, int]] = None
         self.recorder = recorder if recorder is not None else Recorder()
+        #: The fleet's one result cache, as large as the workers'
+        #: caches together; workers run without one.  Every hit is a
+        #: query that never takes the router → worker hop.
+        self.cache = ResultCache(
+            num_workers * self.config.cache_size, recorder=self.recorder
+        )
+        #: Seqlock over commit fan-outs (update, reload, rebuild swap):
+        #: odd while one is in flight.  See :meth:`_cacheable`.
+        self._generation = 0
+        #: Heavy-hitter pairs over every routed query (``/stats``).
+        self.top_pairs: Optional[TopPairs] = (
+            TopPairs(self.config.top_pairs_capacity)
+            if self.config.top_pairs_capacity > 0
+            else None
+        )
+        self._ids = RequestIdGenerator()
         #: Router-side span ring; merged with worker fragments by
         #: ``POST /admin/trace`` into one fleet-wide Chrome trace.
         self.tracer: Optional[SpanCollector] = (
@@ -362,7 +439,9 @@ class FleetRouter:
         self.host = self.config.host
         self.port = self.config.port
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Client connection tasks (:meth:`_on_connection`).
         self._connections: set = set()
+        #: Requests read but not yet answered, across connections.
         self._inflight = 0
         self._draining = False
         self._stopped: Optional[asyncio.Event] = None
@@ -421,7 +500,11 @@ class FleetRouter:
         return WorkerSpec(
             worker_id=worker_id,
             index_path=self.index_path,
-            config=replace(self.config, host="127.0.0.1", port=0),
+            # The router owns the cache and the pair sketch.
+            config=replace(
+                self.config, host="127.0.0.1", port=0, cache_size=0,
+                top_pairs_capacity=0,
+            ),
             fault_spec=self.fault_spec,
             # Distinct seeds: workers fault independently, not in
             # lockstep — one bad draw must not take out the fleet —
@@ -511,9 +594,11 @@ class FleetRouter:
             await asyncio.gather(rebuild, return_exceptions=True)
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+        # Every request already read is answered within the grace (one
+        # read meanwhile is answered with ``Connection: close``); then
+        # every connection closes, idle keep-alive ones at once.
         deadline = time.monotonic() + self.config.drain_grace_s
-        while self._connections and time.monotonic() < deadline:
+        while self._inflight and time.monotonic() < deadline:
             await asyncio.sleep(0.02)
         for task in list(self._connections):
             task.cancel()
@@ -521,10 +606,10 @@ class FleetRouter:
             await asyncio.gather(
                 *self._connections, return_exceptions=True
             )
+        if self._server is not None:
+            await self._server.wait_closed()
         for worker in self.workers:
-            for reader, writer in worker.pool:
-                writer.close()
-            worker.pool.clear()
+            self._close_pool(worker)
         await self._terminate_workers()
         self._stopped.set()
 
@@ -572,13 +657,17 @@ class FleetRouter:
         worker.up = False
         worker.probe_failures = 0
         worker.last_error = reason
-        for _reader, writer in worker.pool:
-            writer.close()
-        worker.pool.clear()
+        self._close_pool(worker)
         self._rebuild_ring()
         worker.total_deaths += 1
         self.recorder.incr("fleet.worker.deaths")
         self._register_death(worker)
+
+    @staticmethod
+    def _close_pool(worker: _Worker) -> None:
+        for _reader, writer in worker.pool:
+            writer.close()
+        worker.pool.clear()
 
     def _register_death(self, worker: _Worker) -> None:
         """Flap accounting plus respawn scheduling for one death."""
@@ -808,20 +897,6 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # upstream plumbing
     # ------------------------------------------------------------------
-    async def _acquire(self, worker: _Worker):
-        while worker.pool:
-            reader, writer = worker.pool.pop()
-            if writer.is_closing():
-                continue
-            return reader, writer
-        return await asyncio.open_connection("127.0.0.1", worker.port)
-
-    def _release(self, worker: _Worker, reader, writer) -> None:
-        if len(worker.pool) < _POOL_SIZE and not writer.is_closing():
-            worker.pool.append((reader, writer))
-        else:
-            writer.close()
-
     @staticmethod
     def _request_bytes(
         method: str,
@@ -841,24 +916,31 @@ class FleetRouter:
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
         return head + body if body else head
 
-    async def _upstream(
-        self,
-        worker: _Worker,
-        method: str,
-        path: str,
-        body: Optional[bytes] = None,
-        headers: Sequence[Tuple[str, str]] = (),
-        *,
-        resend: bool = False,
-    ) -> Tuple[int, Dict[str, str], bytes]:
-        """One proxied request; ``(status, headers, raw body)``.
+    async def _acquire(self, worker: _Worker):
+        while worker.pool:
+            reader, writer = worker.pool.pop()
+            if writer.is_closing():
+                continue
+            return reader, writer
+        return await asyncio.open_connection("127.0.0.1", worker.port)
+
+    def _release(self, worker: _Worker, reader, writer) -> None:
+        if len(worker.pool) < _POOL_SIZE and not writer.is_closing():
+            worker.pool.append((reader, writer))
+        else:
+            writer.close()
+
+    async def _exchange(
+        self, worker: _Worker, data: bytes, *, resend: bool = False
+    ) -> bytes:
+        """One request on a pooled connection of its own: the raw
+        response bytes.
 
         A transport failure mid-request (worker restart, injected
-        connection reset) closes the pooled connection; idempotent
-        requests are resent up to ``_UPSTREAM_RESENDS`` times on a
-        fresh connection before the failure propagates.
+        connection reset) closes the connection; idempotent requests
+        are resent up to ``_UPSTREAM_RESENDS`` times on a fresh
+        connection before the failure propagates.
         """
-        request = self._request_bytes(method, path, body, headers)
         attempts = 1 + (_UPSTREAM_RESENDS if resend else 0)
         last_error: Optional[BaseException] = None
         for attempt in range(attempts):
@@ -872,11 +954,9 @@ class FleetRouter:
                 await asyncio.sleep(0.01 * attempt)
                 continue
             try:
-                writer.write(request)
+                writer.write(data)
                 await writer.drain()
-                status, response_headers, payload = await read_raw_response(
-                    reader
-                )
+                raw = await read_response_bytes(reader)
             except (
                 OSError,
                 HTTPProtocolError,
@@ -887,7 +967,7 @@ class FleetRouter:
                 self.recorder.incr("fleet.upstream.transport_errors")
                 continue
             self._release(worker, reader, writer)
-            return status, response_headers, payload
+            return raw
         if worker.up and worker.process.is_alive():
             # A freshly SIGKILLed process can reset its connections a
             # beat before ``waitpid`` reports it dead; give the kernel
@@ -908,6 +988,54 @@ class FleetRouter:
             f"attempt(s): {last_error}"
         )
 
+    async def _upstream(
+        self,
+        worker: _Worker,
+        method: str,
+        path: str,
+        body: Optional[bytes] = None,
+        headers: Sequence[Tuple[str, str]] = (),
+        *,
+        resend: bool = False,
+    ) -> Tuple[int, Dict[str, str], bytes]:
+        """One proxied request; ``(status, headers, raw body)``."""
+        raw = await self._exchange(
+            worker,
+            self._request_bytes(method, path, body, headers),
+            resend=resend,
+        )
+        return parse_response(raw)
+
+    async def _routed(self, pair, data: bytes) -> Optional[bytes]:
+        """One query to its ring owner: the raw response.  Re-dispatched
+        once if the owner dies mid-request (the retry consults the
+        rebuilt ring); ``None`` when no worker is live.
+
+        A ``pair`` of ``None`` (a request the router cannot key) goes
+        to any live worker, which answers it exactly as it answers
+        everything else.
+        """
+        for attempt in range(2):
+            ring = self.ring
+            if ring is None:
+                return None
+            worker = (
+                self.workers[ring.owner_of_pair(*pair)]
+                if pair is not None
+                else self._first_live()
+            )
+            try:
+                return await self._exchange(worker, data, resend=True)
+            except FleetError:
+                # Queries are pure reads: if the owner was ejected
+                # (its process died) the survivors answer identically,
+                # so retry once against the rebuilt ring.  A failure
+                # with the worker still up is the ordinary 502.
+                if attempt or (self.ring is ring and worker.up):
+                    raise
+                self.recorder.incr("fleet.redispatches")
+        raise AssertionError("unreachable")  # pragma: no cover
+
     def _reframe(
         self,
         status: int,
@@ -916,9 +1044,9 @@ class FleetRouter:
         keep_alive: bool,
     ) -> bytes:
         extra = [
-            (canonical, headers[lower])
-            for lower, canonical in _FORWARD_HEADERS
-            if lower in headers
+            ("-".join(part.capitalize() for part in name.split("-")), value)
+            for name, value in headers.items()
+            if name not in _FRAMING_HEADERS
         ]
         return response_bytes(
             status, payload, keep_alive=keep_alive, extra_headers=extra
@@ -935,35 +1063,108 @@ class FleetRouter:
     # client side
     # ------------------------------------------------------------------
     async def _on_connection(self, reader, writer) -> None:
+        """One client connection.
+
+        The loop never awaits a query's answer: a cache hit is encoded
+        at once, a miss runs as a task, and the next request is read,
+        so a pipelining client keeps several queries in flight
+        upstream.  Answers go out in request order, each written as
+        soon as it and every answer ahead of it are ready
+        (:meth:`_flush`).  Reading pauses while ``_PIPELINE_DEPTH``
+        answers wait or the client is not taking them.  Admin and
+        aggregate requests run alone: reading waits for their answer.
+        """
         task = asyncio.current_task()
         self._connections.add(task)
+        loop = asyncio.get_running_loop()
+        out: deque = deque()
+        flush = functools.partial(self._flush, writer, out)
         try:
             while True:
-                if self._draining:
-                    break
+                while len(out) >= _PIPELINE_DEPTH:
+                    await asyncio.wait((out[0],))
+                await writer.drain()
                 head = await read_head(reader)
                 if head is None:
                     break
-                request = await parse_request(head, reader)
-                self._inflight += 1
-                try:
-                    out = await self._handle(request)
-                finally:
-                    self._inflight -= 1
-                writer.write(out)
-                await writer.drain()
-                if not request.keep_alive:
+                query = parse_query_head(head)
+                request = None
+                if query is not None and query[2]:
+                    keep_alive = not self._draining
+                    entry = self._fast_query(head, query, keep_alive)
+                else:
+                    request = await parse_request(head, reader)
+                    keep_alive = request.keep_alive and not self._draining
+                    entry = loop.create_task(
+                        self._handle(request, keep_alive)
+                    )
+                if type(entry) is not bytes:
+                    entry.add_done_callback(flush)
+                self._queue(writer, out, entry)
+                if request is not None and request.path != "/query":
+                    await asyncio.wait((entry,))
+                if not keep_alive:
                     break
-        except (
-            HTTPProtocolError,
-            OSError,
-            asyncio.IncompleteReadError,
-            asyncio.CancelledError,
-        ):
+        except HTTPProtocolError as exc:
+            # The single server's answer to bytes that do not frame as
+            # HTTP: a 400 with the reason, then the connection closes.
+            self.recorder.incr("fleet.errors.protocol")
+            self._queue(writer, out, self._error(400, str(exc), False))
+        except (OSError, asyncio.IncompleteReadError):
             pass
+        except asyncio.CancelledError:
+            # The drain grace is over: answers not yet sent are dropped
+            # (the requests themselves run to completion).
+            self._inflight -= len(out)
+            out.clear()
+            raise
         finally:
-            self._connections.discard(task)
-            writer.close()
+            try:
+                while out:
+                    await asyncio.wait((out[0],))
+            finally:
+                self._inflight -= len(out)
+                out.clear()
+                self._connections.discard(task)
+                writer.close()
+
+    def _queue(self, writer, out: deque, entry) -> None:
+        """Send ``entry`` (bytes, or a task that :meth:`_flush` awaits)
+        now if nothing is ahead of it, else queue it in order."""
+        if type(entry) is bytes and not out:
+            writer.write(entry)
+            return
+        self._inflight += 1
+        out.append(entry)
+
+    def _flush(self, writer, out: deque, _task=None) -> None:
+        """Write the answers at the head of ``out`` that are ready, in
+        one call (the done callback of every queued task)."""
+        ready = []
+        while out:
+            entry = out[0]
+            if type(entry) is not bytes:
+                if not entry.done():
+                    break
+                entry = self._answer_of(entry)
+            out.popleft()
+            ready.append(entry)
+        if ready:
+            self._inflight -= len(ready)
+            if not writer.is_closing():
+                writer.write(b"".join(ready))
+
+    def _answer_of(self, future: asyncio.Future) -> bytes:
+        """The response bytes a resolved queue entry stands for."""
+        exc = (
+            future.exception()
+            if not future.cancelled()
+            else asyncio.CancelledError()
+        )
+        if exc is None:
+            return future.result()
+        self.recorder.incr("fleet.errors.internal")
+        return self._error(500, f"internal error: {exc}", True)
 
     def _sample_trace(self):
         """A router-rooted trace tuple for 1 in N untraced requests."""
@@ -973,8 +1174,9 @@ class FleetRouter:
         ctx = TraceContext.generate()
         return ctx.trace_id, ctx.span_id, None
 
-    def _trace_for(self, request: Request):
-        """The request's trace tuple ``(trace_id, span_id, parent_id)``.
+    def _trace_for(self, header: Optional[str]):
+        """The trace tuple ``(trace_id, span_id, parent_id)`` for a
+        request whose ``traceparent`` header is ``header``.
 
         An inbound sampled ``traceparent`` is always honoured (the
         router span becomes a child of the client's span); an explicit
@@ -984,7 +1186,6 @@ class FleetRouter:
         """
         if self.tracer is None:
             return None
-        header = request.headers.get("traceparent")
         if header is None:
             return self._sample_trace()
         ctx = TraceContext.parse(header)
@@ -994,29 +1195,34 @@ class FleetRouter:
             return None
         return ctx.trace_id, new_span_id(), ctx.span_id
 
-    async def _handle(self, request: Request) -> bytes:
+    def _record_request(
+        self, trace, started: float, status: int, cache_hit=None
+    ) -> None:
+        """The router's ``fleet.request`` span of one traced query."""
+        attrs = {"path": "/query", "status": status}
+        if cache_hit is not None:
+            attrs["cache_hit"] = cache_hit
+        self.tracer.record(
+            "fleet.request",
+            trace_id=trace[0],
+            span_id=trace[1],
+            parent_id=trace[2],
+            start=started,
+            duration=time.perf_counter() - started,
+            attrs=attrs,
+        )
+
+    async def _handle(self, request: Request, keep_alive: bool) -> bytes:
         self.recorder.incr("fleet.requests")
-        keep_alive = request.keep_alive
         try:
             if request.path == "/query":
-                trace = self._trace_for(request)
+                trace = self._trace_for(request.headers.get("traceparent"))
                 started = time.perf_counter()
                 out = await self._handle_query(request, keep_alive, trace)
-                if trace is not None and self.tracer is not None:
+                if trace is not None:
                     # Status is parseable straight off the response
                     # framing ("HTTP/1.1 NNN ..." — bytes 9:12).
-                    self.tracer.record(
-                        "fleet.request",
-                        trace_id=trace[0],
-                        span_id=trace[1],
-                        parent_id=trace[2],
-                        start=started,
-                        duration=time.perf_counter() - started,
-                        attrs={
-                            "path": request.path,
-                            "status": int(out[9:12]),
-                        },
-                    )
+                    self._record_request(trace, started, int(out[9:12]))
                 return out
             if request.path == "/metrics":
                 return await self._handle_metrics(request, keep_alive)
@@ -1044,43 +1250,24 @@ class FleetRouter:
             return self._error(502, str(exc), keep_alive)
 
     async def _proxy(
-        self,
-        worker: _Worker,
-        request: Request,
-        keep_alive: bool,
-        *,
-        resend: bool = False,
-        trace=None,
+        self, worker: _Worker, request: Request, keep_alive: bool
     ) -> bytes:
+        """One admin request relayed to ``worker`` on its own connection."""
         headers = []
         rid = request.headers.get("x-request-id")
         if rid:
             headers.append(("X-Request-Id", rid))
-        if trace is not None:
-            # Propagate the router's span as the upstream parent: the
-            # worker honours a sampled traceparent unconditionally, so
-            # its serve.request span links under fleet.request.
-            headers.append(
-                ("traceparent", f"00-{trace[0]}-{trace[1]}-01")
-            )
-        target = request.path
-        if request.params:
-            query = "&".join(
-                f"{name}={value}" for name, value in request.params.items()
-            )
-            target = f"{request.path}?{query}"
         status, response_headers, payload = await self._upstream(
             worker,
             request.method,
-            target,
+            _target(request),
             request.body or None,
             headers,
-            resend=resend,
         )
         return self._reframe(status, response_headers, payload, keep_alive)
 
     # ------------------------------------------------------------------
-    # queries
+    # queries: the router cache, then the owning worker
     # ------------------------------------------------------------------
     def _unavailable(self, keep_alive: bool) -> bytes:
         """503 + Retry-After: every worker is down, respawns pending."""
@@ -1095,112 +1282,237 @@ class FleetRouter:
             extra_headers=(("Retry-After", str(retry_after)),),
         )
 
+    def _lookup(
+        self, source: int, target: int, probe: bool = True
+    ) -> Optional[QueryResult]:
+        """The cached answer of one pair; every routed pair feeds
+        ``top_pairs``.  ``probe`` false skips the cache: ``explain`` and
+        a trace the client started both ask for the whole path."""
+        result = self.cache.get(source, target) if probe else None
+        if self.top_pairs is not None:
+            self.top_pairs.offer(
+                (source, target) if source <= target else (target, source),
+                result is not None if probe else None,
+            )
+        return result
+
+    def _hit(
+        self,
+        source: int,
+        target: int,
+        result: QueryResult,
+        rid: Optional[str],
+        keep_alive: bool,
+    ) -> bytes:
+        """A cache hit answered at the router, byte-identical to the
+        owning worker's answer body."""
+        self.recorder.incr("serve.requests")
+        return response_bytes(
+            200,
+            encode_result_bytes(source, target, result),
+            keep_alive=keep_alive,
+            extra_headers=(("X-Request-Id", rid or self._ids.next_id()),),
+        )
+
+    def _fast_query(self, head: bytes, query, keep_alive: bool):
+        """The hot ``GET /query?source=&target=`` shape, head parsed
+        once: a hit is answered here (bytes); a miss is forwarded as
+        the client's own bytes by the returned :meth:`_forward` task,
+        which relays the worker's response verbatim."""
+        self.recorder.incr("fleet.requests")
+        source, target, _keep_alive, rid, traceparent = query
+        trace = self._trace_for(traceparent)
+        started = time.perf_counter()
+        result = self._lookup(source, target, _probes(trace))
+        if result is not None:
+            out = self._hit(source, target, result, rid, keep_alive)
+            if trace is not None:
+                self._record_request(trace, started, 200, cache_hit=True)
+            return out
+        if self.ring is None:
+            return self._unavailable(keep_alive)
+        if trace is not None:
+            head = _with_traceparent(head, trace)
+        return asyncio.get_running_loop().create_task(
+            self._forward(
+                (source, target), head, self._generation, keep_alive,
+                trace, started,
+            )
+        )
+
+    async def _forward(
+        self,
+        pair,
+        data: bytes,
+        generation: Optional[int],
+        keep_alive: bool,
+        trace=None,
+        started: float = 0.0,
+    ) -> bytes:
+        """The relayed response of one query, after any resends and one
+        re-dispatch; ``generation`` is the seqlock value at dispatch."""
+        try:
+            raw = await self._routed(pair, data)
+        except FleetError as exc:
+            self.recorder.incr("fleet.errors.upstream")
+            raw = self._error(502, str(exc), keep_alive)
+        else:
+            if raw is None:
+                raw = self._unavailable(keep_alive)
+            else:
+                raw = self._relayed(pair, raw, generation, keep_alive)
+        if trace is not None:
+            self._record_request(trace, started, int(raw[9:12]), False)
+        return raw
+
+    def _relayed(
+        self, pair, raw: bytes, generation: Optional[int], keep_alive: bool
+    ) -> bytes:
+        """A worker's response as the client gets it.  A 200 answer is
+        cached when ``generation`` (the seqlock value at dispatch;
+        ``None`` = never cache) shows no commit overlapped it."""
+        if raw.startswith(b"200", 9) and self._cacheable(generation):
+            self._remember(
+                pair, json.loads(raw[raw.index(b"\r\n\r\n") + 4 :])
+            )
+        return raw if keep_alive else _closing(raw)
+
+    def _cacheable(self, generation: Optional[int]) -> bool:
+        """Whether an answer to a query dispatched at seqlock value
+        ``generation`` may be cached: no commit fan-out was in flight
+        then (even) and none has started since (unchanged).  ``None``
+        marks an answer never cached (``explain``)."""
+        return (
+            generation is not None
+            and not generation & 1
+            and generation == self._generation
+            and self.cache.capacity > 0
+        )
+
+    def _remember(self, pair, answer: dict) -> None:
+        """Cache a worker's JSON answer to ``pair``."""
+        distance = answer["distance"]
+        self.cache.put(
+            pair[0],
+            pair[1],
+            QueryResult(
+                INF if distance is None else distance, answer["count"]
+            ),
+        )
+
     async def _handle_query(
         self, request: Request, keep_alive: bool, trace=None
     ) -> bytes:
+        """Every ``/query`` shape but the hot GET: a single pair (GET
+        or POST), a ``pairs`` batch, ``explain`` and malformed requests.
+        Explain and malformed requests go to a worker as they are."""
+        rid = request.headers.get("x-request-id")
+        explain = False
+        pair = None
         if request.method == "POST":
             try:
                 payload = request.json()
-            except Exception:
+            except HTTPProtocolError:
                 payload = None
-            if isinstance(payload, dict) and isinstance(
-                payload.get("pairs"), list
-            ):
-                return await self._scatter_pairs(
-                    request, payload, keep_alive, trace
-                )
-            pair = None
             if isinstance(payload, dict):
-                try:
-                    pair = (
-                        int(payload["source"]), int(payload["target"])
+                explain = bool(payload.get("explain", False))
+                if isinstance(payload.get("pairs"), list):
+                    out = await self._scatter_pairs(
+                        payload["pairs"], explain, rid, keep_alive, trace
                     )
-                except (KeyError, TypeError, ValueError):
-                    pair = None
-            return await self._route_query(
-                pair, request, keep_alive, trace
-            )
-        try:
-            pair = (
-                int(request.params["source"]),
-                int(request.params["target"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            pair = None  # a worker answers the 400 consistently
-        return await self._route_query(pair, request, keep_alive, trace)
-
-    async def _route_query(
-        self, pair, request: Request, keep_alive: bool, trace=None
-    ) -> bytes:
-        """Proxy one query to its ring owner; re-dispatch once if the
-        owner dies mid-request (the retry consults the rebuilt ring)."""
-        for attempt in range(2):
-            ring = self.ring
-            if ring is None:
-                return self._unavailable(keep_alive)
-            if pair is not None:
-                worker = self.workers[ring.owner_of_pair(*pair)]
-            else:
-                # Malformed request: any live worker produces the
-                # canonical 400.
-                worker = self._first_live()
-                if worker is None:
-                    return self._unavailable(keep_alive)
+                    if out is not None:
+                        return out
+                else:
+                    try:
+                        pair = (
+                            int(payload["source"]), int(payload["target"])
+                        )
+                    except (KeyError, TypeError, ValueError):
+                        pair = None
+        else:
+            explain = request.flag("explain")
             try:
-                return await self._proxy(
-                    worker, request, keep_alive, resend=True, trace=trace
+                pair = (
+                    int(request.params["source"]),
+                    int(request.params["target"]),
                 )
-            except FleetError:
-                # Queries are pure reads: if the owner was ejected
-                # (its process died) the survivors answer identically,
-                # so retry once against the rebuilt ring.  A failure
-                # with the worker still up is the ordinary 502.
-                if attempt or (self.ring is ring and worker.up):
-                    raise
-                self.recorder.incr("fleet.redispatches")
-        raise AssertionError("unreachable")  # pragma: no cover
+            except (KeyError, ValueError):
+                pair = None  # a worker answers the 400 consistently
+        headers = _forward_headers(rid, trace)
+        generation = None
+        if pair is not None and not explain:
+            result = self._lookup(*pair, _probes(trace))
+            if result is not None:
+                return self._hit(*pair, result, rid, keep_alive)
+            data = self._request_bytes(
+                "GET", "/query?source=%d&target=%d" % pair, None, headers
+            )
+            generation = self._generation
+        else:
+            if pair is not None:
+                self._lookup(*pair, probe=False)  # explain: sketch only
+            data = self._request_bytes(
+                request.method, _target(request), request.body or None,
+                headers,
+            )
+        return await self._forward(pair, data, generation, keep_alive)
 
     async def _scatter_pairs(
-        self, request: Request, payload: dict, keep_alive: bool, trace=None
-    ) -> bytes:
-        """Scatter a JSON batch by pair owner; gather in request order.
+        self,
+        pairs: list,
+        explain: bool,
+        rid: Optional[str],
+        keep_alive: bool,
+        trace=None,
+    ) -> Optional[bytes]:
+        """A JSON batch: cached pairs answered here, the misses scattered
+        by owner and gathered back in request order.
 
-        A shard whose owner dies mid-request is re-scattered once onto
-        the rebuilt survivor ring — a worker crash costs the batch
-        latency, never answers.
+        ``None`` for a structurally bad batch, which one worker then
+        reports whole.  A shard whose owner dies mid-request is
+        re-scattered once onto the rebuilt survivor ring — a worker
+        crash costs the batch latency, never answers.
         """
-        ring = self.ring
-        if ring is None:
-            return self._unavailable(keep_alive)
-        pairs = payload["pairs"]
-        explain = bool(payload.get("explain", False))
-        by_owner: Dict[int, List[int]] = {}
-        for position, item in enumerate(pairs):
-            if (
-                not isinstance(item, (list, tuple))
-                or len(item) != 2
-            ):
-                # Structurally bad batch: one worker reports it whole.
-                return await self._route_query(
-                    None, request, keep_alive, trace
-                )
+        keys = []
+        for item in pairs:
+            if not isinstance(item, (list, tuple)) or len(item) != 2:
+                return None
             try:
-                source, target = int(item[0]), int(item[1])
+                keys.append((int(item[0]), int(item[1])))
             except (TypeError, ValueError):
-                return await self._route_query(
-                    None, request, keep_alive, trace
-                )
-            owner = ring.owner_of_pair(source, target)
-            by_owner.setdefault(owner, []).append(position)
-        rid = request.headers.get("x-request-id")
-        headers = [("X-Request-Id", rid)] if rid else []
-        if trace is not None:
-            # Every shard of the scatter carries the same parent span,
-            # so the merged trace shows N worker spans fanning out
-            # under one fleet.request.
-            headers.append(
-                ("traceparent", f"00-{trace[0]}-{trace[1]}-01")
+                return None
+        probe = not explain and _probes(trace)
+        results: List[object] = [None] * len(pairs)
+        missing = []
+        for position, (source, target) in enumerate(keys):
+            result = self._lookup(source, target, probe)
+            if result is None:
+                missing.append(position)
+            else:
+                results[position] = encode_result(source, target, result)
+        worst = 200
+        if missing:
+            if self.ring is None:
+                return self._unavailable(keep_alive)
+            worst = await self._gather_misses(
+                pairs, keys, missing, results, explain,
+                _forward_headers(rid, trace),
             )
+        else:
+            self.recorder.incr("serve.requests")
+        return response_bytes(
+            worst,
+            {"results": results},
+            keep_alive=keep_alive,
+            extra_headers=(("X-Request-Id", rid or self._ids.next_id()),),
+        )
+
+    async def _gather_misses(
+        self, pairs, keys, missing, results, explain, headers
+    ) -> int:
+        """Fill ``results`` at the ``missing`` positions from their
+        owners; returns the worst shard status."""
+        generation = None if explain else self._generation
 
         async def _one(owner: int, positions: List[int]):
             body = json.dumps(
@@ -1210,22 +1522,28 @@ class FleetRouter:
                 },
                 separators=(",", ":"),
             ).encode()
-            return await self._upstream(
-                self.workers[owner], "POST", "/query", body, headers,
-                resend=True,
+            status, _, answer = parse_response(
+                await self._exchange(
+                    self.workers[owner],
+                    self._request_bytes("POST", "/query", body, headers),
+                    resend=True,
+                )
             )
+            return status, answer
 
-        async def _gather(assignments):
+        async def _gather(positions: List[int]):
+            ring = self.ring
+            by_owner: Dict[int, List[int]] = {}
+            for position in positions:
+                owner = ring.owner_of_pair(*keys[position])
+                by_owner.setdefault(owner, []).append(position)
+            assignments = list(by_owner.items())
             outcomes = await asyncio.gather(
-                *(
-                    _one(owner, positions)
-                    for owner, positions in assignments
-                ),
+                *(_one(owner, shard) for owner, shard in assignments),
                 return_exceptions=True,
             )
             return list(zip(assignments, outcomes))
 
-        results: List[object] = [None] * len(pairs)
         worst = 200
 
         def _settle(settled, failed: Optional[List[int]]) -> None:
@@ -1243,7 +1561,7 @@ class FleetRouter:
                     for position in positions:
                         results[position] = {"error": str(outcome)}
                     continue
-                status, _, body = outcome
+                status, body = outcome
                 try:
                     answer = json.loads(body) if body else {}
                 except json.JSONDecodeError:
@@ -1264,36 +1582,28 @@ class FleetRouter:
                         }
                     continue
                 worst = max(worst, status)
+                cacheable = self._cacheable(generation)
                 for position, slot in zip(positions, slots):
                     results[position] = slot
+                    if (
+                        cacheable
+                        and isinstance(slot, dict)
+                        and "count" in slot
+                        and "error" not in slot
+                    ):
+                        self._remember(keys[position], slot)
 
         failed: List[int] = []
-        _settle(await _gather(list(by_owner.items())), failed)
+        _settle(await _gather(missing), failed)
         if failed:
-            ring = self.ring
-            if ring is None:
+            if self.ring is None:
                 worst = max(worst, 503)
                 for position in failed:
                     results[position] = {"error": "no live workers"}
             else:
                 self.recorder.incr("fleet.redispatches")
-                retry_by_owner: Dict[int, List[int]] = {}
-                for position in failed:
-                    source, target = (
-                        int(pairs[position][0]), int(pairs[position][1])
-                    )
-                    owner = ring.owner_of_pair(source, target)
-                    retry_by_owner.setdefault(owner, []).append(position)
-                _settle(
-                    await _gather(list(retry_by_owner.items())), None
-                )
-        extra = [("X-Request-Id", rid)] if rid else []
-        return response_bytes(
-            worst,
-            {"results": results},
-            keep_alive=keep_alive,
-            extra_headers=extra,
-        )
+                _settle(await _gather(failed), None)
+        return worst
 
     # ------------------------------------------------------------------
     # aggregation
@@ -1335,6 +1645,8 @@ class FleetRouter:
                 snapshots.append(json.loads(body))
             except json.JSONDecodeError:
                 continue
+        self.recorder.gauge("serve.cache.size", len(self.cache))
+        self.recorder.gauge("serve.cache.hit_rate", self.cache.hit_rate)
         merged = merge_metrics_snapshots(
             snapshots + [self.recorder.metrics_snapshot()]
         )
@@ -1528,9 +1840,9 @@ class FleetRouter:
             "per_worker": self._per_worker_rows(stats),
             "supervisor": self._supervisor_snapshot(),
         }
-        merged_pairs = self._merge_top_pairs(stats)
-        if merged_pairs is not None:
-            payload["top_pairs"] = merged_pairs
+        payload["cache"] = self.cache.snapshot()
+        if self.top_pairs is not None:
+            payload["top_pairs"] = self.top_pairs.block()
         return response_bytes(200, payload, keep_alive=keep_alive)
 
     def _per_worker_rows(self, stats: Dict[int, dict]) -> List[dict]:
@@ -1601,49 +1913,6 @@ class FleetRouter:
             ],
         }
 
-    def _merge_top_pairs(self, stats: Dict[int, dict]) -> Optional[dict]:
-        """Fleet-wide heavy hitters: merge the workers' sketches.
-
-        Space-Saving summaries are mergeable, so the fleet's hot pairs
-        come out with the same bounded error as one big sketch; the
-        cache-attribution counters are summed across workers.
-        """
-        sketches = []
-        hot = {"hits": 0, "misses": 0}
-        tail = {"hits": 0, "misses": 0}
-        for parsed in stats.values():
-            block = parsed.get("top_pairs")
-            if not isinstance(block, dict):
-                continue
-            sketch = block.get("sketch")
-            if isinstance(sketch, dict):
-                try:
-                    sketches.append(SpaceSaving.from_dict(sketch))
-                except (KeyError, TypeError, ValueError):
-                    continue
-            attribution = block.get("cache_attribution") or {}
-            for side, totals in (("hot", hot), ("tail", tail)):
-                counts = attribution.get(side) or {}
-                totals["hits"] += counts.get("hits", 0)
-                totals["misses"] += counts.get("misses", 0)
-        if not sketches:
-            return None
-        merged = SpaceSaving.merge(
-            sketches,
-            capacity=self.config.top_pairs_capacity or None,
-        )
-        for totals in (hot, tail):
-            seen = totals["hits"] + totals["misses"]
-            totals["hit_rate"] = totals["hits"] / seen if seen else 0.0
-        return {
-            "sketch": merged.to_dict(),
-            "top": [
-                {"pair": list(key), "count": count, "error": error}
-                for key, count, error in merged.top(20)
-            ],
-            "cache_attribution": {"hot": hot, "tail": tail},
-        }
-
     # ------------------------------------------------------------------
     # fleet reload: two-phase commit
     # ------------------------------------------------------------------
@@ -1675,9 +1944,7 @@ class FleetRouter:
                 {"reloaded": False, "errors": failures},
                 keep_alive=keep_alive,
             )
-        committed = await self._fanout(
-            "POST", "/admin/reload/commit", b"{}"
-        )
+        committed = await self._commit("/admin/reload/commit")
         commit_failures = self._phase_failures(committed)
         if commit_failures:  # pragma: no cover - commit cannot fail
             self.recorder.incr("fleet.reload.failed")
@@ -1739,9 +2006,7 @@ class FleetRouter:
             )
         if not self._live_workers():
             return self._unavailable(keep_alive)
-        committed = await self._fanout(
-            "POST", "/admin/update/commit", b"{}"
-        )
+        committed = await self._commit("/admin/update/commit")
         commit_failures = self._phase_failures(committed)
         if commit_failures:
             # A commit that validated on prepare only fails if a worker
@@ -1790,6 +2055,33 @@ class FleetRouter:
                 self._coordinate_rebuild()
             )
         return response_bytes(200, payload, keep_alive=keep_alive)
+
+    async def _commit(self, path: str) -> List[Tuple[_Worker, object]]:
+        """One commit fan-out, bracketed by the cache's seqlock.
+
+        The generation is odd while the commit is in flight, so no
+        answer computed across it is cached (:meth:`_cacheable`).
+        Before it turns even again the cache drops what the commit may
+        have changed: after an update, every pair touching a vertex in
+        the workers' ``changed_vertices`` (the workers' own rule); after
+        a reload, everything.
+        """
+        self._generation += 1
+        committed: List[Tuple[_Worker, object]] = []
+        try:
+            committed = await self._fanout("POST", path, b"{}")
+        finally:
+            changed = (
+                _changed_vertices(committed)
+                if path == "/admin/update/commit"
+                else None
+            )
+            if changed is None:
+                self.cache.clear()
+            else:
+                self.cache.invalidate(changed)
+            self._generation += 1
+        return committed
 
     def _phase_failures(
         self, outcomes: Sequence[Tuple[_Worker, object]]
@@ -1861,9 +2153,7 @@ class FleetRouter:
                 raise FleetError(
                     f"rebuild swap rejected: {'; '.join(failures)}"
                 )
-            committed = await self._fanout(
-                "POST", "/admin/reload/commit", b"{}"
-            )
+            committed = await self._commit("/admin/reload/commit")
             commit_failures = self._phase_failures(committed)
             if commit_failures:  # pragma: no cover - commit cannot fail
                 raise FleetError(
@@ -1879,6 +2169,24 @@ class FleetRouter:
             self.recorder.incr("fleet.rebuild.failed")
         finally:
             self._rebuild_task = None
+
+
+def _changed_vertices(committed) -> Optional[set]:
+    """The union of the commit reports' ``changed_vertices``; ``None``
+    unless every worker reported one (then the cache is cleared)."""
+    changed: set = set()
+    if not committed:
+        return None
+    for _worker, outcome in committed:
+        try:
+            status, _, body = outcome
+            vertices = json.loads(body)["changed_vertices"]
+        except (TypeError, ValueError, KeyError):
+            return None
+        if status != 200 or not isinstance(vertices, list):
+            return None
+        changed.update(vertices)
+    return changed
 
 
 # ----------------------------------------------------------------------

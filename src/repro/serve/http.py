@@ -100,6 +100,60 @@ def _parse_params(raw_query: str) -> Dict[str, str]:
     return params
 
 
+def parse_query_head(head: bytes):
+    """Byte-level parse of the hot ``GET /query?source=S&target=T`` head.
+
+    Returns ``(source, target, keep_alive, request_id, traceparent)``
+    straight off the head bytes — no header dict, no :class:`Request`
+    — or ``None`` for anything unusual (other parameter order, extra
+    parameters, percent-encoding, a body, an odd ``Connection``
+    header), which then takes :func:`parse_request`; behaviour is
+    identical either way.  ``keep_alive`` follows
+    :attr:`Request.keep_alive`; the two header values are ``None``
+    when absent.  The query server and the fleet router share it.
+    """
+    if not head.startswith(b"GET /query?source="):
+        return None
+    lower = head.lower()
+    end = head.find(b" HTTP/", 18)
+    if end < 0 or b"content-" in lower:
+        return None
+    src, sep, tgt = head[18:end].partition(b"&")
+    if not sep or not tgt.startswith(b"target="):
+        return None
+    try:
+        source, target = int(src), int(tgt[7:])
+    except ValueError:
+        return None
+    # Request.keep_alive's rule; an unusual Connection header (a
+    # second one, odd spacing) takes the full parser instead.
+    mark = lower.find(b"connection")
+    connection = ""
+    if mark >= 0:
+        if (
+            lower[mark - 2 : mark] != b"\r\n"
+            or lower[mark + 10 : mark + 11] != b":"
+            or lower.find(b"connection", mark + 10) >= 0
+        ):
+            return None
+        stop = lower.index(b"\r", mark)
+        connection = lower[mark + 11 : stop].decode("latin-1").strip()
+    if head[end + 1 : head.index(b"\r", end)] == b"HTTP/1.0":
+        keep_alive = connection == "keep-alive"
+    else:
+        keep_alive = connection != "close"
+    rid = traceparent = None
+    mark = lower.find(b"x-request-id:")
+    if mark >= 0:
+        stop = head.index(b"\r", mark)
+        rid = head[mark + 13 : stop].strip().decode("latin-1")
+    mark = lower.find(b"traceparent:")
+    if mark >= 0:
+        stop = head.index(b"\r", mark)
+        traceparent = head[mark + 12 : stop].strip().decode("latin-1")
+    return source, target, keep_alive, rid, traceparent
+
+
 async def read_head(reader: asyncio.StreamReader) -> Optional[bytes]:
     """The raw head (request/status line + headers) of one message.
 
@@ -131,12 +185,11 @@ def _parse_headers(lines: Sequence[bytes]) -> Dict[str, str]:
     return headers
 
 
-async def _read_body(
-    reader: asyncio.StreamReader, headers: Dict[str, str]
-) -> bytes:
+def body_length(headers: Dict[str, str]) -> int:
+    """The message's ``Content-Length`` (0 when absent), range-checked."""
     raw_length = headers.get("content-length")
     if raw_length is None:
-        return b""
+        return 0
     try:
         length = int(raw_length)
     except ValueError:
@@ -145,6 +198,13 @@ async def _read_body(
         ) from None
     if length < 0 or length > MAX_BODY_BYTES:
         raise HTTPProtocolError(f"Content-Length {length} out of range")
+    return length
+
+
+async def _read_body(
+    reader: asyncio.StreamReader, headers: Dict[str, str]
+) -> bytes:
+    length = body_length(headers)
     if length == 0:
         return b""
     try:
@@ -161,10 +221,9 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     return await parse_request(head, reader)
 
 
-async def parse_request(
-    head: bytes, reader: asyncio.StreamReader
-) -> Request:
-    """Parse an already-read head (and its body) into a Request."""
+def parse_head(head: bytes) -> Request:
+    """Parse a request head (request line + headers); the body, if
+    :func:`body_length` announces one, is the caller's to attach."""
     if len(head) > MAX_HEADER_BYTES:
         raise HTTPProtocolError("header section too large")
     lines = head.split(b"\r\n")
@@ -173,16 +232,22 @@ async def parse_request(
         raise HTTPProtocolError(f"malformed request line {lines[0]!r}")
     method, target, version = fields
     path, _, raw_query = target.partition("?")
-    headers = _parse_headers(lines[1:])
-    body = await _read_body(reader, headers)
     return Request(
         method=method.upper(),
         path=path,
         params=_parse_params(raw_query),
-        headers=headers,
-        body=body,
+        headers=_parse_headers(lines[1:]),
         version=version,
     )
+
+
+async def parse_request(
+    head: bytes, reader: asyncio.StreamReader
+) -> Request:
+    """Parse an already-read head (and its body) into a Request."""
+    request = parse_head(head)
+    request.body = await _read_body(reader, request.headers)
+    return request
 
 
 def response_bytes(
@@ -228,13 +293,7 @@ def response_bytes(
     return (head + "\r\n").encode("latin-1") + body
 
 
-async def read_raw_response(
-    reader: asyncio.StreamReader,
-) -> Tuple[int, Dict[str, str], bytes]:
-    """Client side: one response as ``(status, headers, raw body)``."""
-    head = await read_head(reader)
-    if head is None:
-        raise HTTPProtocolError("connection closed before status line")
+def _parse_status(head: bytes) -> Tuple[int, Dict[str, str]]:
     lines = head.split(b"\r\n")
     fields = lines[0].split(None, 2)
     if len(fields) < 2 or not fields[0].startswith(b"HTTP/"):
@@ -245,9 +304,37 @@ async def read_raw_response(
         raise HTTPProtocolError(
             f"malformed status {fields[1]!r}"
         ) from None
-    headers = _parse_headers(lines[1:])
+    return status, _parse_headers(lines[1:])
+
+
+def parse_response(raw: bytes) -> Tuple[int, Dict[str, str], bytes]:
+    """One whole response already in memory as ``(status, headers,
+    raw body)``."""
+    head, _, body = raw.partition(b"\r\n\r\n")
+    status, headers = _parse_status(head)
+    return status, headers, body
+
+
+async def read_raw_response(
+    reader: asyncio.StreamReader,
+) -> Tuple[int, Dict[str, str], bytes]:
+    """Client side: one response as ``(status, headers, raw body)``."""
+    head = await read_head(reader)
+    if head is None:
+        raise HTTPProtocolError("connection closed before status line")
+    status, headers = _parse_status(head[:-4])
     body = await _read_body(reader, headers)
     return status, headers, body
+
+
+async def read_response_bytes(reader: asyncio.StreamReader) -> bytes:
+    """Client side: one whole response, head and body, as the bytes
+    received — what a proxy relays verbatim."""
+    head = await read_head(reader)
+    if head is None:
+        raise HTTPProtocolError("connection closed before status line")
+    _, headers = _parse_status(head[:-4])
+    return head + await _read_body(reader, headers)
 
 
 async def read_response(

@@ -65,7 +65,6 @@ from repro.obs import (
     Sampler,
     SloPolicy,
     SloWindow,
-    SpaceSaving,
     SpanCollector,
     TraceContext,
     merge_trace_fragments,
@@ -73,12 +72,13 @@ from repro.obs import (
     render_prometheus,
 )
 from repro.serve.breaker import CircuitBreaker
-from repro.serve.cache import ResultCache
+from repro.serve.cache import ResultCache, TopPairs
 from repro.serve.coalescer import MicroBatcher, offload
 from repro.serve.config import ServeConfig
 from repro.serve.http import (
     HTTPProtocolError,
     Request,
+    parse_query_head,
     parse_request,
     read_head,
     response_bytes,
@@ -268,19 +268,13 @@ class SPCServer:
                 timeout_s=self.config.request_timeout_ms / 1000.0,
             )
         self._ids = RequestIdGenerator()
-        #: Space-Saving sketch over symmetric query pairs — the
-        #: bounded-memory ``top_pairs`` workload analytics in /stats.
-        self.top_pairs: Optional[SpaceSaving] = (
-            SpaceSaving(self.config.top_pairs_capacity)
+        #: Space-Saving sketch over symmetric query pairs with cache
+        #: attribution — the ``top_pairs`` workload analytics in /stats.
+        self.top_pairs: Optional[TopPairs] = (
+            TopPairs(self.config.top_pairs_capacity)
             if self.config.top_pairs_capacity > 0
             else None
         )
-        #: Cache-efficiency attribution: lookup outcomes split by
-        #: whether the pair was already a tracked heavy hitter.
-        self._hot_hits = 0
-        self._hot_misses = 0
-        self._tail_hits = 0
-        self._tail_misses = 0
         #: perf_counter of the most recent update batch becoming
         #: visible (drives the ``live.staleness_s`` gauge).
         self._last_update_visible: Optional[float] = None
@@ -938,69 +932,27 @@ class SPCServer:
     # routing
     # ------------------------------------------------------------------
     def _fast_query(self, head: bytes):
-        """Byte-level fast path for ``GET /query?source=S&target=T``.
-
-        The hot request shape is parsed straight off the head bytes —
-        no header dict, no :class:`Request` — which roughly halves the
-        framing cost per query.  Anything unusual (other param order,
-        percent-encoding, a body) returns ``None`` and takes the full
-        parser; behaviour is identical either way.  Headers are found
-        in one lowercase copy of the small head: an inbound
-        ``X-Request-Id`` is honored, and keep-alive is decided exactly
-        as :attr:`Request.keep_alive` decides it.
-        """
-        if not head.startswith(b"GET /query?source="):
+        """The hot ``GET /query?source=S&target=T`` shape, parsed by
+        :func:`~repro.serve.http.parse_query_head` — no header dict, no
+        :class:`Request`.  ``None`` sends the head to the full parser;
+        behaviour is identical either way."""
+        query = parse_query_head(head)
+        if query is None:
             return None
-        lower = head.lower()
-        end = head.find(b" HTTP/", 18)
-        if end < 0 or b"content-" in lower:
-            return None
-        src, sep, tgt = head[18:end].partition(b"&")
-        if not sep or not tgt.startswith(b"target="):
-            return None
-        try:
-            source, target = int(src), int(tgt[7:])
-        except ValueError:
-            return None
-        # Request.keep_alive's rule; an unusual Connection header (a
-        # second one, odd spacing) takes the full parser instead.
-        mark = lower.find(b"connection")
-        connection = ""
-        if mark >= 0:
-            if (
-                lower[mark - 2 : mark] != b"\r\n"
-                or lower[mark + 10 : mark + 11] != b":"
-                or lower.find(b"connection", mark + 10) >= 0
-            ):
-                return None
-            stop = lower.index(b"\r", mark)
-            connection = lower[mark + 11 : stop].decode("latin-1").strip()
-        if head[end + 1 : head.index(b"\r", end)] == b"HTTP/1.0":
-            keep_alive = connection == "keep-alive"
-        else:
-            keep_alive = connection != "close"
-        mark = lower.find(b"x-request-id:")
-        if mark >= 0:
-            stop = head.index(b"\r", mark)
-            rid = head[mark + 13 : stop].strip().decode("latin-1")
-        else:
-            rid = self._ids.next_id()
+        source, target, keep_alive, rid, traceparent = query
         trace = None
         if self.tracer is not None:
-            mark = lower.find(b"traceparent:")
             trace = (
-                self._trace_from_header(
-                    head[mark + 12 : head.index(b"\r", mark)]
-                    .strip()
-                    .decode("latin-1")
-                )
-                if mark >= 0
+                self._trace_from_header(traceparent)
+                if traceparent is not None
                 else self._sample_trace()
             )
         self.recorder.incr("serve.requests")
         self._maybe_die()
         return (
-            self._query_entry(source, target, rid, trace=trace),
+            self._query_entry(
+                source, target, rid or self._ids.next_id(), trace=trace
+            ),
             keep_alive and not self._draining,
         )
 
@@ -1375,14 +1327,10 @@ class SPCServer:
                     },
                 )
         changed = report.changed_vertices
-        dropped = 0
-        if changed:
-            # Targeted invalidation: an answer can only have moved if
-            # one of its endpoints had a label entry patched (or
-            # unpatched) by this batch.
-            dropped = self.cache.invalidate(
-                lambda key: key[0] in changed or key[1] in changed
-            )
+        # Targeted invalidation: an answer can only have moved if one
+        # of its endpoints had a label entry patched (or unpatched) by
+        # this batch.
+        dropped = self.cache.invalidate(changed)
         rec = self.recorder
         rec.incr("serve.update.batches")
         rec.incr("serve.update.edges", report.updated_edges)
@@ -1420,6 +1368,9 @@ class SPCServer:
             "overlay_entries": report.overlay_entries,
             "cache_dropped": dropped,
             "rebuild_due": rebuild_due,
+            # Answers can have moved only for pairs touching these: a
+            # fleet router invalidates its cache by them.
+            "changed_vertices": sorted(changed),
         }
 
     async def _run_rebuild(self) -> None:
@@ -1772,44 +1723,6 @@ class SPCServer:
             return 200, fragment, ()
         return 200, merge_trace_fragments([fragment]), ()
 
-    def _top_pairs_block(self) -> dict:
-        """The workload-analytics block of ``/stats``.
-
-        ``sketch`` is the full serialized Space-Saving state (what the
-        fleet router merges across workers); ``top`` is a rendered
-        heaviest-first prefix; ``cache_attribution`` splits result-
-        cache lookups by whether the pair was already a tracked heavy
-        hitter — a hot set that misses the cache is sized wrong.
-        """
-        sketch = self.top_pairs
-        hot_lookups = self._hot_hits + self._hot_misses
-        tail_lookups = self._tail_hits + self._tail_misses
-        return {
-            "sketch": sketch.to_dict(),
-            "top": [
-                {"pair": list(key), "count": count, "error": error}
-                for key, count, error in sketch.top(20)
-            ],
-            "cache_attribution": {
-                "hot": {
-                    "hits": self._hot_hits,
-                    "misses": self._hot_misses,
-                    "hit_rate": (
-                        self._hot_hits / hot_lookups if hot_lookups else 0.0
-                    ),
-                },
-                "tail": {
-                    "hits": self._tail_hits,
-                    "misses": self._tail_misses,
-                    "hit_rate": (
-                        self._tail_hits / tail_lookups
-                        if tail_lookups
-                        else 0.0
-                    ),
-                },
-            },
-        }
-
     def _handle_stats(self) -> Response:
         slo_status, breaches, window = self._slo_state()
         payload = {
@@ -1844,7 +1757,7 @@ class SPCServer:
                 live["freshness_ms"] = freshness.snapshot()
             payload["live"] = live
         if self.top_pairs is not None:
-            payload["top_pairs"] = self._top_pairs_block()
+            payload["top_pairs"] = self.top_pairs.block()
         if self.tracer is not None:
             payload["trace"] = {
                 "buffered": len(self.tracer),
@@ -1995,23 +1908,11 @@ class SPCServer:
             )
         cached = self.cache.get(source, target)
         if self.top_pairs is not None:
-            # Workload analytics: count the pair and attribute this
-            # cache lookup to the heavy-hitter set or the tail (the
-            # offer's membership return is free).  The symmetric key is
-            # built inline — this runs once per query.
-            key = (
-                (source, target) if source <= target
-                else (target, source)
+            # The symmetric key is built inline: this runs per query.
+            self.top_pairs.offer(
+                (source, target) if source <= target else (target, source),
+                cached is not None,
             )
-            if self.top_pairs.offer(key):
-                if cached is not None:
-                    self._hot_hits += 1
-                else:
-                    self._hot_misses += 1
-            elif cached is not None:
-                self._tail_hits += 1
-            else:
-                self._tail_misses += 1
         if cached is not None:
             if explain:
                 payload = encode_result(source, target, cached)

@@ -1,7 +1,7 @@
 """ResultCache: normalization, LRU eviction, counters."""
 
 from repro.obs import Recorder
-from repro.serve.cache import ResultCache
+from repro.serve.cache import ResultCache, TopPairs
 from repro.types import QueryResult
 
 R1 = QueryResult(10, 2)
@@ -58,3 +58,28 @@ def test_snapshot_shape():
     assert snap["size"] == 1
     assert snap["hits"] == 1
     assert 0.0 <= snap["hit_rate"] <= 1.0
+
+
+def test_invalidate_drops_pairs_touching_the_vertices():
+    recorder = Recorder()
+    cache = ResultCache(8, recorder=recorder)
+    for pair in ((1, 2), (3, 4), (5, 1), (6, 7)):
+        cache.put(*pair, R1)
+    assert cache.invalidate({1, 7}) == 3
+    assert (3, 4) in cache and len(cache) == 1
+    assert cache.invalidate(set()) == 0
+    counters = recorder.metrics_snapshot()["counters"]
+    assert counters["serve.cache.invalidated"] == 3
+
+
+def test_top_pairs_attributes_lookups_to_hot_and_tail():
+    top = TopPairs(2)
+    top.offer((1, 2), False)  # tail miss: not tracked before the offer
+    top.offer((1, 2), True)   # hot hit
+    top.offer((3, 4), None)   # counted, no lookup to attribute
+    block = top.block()
+    assert block["top"][0] == {"pair": [1, 2], "count": 2, "error": 0}
+    assert block["sketch"]["total"] == 3
+    attribution = block["cache_attribution"]
+    assert attribution["hot"] == {"hits": 1, "misses": 0, "hit_rate": 1.0}
+    assert attribution["tail"] == {"hits": 0, "misses": 1, "hit_rate": 0.0}

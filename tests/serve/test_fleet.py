@@ -6,7 +6,10 @@ The router's contract mirrors the single server's, scaled out:
   index answer, whatever worker the consistent-hash ring picked and
   however a ``pairs`` batch was scattered;
 * symmetric keys — ``Q(s, t)`` and ``Q(t, s)`` — land on the same
-  worker, so the per-worker LRU caches never duplicate entries;
+  worker and share one slot of the router's result cache;
+* the router cache stays exact across commits: an update drops every
+  pair it may have changed, a reload empties it, and no answer whose
+  request was in flight across a commit is ever cached;
 * ``/metrics`` and ``/health`` aggregate the whole fleet;
 * the chaos bar set for the single server (double-digit scan-failure
   and connection-reset rates) holds against the fleet;
@@ -18,11 +21,13 @@ each test fleet costs a couple of seconds — the fleets are shared
 module-wide where the tests allow it.
 """
 
+import asyncio
 import http.client
 import json
 import os
 import random
 import signal
+import socket
 import threading
 import time
 
@@ -43,7 +48,10 @@ from repro.serve import (
     merge_metrics_snapshots,
     replay,
 )
-from repro.types import INF
+from repro.serve.fleet import _PIPELINE_DEPTH, FleetRouter
+from repro.serve.http import response_bytes
+from repro.serve.server import encode_result_bytes
+from repro.types import INF, QueryResult
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +296,40 @@ class TestFleetChaos:
             thread.stop()
         _assert_no_wrong_answers(report.results, index)
         assert report.availability >= 0.9
+
+    def test_a_reset_breaks_only_the_request_it_cut_off(
+        self, index_path, index, workload
+    ):
+        # Each upstream request has a connection to itself, so an
+        # injected mid-response reset costs one attempt of one request
+        # and nothing queued beside it; the router's bounded resends
+        # absorb the resets without client retries (a request fails
+        # only if all three of its attempts are cut off: p = 0.001).
+        thread = FleetThread(
+            index_path, 2,
+            ServeConfig(port=0, cache_size=0),
+            fault_spec="conn.reset:0.1",
+            fault_seed=3,
+        )
+        try:
+            host, port = thread.start()
+            report = replay(
+                host, port, workload * 2, concurrency=4, pipeline=8,
+                collect_results=True,
+            )
+            metrics = _metrics(host, port)
+            while metrics["fleet"]["reporting"] < 2:
+                metrics = _metrics(host, port)  # a reset cost a worker
+        finally:
+            thread.stop()
+        _assert_no_wrong_answers(report.results, index)
+        counters = metrics["counters"]
+        assert counters["serve.errors.injected_reset"] > 0
+        assert (
+            counters["fleet.upstream.transport_errors"]
+            == counters["serve.errors.injected_reset"]
+        )
+        assert report.availability >= 0.99, report.status_counts
 
 
 class TestFleetReload:
@@ -808,3 +850,399 @@ class TestFleetAnalytics:
         assert attribution["hot"]["hits"] + attribution["hot"][
             "misses"
         ] > 0
+
+
+# ----------------------------------------------------------------------
+# the router's result cache
+# ----------------------------------------------------------------------
+def _metrics(host, port):
+    status, body = _http(host, port, "GET", "/metrics")
+    assert status == 200
+    return json.loads(body)
+
+
+def _wire(answer):
+    return (
+        None if answer.distance >= INF else answer.distance,
+        answer.count,
+    )
+
+
+class TestRouterCache:
+    def test_second_pass_is_answered_by_the_router(
+        self, fleet, index, workload
+    ):
+        host, port = fleet
+        pairs = workload[:50]
+        replay(host, port, pairs, concurrency=2)
+        before = _metrics(host, port)["counters"]
+        report = replay(
+            host, port, pairs, concurrency=2, collect_results=True
+        )
+        after = _metrics(host, port)["counters"]
+        assert report.availability == 1.0
+        _assert_no_wrong_answers(report.results, index)
+        hits = after["serve.cache.hits"] - before.get("serve.cache.hits", 0)
+        assert hits >= len(pairs)
+        # Every answered query counts once in serve.requests, whichever
+        # process answered it.
+        assert after["serve.requests"] - before["serve.requests"] >= len(
+            pairs
+        )
+
+    def test_hit_is_byte_identical_to_the_worker_answer(
+        self, fleet, workload
+    ):
+        host, port = fleet
+        source, target = workload[7]
+        path = f"/query?source={source}&target={target}"
+        first = _http_with_headers(host, port, "GET", path)
+        second = _http_with_headers(host, port, "GET", path)
+        assert first[0] == second[0] == 200
+        assert first[2] == second[2]
+        assert second[1]["X-Request-Id"]
+        conn = http.client.HTTPConnection(host, port, timeout=30.0)
+        try:
+            conn.request("GET", path, headers={"X-Request-Id": "mine-7"})
+            response = conn.getresponse()
+            assert response.read() == first[2]
+            assert response.getheader("X-Request-Id") == "mine-7"
+        finally:
+            conn.close()
+
+    def test_batch_is_scattered_only_for_its_misses(
+        self, fleet, index, workload
+    ):
+        host, port = fleet
+        cached = workload[:10]
+        replay(host, port, cached, concurrency=1)
+        graph_pairs = [(s, t) for s, t in workload[200:210]]
+        pairs = cached + graph_pairs
+        before = _metrics(host, port)["counters"]
+        status, body = _http(
+            host, port, "POST", "/query",
+            {"pairs": [[s, t] for s, t in pairs]},
+        )
+        after = _metrics(host, port)["counters"]
+        assert status == 200
+        for (source, target), row in zip(pairs, json.loads(body)["results"]):
+            assert (row["distance"], row["count"]) == _wire(
+                index.query(source, target)
+            )
+        assert after["serve.cache.hits"] - before["serve.cache.hits"] >= 10
+
+    def test_reload_empties_the_cache(self, fleet, index_path, workload):
+        host, port = fleet
+        replay(host, port, workload[:30], concurrency=2)
+        assert _metrics(host, port)["gauges"]["serve.cache.size"] > 0
+        status, body = _http(
+            host, port, "POST", "/admin/reload", {"path": str(index_path)}
+        )
+        assert status == 200, body
+        assert _metrics(host, port)["gauges"]["serve.cache.size"] == 0
+        status, body = _http(host, port, "GET", "/stats")
+        assert json.loads(body)["cache"]["size"] == 0
+
+    def test_answer_in_flight_across_a_commit_is_never_cached(
+        self, index_path
+    ):
+        router = FleetRouter(index_path, 2, ServeConfig(cache_size=8))
+        raw = response_bytes(
+            200, encode_result_bytes(1, 2, QueryResult(5, 3))
+        )
+
+        async def scenario():
+            gate = asyncio.Event()
+
+            async def held_fanout(method, path, body=None, *, resend=False):
+                await gate.wait()
+                return []
+
+            router._fanout = held_fanout
+            before = router._generation
+            commit = asyncio.ensure_future(
+                router._commit("/admin/reload/commit")
+            )
+            await asyncio.sleep(0)
+            during = router._generation
+            assert during & 1, "the generation is odd mid-commit"
+            # Dispatched before the commit, landed during it; and
+            # dispatched during the commit: neither is cached.
+            router._relayed((1, 2), raw, before, True)
+            router._relayed((1, 2), raw, during, True)
+            assert len(router.cache) == 0
+            gate.set()
+            await commit
+            # Dispatched before, landed after: still not cached.
+            router._relayed((1, 2), raw, before, True)
+            router._relayed((1, 2), raw, during, True)
+            assert len(router.cache) == 0
+            # A query dispatched after the commit is.
+            router._relayed((1, 2), raw, router._generation, True)
+            assert router.cache.get(2, 1) == QueryResult(5, 3)
+
+        asyncio.run(scenario())
+
+    def test_updates_invalidate_every_changed_answer(self, tmp_path):
+        graph = road_network(120, seed=9)
+        vertices = sorted(graph.vertices())
+        rng = random.Random(41)
+        # Tight edges (each its endpoints' shortest path): halving the
+        # weight must change at least those pairs' distances.
+        tight = [
+            (a, b, w) for a, b, w, _count in sorted(graph.edges())
+            if a < b and spc_query(graph, a, b).distance == w
+        ]
+        edges = rng.sample(tight, 3)
+        pairs = [(a, b) for a, b, _w in edges]
+        pairs += [
+            (rng.choice(vertices), rng.choice(vertices)) for _ in range(60)
+        ]
+        batches = [
+            [[a, b, w / 2] for a, b, w in edges],  # decrease
+            [[a, b, w * 3] for a, b, w in edges],  # increase
+        ]
+        mirror = graph.copy()
+
+        def answers(host, port):
+            got = {}
+            for s, t in pairs:
+                status, body = _http(
+                    host, port, "GET", f"/query?source={s}&target={t}"
+                )
+                assert status == 200
+                row = json.loads(body)
+                got[(s, t)] = (row["distance"], row["count"])
+            status, body = _http(
+                host, port, "POST", "/query",
+                {"pairs": [[s, t] for s, t in pairs]},
+            )
+            assert status == 200
+            for (s, t), row in zip(pairs, json.loads(body)["results"]):
+                assert (row["distance"], row["count"]) == got[(s, t)]
+            return got
+
+        thread = _healing_fleet_thread(
+            tmp_path, graph, respawn=False, probe_interval_s=0.0
+        )
+        try:
+            host, port = thread.start()
+            answers(host, port)
+            hits_before = _metrics(host, port)["counters"][
+                "serve.cache.hits"
+            ]
+            previous = answers(host, port)  # the warm pass: all hits
+            assert _metrics(host, port)["counters"][
+                "serve.cache.hits"
+            ] - hits_before >= 2 * len(pairs)
+            for batch in batches:
+                status, body = _http(
+                    host, port, "POST", "/admin/update", {"updates": batch}
+                )
+                assert status == 200, body
+                for a, b, w in batch:
+                    mirror.add_edge(a, b, w, mirror.count(a, b))
+                got = answers(host, port)
+                for s, t in pairs:
+                    assert got[(s, t)] == _wire(spc_query(mirror, s, t)), (
+                        s, t,
+                    )
+                moved = [pair for pair in pairs if got[pair] != previous[pair]]
+                assert moved, "the batch changed no answer"
+                previous = got
+        finally:
+            thread.stop()
+
+
+class TestFleetDrain:
+    def test_shutdown_answers_every_pipelined_request(
+        self, index_path, index, workload
+    ):
+        # Slow scans keep the pipelined window in flight at the router
+        # when the drain starts.
+        thread = FleetThread(
+            index_path, 2,
+            ServeConfig(port=0, request_timeout_ms=10000),
+            fault_spec="scan.slow:1.0@40",
+        )
+        pairs = list(dict.fromkeys(workload))[:32]
+        host, port = thread.start()
+        sock = socket.create_connection((host, port), timeout=30.0)
+        try:
+            sock.sendall(b"".join(
+                f"GET /query?source={s}&target={t} HTTP/1.1\r\n"
+                f"Host: x\r\nX-Request-Id: drain-{i}\r\n\r\n".encode()
+                for i, (s, t) in enumerate(pairs)
+            ))
+            deadline = time.time() + 10.0
+            while thread.router._inflight < len(pairs):
+                assert time.time() < deadline, "requests never arrived"
+                time.sleep(0.005)
+            stopper = threading.Thread(target=thread.stop)
+            stopper.start()
+            data = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                data += chunk
+            stopper.join(60.0)
+            assert not stopper.is_alive()
+        finally:
+            sock.close()
+            thread.stop()
+        answered = []
+        while data:
+            head, _, rest = data.partition(b"\r\n\r\n")
+            lines = head.split(b"\r\n")
+            headers = dict(
+                line.split(b": ", 1) for line in lines[1:]
+            )
+            length = int(headers[b"Content-Length"])
+            answered.append(
+                (int(lines[0][9:12]), headers[b"X-Request-Id"],
+                 json.loads(rest[:length]))
+            )
+            data = rest[length:]
+        # Each request was read before the drain began, so each one is
+        # answered, in order, before the connection closes.
+        assert len(answered) == len(pairs)
+        for i, ((s, t), (status, rid, payload)) in enumerate(
+            zip(pairs, answered)
+        ):
+            assert status == 200, payload
+            assert rid == f"drain-{i}".encode()
+            assert (payload["distance"], payload["count"]) == _wire(
+                index.query(s, t)
+            )
+
+
+class TestRouterBackpressure:
+    def test_a_client_that_does_not_read_stalls_only_itself(
+        self, index_path
+    ):
+        # One client pipelines a flood of one cached query and reads
+        # nothing.  The router stops reading that connection once its
+        # answers back up, instead of buffering them all, and other
+        # clients are still served.
+        total = 50000
+        request = b"GET /query?source=3&target=150 HTTP/1.1\r\nHost: x\r\n\r\n"
+        thread = FleetThread(index_path, 2, ServeConfig(port=0))
+        host, port = thread.start()
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.settimeout(60.0)
+        sock.connect((host, port))
+        sender = threading.Thread(
+            target=sock.sendall, args=(request * total,), daemon=True
+        )
+        sender.start()
+        try:
+            time.sleep(1.0)
+            before = _metrics(host, port)["counters"]["fleet.requests"]
+            time.sleep(0.5)
+            after = _metrics(host, port)["counters"]["fleet.requests"]
+            # Stalled (only the /metrics call itself was read), well
+            # short of the flood.
+            assert after - before <= 1
+            assert after < total // 2
+            answered, tail = 0, b""
+            while answered < total:
+                chunk = sock.recv(1 << 20)
+                assert chunk, f"connection closed after {answered} answers"
+                text = tail + chunk
+                answered += text.count(b"HTTP/1.1 200 ")
+                tail = text[-12:]
+            assert answered == total
+        finally:
+            sock.close()
+            thread.stop()
+            sender.join(10.0)
+
+    def test_pipelined_misses_in_flight_stop_at_the_pipeline_depth(
+        self, index_path, index, workload
+    ):
+        # Slow scans keep every miss in flight; the router reads no
+        # further than _PIPELINE_DEPTH unanswered requests ahead.
+        thread = FleetThread(
+            index_path, 2,
+            ServeConfig(port=0, request_timeout_ms=10000),
+            fault_spec="scan.slow:1.0@40",
+        )
+        pairs = list(dict.fromkeys(workload))[: 2 * _PIPELINE_DEPTH + 20]
+        host, port = thread.start()
+        sock = socket.create_connection((host, port), timeout=30.0)
+        peak = 0
+        done = threading.Event()
+
+        def sample():
+            nonlocal peak
+            while not done.is_set():
+                peak = max(peak, thread.router._inflight)
+                time.sleep(0.001)
+
+        sampler = threading.Thread(target=sample, daemon=True)
+        sampler.start()
+        try:
+            sock.sendall(b"".join(
+                f"GET /query?source={s}&target={t} HTTP/1.1\r\n"
+                f"Host: x\r\n\r\n".encode()
+                for s, t in pairs
+            ))
+            data = b""
+            while data.count(b"HTTP/1.1 ") < len(pairs):
+                chunk = sock.recv(65536)
+                assert chunk
+                data += chunk
+        finally:
+            done.set()
+            sampler.join(5.0)
+            sock.close()
+            thread.stop()
+        assert peak == _PIPELINE_DEPTH
+        answers = []
+        for part in data.split(b"HTTP/1.1 ")[1:]:
+            head, _, body = part.partition(b"\r\n\r\n")
+            assert head.startswith(b"200 "), part
+            row = json.loads(body)
+            answers.append((row["distance"], row["count"]))
+        assert answers == [_wire(index.query(s, t)) for s, t in pairs]
+
+
+class TestRouterProtocolErrors:
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"NONSENSE\r\n\r\n",
+            b"POST /query HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+        ],
+    )
+    def test_malformed_request_gets_the_single_server_400(self, fleet, raw):
+        host, port = fleet
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            sock.sendall(raw)
+            data = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break  # the router closes after the 400
+                data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), data
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"]
+
+
+class TestRouterTopPairs:
+    def test_a_pair_queried_25_times_counts_at_least_25(self, fleet):
+        host, port = fleet
+        source, target = 3, 150
+        for _ in range(25):
+            status, _ = _http(
+                host, port, "GET", f"/query?source={source}&target={target}"
+            )
+            assert status == 200
+        status, body = _http(host, port, "GET", "/stats")
+        top = json.loads(body)["top_pairs"]["top"]
+        counts = {tuple(entry["pair"]): entry["count"] for entry in top}
+        assert counts.get((source, target), 0) >= 25, top

@@ -8,7 +8,10 @@ import pytest
 from repro.serve.http import (
     HTTPProtocolError,
     Request,
+    parse_head,
+    parse_query_head,
     parse_request,
+    parse_response,
     read_request,
     read_response,
     response_bytes,
@@ -157,3 +160,57 @@ def test_response_extra_headers():
     status, headers, _ = _run(scenario())
     assert status == 503
     assert headers["retry-after"] == "1"
+
+
+@pytest.mark.parametrize(
+    "head, expected",
+    [
+        (
+            b"GET /query?source=3&target=9 HTTP/1.1\r\nHost: x\r\n\r\n",
+            (3, 9, True, None, None),
+        ),
+        (
+            b"GET /query?source=3&target=9 HTTP/1.1\r\n"
+            b"X-Request-Id: abc\r\ntraceparent: 00-t-s-01\r\n"
+            b"Connection: close\r\n\r\n",
+            (3, 9, False, "abc", "00-t-s-01"),
+        ),
+        (
+            b"GET /query?source=3&target=9 HTTP/1.0\r\n\r\n",
+            (3, 9, False, None, None),
+        ),
+        (
+            b"GET /query?source=3&target=9 HTTP/1.0\r\n"
+            b"Connection: keep-alive\r\n\r\n",
+            (3, 9, True, None, None),
+        ),
+        # Unusual shapes take the full parser.
+        (b"GET /query?target=9&source=3 HTTP/1.1\r\n\r\n", None),
+        (b"GET /query?source=3&target=9&explain=1 HTTP/1.1\r\n\r\n", None),
+        (b"GET /query?source=%33&target=9 HTTP/1.1\r\n\r\n", None),
+        (
+            b"GET /query?source=3&target=9 HTTP/1.1\r\n"
+            b"Content-Length: 0\r\n\r\n",
+            None,
+        ),
+        (
+            b"GET /query?source=3&target=9 HTTP/1.1\r\n"
+            b"Connection: close\r\nConnection: keep-alive\r\n\r\n",
+            None,
+        ),
+    ],
+)
+def test_parse_query_head(head, expected):
+    assert parse_query_head(head) == expected
+    if expected is not None:
+        assert parse_head(head).keep_alive == expected[2]
+
+
+def test_parse_response_splits_a_whole_message():
+    raw = response_bytes(
+        404, {"error": "nope"}, extra_headers=(("X-Request-Id", "r1"),)
+    )
+    status, headers, body = parse_response(raw)
+    assert status == 404
+    assert headers["x-request-id"] == "r1"
+    assert json.loads(body) == {"error": "nope"}

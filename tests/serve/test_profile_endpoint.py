@@ -159,3 +159,22 @@ class TestStatsProvenance:
             status, _, _, body = _http(host, port, "GET", "/stats")
         assert status == 200
         assert "provenance" not in json.loads(body)["index"]
+
+
+class TestFleetProfile:
+    def test_fleet_forwards_the_cost_headers(self, tmp_path):
+        # The router relays a worker's capture with every header the
+        # worker set, so the self-accounting survives the hop.
+        from repro.serve import FleetThread
+
+        path = tmp_path / "idx.bin"
+        save_index(CTLSIndex.build(grid_graph(6, 6)), path, format="binary")
+        with FleetThread(path, 2, ServeConfig(port=0)) as (host, port):
+            status, ctype, headers, body = _http(
+                host, port, "POST", "/admin/profile?seconds=0.1&interval_ms=2"
+            )
+        assert status == 200, body
+        assert ctype.startswith("text/plain")
+        assert int(headers["X-Profile-Samples"]) > 0
+        assert float(headers["X-Profile-Cpu-Seconds"]) >= 0.0
+        assert headers["X-Request-Id"]
