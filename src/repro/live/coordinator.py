@@ -77,6 +77,10 @@ class UpdateReport:
     changed_vertices: FrozenSet[Vertex] = field(default_factory=frozenset)
     seconds: float = 0.0
     repaired_entries: int = 0
+    #: ``(vertex, min_dirty)`` of every changed vertex after the batch,
+    #: ``None`` for a vertex it left clean — what a fleet router
+    #: mirrors to tell clean pairs from poisoned ones.
+    min_dirty: Tuple[Tuple[Vertex, Optional[int]], ...] = ()
 
 
 class StaleRouter:
@@ -271,6 +275,10 @@ class UpdateCoordinator:
             changed_vertices=frozenset(changed),
             seconds=self.last_apply_seconds,
             repaired_entries=repaired_entries,
+            min_dirty=tuple(
+                (vertex, new_state.min_dirty.get(vertex))
+                for vertex in sorted(changed)
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -364,6 +372,7 @@ class UpdateCoordinator:
             "overlay_entries": new_state.entries,
             "full_diff": full_diff,
             "adopt_seconds": seconds,
+            "min_dirty": sorted(new_state.min_dirty.items()),
         }
 
     # ------------------------------------------------------------------

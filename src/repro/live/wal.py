@@ -248,6 +248,9 @@ class RecoveryReport:
     base_fallback: bool
     #: No usable WAL existed; a fresh log was started.
     fresh: bool
+    #: The rotated base the overlay now sits on, or ``None`` when it
+    #: sits on the caller's cold-start index.
+    base_path: Optional[str] = None
 
 
 class WriteAheadLog:
@@ -611,4 +614,5 @@ def recover_coordinator(
         torn_tail=scan.torn is not None,
         base_fallback=base_fallback,
         fresh=False,
+        base_path=base_path if saved_base else None,
     )

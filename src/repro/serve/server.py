@@ -526,12 +526,30 @@ class SPCServer:
         self._index_meta = None
         self.breaker.record_success()
         self.recorder.incr("serve.reload.count")
+        # The whole min_dirty table is for a fleet router, not the log.
+        min_dirty = info.pop("min_dirty")
         payload = {"path": path, "live": True, **info}
         if started is not None:
             payload["seconds"] = time.perf_counter() - started
         if self.request_log is not None:
             self.request_log.log_server("reload", **payload)
+        payload["min_dirty"] = min_dirty
         return payload
+
+    def overlay_report(self) -> dict:
+        """The served base's path and, with live updates, the overlay's
+        ``epoch``, ``seqno`` and every patched vertex's ``min_dirty`` —
+        what a fleet router mirrors to answer clean pairs itself.  A
+        fleet worker sends it with its readiness report."""
+        report = {"path": self.index_path}
+        if self.updates is not None:
+            state = self.updates.live_index.state
+            report.update(
+                epoch=state.epoch,
+                seqno=state.seqno,
+                min_dirty=sorted(state.min_dirty.items()),
+            )
+        return report
 
     async def wait_stopped(self) -> None:
         """Block until a drain has fully completed."""
@@ -1369,8 +1387,10 @@ class SPCServer:
             "cache_dropped": dropped,
             "rebuild_due": rebuild_due,
             # Answers can have moved only for pairs touching these: a
-            # fleet router invalidates its cache by them.
+            # fleet router invalidates its cache by them, and mirrors
+            # their new min_dirty to keep answering clean pairs itself.
             "changed_vertices": sorted(changed),
+            "min_dirty": report.min_dirty,
         }
 
     async def _run_rebuild(self) -> None:

@@ -139,6 +139,26 @@ class TestHashRing:
         ring = HashRing([7])
         assert {ring.owner(str(key)) for key in range(100)} == {7}
 
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_pairs_split_evenly_and_an_ejection_moves_only_its_own(
+        self, workers
+    ):
+        rng = random.Random(workers)
+        pairs = [
+            (rng.randrange(10**6), rng.randrange(10**6))
+            for _ in range(10000)
+        ]
+        ring = HashRing(list(range(workers)))
+        owners = [ring.owner_of_pair(s, t) for s, t in pairs]
+        for worker in range(workers):
+            share = owners.count(worker) / len(pairs)
+            assert abs(share - 1 / workers) <= 0.1, (worker, share)
+        ejected = workers - 1
+        survivors = HashRing(list(range(ejected)))
+        for (s, t), owner in zip(pairs, owners):
+            if owner != ejected:
+                assert survivors.owner_of_pair(s, t) == owner
+
     def test_removing_a_worker_only_moves_its_keys(self):
         # The property consistent hashing buys: keys owned by the
         # surviving workers stay put.
@@ -305,6 +325,9 @@ class TestFleetChaos:
         # and nothing queued beside it; the router's bounded resends
         # absorb the resets without client retries (a request fails
         # only if all three of its attempts are cut off: p = 0.001).
+        # Every request carries a sampled traceparent, which takes the
+        # whole path through a worker (the router would answer these
+        # static pairs itself otherwise, past the fault site).
         thread = FleetThread(
             index_path, 2,
             ServeConfig(port=0, cache_size=0),
@@ -315,7 +338,7 @@ class TestFleetChaos:
             host, port = thread.start()
             report = replay(
                 host, port, workload * 2, concurrency=4, pipeline=8,
-                collect_results=True,
+                collect_results=True, trace_every=1,
             )
             metrics = _metrics(host, port)
             while metrics["fleet"]["reporting"] < 2:
@@ -1059,7 +1082,8 @@ class TestFleetDrain:
         self, index_path, index, workload
     ):
         # Slow scans keep the pipelined window in flight at the router
-        # when the drain starts.
+        # when the drain starts.  Explain queries always take the hop
+        # to a worker's scan (the router answers plain ones itself).
         thread = FleetThread(
             index_path, 2,
             ServeConfig(port=0, request_timeout_ms=10000),
@@ -1070,7 +1094,7 @@ class TestFleetDrain:
         sock = socket.create_connection((host, port), timeout=30.0)
         try:
             sock.sendall(b"".join(
-                f"GET /query?source={s}&target={t} HTTP/1.1\r\n"
+                f"GET /query?source={s}&target={t}&explain=1 HTTP/1.1\r\n"
                 f"Host: x\r\nX-Request-Id: drain-{i}\r\n\r\n".encode()
                 for i, (s, t) in enumerate(pairs)
             ))
@@ -1164,6 +1188,8 @@ class TestRouterBackpressure:
     ):
         # Slow scans keep every miss in flight; the router reads no
         # further than _PIPELINE_DEPTH unanswered requests ahead.
+        # Explain queries always take the hop to a worker's scan (the
+        # router answers plain ones itself).
         thread = FleetThread(
             index_path, 2,
             ServeConfig(port=0, request_timeout_ms=10000),
@@ -1185,7 +1211,7 @@ class TestRouterBackpressure:
         sampler.start()
         try:
             sock.sendall(b"".join(
-                f"GET /query?source={s}&target={t} HTTP/1.1\r\n"
+                f"GET /query?source={s}&target={t}&explain=1 HTTP/1.1\r\n"
                 f"Host: x\r\n\r\n".encode()
                 for s, t in pairs
             ))
