@@ -143,7 +143,7 @@ def _fleet_run(path, workers, pairs, config=None):
 
 def test_fleet_answers_bit_identical(index_file, index, pairs, perf,
                                      capsys):
-    """Whatever worker the ring picks, answers match the index."""
+    """Whichever process answers, answers match the index."""
     report = _fleet_run(index_file, 2, pairs)
     assert report.ok == len(pairs), report.status_counts
     wrong = 0

@@ -482,7 +482,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _serve_fleet(args: argparse.Namespace, config) -> int:
-    """``serve --workers N``: consistent-hash router over N processes."""
+    """``serve --workers N``: a router over N worker processes."""
     import os
 
     from repro.faults import ENV_PLAN, ENV_SEED
@@ -928,8 +928,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="run a fleet: N worker processes mmap the same index "
-        "behind a consistent-hash router on this port (default 1 = "
-        "single in-process server)",
+        "behind a router on this port (default 1 = single in-process "
+        "server)",
     )
     p_serve.add_argument(
         "--no-coalesce", action="store_true",

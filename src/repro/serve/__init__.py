@@ -18,6 +18,9 @@ Layers, innermost first:
   thread.
 * :mod:`repro.serve.http` — minimal stdlib HTTP/1.1 framing over
   asyncio streams.
+* :mod:`repro.serve.frontend` — the client-facing HTTP front end
+  (pipelined connection loop, drain, trace sampling, ``/metrics``
+  negotiation) that the server and the fleet router share.
 * :mod:`repro.serve.server` — :class:`SPCServer`: routing, admission
   control (load shedding), per-request deadlines, request correlation
   ids + structured request logging, ``/health`` (SLO-aware readiness),
@@ -27,9 +30,9 @@ Layers, innermost first:
   achieved QPS, latency percentiles, and request-id echo errors.
 * :mod:`repro.serve.runner` — :class:`ServerThread`, a helper running a
   server on a daemon thread (tests, benchmarks, examples).
-* :mod:`repro.serve.fleet` — ``serve --workers N``: a consistent-hash
-  router over N worker processes sharing one mmap'd index through the
-  OS page cache, with aggregated ``/metrics``/``/health`` and a
+* :mod:`repro.serve.fleet` — ``serve --workers N``: a router over N
+  worker processes sharing one mmap'd index through the OS page cache,
+  with one result cache, aggregated ``/metrics``/``/health`` and a
   two-phase fleet-wide ``/admin/reload``.
 * :mod:`repro.serve.top` — ``repro-spc top``, a polling terminal
   dashboard over ``/stats`` + ``/metrics`` (per-worker rows against a
@@ -50,7 +53,6 @@ from repro.serve.config import ServeConfig
 from repro.serve.fleet import (
     FleetRouter,
     FleetThread,
-    HashRing,
     merge_metrics_snapshots,
 )
 from repro.serve.runner import ServerThread
@@ -61,7 +63,6 @@ __all__ = [
     "CircuitBreaker",
     "FleetRouter",
     "FleetThread",
-    "HashRing",
     "LoadReport",
     "MicroBatcher",
     "ResultCache",

@@ -9,54 +9,63 @@ OS page cache shares one physical copy of the mapped arena across the
 whole fleet — cold start per worker is page-fault-time, and resident
 memory grows with *one* index, not ``N``.
 
-The router owns the fleet's one result cache (``workers ×
-cache_size`` entries; the workers run without one), keyed on the
-symmetric pair ``(min(s, t), max(s, t))``, so a repeated query is
-answered without a worker hop.  Commit fan-outs run one at a time, in
-the order each worker's one update thread applies them.  A seqlock
-generation, odd while a commit fan-out is in flight, keeps the cache
-exact: an answer is cached only if no commit overlapped its request,
-an update commit drops every pair touching a vertex in the workers'
+The router terminates client HTTP with the same
+:class:`~repro.serve.frontend.FrontEnd` a single server uses: one
+pipelined connection loop, drain, ``traceparent`` sampling and
+``/metrics`` negotiation.  What only a router does is here.
+
+It owns the fleet's one result cache (``workers × cache_size``
+entries; the workers run without one), keyed on the symmetric pair
+``(min(s, t), max(s, t))``, so a repeated query is answered without a
+worker hop.  Commit fan-outs run one at a time, in the order each
+worker's one update thread applies them.  A seqlock generation, odd
+while a commit fan-out is in flight, keeps the cache exact: an answer
+is cached only if no commit overlapped its request, an update commit
+drops every pair touching a vertex in the workers'
 ``changed_vertices``, and a reload clears it.
 
 The router also maps the index its workers serve — the same v4 file
 and ``load_index(path, verify=True)``, so the same page-cache pages —
-and answers a miss itself whenever the answer is exactly the owning
-worker's: every pair of a static fleet, and on a live fleet every pair
-clean by the workers' own rule (:meth:`OverlayState.base_answers`).
-For that it mirrors the workers' overlay ``min_dirty`` from their
-update and reload commit reports and from their readiness after WAL
-recovery, which also names the base a rotated WAL pinned (the router
-maps that base).  It answers locally only while the seqlock is even,
-the workers agree on ``(epoch, seqno, min_dirty)`` and serve the base
-it maps; on any disagreement it forwards everything until a reload
-brings agreement back.  In a reload it is one more two-phase
-participant: it opens and verifies the new file on prepare and swaps
-on commit.
+and answers a miss itself whenever the answer is exactly a worker's:
+every pair of a static fleet, and on a live fleet every pair clean by
+the workers' own rule (:meth:`OverlayState.base_answers`).  For that
+it mirrors the workers' overlay ``min_dirty`` (each patched vertex's
+first dirty label position) from their update and reload commit
+reports and from their readiness after WAL recovery, which also names
+the base a rotated WAL pinned (the router maps that base).  It answers
+locally only while the seqlock is even, the workers agree on
+``(epoch, seqno, min_dirty)`` and serve the base it maps; on any
+disagreement it forwards everything until a reload brings agreement
+back.  In a reload it is one more two-phase participant: it opens and
+verifies the new file on prepare and swaps on commit.
 
-Poisoned pairs, ``explain``, requests carrying a sampled inbound
-``traceparent`` and pairs whose local scan raises go to a worker,
-routed by a consistent-hash ring over the same symmetric key
-(:class:`HashRing`), so ``(s, t)`` and ``(t, s)`` — identical answers
-on an undirected graph — reach the same worker.  The router
-terminates client HTTP itself.  The hot ``GET /query`` shape is
-parsed once at the byte level and a forwarded miss is the client's
-own bytes; the worker's response is relayed verbatim.  A client that
-pipelines keeps several queries in flight upstream, each on a pooled
-keep-alive loopback connection of its own, and gets its answers back
-in request order.  Queries are pure reads, so a request that dies with
-its upstream connection (a worker restart, an injected ``conn.reset``
-fault) is transparently resent a bounded number of times before the
-client sees a retryable 502.
+Every other request is forwarded to the next live worker, round-robin:
+poisoned pairs, pairs whose local scan raises, ``explain``, requests
+carrying a sampled inbound ``traceparent``, and the ``/admin/profile``
+relay.  Every worker serves the same index and overlay, so any live
+one answers exactly.  A forwarded hot ``GET /query`` is the client's
+own bytes, and the worker's response is relayed verbatim.  A client
+that pipelines keeps several queries in flight upstream, each on a
+pooled keep-alive loopback connection of its own, and gets its answers
+back in request order.  Queries are pure reads, so a request that dies
+with its upstream connection (a worker restart, an injected
+``conn.reset`` fault) is transparently resent a bounded number of
+times, and re-dispatched once to another worker if its worker died,
+before the client sees a retryable 502.
 
 Fleet-wide endpoints:
 
 * ``GET /query`` / ``POST /query`` — answered from the router cache,
-  else from the router's own index, else routed by pair; JSON batches
-  are scattered by owner for the pairs the router cannot answer and
-  gathered back in request order.
+  else from the router's own index, else by a worker.  A ``pairs``
+  batch's forwarded members go out in chunks of at most
+  ``queue_high_water`` pairs, one chunk at a time, so no worker is
+  sent more than its admission bound at once; a chunk a busy worker
+  still sheds answers its members with that worker's 503 and
+  ``Retry-After``.
 * ``GET /metrics`` — per-worker snapshots merged (counters and gauges
   summed, histograms merged bucket-wise); Prometheus text on request.
+  ``serve.requests`` is the router's own count: every ``/query`` a
+  client sent the fleet, once.
 * ``GET /health`` — fleet status: ``ok`` only if every worker is ok.
 * ``POST /admin/reload`` — **two-phase** fleet reload: every worker,
   and the router, stages and fully verifies the new index
@@ -71,7 +80,7 @@ Fleet-wide endpoints:
   coordinated rebuild: worker 0 builds and saves a fresh index, then
   the normal two-phase reload path swaps it in on every worker while
   each worker replays its post-snapshot batches onto the new base.
-* ``POST /admin/profile`` — proxied to worker 0, headers and all.
+* ``POST /admin/profile`` — relayed to a live worker, headers and all.
 * ``POST /admin/trace`` — fleet trace capture: every worker's span
   ring (plus the router's own) drained, clock-aligned, and merged
   into one Chrome trace whose parent/child links cross the process
@@ -90,59 +99,45 @@ its own graceful drain — zero dropped requests end to end.
 
 **Self-healing.**  The router supervises its workers: a worker whose
 process dies (detected reactively by a failed proxied request, or
-proactively by the periodic liveness probe) is ejected from the ring
-immediately — its in-flight and queued queries re-dispatch to the
-survivors, so availability degrades but correctness never does — and,
-with ``respawn`` enabled, respawned under capped-exponential backoff.
+proactively by the periodic liveness probe) stops receiving traffic
+immediately — its in-flight queries re-dispatch to the survivors, so
+availability degrades but correctness never does — and, with
+``respawn`` enabled, is respawned under capped-exponential backoff.
 The replacement cold-starts from the same zero-copy v4 mmap, replays
 its private write-ahead log (``wal_dir/worker-<id>/``) back to its
 pre-crash overlay, is topped up by the router to the fleet's current
 ``(epoch, seqno)`` (missed batches from the router's retained update
 bodies, missed rebuilds by adopting the last coordinated base), and
-rejoins the ring only after a readiness probe answers.  A worker that
-dies ``flap_max_restarts`` times within ``flap_window_s`` trips its
-flap circuit and stays down (``/health`` reports ``flapped`` and stays
-degraded).  With *every* worker down, queries answer 503 with a
+takes traffic again only after a readiness probe answers.  A worker
+that dies ``flap_max_restarts`` times within ``flap_window_s`` trips
+its flap circuit and stays down (``/health`` reports ``flapped`` and
+stays degraded).  With *every* worker down, queries answer 503 with a
 ``Retry-After`` header instead of hanging.
 """
 
 from __future__ import annotations
 
 import asyncio
-import bisect
 import functools
 import json
 import multiprocessing
 import os
 import signal
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ReproError
-from repro.obs import (
-    PROMETHEUS_CONTENT_TYPE,
-    Recorder,
-    RequestIdGenerator,
-    Sampler,
-    SpanCollector,
-    TraceContext,
-    merge_trace_fragments,
-    new_span_id,
-    render_prometheus,
-)
+from repro.obs import Recorder, merge_trace_fragments
 from repro.serve.cache import ResultCache, TopPairs
 from repro.serve.config import ServeConfig
+from repro.serve.frontend import FrontEnd, Response
 from repro.serve.http import (
     HTTPProtocolError,
     Request,
     parse_query_head,
-    parse_request,
     parse_response,
-    read_head,
     read_response_bytes,
-    response_bytes,
 )
 from repro.serve.server import encode_result, encode_result_bytes
 from repro.types import INF, QueryResult
@@ -163,10 +158,6 @@ _UPSTREAM_RESENDS = 2
 #: Idle upstream connections kept pooled per worker.
 _POOL_SIZE = 32
 
-#: Answers one client connection may have waiting; past this the
-#: router stops reading that connection until the client takes some.
-_PIPELINE_DEPTH = 64
-
 #: Committed update bodies retained for respawn catch-up; matches the
 #: coordinator's own in-memory batch log bound.
 _UPDATE_LOG_MAX = 4096
@@ -174,6 +165,8 @@ _UPDATE_LOG_MAX = 4096
 #: Consecutive failed HTTP probes before a live-but-wedged worker
 #: process is killed and treated as dead.
 _PROBE_STRIKES = 3
+
+_ALLOW_POST = (("Allow", "POST"),)
 
 
 class FleetError(ReproError):
@@ -207,12 +200,10 @@ def _forward_headers(rid: Optional[str], trace) -> List[Tuple[str, str]]:
     return headers
 
 
-def _closing(raw: bytes) -> bytes:
-    """A relayed keep-alive response re-framed to close the connection."""
-    end = raw.index(b"\r\n\r\n")
-    return raw[:end].replace(
-        b"\r\nConnection: keep-alive", b"\r\nConnection: close", 1
-    ) + raw[end:]
+def _status(answer) -> int:
+    """The status of an answer: a Response tuple or relayed bytes
+    (``HTTP/1.1 NNN ...``, so bytes 9:12)."""
+    return answer[0] if type(answer) is tuple else int(answer[9:12])
 
 
 def _target(request: Request) -> str:
@@ -223,57 +214,6 @@ def _target(request: Request) -> str:
         f"{name}={value}" for name, value in request.params.items()
     )
     return f"{request.path}?{query}"
-
-
-# ----------------------------------------------------------------------
-# consistent hashing
-# ----------------------------------------------------------------------
-def _ring_point(key: str) -> int:
-    """A key's position on the 64-bit ring circle.
-
-    A mixing hash: CRC is linear, so the near-identical vnode labels
-    ``"0#1"``, ``"0#2"``, ... land in clumps (with CRC-32, worker 0 of
-    two owned 26.5% of the circle).  Imported here, not at module
-    level: ``hashlib`` maps OpenSSL, which only a router needs."""
-    from hashlib import blake2b
-
-    return int.from_bytes(
-        blake2b(key.encode(), digest_size=8).digest(), "big"
-    )
-
-
-class HashRing:
-    """Consistent-hash ring over worker ids.
-
-    Each worker contributes ``vnodes`` points hashed onto a 64-bit
-    circle; a key is owned by the first point at or after its own hash.
-    Removing one worker reassigns only ~1/N of the keyspace — per-worker
-    caches survive fleet resizes mostly intact, which is the whole
-    reason this is not ``hash(key) % N``.
-    """
-
-    def __init__(self, workers: Sequence[int], vnodes: int = 64) -> None:
-        if not workers:
-            raise FleetError("a hash ring needs at least one worker")
-        points = sorted(
-            (_ring_point(f"{worker}#{replica}"), worker)
-            for worker in workers
-            for replica in range(vnodes)
-        )
-        self._hashes = [point for point, _ in points]
-        self._owners = [worker for _, worker in points]
-
-    def owner(self, key: str) -> int:
-        """Worker id owning ``key``."""
-        position = bisect.bisect_right(self._hashes, _ring_point(key))
-        return self._owners[position % len(self._owners)]
-
-    def owner_of_pair(self, source: int, target: int) -> int:
-        """Worker id owning the symmetric pair key ``(s, t)``."""
-        low, high = (
-            (source, target) if source <= target else (target, source)
-        )
-        return self.owner(f"{low}:{high}")
 
 
 # ----------------------------------------------------------------------
@@ -387,9 +327,9 @@ class _Worker:
     #: fresh one (new fault seed) so a deterministic crash draw does
     #: not re-kill every replacement on its first request.
     spec: Optional[WorkerSpec] = None
-    #: In the ring and receiving traffic.  A dead worker is ejected
-    #: the moment its death is detected and re-admitted only after a
-    #: respawn passes its readiness probe and catch-up.
+    #: Receiving traffic.  A dead worker is ejected the moment its
+    #: death is detected and re-admitted only after a respawn passes
+    #: its readiness probe and catch-up.
     up: bool = True
     #: Process incarnation: 0 for the original spawn, +1 per respawn.
     generation: int = 0
@@ -410,7 +350,7 @@ class _Worker:
 # ----------------------------------------------------------------------
 # router
 # ----------------------------------------------------------------------
-class FleetRouter:
+class FleetRouter(FrontEnd):
     """The front process of a ``serve --workers N`` fleet."""
 
     def __init__(
@@ -422,14 +362,17 @@ class FleetRouter:
         fault_spec: Optional[str] = None,
         fault_seed: int = 0,
         recorder: Optional[Recorder] = None,
-        vnodes: int = 64,
         live_graph_path: Optional[str] = None,
     ) -> None:
         if num_workers < 1:
             raise FleetError("a fleet needs at least one worker")
+        super().__init__(
+            config or ServeConfig(),
+            recorder if recorder is not None else Recorder(),
+            "router",
+        )
         self.index_path = str(index_path)
         self.num_workers = num_workers
-        self.config = config or ServeConfig()
         self.fault_spec = fault_spec
         self.fault_seed = fault_seed
         self.live_graph_path = (
@@ -447,7 +390,6 @@ class FleetRouter:
         #: Path and snapshot seqno of the last coordinated rebuild;
         #: a respawned worker behind on epoch adopts this base.
         self._last_rebuild: Optional[Tuple[str, int]] = None
-        self.recorder = recorder if recorder is not None else Recorder()
         #: The fleet's one result cache, as large as the workers'
         #: caches together; workers run without one.  Every hit is a
         #: query that never takes the router → worker hop.
@@ -484,32 +426,9 @@ class FleetRouter:
             if self.config.top_pairs_capacity > 0
             else None
         )
-        self._ids = RequestIdGenerator()
-        #: Router-side span ring; merged with worker fragments by
-        #: ``POST /admin/trace`` into one fleet-wide Chrome trace.
-        self.tracer: Optional[SpanCollector] = (
-            SpanCollector(self.config.trace_buffer, role="router")
-            if self.config.trace_buffer > 0
-            else None
-        )
-        self._trace_sampler: Optional[Sampler] = (
-            Sampler(self.config.trace_sample_every, self.config.log_seed)
-            if self.tracer is not None and self.config.trace_sample_every > 0
-            else None
-        )
-        self.vnodes = vnodes
         self.workers: List[_Worker] = []
-        self.ring: Optional[HashRing] = None
-        self.host = self.config.host
-        self.port = self.config.port
-        self._server: Optional[asyncio.AbstractServer] = None
-        #: Client connection tasks (:meth:`_on_connection`).
-        self._connections: set = set()
-        #: Requests read but not yet answered, across connections.
-        self._inflight = 0
-        self._draining = False
-        self._stopped: Optional[asyncio.Event] = None
-        self._started_at = 0.0
+        #: Index into ``workers`` of the last worker forwarded to.
+        self._turn = -1
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -518,7 +437,6 @@ class FleetRouter:
         """Spawn the workers, wait for readiness, map the index they
         serve, bind the front port."""
         loop = asyncio.get_running_loop()
-        self._stopped = asyncio.Event()
         for worker_id in range(self.num_workers):
             spec = self._worker_spec(worker_id, generation=0)
             process, parent_conn = self._spawn_process(spec)
@@ -543,16 +461,7 @@ class FleetRouter:
             worker.port = message[1]
             reports.append(message[2])
         await self._map_reported(reports)
-        self.ring = HashRing(
-            [worker.worker_id for worker in self.workers], self.vnodes
-        )
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port
-        )
-        sockets = self._server.sockets or ()
-        if sockets:
-            self.host, self.port = sockets[0].getsockname()[:2]
-        self._started_at = time.perf_counter()
+        await self._listen()
         if self.config.probe_interval_s > 0:
             self._supervisor_task = loop.create_task(self._supervise())
         return self
@@ -625,11 +534,6 @@ class FleetRouter:
                 signum, lambda: loop.create_task(self.shutdown())
             )
 
-    async def wait_stopped(self) -> None:
-        """Block until a drain has fully completed."""
-        assert self._stopped is not None, "fleet was never started"
-        await self._stopped.wait()
-
     async def shutdown(self) -> None:
         """Graceful cascade: drain clients, then drain every worker.
 
@@ -660,22 +564,7 @@ class FleetRouter:
             # commit on every worker and interrupting it mid-phase is
             # the one thing the two-phase protocol cannot recover from.
             await asyncio.gather(rebuild, return_exceptions=True)
-        if self._server is not None:
-            self._server.close()
-        # Every request already read is answered within the grace (one
-        # read meanwhile is answered with ``Connection: close``); then
-        # every connection closes, idle keep-alive ones at once.
-        deadline = time.monotonic() + self.config.drain_grace_s
-        while self._inflight and time.monotonic() < deadline:
-            await asyncio.sleep(0.02)
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(
-                *self._connections, return_exceptions=True
-            )
-        if self._server is not None:
-            await self._server.wait_closed()
+        await self._drain_connections()
         for worker in self.workers:
             self._close_pool(worker)
         await self._terminate_workers()
@@ -696,7 +585,7 @@ class FleetRouter:
                 await loop.run_in_executor(None, worker.process.join, 5.0)
 
     # ------------------------------------------------------------------
-    # supervision: death detection, ring ejection, respawn
+    # supervision: death detection, ejection, respawn
     # ------------------------------------------------------------------
     def _live_workers(self) -> List[_Worker]:
         return [worker for worker in self.workers if worker.up]
@@ -707,18 +596,23 @@ class FleetRouter:
                 return worker
         return None
 
-    def _rebuild_ring(self) -> None:
-        live = [worker.worker_id for worker in self.workers if worker.up]
-        self.ring = HashRing(live, self.vnodes) if live else None
+    def _next_live(self) -> Optional[_Worker]:
+        """The next live worker after the last one forwarded to —
+        round-robin — or ``None`` when every worker is down."""
+        workers = self.workers
+        for _ in range(len(workers)):
+            self._turn = (self._turn + 1) % len(workers)
+            if workers[self._turn].up:
+                return workers[self._turn]
+        return None
 
     def _on_worker_death(self, worker: _Worker, reason: str) -> None:
-        """Eject a dead worker from the ring; maybe schedule a respawn.
+        """Eject a dead worker; maybe schedule a respawn.
 
         Idempotent: reactive detection (a failed proxy), the probe
         loop, and a failed update commit can all report the same death.
-        Ejection is immediate — queries re-dispatch to survivors on the
-        rebuilt ring, so availability degrades but correctness never
-        does.
+        Ejection is immediate — queries re-dispatch to the survivors,
+        so availability degrades but correctness never does.
         """
         if not worker.up:
             return
@@ -726,7 +620,6 @@ class FleetRouter:
         worker.probe_failures = 0
         worker.last_error = reason
         self._close_pool(worker)
-        self._rebuild_ring()
         worker.total_deaths += 1
         self.recorder.incr("fleet.worker.deaths")
         self._register_death(worker)
@@ -771,8 +664,8 @@ class FleetRouter:
         The replacement cold-starts from the same mmap'd index, replays
         its own WAL back to its pre-crash overlay, then the router tops
         it up to the fleet's current state (missed batches, then any
-        missed base adoption) and re-admits it to the ring only once a
-        readiness probe answers 200.
+        missed base adoption) and re-admits it only once a readiness
+        probe answers 200.
         """
         worker.respawning = True
         process: Optional[multiprocessing.process.BaseProcess] = None
@@ -810,7 +703,6 @@ class FleetRouter:
             worker.up = True
             worker.probe_failures = 0
             worker.last_error = None
-            self._rebuild_ring()
             self.recorder.incr("fleet.worker.respawns")
         except asyncio.CancelledError:
             raise
@@ -925,7 +817,7 @@ class FleetRouter:
             self.recorder.incr("fleet.worker.catchup_reloads")
 
     async def _supervise(self) -> None:
-        """Proactive liveness probing of every in-ring worker.
+        """Proactive liveness probing of every live worker.
 
         A dead process is ejected the moment the probe sees it; a live
         process that fails ``_PROBE_STRIKES`` consecutive HTTP probes
@@ -1067,8 +959,8 @@ class FleetRouter:
         """Answers to cache-missed ``pairs`` from the router's own index,
         ``None`` where a worker must answer.
 
-        A pair is answered here only when the answer is exactly the
-        owning worker's: no commit fan-out in flight, the workers agree
+        A pair is answered here only when the answer is exactly a
+        worker's: no commit fan-out in flight, the workers agree
         with the mirror, and the pair is clean by their own rule
         (:meth:`OverlayState.base_answers`) — then a worker's answer is
         the same base scan through the same ``query_batch``.  A pair
@@ -1080,7 +972,11 @@ class FleetRouter:
         whose admission control bounds them.
         """
         answers: List[Optional[QueryResult]] = [None] * len(pairs)
-        if not self._agreed or self._generation & 1 or self.ring is None:
+        if (
+            not self._agreed
+            or self._generation & 1
+            or self._first_live() is None
+        ):
             return answers
         index, overlay = self._index, self._overlay
         slots = []
@@ -1250,195 +1146,29 @@ class FleetRouter:
         )
         return parse_response(raw)
 
-    async def _routed(self, pair, data: bytes) -> Optional[bytes]:
-        """One query to its ring owner: the raw response.  Re-dispatched
-        once if the owner dies mid-request (the retry consults the
-        rebuilt ring); ``None`` when no worker is live.
-
-        A ``pair`` of ``None`` (a request the router cannot key) goes
-        to any live worker, which answers it exactly as it answers
-        everything else.
-        """
+    async def _routed(self, data: bytes) -> Optional[bytes]:
+        """One request to the next live worker: the raw response.
+        Re-dispatched once, to the next one, if that worker dies
+        mid-request; ``None`` when no worker is live."""
         for attempt in range(2):
-            ring = self.ring
-            if ring is None:
+            worker = self._next_live()
+            if worker is None:
                 return None
-            worker = (
-                self.workers[ring.owner_of_pair(*pair)]
-                if pair is not None
-                else self._first_live()
-            )
             try:
                 return await self._exchange(worker, data, resend=True)
             except FleetError:
-                # Queries are pure reads: if the owner was ejected
-                # (its process died) the survivors answer identically,
-                # so retry once against the rebuilt ring.  A failure
-                # with the worker still up is the ordinary 502.
-                if attempt or (self.ring is ring and worker.up):
+                # Queries are pure reads: if the worker was ejected (its
+                # process died) a survivor answers identically, so retry
+                # once.  A failure with the worker still up is the
+                # ordinary 502.
+                if attempt or worker.up:
                     raise
                 self.recorder.incr("fleet.redispatches")
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _reframe(
-        self,
-        status: int,
-        headers: Dict[str, str],
-        payload: bytes,
-        keep_alive: bool,
-    ) -> bytes:
-        extra = [
-            ("-".join(part.capitalize() for part in name.split("-")), value)
-            for name, value in headers.items()
-            if name not in _FRAMING_HEADERS
-        ]
-        return response_bytes(
-            status, payload, keep_alive=keep_alive, extra_headers=extra
-        )
-
-    def _error(
-        self, status: int, message: str, keep_alive: bool
-    ) -> bytes:
-        return response_bytes(
-            status, {"error": message}, keep_alive=keep_alive
-        )
-
     # ------------------------------------------------------------------
     # client side
     # ------------------------------------------------------------------
-    async def _on_connection(self, reader, writer) -> None:
-        """One client connection.
-
-        The loop never awaits a query's answer: a cache hit is encoded
-        at once, a miss runs as a task, and the next request is read,
-        so a pipelining client keeps several queries in flight
-        upstream.  Answers go out in request order, each written as
-        soon as it and every answer ahead of it are ready
-        (:meth:`_flush`).  Reading pauses while ``_PIPELINE_DEPTH``
-        answers wait or the client is not taking them.  Admin and
-        aggregate requests run alone: reading waits for their answer.
-        """
-        task = asyncio.current_task()
-        self._connections.add(task)
-        loop = asyncio.get_running_loop()
-        out: deque = deque()
-        flush = functools.partial(self._flush, writer, out)
-        try:
-            while True:
-                while len(out) >= _PIPELINE_DEPTH:
-                    await asyncio.wait((out[0],))
-                await writer.drain()
-                head = await read_head(reader)
-                if head is None:
-                    break
-                query = parse_query_head(head)
-                request = None
-                if query is not None and query[2]:
-                    keep_alive = not self._draining
-                    entry = self._fast_query(head, query, keep_alive)
-                else:
-                    request = await parse_request(head, reader)
-                    keep_alive = request.keep_alive and not self._draining
-                    entry = loop.create_task(
-                        self._handle(request, keep_alive)
-                    )
-                if type(entry) is not bytes:
-                    entry.add_done_callback(flush)
-                self._queue(writer, out, entry)
-                if request is not None and request.path != "/query":
-                    await asyncio.wait((entry,))
-                if not keep_alive:
-                    break
-        except HTTPProtocolError as exc:
-            # The single server's answer to bytes that do not frame as
-            # HTTP: a 400 with the reason, then the connection closes.
-            self.recorder.incr("fleet.errors.protocol")
-            self._queue(writer, out, self._error(400, str(exc), False))
-        except (OSError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # The drain grace is over: answers not yet sent are dropped
-            # (the requests themselves run to completion).
-            self._inflight -= len(out)
-            out.clear()
-            raise
-        finally:
-            try:
-                while out:
-                    await asyncio.wait((out[0],))
-            finally:
-                self._inflight -= len(out)
-                out.clear()
-                self._connections.discard(task)
-                writer.close()
-
-    def _queue(self, writer, out: deque, entry) -> None:
-        """Send ``entry`` (bytes, or a task that :meth:`_flush` awaits)
-        now if nothing is ahead of it, else queue it in order."""
-        if type(entry) is bytes and not out:
-            writer.write(entry)
-            return
-        self._inflight += 1
-        out.append(entry)
-
-    def _flush(self, writer, out: deque, _task=None) -> None:
-        """Write the answers at the head of ``out`` that are ready, in
-        one call (the done callback of every queued task)."""
-        ready = []
-        while out:
-            entry = out[0]
-            if type(entry) is not bytes:
-                if not entry.done():
-                    break
-                entry = self._answer_of(entry)
-            out.popleft()
-            ready.append(entry)
-        if ready:
-            self._inflight -= len(ready)
-            if not writer.is_closing():
-                writer.write(b"".join(ready))
-
-    def _answer_of(self, future: asyncio.Future) -> bytes:
-        """The response bytes a resolved queue entry stands for."""
-        exc = (
-            future.exception()
-            if not future.cancelled()
-            else asyncio.CancelledError()
-        )
-        if exc is None:
-            return future.result()
-        self.recorder.incr("fleet.errors.internal")
-        return self._error(500, f"internal error: {exc}", True)
-
-    def _sample_trace(self):
-        """A router-rooted trace tuple for 1 in N untraced requests."""
-        sampler = self._trace_sampler
-        if sampler is None or not sampler.keep():
-            return None
-        ctx = TraceContext.generate()
-        return ctx.trace_id, ctx.span_id, None
-
-    def _trace_for(self, header: Optional[str]):
-        """The trace tuple ``(trace_id, span_id, parent_id)`` for a
-        request whose ``traceparent`` header is ``header``.
-
-        An inbound sampled ``traceparent`` is always honoured (the
-        router span becomes a child of the client's span); an explicit
-        unsampled context suppresses tracing; absent or malformed
-        headers fall back to local 1-in-N sampling — the router is
-        where fleet traces are normally rooted.
-        """
-        if self.tracer is None:
-            return None
-        if header is None:
-            return self._sample_trace()
-        ctx = TraceContext.parse(header)
-        if ctx is None:
-            return self._sample_trace()
-        if not ctx.sampled:
-            return None
-        return ctx.trace_id, new_span_id(), ctx.span_id
-
     def _record_request(
         self, trace, started: float, status: int, cache_hit=None,
         local=False,
@@ -1459,47 +1189,44 @@ class FleetRouter:
             attrs=attrs,
         )
 
-    async def _handle(self, request: Request, keep_alive: bool) -> bytes:
+    async def _dispatch(self, request: Request):
+        """Every request but the hot ``GET /query``: its answer."""
         self.recorder.incr("fleet.requests")
+        path = request.path
         try:
-            if request.path == "/query":
+            if path == "/query":
                 trace = self._trace_for(request.headers.get("traceparent"))
                 started = time.perf_counter()
-                out = await self._handle_query(request, keep_alive, trace)
+                answer = await self._handle_query(request, trace)
                 if trace is not None:
-                    # Status is parseable straight off the response
-                    # framing ("HTTP/1.1 NNN ..." — bytes 9:12).
-                    self._record_request(trace, started, int(out[9:12]))
-                return out
-            if request.path == "/metrics":
-                return await self._handle_metrics(request, keep_alive)
-            if request.path == "/health":
-                return await self._handle_health(keep_alive)
-            if request.path == "/stats":
-                return await self._handle_stats(keep_alive)
-            if request.path == "/admin/reload":
-                return await self._handle_reload(request, keep_alive)
-            if request.path == "/admin/update":
-                return await self._handle_update(request, keep_alive)
-            if request.path == "/admin/profile":
-                profiler = self._first_live()
-                if profiler is None:
-                    return self._unavailable(keep_alive)
-                return await self._proxy(profiler, request, keep_alive)
-            if request.path == "/admin/trace":
-                return await self._handle_trace(request, keep_alive)
+                    self._record_request(trace, started, _status(answer))
+                return answer
+            if path == "/metrics":
+                return await self._handle_metrics(request)
+            if path == "/health":
+                return await self._handle_health()
+            if path == "/stats":
+                return await self._handle_stats()
+            if path == "/admin/reload":
+                return await self._handle_reload(request)
+            if path == "/admin/update":
+                return await self._handle_update(request)
+            if path == "/admin/profile":
+                return await self._proxy(request)
+            if path == "/admin/trace":
+                return await self._handle_trace(request)
             self.recorder.incr("fleet.errors.route")
-            return self._error(
-                404, f"unknown path {request.path!r}", keep_alive
-            )
+            return 404, {"error": f"unknown path {path!r}"}, ()
         except FleetError as exc:
             self.recorder.incr("fleet.errors.upstream")
-            return self._error(502, str(exc), keep_alive)
+            return 502, {"error": str(exc)}, ()
 
-    async def _proxy(
-        self, worker: _Worker, request: Request, keep_alive: bool
-    ) -> bytes:
-        """One admin request relayed to ``worker`` on its own connection."""
+    async def _proxy(self, request: Request):
+        """One admin request relayed to a live worker on its own
+        connection, with every header the worker set."""
+        worker = self._next_live()
+        if worker is None:
+            return self._unavailable()
         headers = []
         rid = request.headers.get("x-request-id")
         if rid:
@@ -1511,22 +1238,26 @@ class FleetRouter:
             request.body or None,
             headers,
         )
-        return self._reframe(status, response_headers, payload, keep_alive)
+        extra = tuple(
+            ("-".join(part.capitalize() for part in name.split("-")), value)
+            for name, value in response_headers.items()
+            if name not in _FRAMING_HEADERS
+        )
+        return status, payload, extra
 
     # ------------------------------------------------------------------
-    # queries: the router cache, then the owning worker
+    # queries: the router cache, the router's index, then a worker
     # ------------------------------------------------------------------
-    def _unavailable(self, keep_alive: bool) -> bytes:
+    def _unavailable(self) -> Response:
         """503 + Retry-After: every worker is down, respawns pending."""
         self.recorder.incr("fleet.errors.unavailable")
         retry_after = max(
             1, int(self.config.respawn_backoff_s * 2 + 0.5)
         )
-        return response_bytes(
+        return (
             503,
             {"error": "no live workers (fleet is respawning)"},
-            keep_alive=keep_alive,
-            extra_headers=(("Retry-After", str(retry_after)),),
+            (("Retry-After", str(retry_after)),),
         )
 
     def _lookup(
@@ -1544,31 +1275,28 @@ class FleetRouter:
         return result
 
     def _hit(
-        self,
-        source: int,
-        target: int,
-        result: QueryResult,
-        rid: Optional[str],
-        keep_alive: bool,
-    ) -> bytes:
-        """A cache hit answered at the router, byte-identical to the
-        owning worker's answer body."""
-        self.recorder.incr("serve.requests")
-        return response_bytes(
+        self, source: int, target: int, result: QueryResult, rid
+    ) -> Response:
+        """An answer given at the router, byte-identical to a worker's."""
+        return (
             200,
             encode_result_bytes(source, target, result),
-            keep_alive=keep_alive,
-            extra_headers=(("X-Request-Id", rid or self._ids.next_id()),),
+            (("X-Request-Id", rid or self._ids.next_id()),),
         )
 
-    def _fast_query(self, head: bytes, query, keep_alive: bool):
-        """The hot ``GET /query?source=&target=`` shape, head parsed
-        once: a hit, or a miss the router's own index answers exactly,
-        is answered here (bytes); any other miss is forwarded as the
-        client's own bytes by the returned :meth:`_forward` task, which
-        relays the worker's response verbatim."""
+    def _fast_query(self, head: bytes):
+        """The hot keep-alive ``GET /query?source=&target=`` shape, head
+        parsed once: a hit, or a miss the router's own index answers
+        exactly, is answered here; any other miss is forwarded as the
+        client's own bytes by :meth:`_forward`, which relays the
+        worker's response verbatim.  Other heads take the full parser,
+        which rebuilds a forwarded request as keep-alive."""
+        query = parse_query_head(head)
+        if query is None or not query[2]:
+            return None
         self.recorder.incr("fleet.requests")
         source, target, _keep_alive, rid, traceparent = query
+        keep_alive = not self._draining
         trace = self._trace_for(traceparent)
         started = time.perf_counter()
         probe = _probes(trace)
@@ -1577,60 +1305,53 @@ class FleetRouter:
         if not hit and probe:
             result = self._local_answers(((source, target),))[0]
         if result is not None:
-            out = self._hit(source, target, result, rid, keep_alive)
             if trace is not None:
                 self._record_request(
                     trace, started, 200, cache_hit=hit, local=not hit
                 )
-            return out
-        if self.ring is None:
-            return self._unavailable(keep_alive)
+            return self._hit(source, target, result, rid), keep_alive
+        if self._first_live() is None:
+            return self._unavailable(), keep_alive
         self.recorder.incr("fleet.answers.forwarded")
         if trace is not None:
             head = _with_traceparent(head, trace)
-        return asyncio.get_running_loop().create_task(
-            self._forward(
-                (source, target), head, self._generation, keep_alive,
-                trace, started,
-            )
+        forward = self._forward(
+            (source, target), head, self._generation, trace, started
         )
+        return forward, keep_alive
 
     async def _forward(
         self,
         pair,
         data: bytes,
         generation: Optional[int],
-        keep_alive: bool,
         trace=None,
         started: float = 0.0,
-    ) -> bytes:
-        """The relayed response of one query, after any resends and one
+    ):
+        """The relayed answer to one query, after any resends and one
         re-dispatch; ``generation`` is the seqlock value at dispatch."""
         try:
-            raw = await self._routed(pair, data)
+            answer = await self._routed(data)
         except FleetError as exc:
             self.recorder.incr("fleet.errors.upstream")
-            raw = self._error(502, str(exc), keep_alive)
+            answer = 502, {"error": str(exc)}, ()
         else:
-            if raw is None:
-                raw = self._unavailable(keep_alive)
+            if answer is None:
+                answer = self._unavailable()
             else:
-                raw = self._relayed(pair, raw, generation, keep_alive)
+                self._relayed(pair, answer, generation)
         if trace is not None:
-            self._record_request(trace, started, int(raw[9:12]), False)
-        return raw
+            self._record_request(trace, started, _status(answer), False)
+        return answer
 
-    def _relayed(
-        self, pair, raw: bytes, generation: Optional[int], keep_alive: bool
-    ) -> bytes:
-        """A worker's response as the client gets it.  A 200 answer is
-        cached when ``generation`` (the seqlock value at dispatch;
-        ``None`` = never cache) shows no commit overlapped it."""
+    def _relayed(self, pair, raw: bytes, generation: Optional[int]) -> None:
+        """Cache a worker's 200 answer to ``pair`` when ``generation``
+        (the seqlock value at dispatch; ``None`` = never cache) shows
+        no commit overlapped it."""
         if raw.startswith(b"200", 9) and self._cacheable(generation):
             self._remember(
                 pair, json.loads(raw[raw.index(b"\r\n\r\n") + 4 :])
             )
-        return raw if keep_alive else _closing(raw)
 
     def _cacheable(self, generation: Optional[int]) -> bool:
         """Whether an answer to a query dispatched at seqlock value
@@ -1655,9 +1376,7 @@ class FleetRouter:
             ),
         )
 
-    async def _handle_query(
-        self, request: Request, keep_alive: bool, trace=None
-    ) -> bytes:
+    async def _handle_query(self, request: Request, trace=None):
         """Every ``/query`` shape but the hot GET: a single pair (GET
         or POST), a ``pairs`` batch, ``explain`` and malformed requests.
         Explain and malformed requests go to a worker as they are."""
@@ -1672,11 +1391,11 @@ class FleetRouter:
             if isinstance(payload, dict):
                 explain = bool(payload.get("explain", False))
                 if isinstance(payload.get("pairs"), list):
-                    out = await self._scatter_pairs(
-                        payload["pairs"], explain, rid, keep_alive, trace
+                    answer = await self._answer_batch(
+                        payload["pairs"], explain, rid, trace
                     )
-                    if out is not None:
-                        return out
+                    if answer is not None:
+                        return answer
                 else:
                     try:
                         pair = (
@@ -1701,7 +1420,7 @@ class FleetRouter:
             if result is None and probe:
                 result = self._local_answers((pair,))[0]
             if result is not None:
-                return self._hit(*pair, result, rid, keep_alive)
+                return self._hit(*pair, result, rid)
             data = self._request_bytes(
                 "GET", "/query?source=%d&target=%d" % pair, None, headers
             )
@@ -1714,25 +1433,16 @@ class FleetRouter:
                 headers,
             )
         self.recorder.incr("fleet.answers.forwarded")
-        return await self._forward(pair, data, generation, keep_alive)
+        return await self._forward(pair, data, generation)
 
-    async def _scatter_pairs(
-        self,
-        pairs: list,
-        explain: bool,
-        rid: Optional[str],
-        keep_alive: bool,
-        trace=None,
-    ) -> Optional[bytes]:
+    async def _answer_batch(
+        self, pairs: list, explain: bool, rid: Optional[str], trace=None
+    ) -> Optional[Response]:
         """A JSON batch: cached pairs, and misses the router's own index
-        answers exactly, answered here; the other misses scattered by
-        owner and gathered back in request order.
-
-        ``None`` for a structurally bad batch, which one worker then
-        reports whole.  A shard whose owner dies mid-request is
-        re-scattered once onto the rebuilt survivor ring — a worker
-        crash costs the batch latency, never answers.
-        """
+        answers exactly, answered here; the other misses forwarded
+        (:meth:`_forward_members`) and put back in request order.
+        ``None`` for a structurally bad batch, which a worker then
+        reports whole."""
         keys = []
         for item in pairs:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
@@ -1760,101 +1470,48 @@ class FleetRouter:
                 for position, result in zip(missing, local)
                 if result is None
             ]
-        worst = 200
+        worst, extra = 200, ()
         if missing:
-            if self.ring is None:
-                return self._unavailable(keep_alive)
+            if self._first_live() is None:
+                return self._unavailable()
             self.recorder.incr("fleet.answers.forwarded", len(missing))
-            worst = await self._gather_misses(
+            worst, extra = await self._forward_members(
                 pairs, keys, missing, results, explain,
                 _forward_headers(rid, trace),
             )
-        else:
-            self.recorder.incr("serve.requests")
-        return response_bytes(
-            worst,
-            {"results": results},
-            keep_alive=keep_alive,
-            extra_headers=(("X-Request-Id", rid or self._ids.next_id()),),
-        )
+        extra += (("X-Request-Id", rid or self._ids.next_id()),)
+        return worst, {"results": results}, extra
 
-    async def _gather_misses(
+    async def _forward_members(
         self, pairs, keys, missing, results, explain, headers
-    ) -> int:
-        """Fill ``results`` at the ``missing`` positions from their
-        owners; returns the worst shard status."""
-        generation = None if explain else self._generation
+    ) -> Tuple[int, tuple]:
+        """Fill ``results`` at the ``missing`` positions from the
+        workers; returns the worst status and the envelope's extra
+        headers.
 
-        async def _one(owner: int, positions: List[int]):
+        The members go out in chunks of at most ``queue_high_water``
+        pairs, one chunk at a time, so no worker is sent more pairs of
+        this request than it admits at once.  A chunk a worker sheds
+        whole anyway (other load filled its queue) answers its members
+        with that worker's 503 and ``Retry-After``.
+        """
+        generation = None if explain else self._generation
+        size = self.config.queue_high_water
+        worst, retry_after = 200, "1"
+        for start in range(0, len(missing), size):
+            chunk = missing[start : start + size]
             body = json.dumps(
                 {
-                    "pairs": [pairs[position] for position in positions],
+                    "pairs": [pairs[position] for position in chunk],
                     "explain": explain,
                 },
                 separators=(",", ":"),
             ).encode()
-            status, _, answer = parse_response(
-                await self._exchange(
-                    self.workers[owner],
-                    self._request_bytes("POST", "/query", body, headers),
-                    resend=True,
-                )
-            )
-            return status, answer
-
-        async def _gather(positions: List[int]):
-            ring = self.ring
-            by_owner: Dict[int, List[int]] = {}
-            for position in positions:
-                owner = ring.owner_of_pair(*keys[position])
-                by_owner.setdefault(owner, []).append(position)
-            assignments = list(by_owner.items())
-            outcomes = await asyncio.gather(
-                *(_one(owner, shard) for owner, shard in assignments),
-                return_exceptions=True,
-            )
-            return list(zip(assignments, outcomes))
-
-        worst = 200
-
-        def _settle(settled, failed: Optional[List[int]]) -> None:
-            """Fill result slots; owner-unreachable shards go to
-            ``failed`` for one re-dispatch round."""
-            nonlocal worst
-            for (owner, positions), outcome in settled:
-                if isinstance(outcome, BaseException):
-                    if not isinstance(outcome, FleetError):
-                        raise outcome
-                    if failed is not None:
-                        failed.extend(positions)
-                        continue
-                    worst = max(worst, 502)
-                    for position in positions:
-                        results[position] = {"error": str(outcome)}
-                    continue
-                status, body = outcome
-                try:
-                    answer = json.loads(body) if body else {}
-                except json.JSONDecodeError:
-                    answer = {}
-                slots = (
-                    answer.get("results")
-                    if isinstance(answer, dict)
-                    else None
-                )
-                if (
-                    not isinstance(slots, list)
-                    or len(slots) != len(positions)
-                ):
-                    worst = max(worst, 502)
-                    for position in positions:
-                        results[position] = {
-                            "error": "malformed upstream batch answer"
-                        }
-                    continue
-                worst = max(worst, status)
+            status, answer, retry = await self._forward_chunk(body, headers)
+            slots = answer.get("results")
+            if isinstance(slots, list) and len(slots) == len(chunk):
                 cacheable = self._cacheable(generation)
-                for position, slot in zip(positions, slots):
+                for position, slot in zip(chunk, slots):
                     results[position] = slot
                     if (
                         cacheable
@@ -1863,18 +1520,40 @@ class FleetRouter:
                         and "error" not in slot
                     ):
                         self._remember(keys[position], slot)
-
-        failed: List[int] = []
-        _settle(await _gather(missing), failed)
-        if failed:
-            if self.ring is None:
-                worst = max(worst, 503)
-                for position in failed:
-                    results[position] = {"error": "no live workers"}
             else:
-                self.recorder.incr("fleet.redispatches")
-                _settle(await _gather(failed), None)
-        return worst
+                if status not in (502, 503) or "error" not in answer:
+                    status = 502
+                    answer = {"error": "malformed upstream batch answer"}
+                for position in chunk:
+                    results[position] = answer
+            if status == 503 and retry:
+                retry_after = retry
+            worst = max(worst, status)
+        return worst, (("Retry-After", retry_after),) if worst == 503 else ()
+
+    async def _forward_chunk(
+        self, body: bytes, headers
+    ) -> Tuple[int, dict, Optional[str]]:
+        """One chunk of batch members to a live worker: ``(status,
+        answer object, Retry-After)``; the answer is ``{}`` when the
+        body is not a JSON object."""
+        try:
+            raw = await self._routed(
+                self._request_bytes("POST", "/query", body, headers)
+            )
+        except FleetError as exc:
+            return 502, {"error": str(exc)}, None
+        if raw is None:
+            status, payload, extra = self._unavailable()
+            return status, payload, extra[0][1]
+        status, response_headers, payload = parse_response(raw)
+        try:
+            answer = json.loads(payload) if payload else {}
+        except json.JSONDecodeError:
+            answer = {}
+        if not isinstance(answer, dict):
+            answer = {}
+        return status, answer, response_headers.get("retry-after")
 
     # ------------------------------------------------------------------
     # aggregation
@@ -1901,9 +1580,7 @@ class FleetRouter:
         )
         return list(zip(live, outcomes))
 
-    async def _handle_metrics(
-        self, request: Request, keep_alive: bool
-    ) -> bytes:
+    async def _handle_metrics(self, request: Request) -> Response:
         outcomes = await self._fanout("GET", "/metrics", resend=True)
         snapshots = []
         for worker, outcome in outcomes:
@@ -1918,6 +1595,10 @@ class FleetRouter:
                 continue
         self.recorder.gauge("serve.cache.size", len(self.cache))
         self.recorder.gauge("serve.cache.hit_rate", self.cache.hit_rate)
+        for snapshot in snapshots:
+            # Workers see only the router's traffic: the fleet's query
+            # count is the router's own, every client query once.
+            snapshot.get("counters", {}).pop("serve.requests", None)
         merged = merge_metrics_snapshots(
             snapshots + [self.recorder.metrics_snapshot()]
         )
@@ -1925,26 +1606,9 @@ class FleetRouter:
             "workers": len(self.workers),
             "reporting": len(snapshots),
         }
-        wants_text = False
-        fmt = request.params.get("format")
-        if fmt is not None:
-            wants_text = fmt == "prometheus"
-        else:
-            accept = request.headers.get("accept", "")
-            wants_text = "text/plain" in accept or "openmetrics" in accept
-        if wants_text:
-            text = render_prometheus(merged)
-            return response_bytes(
-                200,
-                text.encode("utf-8"),
-                keep_alive=keep_alive,
-                extra_headers=(
-                    ("Content-Type", PROMETHEUS_CONTENT_TYPE),
-                ),
-            )
-        return response_bytes(200, merged, keep_alive=keep_alive)
+        return self._metrics_answer(request, merged)
 
-    async def _handle_health(self, keep_alive: bool) -> bytes:
+    async def _handle_health(self) -> Response:
         outcomes = {
             worker.worker_id: outcome
             for worker, outcome in await self._fanout(
@@ -2008,13 +1672,9 @@ class FleetRouter:
             "inflight": self._inflight,
             "uptime_seconds": time.perf_counter() - self._started_at,
         }
-        return response_bytes(
-            http_status, payload, keep_alive=keep_alive
-        )
+        return http_status, payload, ()
 
-    async def _handle_trace(
-        self, request: Request, keep_alive: bool
-    ) -> bytes:
+    async def _handle_trace(self, request: Request) -> Response:
         """Fleet trace capture: fan out, merge, one Chrome payload.
 
         Drains every worker's span ring (``format=fragment``) plus the
@@ -2024,33 +1684,12 @@ class FleetRouter:
         fleet's story.  ``format=fragment`` returns the router's raw
         fragment instead (for a higher-level merger).
         """
-        if request.method != "POST":
-            return response_bytes(
-                405,
-                {"error": "trace capture requires POST"},
-                keep_alive=keep_alive,
-                extra_headers=(("Allow", "POST"),),
-            )
-        if self.tracer is None:
-            return response_bytes(
-                409,
-                {"error": "tracing is disabled (trace_buffer = 0)"},
-                keep_alive=keep_alive,
-            )
-        fmt = request.params.get("format", "chrome")
-        if fmt not in ("chrome", "fragment"):
-            return response_bytes(
-                400,
-                {"error": f"unknown trace format {fmt!r}"},
-                keep_alive=keep_alive,
-            )
+        refusal = self._trace_refusal(request)
+        if refusal is not None:
+            return refusal
         clear = request.flag("clear")
-        if fmt == "fragment":
-            return response_bytes(
-                200,
-                self.tracer.fragment(clear=clear),
-                keep_alive=keep_alive,
-            )
+        if request.params.get("format") == "fragment":
+            return 200, self.tracer.fragment(clear=clear), ()
         path = "/admin/trace?format=fragment"
         if clear:
             path += "&clear=1"
@@ -2076,9 +1715,9 @@ class FleetRouter:
             "workers": len(self.workers),
             "reporting": reporting,
         }
-        return response_bytes(200, merged, keep_alive=keep_alive)
+        return 200, merged, ()
 
-    async def _handle_stats(self, keep_alive: bool) -> bytes:
+    async def _handle_stats(self) -> Response:
         outcomes = await self._fanout("GET", "/stats", resend=True)
         stats: Dict[int, dict] = {}
         for worker, outcome in outcomes:
@@ -2095,11 +1734,9 @@ class FleetRouter:
                 stats[worker.worker_id] = parsed
         if not stats:
             if not self._live_workers():
-                return self._unavailable(keep_alive)
+                return self._unavailable()
             self.recorder.incr("fleet.errors.upstream")
-            return self._error(
-                502, "no worker could report stats", keep_alive
-            )
+            return 502, {"error": "no worker could report stats"}, ()
         # Worker 0 (or the lowest reporting id) provides the base
         # payload — index metadata, batcher and breaker snapshots are
         # representative — and the fleet block carries what differs.
@@ -2115,7 +1752,7 @@ class FleetRouter:
         payload["cache"] = self.cache.snapshot()
         if self.top_pairs is not None:
             payload["top_pairs"] = self.top_pairs.block()
-        return response_bytes(200, payload, keep_alive=keep_alive)
+        return 200, payload, ()
 
     def _per_worker_rows(self, stats: Dict[int, dict]) -> List[dict]:
         """One freshness/throughput row per reporting worker.
@@ -2213,77 +1850,47 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # fleet reload: two-phase commit
     # ------------------------------------------------------------------
-    async def _handle_reload(
-        self, request: Request, keep_alive: bool
-    ) -> bytes:
+    async def _handle_reload(self, request: Request) -> Response:
         if request.method != "POST":
-            return response_bytes(
-                405,
-                {"error": "reload requires POST"},
-                keep_alive=keep_alive,
-                extra_headers=(("Allow", "POST"),),
-            )
+            return 405, {"error": "reload requires POST"}, _ALLOW_POST
         if not self._live_workers():
-            return self._unavailable(keep_alive)
+            return self._unavailable()
         failures = await self._prepare_reload(request.body or b"{}")
         if failures:
             # One bad worker, a router that cannot map the file, or one
             # corrupt file rejects the reload fleet-wide; every staged
             # index is dropped and the old one keeps serving everywhere.
             self.recorder.incr("fleet.reload.failed")
-            return response_bytes(
-                409,
-                {"reloaded": False, "errors": failures},
-                keep_alive=keep_alive,
-            )
+            return 409, {"reloaded": False, "errors": failures}, ()
         committed = await self._commit("/admin/reload/commit")
         commit_failures = self._phase_failures(committed)
         if commit_failures:  # pragma: no cover - commit cannot fail
             self.recorder.incr("fleet.reload.failed")
-            return response_bytes(
-                500,
-                {"reloaded": False, "errors": commit_failures},
-                keep_alive=keep_alive,
-            )
+            return 500, {"reloaded": False, "errors": commit_failures}, ()
         self.recorder.incr("fleet.reload.count")
-        return response_bytes(
-            200,
-            {"reloaded": True, "workers": len(committed)},
-            keep_alive=keep_alive,
-        )
+        return 200, {"reloaded": True, "workers": len(committed)}, ()
 
     # ------------------------------------------------------------------
     # fleet live updates: two-phase commit + coordinated rebuild
     # ------------------------------------------------------------------
-    async def _handle_update(
-        self, request: Request, keep_alive: bool
-    ) -> bytes:
+    async def _handle_update(self, request: Request) -> Response:
         if request.method != "POST":
-            return response_bytes(
-                405,
-                {"error": "update requires POST"},
-                keep_alive=keep_alive,
-                extra_headers=(("Allow", "POST"),),
-            )
+            return 405, {"error": "update requires POST"}, _ALLOW_POST
         if not self._live_workers():
-            return self._unavailable(keep_alive)
+            return self._unavailable()
         try:
             request.json()
         except HTTPProtocolError as exc:
             # Not JSON (NaN and Infinity included): no worker sees it.
             self.recorder.incr("fleet.update.failed")
-            return response_bytes(
-                400,
-                {"applied": False, "error": str(exc)},
-                keep_alive=keep_alive,
-            )
+            return 400, {"applied": False, "error": str(exc)}, ()
         body = request.body or b"{}"
         prepared = await self._fanout(
             "POST", "/admin/update/prepare", body
         )
         failures = self._phase_failures(prepared)
         if failures:
-            # All-or-nothing across the *live* fleet: the in-ring
+            # All-or-nothing across the *live* fleet: the live
             # workers' shadow graphs must stay in lockstep, so one
             # rejection (malformed batch, unknown edge, live updates
             # disabled) drops the batch everywhere.  A worker that
@@ -2291,13 +1898,9 @@ class FleetRouter:
             # — it catches up from the router's update log on respawn.
             await self._fanout("POST", "/admin/update/abort", b"{}")
             self.recorder.incr("fleet.update.failed")
-            return response_bytes(
-                409,
-                {"applied": False, "errors": failures},
-                keep_alive=keep_alive,
-            )
+            return 409, {"applied": False, "errors": failures}, ()
         if not self._live_workers():
-            return self._unavailable(keep_alive)
+            return self._unavailable()
         committed = await self._commit("/admin/update/commit")
         commit_failures = self._phase_failures(committed)
         if commit_failures:
@@ -2306,11 +1909,7 @@ class FleetRouter:
             # applied the batch, so report the divergence loudly rather
             # than pretending the fleet is consistent.
             self.recorder.incr("fleet.update.failed")
-            return response_bytes(
-                500,
-                {"applied": False, "errors": commit_failures},
-                keep_alive=keep_alive,
-            )
+            return 500, {"applied": False, "errors": commit_failures}, ()
         payload = {"applied": True, "workers": len(committed)}
         rebuild_due = False
         for _worker, outcome in committed:
@@ -2346,7 +1945,7 @@ class FleetRouter:
             self._rebuild_task = asyncio.get_running_loop().create_task(
                 self._coordinate_rebuild()
             )
-        return response_bytes(200, payload, keep_alive=keep_alive)
+        return 200, payload, ()
 
     async def _commit(self, path: str) -> List[Tuple[_Worker, object]]:
         """One commit fan-out, bracketed by the seqlock.

@@ -319,12 +319,7 @@ async def read_raw_response(
     reader: asyncio.StreamReader,
 ) -> Tuple[int, Dict[str, str], bytes]:
     """Client side: one response as ``(status, headers, raw body)``."""
-    head = await read_head(reader)
-    if head is None:
-        raise HTTPProtocolError("connection closed before status line")
-    status, headers = _parse_status(head[:-4])
-    body = await _read_body(reader, headers)
-    return status, headers, body
+    return parse_response(await read_response_bytes(reader))
 
 
 async def read_response_bytes(reader: asyncio.StreamReader) -> bytes:

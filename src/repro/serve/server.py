@@ -16,6 +16,10 @@ over a small JSON/HTTP surface:
 * ``GET /stats`` — the rolling SLO window (p50/p95/p99, error/shed/
   cache-hit rates, queue depth) plus cache and batcher state.
 
+Client HTTP — the pipelined connection loop, the drain, ``traceparent``
+sampling and ``/metrics`` negotiation — is the
+:class:`~repro.serve.frontend.FrontEnd` it shares with the fleet router.
+
 Answers are ``{"source", "target", "distance", "count"}`` with
 ``distance: null`` for a disconnected pair — exactly the values
 :meth:`SPCIndex.query` returns, just JSON-framed.
@@ -37,7 +41,7 @@ Three protections keep the server honest under load:
 * **Deadlines** — every admitted request races
   ``request_timeout_ms``; losers get 504 and their slot back.
 * **Graceful drain** — SIGTERM (or :meth:`SPCServer.shutdown`) stops
-  accepting, lets in-flight requests finish within ``drain_grace_s``,
+  accepting, answers every request already read within ``drain_grace_s``,
   flushes the coalescer, and only then lets the process exit.
 """
 
@@ -52,46 +56,27 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
-from collections import deque
-
 from repro.exceptions import LiveUpdateError, ReproError
 from repro.faults import FaultyIndex
 from repro.obs import (
     NULL_RECORDER,
-    PROMETHEUS_CONTENT_TYPE,
     Recorder,
-    RequestIdGenerator,
     RequestLog,
-    Sampler,
     SloPolicy,
     SloWindow,
-    SpanCollector,
     TraceContext,
     merge_trace_fragments,
     new_span_id,
-    render_prometheus,
 )
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.cache import ResultCache, TopPairs
 from repro.serve.coalescer import MicroBatcher, offload
 from repro.serve.config import ServeConfig
-from repro.serve.http import (
-    HTTPProtocolError,
-    Request,
-    parse_query_head,
-    parse_request,
-    read_head,
-    response_bytes,
-)
+from repro.serve.frontend import FrontEnd, Response
+from repro.serve.http import HTTPProtocolError, Request, parse_query_head
 from repro.types import INF, QueryResult, Vertex
 
-#: ``(status, payload, extra headers)`` produced by the route handlers.
-Response = Tuple[int, object, Sequence[Tuple[str, str]]]
-
 _RETRY_AFTER = (("Retry-After", "1"),)
-
-#: Write-loop sentinel: no more responses on this connection.
-_CLOSE = object()
 
 #: Deferred log records to accumulate before handing a drain to the
 #: executor thread — amortizes the submit overhead over a batch of
@@ -102,13 +87,12 @@ _LOG_DRAIN_MIN_RECORDS = 24
 class _Waiter:
     """An admitted query waiting on its batcher future.
 
-    The write loop peeks at ``future`` before awaiting: when the scan
-    has already resolved it (an inline window, or a whole executor
-    window resolving at once under pipelining), the response is
-    finished synchronously and coalesced into one socket write with
-    its batch-mates.  Awaiting the waiter (the slow path, and the POST
-    batch path) awaits the bare future; its deadline is armed where
-    the scan was handed off, so no per-request timer or task exists.
+    To the connection loop it is a future-like answer: the loop hooks
+    its flush onto ``future``, so a resolved window's answers are
+    finished and written with their batch-mates in one socket write.
+    Awaiting the waiter (the POST batch path) awaits the bare future.
+    Its deadline is armed where the scan was handed off, so no
+    per-request timer or task exists.
     """
 
     __slots__ = (
@@ -136,6 +120,16 @@ class _Waiter:
             yield from self.future.__await__()
         except Exception:
             pass  # _finish reads the failure off the future
+        return self.server._finish(self)
+
+    def done(self) -> bool:
+        return self.future.done()
+
+    def add_done_callback(self, callback) -> None:
+        self.future.add_done_callback(callback)
+
+    def result(self) -> Response:
+        """The response, once :meth:`done` (call it once)."""
         return self.server._finish(self)
 
 
@@ -166,7 +160,7 @@ def encode_result_bytes(
     )
 
 
-class SPCServer:
+class SPCServer(FrontEnd):
     """Serves one built SPC index over HTTP with micro-batching.
 
     The server records into its own :class:`repro.obs.Recorder` (not
@@ -191,9 +185,14 @@ class SPCServer:
         updates=None,
         auto_rebuild: bool = True,
     ) -> None:
-        self.config = config or ServeConfig()
-        self.recorder = recorder if recorder is not None else Recorder()
+        super().__init__(
+            config or ServeConfig(),
+            recorder if recorder is not None else Recorder(),
+            "server",
+        )
         self.fault_plan = fault_plan
+        if fault_plan is not None and fault_plan.targets("conn.reset"):
+            self._reset_faults = fault_plan
         if fault_plan is not None and fault_plan.recorder is NULL_RECORDER:
             fault_plan.recorder = self.recorder
         #: Live-update coordinator (``None`` = static serving).  When
@@ -236,25 +235,6 @@ class SPCServer:
             if fallback is not None
             else None
         )
-        #: Distributed-trace span collector (``None`` = tracing off).
-        #: Spans land in a bounded ring; ``POST /admin/trace`` reads
-        #: (and optionally clears) it as a fragment the fleet router
-        #: merges into one cross-process Chrome trace.
-        self.tracer: Optional[SpanCollector] = (
-            SpanCollector(self.config.trace_buffer, role="server")
-            if self.config.trace_buffer > 0
-            else None
-        )
-        #: Local head sampler: 1 in ``trace_sample_every`` requests
-        #: without an inbound ``traceparent`` start a new trace.  An
-        #: inbound *sampled* traceparent is always honoured, so the
-        #: router's (or client's) decision wins over local sampling.
-        self._trace_sampler: Optional[Sampler] = (
-            Sampler(self.config.trace_sample_every, self.config.log_seed)
-            if self.tracer is not None
-            and self.config.trace_sample_every > 0
-            else None
-        )
         self.batcher: Optional[MicroBatcher] = None
         if self.config.coalesce:
             self.batcher = MicroBatcher(
@@ -267,7 +247,6 @@ class SPCServer:
                 tracer=self.tracer,
                 timeout_s=self.config.request_timeout_ms / 1000.0,
             )
-        self._ids = RequestIdGenerator()
         #: Space-Saving sketch over symmetric query pairs with cache
         #: attribution — the ``top_pairs`` workload analytics in /stats.
         self.top_pairs: Optional[TopPairs] = (
@@ -280,6 +259,7 @@ class SPCServer:
         self._last_update_visible: Optional[float] = None
         self.request_log = request_log
         self._log_pending: list = []
+        self._log_drain = self._drain_request_log
         self._log_handle = None
         self.slo: Optional[SloWindow] = (
             SloWindow(self.config.slo_window_s)
@@ -315,14 +295,8 @@ class SPCServer:
         #: Active sampling-profiler capture, if any — one at a time.
         self._profiler = None
         self._profile_seq = 0
-        self.host = self.config.host
-        self.port = self.config.port
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stopped: Optional[asyncio.Event] = None
-        self._draining = False
-        self._inflight = 0
-        self._connections: set = set()
-        self._started_at = 0.0
+        #: Admitted queries not yet answered (the shedding signal).
+        self._admitted = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -345,13 +319,7 @@ class SPCServer:
         if self.config.switch_interval_s > 0:
             self._prev_switch_interval = sys.getswitchinterval()
             sys.setswitchinterval(self.config.switch_interval_s)
-        self._stopped = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
-        self._started_at = time.perf_counter()
+        await self._listen()
         if self.request_log is not None:
             self.request_log.log_server(
                 "start",
@@ -551,33 +519,13 @@ class SPCServer:
             )
         return report
 
-    async def wait_stopped(self) -> None:
-        """Block until a drain has fully completed."""
-        assert self._stopped is not None, "server was never started"
-        await self._stopped.wait()
-
-    @property
-    def draining(self) -> bool:
-        """Whether a graceful drain is in progress (or finished)."""
-        return self._draining
-
     async def shutdown(self) -> None:
         """Graceful drain: stop accepting, finish in-flight, flush, stop."""
         if self._draining:
             return
         self._draining = True
         self.recorder.incr("serve.drain.count")
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._connections:
-            _, still_open = await asyncio.wait(
-                list(self._connections), timeout=self.config.drain_grace_s
-            )
-            for task in still_open:
-                task.cancel()
-            if still_open:
-                await asyncio.gather(*still_open, return_exceptions=True)
+        await self._drain_connections()
         if self.batcher is not None:
             await self.batcher.drain()
         if self._rebuild_task is not None:
@@ -601,145 +549,6 @@ class SPCServer:
             self._prev_switch_interval = None
         if self._stopped is not None:
             self._stopped.set()
-
-    # ------------------------------------------------------------------
-    # connection handling
-    # ------------------------------------------------------------------
-    async def _on_connection(self, reader, writer) -> None:
-        """One connection: a read loop feeding an in-order write loop.
-
-        The read loop never awaits an answer — it parses, dispatches
-        (which enqueues the query into the coalescer), and immediately
-        reads the next request.  A pipelining client therefore lands
-        its whole window in one batch, while the write loop sends the
-        responses back in request order.
-        """
-        task = asyncio.current_task()
-        self._connections.add(task)
-        self.recorder.incr("serve.connections")
-        out: deque = deque()
-        wake = asyncio.Event()
-        write_loop = asyncio.get_running_loop().create_task(
-            self._write_loop(writer, out, wake)
-        )
-        try:
-            while True:
-                head = await read_head(reader)
-                if head is None:
-                    break
-                item = self._fast_query(head)
-                if item is None:
-                    request = await parse_request(head, reader)
-                    keep_alive = request.keep_alive and not self._draining
-                    item = (self._dispatch(request), keep_alive)
-                out.append(item)
-                wake.set()
-                if not item[1]:
-                    break
-        except HTTPProtocolError as exc:
-            self.recorder.incr("serve.errors.protocol")
-            out.append(((400, {"error": str(exc)}, ()), False))
-            wake.set()
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            self.recorder.incr("serve.errors.connection")
-        finally:
-            out.append(_CLOSE)
-            wake.set()
-            try:
-                await write_loop
-            finally:
-                self._connections.discard(task)
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-
-    async def _write_loop(self, writer, out: deque, wake) -> None:
-        """Send queued responses in order, coalescing ready bursts.
-
-        Consecutive responses whose answers are already available —
-        ready tuples and :class:`_Waiter` entries whose batch has
-        resolved — are joined into a single socket write, so one
-        resolved window costs one syscall per connection instead of
-        one per response.  The buffer is flushed before any await that
-        could suspend (an unresolved entry) so earlier answers are
-        never held back, and at the end of each burst.
-        """
-        broken = False
-        buf: List[bytes] = []
-        while True:
-            while not out:
-                wake.clear()
-                await wake.wait()
-            item = out.popleft()
-            if item is _CLOSE:
-                if buf and not broken:
-                    try:
-                        writer.write(b"".join(buf))
-                        await writer.drain()
-                    except (ConnectionError, OSError):
-                        self.recorder.incr("serve.errors.connection")
-                self._drain_request_log(force=True)
-                return
-            entry, keep_alive = item
-            try:
-                if type(entry) is tuple:
-                    status, payload, extra = entry
-                elif type(entry) is _Waiter and entry.future.done():
-                    status, payload, extra = self._finish(entry)
-                else:
-                    # About to suspend: ship what's already encoded.
-                    if buf and not broken:
-                        try:
-                            writer.write(b"".join(buf))
-                        except (ConnectionError, OSError):
-                            self.recorder.incr(
-                                "serve.errors.connection"
-                            )
-                            broken = True
-                    buf.clear()
-                    status, payload, extra = await entry
-            except Exception as exc:  # keep later answers alive
-                self.recorder.incr("serve.errors.internal")
-                status, payload, extra = (
-                    500, {"error": f"internal error: {exc}"}, ()
-                )
-            if broken:
-                continue  # keep consuming so computations are awaited
-            encoded = response_bytes(
-                status,
-                payload,
-                keep_alive=keep_alive,
-                extra_headers=extra,
-            )
-            plan = self.fault_plan
-            if plan is not None and plan.should_fire("conn.reset"):
-                # Chaos: ship any finished responses plus *half* of
-                # this one, then hard-abort the socket — the exact
-                # mid-response reset the client retry policy must
-                # survive.
-                self.recorder.incr("serve.errors.injected_reset")
-                try:
-                    writer.write(
-                        b"".join(buf) + encoded[: max(1, len(encoded) // 2)]
-                    )
-                    writer.transport.abort()
-                except (ConnectionError, OSError):
-                    pass
-                buf.clear()
-                broken = True
-                continue
-            buf.append(encoded)
-            if not out:  # burst over: one write + drain for the lot
-                try:
-                    writer.write(b"".join(buf))
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    self.recorder.incr("serve.errors.connection")
-                    broken = True
-                buf.clear()
-                self._drain_request_log()
 
     # ------------------------------------------------------------------
     # per-request observability
@@ -792,7 +601,7 @@ class SPCServer:
                 status >= 500 and status != 503,
                 status == 503,
                 cache_hit,
-                self._inflight,
+                self._admitted,
             )
         log = self.request_log
         if log is not None:
@@ -915,38 +724,6 @@ class SPCServer:
         return counters
 
     # ------------------------------------------------------------------
-    # distributed tracing
-    # ------------------------------------------------------------------
-    def _sample_trace(self):
-        """A locally-rooted trace tuple for 1 in N untraced requests.
-
-        Returns ``(trace_id, span_id, parent_id)`` for the request
-        span — the root of a new trace (no parent) — or ``None`` when
-        the sampler passes.
-        """
-        sampler = self._trace_sampler
-        if sampler is None or not sampler.keep():
-            return None
-        ctx = TraceContext.generate()
-        return ctx.trace_id, ctx.span_id, None
-
-    def _trace_from_header(self, value: str):
-        """The trace tuple an inbound ``traceparent`` header dictates.
-
-        A sampled context yields a child span tuple (always honoured,
-        regardless of local sampling); an explicit *unsampled* context
-        suppresses tracing for this request; a malformed header is
-        treated as absent per W3C (the trace restarts here, subject to
-        local sampling).
-        """
-        ctx = TraceContext.parse(value)
-        if ctx is None:
-            return self._sample_trace()
-        if not ctx.sampled:
-            return None
-        return ctx.trace_id, new_span_id(), ctx.span_id
-
-    # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
     def _fast_query(self, head: bytes):
@@ -958,18 +735,13 @@ class SPCServer:
         if query is None:
             return None
         source, target, keep_alive, rid, traceparent = query
-        trace = None
-        if self.tracer is not None:
-            trace = (
-                self._trace_from_header(traceparent)
-                if traceparent is not None
-                else self._sample_trace()
-            )
-        self.recorder.incr("serve.requests")
         self._maybe_die()
         return (
             self._query_entry(
-                source, target, rid or self._ids.next_id(), trace=trace
+                source,
+                target,
+                rid or self._ids.next_id(),
+                trace=self._trace_for(traceparent),
             ),
             keep_alive and not self._draining,
         )
@@ -992,21 +764,14 @@ class SPCServer:
         Runs synchronously inside the read loop, so a query's
         submission reaches the coalescer *before* the next pipelined
         request is parsed — only the waiting (deadline, cache fill,
-        encoding) is deferred to the awaitable the write loop resolves.
+        encoding) is deferred to the answer the connection resolves.
         """
-        self.recorder.incr("serve.requests")
         rid = request.headers.get("x-request-id") or self._ids.next_id()
         if request.path == "/query":
             self._maybe_die()
-            trace = None
-            if self.tracer is not None:
-                header = request.headers.get("traceparent")
-                trace = (
-                    self._trace_from_header(header)
-                    if header is not None
-                    else self._sample_trace()
-                )
-            return self._dispatch_query(request, rid, trace)
+            return self._dispatch_query(
+                request, rid, self._trace_for(request.headers.get("traceparent"))
+            )
         if request.path == "/admin/reload":
             return self._handle_reload(request, rid)
         if request.path in (
@@ -1661,7 +1426,7 @@ class SPCServer:
         payload = {
             "status": status_text,
             "index": self._index_metadata(),
-            "inflight": self._inflight,
+            "inflight": self._admitted,
             "uptime_seconds": time.perf_counter() - self._started_at,
             "slo": {"status": slo_status, "breaches": breaches},
             "breaker": self.breaker.snapshot(),
@@ -1672,7 +1437,7 @@ class SPCServer:
         }
         return http_status, payload, ()
 
-    def _handle_metrics(self, request: Optional[Request] = None) -> Response:
+    def _handle_metrics(self, request: Request) -> Response:
         rec = self.recorder
         rec.gauge("serve.queue.depth", self.queue_depth)
         rec.gauge("serve.connections.active", len(self._connections))
@@ -1691,24 +1456,7 @@ class SPCServer:
                     "live.staleness_s",
                     time.perf_counter() - self._last_update_visible,
                 )
-        wants_text = False
-        if request is not None:
-            fmt = request.params.get("format")
-            if fmt is not None:
-                wants_text = fmt == "prometheus"
-            else:
-                accept = request.headers.get("accept", "")
-                wants_text = (
-                    "text/plain" in accept or "openmetrics" in accept
-                )
-        if wants_text:
-            text = render_prometheus(rec.metrics_snapshot())
-            return (
-                200,
-                text.encode("utf-8"),
-                (("Content-Type", PROMETHEUS_CONTENT_TYPE),),
-            )
-        return 200, rec.metrics_snapshot(), ()
+        return self._metrics_answer(request, rec.metrics_snapshot())
 
     def _handle_trace(self, request: Request) -> Response:
         """``POST /admin/trace``: read (and optionally clear) the ring.
@@ -1720,26 +1468,11 @@ class SPCServer:
         and merges into one cross-process trace.  ``clear=1`` drains
         the ring so the next capture starts fresh.
         """
-        if request.method != "POST":
-            return (
-                405,
-                {"error": "trace requires POST"},
-                (("Allow", "POST"),),
-            )
-        if self.tracer is None:
-            return (
-                409,
-                {"error": "tracing is disabled (trace_buffer = 0)"},
-                (),
-            )
-        fmt = request.params.get("format", "chrome")
-        if fmt not in ("chrome", "fragment"):
-            return (
-                400, {"error": "format must be 'chrome' or 'fragment'"}, ()
-            )
-        clear = request.flag("clear")
-        fragment = self.tracer.fragment(clear=clear)
-        if fmt == "fragment":
+        refusal = self._trace_refusal(request)
+        if refusal is not None:
+            return refusal
+        fragment = self.tracer.fragment(clear=request.flag("clear"))
+        if request.params.get("format") == "fragment":
             return 200, fragment, ()
         return 200, merge_trace_fragments([fragment]), ()
 
@@ -1792,7 +1525,7 @@ class SPCServer:
     @property
     def queue_depth(self) -> int:
         """Admitted-but-unanswered requests (the shedding signal)."""
-        return self._inflight
+        return self._admitted
 
     def _parse_query(
         self, request: Request
@@ -1970,8 +1703,8 @@ class SPCServer:
         breaker still lets one probe per cooldown through the real
         index so it can close itself once the index heals.
         """
-        self._inflight += 1
-        self.recorder.gauge_max("serve.queue.depth.max", self._inflight)
+        self._admitted += 1
+        self.recorder.gauge_max("serve.queue.depth.max", self._admitted)
         meta = (
             {}
             if explain or self.request_log is not None or trace is not None
@@ -2066,7 +1799,7 @@ class SPCServer:
         fails the future with ``TimeoutError``: a 504, and the scan's
         late answer is dropped without touching batch-mates.
         """
-        self._inflight -= 1
+        self._admitted -= 1
         self.recorder.observe(
             "serve.latency_seconds", time.perf_counter() - w.started
         )

@@ -3,10 +3,10 @@
 The router's contract mirrors the single server's, scaled out:
 
 * every answer a client receives is **bit-identical** to the direct
-  index answer, whatever worker the consistent-hash ring picked and
-  however a ``pairs`` batch was scattered;
-* symmetric keys — ``Q(s, t)`` and ``Q(t, s)`` — land on the same
-  worker and share one slot of the router's result cache;
+  index answer, whichever worker answered it and however a ``pairs``
+  batch was split into chunks;
+* symmetric keys — ``Q(s, t)`` and ``Q(t, s)`` — share one slot of the
+  router's result cache;
 * the router cache stays exact across commits: an update drops every
   pair it may have changed, a reload empties it, and no answer whose
   request was in flight across a commit is ever cached;
@@ -42,13 +42,13 @@ from repro.live import synthesize_deltas
 from repro.search.pairwise import spc_query
 from repro.serve import (
     FleetThread,
-    HashRing,
     RetryPolicy,
     ServeConfig,
     merge_metrics_snapshots,
     replay,
 )
-from repro.serve.fleet import _PIPELINE_DEPTH, FleetRouter
+from repro.serve.fleet import FleetRouter, _Worker
+from repro.serve.frontend import _PIPELINE_DEPTH
 from repro.serve.http import response_bytes
 from repro.serve.server import encode_result_bytes
 from repro.types import INF, QueryResult
@@ -81,11 +81,16 @@ def workload(graph):
 
 
 @pytest.fixture(scope="module")
-def fleet(index_path):
+def fleet_thread(index_path):
     thread = FleetThread(index_path, 2, ServeConfig(port=0))
-    host, port = thread.start()
-    yield host, port
+    thread.start()
+    yield thread
     thread.stop()
+
+
+@pytest.fixture(scope="module")
+def fleet(fleet_thread):
+    return fleet_thread.router.host, fleet_thread.router.port
 
 
 def _http(host, port, method, path, payload=None):
@@ -109,65 +114,6 @@ def _assert_no_wrong_answers(results, index):
         if (distance, count) != (wire, expected.count):
             wrong.append((source, target))
     assert not wrong, f"fleet answered {len(wrong)} queries wrong: {wrong[:5]}"
-
-
-# ----------------------------------------------------------------------
-# the hash ring
-# ----------------------------------------------------------------------
-class TestHashRing:
-    def test_deterministic(self):
-        first = HashRing([0, 1, 2])
-        second = HashRing([0, 1, 2])
-        for key in range(500):
-            assert first.owner(str(key)) == second.owner(str(key))
-
-    def test_symmetric_pairs_share_an_owner(self):
-        ring = HashRing([0, 1, 2, 3])
-        for s in range(40):
-            for t in range(40):
-                assert ring.owner_of_pair(s, t) == ring.owner_of_pair(t, s)
-
-    def test_distribution_is_roughly_balanced(self):
-        ring = HashRing([0, 1, 2])
-        hits = {0: 0, 1: 0, 2: 0}
-        for key in range(3000):
-            hits[ring.owner(str(key))] += 1
-        for worker, count in hits.items():
-            assert count > 3000 * 0.15, (worker, hits)
-
-    def test_single_worker_owns_everything(self):
-        ring = HashRing([7])
-        assert {ring.owner(str(key)) for key in range(100)} == {7}
-
-    @pytest.mark.parametrize("workers", [2, 3, 4])
-    def test_pairs_split_evenly_and_an_ejection_moves_only_its_own(
-        self, workers
-    ):
-        rng = random.Random(workers)
-        pairs = [
-            (rng.randrange(10**6), rng.randrange(10**6))
-            for _ in range(10000)
-        ]
-        ring = HashRing(list(range(workers)))
-        owners = [ring.owner_of_pair(s, t) for s, t in pairs]
-        for worker in range(workers):
-            share = owners.count(worker) / len(pairs)
-            assert abs(share - 1 / workers) <= 0.1, (worker, share)
-        ejected = workers - 1
-        survivors = HashRing(list(range(ejected)))
-        for (s, t), owner in zip(pairs, owners):
-            if owner != ejected:
-                assert survivors.owner_of_pair(s, t) == owner
-
-    def test_removing_a_worker_only_moves_its_keys(self):
-        # The property consistent hashing buys: keys owned by the
-        # surviving workers stay put.
-        full = HashRing([0, 1, 2])
-        reduced = HashRing([0, 1])
-        for key in range(1000):
-            before = full.owner(str(key))
-            if before != 2:
-                assert reduced.owner(str(key)) == before
 
 
 # ----------------------------------------------------------------------
@@ -270,6 +216,15 @@ class TestFleetServing:
         assert payload["fleet"] == {"workers": 2, "reporting": 2}
         assert payload["counters"].get("serve.requests", 0) > 0
 
+    def test_metrics_reads_do_not_count_as_requests(self, fleet):
+        # serve.requests counts /query requests only: neither the
+        # reads themselves nor the router's fan-outs and supervisor
+        # probes behind them move it.
+        host, port = fleet
+        first = _metrics(host, port)["counters"].get("serve.requests", 0)
+        second = _metrics(host, port)["counters"].get("serve.requests", 0)
+        assert second == first
+
     def test_prometheus_rendering_survives_aggregation(self, fleet):
         host, port = fleet
         status, body = _http(
@@ -353,6 +308,83 @@ class TestFleetChaos:
             == counters["serve.errors.injected_reset"]
         )
         assert report.availability >= 0.99, report.status_counts
+
+
+class TestForwarding:
+    def test_forwarded_requests_go_round_robin(
+        self, fleet_thread, index, workload
+    ):
+        # A sampled traceparent sends every request through a worker;
+        # the router takes the live workers in turn.
+        host, port = fleet_thread.router.host, fleet_thread.router.port
+        workers = [worker.port for worker in fleet_thread.router.workers]
+
+        def requests():
+            return [
+                _metrics("127.0.0.1", worker)["counters"].get(
+                    "serve.requests", 0
+                )
+                for worker in workers
+            ]
+
+        before = requests()
+        report = replay(
+            host, port, workload[:200], concurrency=4,
+            collect_results=True, trace_every=1,
+        )
+        after = requests()
+        assert report.availability == 1.0
+        _assert_no_wrong_answers(report.results, index)
+        for was, now in zip(before, after):
+            assert abs(now - was - 100) <= 1, (before, after)
+
+    def test_batch_members_go_in_admitted_chunks_and_keep_a_shed_503(
+        self, index_path
+    ):
+        # Forwarded members go out queue_high_water at a time, one
+        # chunk after another; a chunk a worker sheds whole answers its
+        # members with the worker's 503 and Retry-After, not a 502.
+        router = FleetRouter(
+            index_path, 2, ServeConfig(cache_size=0, queue_high_water=2)
+        )
+        router.workers = [_Worker(i, None, None) for i in range(2)]
+        overloaded = {"error": "overloaded", "queue_depth": 2, "high_water": 2}
+        chunks = []
+
+        async def routed(data):
+            members = json.loads(data.partition(b"\r\n\r\n")[2])["pairs"]
+            chunks.append(len(members))
+            if len(chunks) == 2:
+                return response_bytes(
+                    503, overloaded, extra_headers=(("Retry-After", "3"),)
+                )
+            return response_bytes(
+                200, {"results": [{"distance": 1, "count": 1}] * len(members)}
+            )
+
+        router._routed = routed
+        status, payload, extra = asyncio.run(
+            router._answer_batch([[0, 1]] * 5, False, "batch-1")
+        )
+        assert chunks == [2, 2, 1]
+        assert status == 503
+        rows = payload["results"]
+        assert rows[2] == rows[3] == overloaded
+        assert all(rows[i]["count"] == 1 for i in (0, 1, 4))
+        assert ("Retry-After", "3") in extra
+        assert ("X-Request-Id", "batch-1") in extra
+
+    def test_next_live_skips_ejected_workers(self, index_path):
+        router = FleetRouter(index_path, 3, ServeConfig())
+        router.workers = [_Worker(i, None, None) for i in range(3)]
+        picks = [router._next_live().worker_id for _ in range(6)]
+        assert picks == [0, 1, 2, 0, 1, 2]
+        router.workers[1].up = False
+        picks = [router._next_live().worker_id for _ in range(4)]
+        assert picks == [0, 2, 0, 2]
+        for worker in router.workers:
+            worker.up = False
+        assert router._next_live() is None
 
 
 class TestFleetReload:
@@ -677,7 +709,7 @@ class TestFleetSelfHealing:
             thread.stop()
 
         # Availability: the single kill -9 may fail in-flight requests
-        # once, but the ring rebuild keeps the fleet serving.
+        # once, but ejecting it keeps the fleet serving.
         ok = sum(1 for r in results if r[2] == 200)
         assert results, "query hammer never ran"
         assert ok / len(results) >= 0.9, (
@@ -991,17 +1023,17 @@ class TestRouterCache:
             assert during & 1, "the generation is odd mid-commit"
             # Dispatched before the commit, landed during it; and
             # dispatched during the commit: neither is cached.
-            router._relayed((1, 2), raw, before, True)
-            router._relayed((1, 2), raw, during, True)
+            router._relayed((1, 2), raw, before)
+            router._relayed((1, 2), raw, during)
             assert len(router.cache) == 0
             gate.set()
             await commit
             # Dispatched before, landed after: still not cached.
-            router._relayed((1, 2), raw, before, True)
-            router._relayed((1, 2), raw, during, True)
+            router._relayed((1, 2), raw, before)
+            router._relayed((1, 2), raw, during)
             assert len(router.cache) == 0
             # A query dispatched after the commit is.
-            router._relayed((1, 2), raw, router._generation, True)
+            router._relayed((1, 2), raw, router._generation)
             assert router.cache.get(2, 1) == QueryResult(5, 3)
 
         asyncio.run(scenario())

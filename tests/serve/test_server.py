@@ -169,6 +169,24 @@ def test_health_and_metrics(index, workload):
     assert "serve.batch.size" in metrics["histograms"]
 
 
+def test_serve_requests_counts_queries_only(index, workload):
+    # Probes, metrics reads and explain-free POST batches aside, every
+    # /query request moves serve.requests by exactly one.
+    pairs = workload[:50]
+    with ServerThread(index, ServeConfig(port=0)) as (host, port):
+        before = _get(host, port, "/metrics")[2]["counters"]
+        _get(host, port, "/health")
+        _get(host, port, "/stats")
+        replay(host, port, pairs, concurrency=4)
+        status, _, _ = _post(
+            host, port, "/query", {"pairs": [list(p) for p in pairs[:5]]}
+        )
+        assert status == 200
+        after = _get(host, port, "/metrics")[2]["counters"]
+    moved = after["serve.requests"] - before.get("serve.requests", 0)
+    assert moved == len(pairs) + 1
+
+
 def test_cache_hit_short_circuits_scan(index, workload):
     recorder_pairs = workload[:20]
     with ServerThread(index, ServeConfig(port=0)) as thread_addr:
