@@ -3,6 +3,10 @@
 Paper shape: TL-Index is the largest (on average 3.7x CTL-Index and
 2.35x CTLS-Index); CTLS-Index is larger than CTL-Index because of
 shortcut-driven wider cuts.
+
+Beside the modelled ``index_bytes_*`` records, ``arena_bytes_*``
+records the packed label arena's real bytes (``LabelArena.nbytes()``),
+so ``bench-report`` fails if the stored label widths grow again.
 """
 
 import pytest
@@ -42,6 +46,13 @@ def test_fig14_summary(benchmark, cache, capsys, perf):
         perf.record(
             f"index_bytes_{row.algorithm}",
             [row.size_bytes],
+            unit="bytes",
+            direction="lower",
+            dataset=row.dataset,
+        )
+        perf.record(
+            f"arena_bytes_{row.algorithm}",
+            [cache.get(row.dataset, row.algorithm).arena.nbytes()],
             unit="bytes",
             direction="lower",
             dataset=row.dataset,

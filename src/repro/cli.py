@@ -723,6 +723,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.core.serialize import describe_index
+    from repro.labels.arena import WIDTHS
 
     _require_index_file(args.index)
     # Lazy for the v4 container: reads the footer + JSON header (and,
@@ -737,6 +738,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"width (w):          {summary['width']}")
     print(f"label entries:      {summary['total_label_entries']}")
     print(f"size (32-bit model): {summary['size_bytes'] / 1e6:.2f} MB")
+    print(
+        "label widths:       "
+        f"dist {WIDTHS[summary['dist_typecode']].dtype}, "
+        f"count {WIDTHS[summary['count_typecode']].dtype}"
+    )
     print(f"file bytes:         {summary['file_bytes']}")
     print(f"format version:     v{summary['format_version']}")
     sections = summary.get("sections")

@@ -14,7 +14,12 @@ Two on-disk formats:
   every buffer starts 8-byte (in fact page-) aligned in the file.  The
   cut tree rides as three flat int64 sections
   (``tree_parents``/``tree_blocks``/``tree_vertices``) instead of JSON,
-  so a reload never re-parses the tree.  A variable-size footer carries
+  so a reload never re-parses the tree.  The ``dist`` and ``count``
+  sections keep the arena's element widths (int32 where the values
+  fit, see :mod:`repro.labels.arena`), named in the header's
+  ``arena.dist_typecode`` and ``arena.count_typecode``; a header
+  without ``count_typecode`` was written before 32-bit counts and
+  means int64.  A variable-size footer carries
   one CRC32 per section plus the header CRC, the section count, the
   total length, and the ``RSPC4END`` marker.  By default
   :func:`load_index` maps the file read-only and hands the
@@ -61,7 +66,7 @@ from repro.core.base import BuildStats
 from repro.core.ctl import CTLIndex
 from repro.core.ctls import CTLSIndex
 from repro.exceptions import IndexCorruptError, SerializationError
-from repro.labels.arena import LabelArena
+from repro.labels.arena import COUNT_TYPECODES, DIST_TYPECODES, LabelArena
 from repro.labels.store import LabelStore
 from repro.tree.cut_tree import CutTree
 from repro.tree.lca import LCATable
@@ -289,9 +294,12 @@ def _attach_provenance(
     sections: dict = None,
 ) -> None:
     """Record where (and from what build) a loaded index came."""
+    arena = index.arena
     provenance = {
         "path": str(path),
         "format_version": format_version,
+        "dist_typecode": arena.dist_typecode,
+        "count_typecode": arena.count_typecode,
     }
     if sections is not None:
         provenance["sections"] = dict(sections)
@@ -394,8 +402,13 @@ def load_index(path: PathLike, *, mmap: bool = True, verify: bool = None):
 # ----------------------------------------------------------------------
 # v4: aligned, page-padded, mmap-native container
 # ----------------------------------------------------------------------
-def _v4_header(index) -> dict:
-    """The v4 JSON header's index metadata and arena description."""
+def _v4_header(index) -> Tuple[dict, LabelArena]:
+    """The v4 JSON header's index metadata and arena description.
+
+    Also returns the arena to write: an index loaded from an older,
+    all-int64 file is re-packed here, so saving it again writes the
+    narrowest widths its values fit.
+    """
     if isinstance(index, CTLSIndex):
         header = {"type": "CTLS", "strategy": index.strategy}
     elif isinstance(index, CTLIndex):
@@ -410,22 +423,23 @@ def _v4_header(index) -> dict:
         stats = index.stats()
         header["num_vertices"] = stats.num_vertices
         header["num_edges"] = stats.num_edges
-    arena = index.arena
+    arena = index.arena.narrowed()
     header["format"] = _FORMAT
     header["arena"] = {
         "dist_typecode": arena.dist_typecode,
+        "count_typecode": arena.count_typecode,
         "num_vertices": arena.num_vertices,
         "num_entries": arena.total_entries,
         # The overflow lane rides in the header: JSON carries the
-        # arbitrary-precision counts the raw int64 buffer cannot.
+        # arbitrary-precision counts the raw count buffer cannot.
         "overflow_positions": arena.overflow_positions,
         "overflow_counts": arena.overflow_counts,
         "byteorder": sys.byteorder,
     }
-    return header
+    return header, arena
 
 
-def _v4_sections(index) -> List[Tuple[str, object]]:
+def _v4_sections(index, arena: LabelArena) -> List[Tuple[str, object]]:
     """All v4 data sections: the arena plus the flattened cut tree.
 
     Buffers come back as whatever the arena holds — ``array`` for a
@@ -434,7 +448,6 @@ def _v4_sections(index) -> List[Tuple[str, object]]:
     TL keeps its bag metadata in the JSON header (it is not scanned at
     query time), so only CTL/CTLS grow the three tree sections.
     """
-    arena = index.arena
     sections = [
         ("vertices", array("q", arena.vertices)),
         ("offsets", arena.offsets),
@@ -458,7 +471,7 @@ def _section_layout(header: dict) -> List[Tuple[str, str, int]]:
         ("vertices", "q", n),
         ("offsets", "q", n + 1),
         ("dist", meta["dist_typecode"], entries),
-        ("count", "q", entries),
+        ("count", meta["count_typecode"], entries),
     ]
     tree_flat = header.get("tree_flat")
     if tree_flat is not None:
@@ -482,12 +495,12 @@ def _write_binary_v4(index, handle, build_info: dict = None) -> None:
     the fixed prefix, the JSON blob, *and* the binary section table —
     a flipped offset is caught before any section is trusted.
     """
-    header = _v4_header(index)
+    header, arena = _v4_header(index)
     header["version"] = _BINARY_VERSION4
     header["align"] = _ALIGN
     if build_info is not None:
         header["build_info"] = build_info
-    sections = _v4_sections(index)
+    sections = _v4_sections(index, arena)
     if isinstance(index, (CTLIndex, CTLSIndex)):
         header["tree_flat"] = {
             "nodes": index.tree.num_nodes,
@@ -598,7 +611,11 @@ def _read_v4_layout(handle, path: PathLike, size: int):
 
 
 def _check_v4_header(path: PathLike, header: dict) -> dict:
-    """Format/version/typecode validation; returns the arena meta."""
+    """Format/version/typecode validation; returns the arena meta.
+
+    A header without ``count_typecode`` predates 32-bit counts: its
+    count section is int64, and the returned meta says so.
+    """
     if header.get("format") != _FORMAT:
         raise SerializationError(f"{path}: not a {_FORMAT} file")
     if header.get("version") != _BINARY_VERSION4:
@@ -606,11 +623,16 @@ def _check_v4_header(path: PathLike, header: dict) -> dict:
             f"{path}: unsupported binary version {header.get('version')}"
         )
     meta = header["arena"]
-    typecode = meta["dist_typecode"]
-    if typecode not in ("q", "d"):
-        raise SerializationError(
-            f"{path}: unsupported distance typecode {typecode!r}"
-        )
+    meta.setdefault("count_typecode", "q")
+    for field, allowed in (
+        ("dist_typecode", DIST_TYPECODES),
+        ("count_typecode", COUNT_TYPECODES),
+    ):
+        if meta[field] not in allowed:
+            raise SerializationError(
+                f"{path}: unsupported {field.replace('_', ' ')} "
+                f"{meta[field]!r}"
+            )
     return meta
 
 
@@ -921,7 +943,8 @@ def describe_index(path: PathLike) -> dict:
     Returns a dict with ``type``, ``format_version``, ``num_vertices``,
     ``num_edges``, ``tree_nodes``, ``height``, ``width``,
     ``total_label_entries``, ``size_bytes`` (the paper's 32-bit label
-    model, matching ``index.stats()``), ``file_bytes``, plus
+    model, matching ``index.stats()``), ``file_bytes``, the label
+    arrays' ``dist_typecode`` and ``count_typecode``, plus
     ``sections`` and ``build_info`` when the container records them.
     """
     size = os.path.getsize(path)
@@ -942,6 +965,8 @@ def describe_index(path: PathLike) -> dict:
             "file_bytes": size,
             "sections": None,
             "build_info": provenance.get("build_info"),
+            "dist_typecode": index.arena.dist_typecode,
+            "count_typecode": index.arena.count_typecode,
             "lazy": False,
         }
     with open(path, "rb") as handle:
@@ -959,6 +984,8 @@ def describe_index(path: PathLike) -> dict:
             "file_bytes": size,
             "sections": header.get("sections"),
             "build_info": header.get("build_info"),
+            "dist_typecode": meta["dist_typecode"],
+            "count_typecode": meta["count_typecode"],
             "lazy": True,
         }
         if kind == "TL":

@@ -9,21 +9,29 @@ counts) indexed by a per-vertex offset table over *dense ids*
 ``0..n-1``.  A query resolves its two endpoints to dense ids once and
 then works purely on flat arrays.
 
-Encoding:
+Encoding — each array's element width is chosen from its values when
+:meth:`LabelArena.from_lists` packs them, and one table (:data:`WIDTHS`)
+holds the per-width constants every reader uses:
 
-* Distances are ``array('q')`` (signed 64-bit) when every finite
-  distance is an integer below ``2**60``; ``INF`` is stored as
-  :data:`INF_ENCODED` (``2**61``), chosen so that the sum of a real
-  distance pair (``< 2**61``) can never collide with a sum involving an
-  unreachable side (``>= 2**61``) — the scan loop needs no sentinel
-  branch — and so that even ``INF + INF`` fits signed 64 bits for the
-  vectorised kernel.  Graphs with float weights fall back to
+* Distances are ``array('i')`` (signed 32-bit) when every finite
+  distance is an integer of at most ``2**29 - 1``, else ``array('q')``
+  (signed 64-bit) when every one is at most ``2**60 - 1``; ``INF`` is
+  stored as the width's code (``2**30 - 1`` or ``2**61``), chosen so
+  that the sum of a real distance pair can never reach a sum involving
+  an unreachable side — the scan loop needs no sentinel branch — and so
+  that even ``INF + INF`` fits the width for the vectorised kernel.
+  Graphs with float weights (or larger integers) fall back to
   ``array('d')`` with a real ``inf``.
 * Counts are exact arbitrary-precision integers in the library.  The
-  arena stores them in an ``array('q')``; the rare count that exceeds
-  63 bits is diverted to the *overflow lane* (parallel position/value
-  Python lists) and marked with :data:`COUNT_OVERFLOW` in the array, so
-  exactness survives packing bit-for-bit.
+  arena stores them in an ``array('i')`` when every count is at most
+  ``2**31 - 1``, else in an ``array('q')``; there the rare count that
+  exceeds 63 bits is diverted to the *overflow lane* (parallel
+  position/value Python lists) and marked with :data:`COUNT_OVERFLOW`
+  in the array, so exactness survives packing bit-for-bit.
+
+Road networks with integer weights fit 32 bits for both, the paper's
+index-size model (:meth:`LabelArena.size_bytes`), so their packed bytes
+match that model.
 
 The arena is immutable by convention: code that mutates labels in place
 (dynamic repair) edits the :class:`LabelStore` and re-seals.
@@ -39,9 +47,9 @@ reference counting once the last view dies (an explicit ``close`` on an
 mmap with exported views would raise ``BufferError``).
 
 When numpy is importable, :meth:`LabelArena.scan_batch` runs a
-vectorised cross-pair kernel over zero-copy ``int64``/``float64`` views
-of the arena buffers: one segmented minimum over every pair's scan
-range at C speed, with exact arbitrary-precision count accumulation
+vectorised cross-pair kernel over zero-copy numpy views of the arena
+buffers (in the width's dtype): one segmented minimum over every pair's
+scan range at C speed, with exact arbitrary-precision count accumulation
 restricted to the (few) minimising positions.  Without numpy the same
 method falls back to the scalar scan loop — numpy is an accelerator,
 never a dependency.
@@ -50,7 +58,8 @@ never a dependency.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional
+from typing import Sequence, Tuple
 
 from repro.types import INF, Vertex, Weight
 
@@ -59,18 +68,41 @@ try:  # optional acceleration; the pure-Python path is always available
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
 
-#: Encoded distance standing in for ``INF`` in integer arenas.  Real
-#: distances must stay below ``2**60`` so the sum of any two of them is
-#: below ``INF_ENCODED``, any sum involving an unreachable side is at
-#: least ``INF_ENCODED``, and even ``INF_ENCODED + INF_ENCODED`` stays
-#: inside a signed 64-bit lane (required by the vectorised kernel).
-INF_ENCODED = 2 ** 61
 
-#: Largest finite distance an integer arena can hold (see above).
-MAX_INT_DIST = 2 ** 60 - 1
+class Width(NamedTuple):
+    """Constants of one label-array element width (see :data:`WIDTHS`)."""
 
-#: Largest count stored inline in the signed 64-bit count array.
-MAX_INLINE_COUNT = 2 ** 63 - 1
+    #: numpy dtype of the zero-copy kernel view.
+    dtype: str
+    #: Largest finite distance a distance array of this width holds
+    #: (``None``: any float).
+    max_dist: Optional[int]
+    #: Stored code standing in for ``INF`` in a distance array.
+    inf: Weight
+    #: Largest count stored inline in a count array of this width
+    #: (``None``: not a count width).
+    max_count: Optional[int]
+
+
+#: Per-width constants, keyed by ``array`` typecode.  Integer widths
+#: keep real distances at most ``max_dist`` so the sum of any two of
+#: them is below ``inf``, any sum involving an unreachable side is at
+#: least ``inf``, and even ``inf + inf`` stays inside the signed lane.
+WIDTHS: Dict[str, Width] = {
+    "i": Width("int32", 2 ** 29 - 1, 2 ** 30 - 1, 2 ** 31 - 1),
+    "q": Width("int64", 2 ** 60 - 1, 2 ** 61, 2 ** 63 - 1),
+    "d": Width("float64", None, INF, None),
+}
+
+#: Distance and count typecodes, narrowest first.
+DIST_TYPECODES = ("i", "q", "d")
+COUNT_TYPECODES = ("i", "q")
+
+#: The 64-bit layout's ``INF`` code and limits (the widest integer
+#: width; the overflow lane sits past ``MAX_INLINE_COUNT``).
+INF_ENCODED = WIDTHS["q"].inf
+MAX_INT_DIST = WIDTHS["q"].max_dist
+MAX_INLINE_COUNT = WIDTHS["q"].max_count
 
 #: Sentinel in the count array redirecting to the overflow lane.
 COUNT_OVERFLOW = -1
@@ -90,10 +122,12 @@ class LabelArena:
         "dist",
         "count",
         "dist_typecode",
+        "count_typecode",
         "region",
         "overflow_positions",
         "overflow_counts",
         "_overflow",
+        "_inf",
         "_np_dist",
     )
 
@@ -115,10 +149,14 @@ class LabelArena:
         self.offsets = offsets
         self.dist = dist
         self.count = count
-        #: ``'q'`` or ``'d'`` — arrays carry it as ``typecode``,
+        #: Keys of :data:`WIDTHS` — arrays carry them as ``typecode``,
         #: memoryviews as ``format``; resolved once so the hot paths
         #: never re-inspect the buffer type.
         self.dist_typecode: str = getattr(dist, "typecode", None) or dist.format
+        self.count_typecode: str = (
+            getattr(count, "typecode", None) or count.format
+        )
+        self._inf = WIDTHS[self.dist_typecode].inf
         #: Whatever owns the mapped bytes (an ``mmap``), kept alive for
         #: as long as the arena holds views into it.  ``None`` for heap
         #: arenas.
@@ -140,38 +178,42 @@ class LabelArena:
         dist_of: Mapping[Vertex, Sequence[Weight]],
         count_of: Mapping[Vertex, Sequence[int]],
     ) -> "LabelArena":
-        """Pack per-vertex dist/count lists in dense-id order ``order``."""
+        """Pack per-vertex dist/count lists in dense-id order ``order``.
+
+        Each array gets the narrowest width of :data:`WIDTHS` that holds
+        all of its values exactly.
+        """
         vertices = list(order)
-        typecode = "q"
-        for v in vertices:
-            for d in dist_of[v]:
-                if d == INF:
-                    continue
-                if not isinstance(d, int) or not 0 <= d <= MAX_INT_DIST:
-                    typecode = "d"
-                    break
-            if typecode == "d":
-                break
+        dist_code = _dist_typecode(dist_of[v] for v in vertices)
+        top_count = max(
+            (max(count_of[v], default=0) for v in vertices), default=0
+        )
+        count_code = "i" if top_count <= WIDTHS["i"].max_count else "q"
+        spill = top_count > MAX_INLINE_COUNT
 
         offsets = array("q", [0])
-        dist = array(typecode)
-        count = array("q")
+        dist = array(dist_code)
+        count = array(count_code)
         overflow_positions: List[int] = []
         overflow_counts: List[int] = []
         position = 0
-        inf_encoded = INF_ENCODED if typecode == "q" else INF
+        inf_encoded = WIDTHS[dist_code].inf
         for v in vertices:
             dist.extend(
                 inf_encoded if d == INF else d for d in dist_of[v]
             )
-            for c in count_of[v]:
-                if c <= MAX_INLINE_COUNT:
+            counts = count_of[v]
+            if spill:
+                for c in counts:
+                    if c > MAX_INLINE_COUNT:
+                        overflow_positions.append(position)
+                        overflow_counts.append(c)
+                        c = COUNT_OVERFLOW
                     count.append(c)
-                else:
-                    overflow_positions.append(position)
-                    overflow_counts.append(c)
-                    count.append(COUNT_OVERFLOW)
-                position += 1
+                    position += 1
+            else:
+                count.extend(counts)
+                position += len(counts)
             offsets.append(position)
         return cls(
             vertices, offsets, dist, count, overflow_positions, overflow_counts
@@ -186,14 +228,23 @@ class LabelArena:
             order = sorted(store.dist)
         return cls.from_lists(order, store.dist, store.count)
 
+    def narrowed(self) -> "LabelArena":
+        """This arena at the narrowest widths its values fit.
+
+        ``self`` when both arrays are already 32-bit, else a re-packed
+        heap copy (an arena read from a file written before 32-bit
+        widths existed is all int64).
+        """
+        if self.dist_typecode == "i" and self.count_typecode == "i":
+            return self
+        return LabelArena.from_lists(self.vertices, *self.to_lists())
+
     # ------------------------------------------------------------------
     # unpacking (reference/interop)
     # ------------------------------------------------------------------
     def decode_dist(self, value):
         """The public distance for one stored ``dist`` element."""
-        if self.dist_typecode == "q":
-            return INF if value >= INF_ENCODED else value
-        return INF if value == INF else value
+        return INF if value >= self._inf else value
 
     def to_lists(self) -> Tuple[Dict[Vertex, List], Dict[Vertex, List[int]]]:
         """Rebuild ``{vertex: [dist]}, {vertex: [count]}`` mappings."""
@@ -282,8 +333,9 @@ class LabelArena:
         """Zero-copy numpy view of the packed distance array (cached)."""
         view = self._np_dist
         if view is None:
-            dtype = _np.int64 if self.dist_typecode == "q" else _np.float64
-            view = _np.frombuffer(self.dist, dtype=dtype)
+            view = _np.frombuffer(
+                self.dist, dtype=WIDTHS[self.dist_typecode].dtype
+            )
             self._np_dist = view
         return view
 
@@ -449,6 +501,7 @@ class LabelArena:
             and memoryview(self.offsets) == memoryview(other.offsets)
             and self.dist_typecode == other.dist_typecode
             and memoryview(self.dist) == memoryview(other.dist)
+            and self.count_typecode == other.count_typecode
             and memoryview(self.count) == memoryview(other.count)
             and self.overflow_positions == other.overflow_positions
             and self.overflow_counts == other.overflow_counts
@@ -459,8 +512,25 @@ class LabelArena:
             f"LabelArena(n={self.num_vertices}, "
             f"entries={self.total_entries}, "
             f"dist={self.dist_typecode!r}, "
+            f"count={self.count_typecode!r}, "
             f"overflow={len(self.overflow_positions)})"
         )
+
+
+def _dist_typecode(rows: Iterable[Sequence[Weight]]) -> str:
+    """The narrowest distance width holding every value of ``rows``."""
+    top = 0
+    for row in rows:
+        for d in row:
+            if d == INF:
+                continue
+            if not isinstance(d, int) or d < 0:
+                return "d"
+            if d > top:
+                top = d
+    if top <= WIDTHS["i"].max_dist:
+        return "i"
+    return "q" if top <= WIDTHS["q"].max_dist else "d"
 
 
 def record_layout_gauges(rec, arena: LabelArena) -> None:

@@ -10,6 +10,7 @@ from repro.labels.arena import (
     COUNT_OVERFLOW,
     INF_ENCODED,
     MAX_INT_DIST,
+    WIDTHS,
     LabelArena,
     record_layout_gauges,
 )
@@ -40,6 +41,17 @@ def simple_lists():
     return order, dist, count
 
 
+@pytest.fixture
+def both_widths(simple_lists):
+    """``(typecode, arena)``: ``simple_lists`` packed at 32 bits, then at
+    64 bits by one extra last vertex whose distance and count need it."""
+    order, dist, count = simple_lists
+    wide = LabelArena.from_lists(
+        order + [11], {**dist, 11: [2 ** 29]}, {**count, 11: [2 ** 31]}
+    )
+    return [("i", LabelArena.from_lists(order, dist, count)), ("q", wide)]
+
+
 class TestPacking:
     def test_pack_unpack_round_trip(self, simple_lists):
         order, dist, count = simple_lists
@@ -54,12 +66,49 @@ class TestPacking:
         assert arena.vertex_ids == {3: 0, 7: 1, 9: 2}
         assert list(arena.offsets) == [0, 3, 5, 5]
 
-    def test_inf_is_encoded_not_stored(self, simple_lists):
-        arena = LabelArena.from_lists(*simple_lists)
-        assert arena.dist.typecode == "q"
-        assert arena.dist[2] == INF_ENCODED
-        assert arena.decode_dist(arena.dist[2]) == INF
-        assert arena.entry(3, 2) == (INF, 0)
+    def test_inf_is_encoded_not_stored(self, both_widths):
+        for code, arena in both_widths:
+            assert arena.dist.typecode == code
+            assert arena.count.typecode == code
+            assert arena.dist[2] == WIDTHS[code].inf
+            assert arena.decode_dist(arena.dist[2]) == INF
+            assert arena.entry(3, 2) == (INF, 0)
+        assert both_widths[1][1].dist[2] == INF_ENCODED
+
+    @pytest.mark.parametrize(
+        "distance, code",
+        [
+            (2 ** 29 - 1, "i"),
+            (2 ** 29, "q"),
+            (MAX_INT_DIST, "q"),
+        ],
+    )
+    def test_dist_width_boundaries(self, distance, code):
+        arena = LabelArena.from_lists(
+            [0, 1], {0: [distance, INF], 1: [0, 1]}, {0: [1, 0], 1: [1, 1]}
+        )
+        assert arena.dist_typecode == code
+        assert arena.entry(0, 0) == (distance, 1)
+        assert arena.entry(0, 1) == (INF, 0)
+        assert arena.scan(0, 1, 0, 2) == (distance, 1)
+
+    @pytest.mark.parametrize(
+        "count, code, spilled",
+        [
+            (2 ** 31 - 1, "i", 0),
+            (2 ** 31, "q", 0),
+            (2 ** 63 - 1, "q", 0),
+            (2 ** 63, "q", 1),
+        ],
+    )
+    def test_count_width_boundaries(self, count, code, spilled):
+        arena = LabelArena.from_lists(
+            [0, 1], {0: [3], 1: [4]}, {0: [count], 1: [count]}
+        )
+        assert arena.count_typecode == code
+        assert len(arena.overflow_positions) == 2 * spilled
+        assert arena.to_lists()[1] == {0: [count], 1: [count]}
+        assert arena.scan(0, 1, 0, 1) == (7, count * count)
 
     def test_float_weights_fall_back_to_doubles(self):
         arena = LabelArena.from_lists(
@@ -210,11 +259,14 @@ class TestShapeAndAccounting:
         assert arena.label_length(9) == 0
         assert arena.max_label_length() == 3
 
-    def test_nbytes_counts_buffers(self, simple_lists):
-        arena = LabelArena.from_lists(*simple_lists)
-        # offsets: 4 * 8, dist: 5 * 8, count: 5 * 8, no overflow.
-        assert arena.nbytes() == 32 + 40 + 40
-        assert arena.size_bytes() == 2 * 4 * 5
+    def test_nbytes_counts_buffers(self, both_widths):
+        (_, narrow), (_, wide) = both_widths
+        # offsets: 4 * 8, dist: 5 * 4, count: 5 * 4, no overflow.
+        assert narrow.nbytes() == 32 + 20 + 20
+        assert narrow.size_bytes() == 2 * 4 * 5
+        # offsets: 5 * 8, dist: 6 * 8, count: 6 * 8, no overflow.
+        assert wide.nbytes() == 40 + 48 + 48
+        assert wide.size_bytes() == 2 * 4 * 6
 
     def test_dict_layout_dominates_arena(self, simple_lists):
         arena = LabelArena.from_lists(*simple_lists)

@@ -152,6 +152,16 @@ class TestStatsProvenance:
         assert prov["build_info"]["git_sha"] == "abc123"
         assert prov["sections"]
 
+    def test_stats_reports_label_widths(self, tmp_path):
+        path = tmp_path / "idx.bin"
+        save_index(CTLSIndex.build(grid_graph(6, 6)), path, format="binary")
+        with ServerThread(load_index(path), ServeConfig(port=0)) as (
+            host, port,
+        ):
+            _, _, _, body = _http(host, port, "GET", "/stats")
+        prov = json.loads(body)["index"]["provenance"]
+        assert (prov["dist_typecode"], prov["count_typecode"]) == ("i", "i")
+
     def test_stats_without_provenance_still_serves(self, index):
         # An index built in-process has no file provenance; /stats
         # must simply omit the key rather than fail.

@@ -250,6 +250,20 @@ class TestBinaryFormat:
         assert main(["stats", str(index_path)]) == 0
         assert "vertices:           16" in capsys.readouterr().out
 
+    def test_stats_prints_label_widths(self, tmp_path, graph_file, capsys):
+        index_path = tmp_path / "index.bin"
+        assert main(
+            ["build", str(graph_file), str(index_path), "--format", "binary"]
+        ) == 0
+        capsys.readouterr()
+        assert main(["stats", str(index_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = next(
+            i for i, line in enumerate(lines)
+            if line.startswith("size (32-bit model)")
+        )
+        assert lines[at + 1] == "label widths:       dist int32, count int32"
+
 
 class TestVerifyIndex:
     @pytest.fixture
