@@ -22,7 +22,7 @@ Installed as the ``repro-spc`` console script::
     repro-spc update-replay deltas.jsonl --port 8355 --speed 2.0
     repro-spc serve index.bin --workers 2 --live-updates \
         --graph network.gr --wal-dir wal/ --respawn
-    repro-spc wal-verify wal/worker-0
+    repro-spc wal-verify wal/
     repro-spc trace fleet-trace.json --port 8355 --min-cross-links 1
     repro-spc analyze --port 8355
 
@@ -383,7 +383,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         breaker_cooldown_s=args.breaker_cooldown,
         live_updates=args.live_updates,
         overlay_threshold=args.overlay_threshold,
-        update_freshness_s=args.update_freshness_s,
         trace_buffer=args.trace_buffer,
         trace_sample_every=args.trace_sample,
         top_pairs_capacity=args.top_pairs,
@@ -428,7 +427,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 _load_graph(args.graph),
                 index,
                 overlay_threshold=config.overlay_threshold,
-                freshness_s=config.update_freshness_s,
             )
             if not recovery.fresh:
                 print(
@@ -444,7 +442,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 _load_graph(args.graph),
                 index,
                 overlay_threshold=config.overlay_threshold,
-                freshness_s=config.update_freshness_s,
             )
 
     async def _serve() -> None:
@@ -514,7 +511,9 @@ def _serve_fleet(args: argparse.Namespace, config) -> int:
         print(
             f"serving {args.index} on http://{router.host}:{router.port} "
             f"({mode}); SIGTERM/SIGINT drains the fleet and exits, "
-            "POST /admin/reload swaps the index fleet-wide",
+            + ("POST /admin/update applies delta batches fleet-wide"
+               if args.live_updates
+               else "POST /admin/reload swaps the index fleet-wide"),
             flush=True,
         )
         await router.wait_stopped()
@@ -1025,8 +1024,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--wal-dir", metavar="DIR", default=None,
         help="durable write-ahead log for accepted update batches: "
         "fsync'd before acknowledgement, replayed on restart/respawn "
-        "to the exact pre-crash overlay (needs --live-updates; a "
-        "fleet gives each worker DIR/worker-<id>/)",
+        "to the exact pre-crash overlay (needs --live-updates; in a "
+        "fleet the router owns the one log)",
     )
     p_serve.add_argument(
         "--respawn", action="store_true",
@@ -1042,12 +1041,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--overlay-threshold", type=int, default=20000, metavar="N",
         help="patched overlay entries that trigger a background "
         "rebuild-and-swap of the base index, 0 = never (default 20000)",
-    )
-    p_serve.add_argument(
-        "--update-freshness-s", type=float, default=0.0, metavar="S",
-        help="seconds an in-flight repair may lag before affected "
-        "queries fall back to counting Dijkstra on current weights "
-        "(default 0 = disabled)",
     )
     p_serve.add_argument(
         "--trace-buffer", type=int, default=4096, metavar="N",
@@ -1252,8 +1245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wal.add_argument(
         "path",
         help="a wal-NNNNNN.log file, or a WAL directory (every epoch "
-        "file in it is checked; a fleet's workers each own "
-        "DIR/worker-<id>/)",
+        "file in it is checked)",
     )
     p_wal.set_defaults(func=_cmd_wal_verify)
     return parser

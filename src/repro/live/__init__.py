@@ -6,10 +6,11 @@ edge-weight deltas without blocking readers:
 * :class:`~repro.live.overlay.OverlayState` /
   :class:`~repro.live.overlay.LiveIndex` — immutable patch-table
   snapshots over the base arena; clean pairs keep the vectorised scan,
-  poisoned pairs take a patched scalar merge.
+  poisoned pairs take a patched scalar merge; :func:`patch_rows` and
+  :func:`read_patch_rows` carry a patch table or a batch diff as JSON.
 * :class:`~repro.live.coordinator.UpdateCoordinator` — atomic batch
-  application (epoch/seqno versioning), overlay-threshold rebuild
-  snapshots, and the freshness-deadline Dijkstra fallback.
+  application (epoch/seqno versioning) and overlay-threshold rebuild
+  snapshots.
 * :mod:`~repro.live.wal` — the durable write-ahead log: every accepted
   batch is fsync'd (length-prefixed, CRC32-per-record) before it is
   acknowledged, :func:`~repro.live.wal.recover_coordinator` replays it
@@ -24,11 +25,16 @@ See ``docs/serving.md`` ("Live updates") for the wire format and
 
 from repro.live.coordinator import (
     MAX_BATCH_LOG,
-    StaleRouter,
     UpdateCoordinator,
     UpdateReport,
 )
-from repro.live.overlay import LiveIndex, OverlayState, patched_scan
+from repro.live.overlay import (
+    LiveIndex,
+    OverlayState,
+    patch_rows,
+    patched_scan,
+    read_patch_rows,
+)
 from repro.live.replay import (
     DeltaBatch,
     UpdateStreamReport,
@@ -55,7 +61,6 @@ __all__ = [
     "MAX_BATCH_LOG",
     "OverlayState",
     "RecoveryReport",
-    "StaleRouter",
     "UpdateCoordinator",
     "UpdateReport",
     "UpdateStreamReport",
@@ -64,8 +69,10 @@ __all__ = [
     "WalRecord",
     "WalVerifyReport",
     "WriteAheadLog",
+    "patch_rows",
     "patched_scan",
     "read_delta_file",
+    "read_patch_rows",
     "recover_coordinator",
     "scan_wal",
     "stream_deltas",

@@ -29,10 +29,9 @@ base index from the updated graph, then :meth:`adopt_base` to swap it
 in: epoch + 1, and the overlay shrinks to just the batches that landed
 after the rebuild snapshot (usually empty).
 
-A batch whose repair overruns ``freshness_s`` flips the
-:class:`StaleRouter`: until the repair lands, queries whose label scan
-reaches into an affected block are answered by counting Dijkstra on the
-current graph instead of the (stale) overlay.
+Each :class:`UpdateReport` carries the batch's overlay diff
+(``changed``), the one a fleet router ships to its workers so that
+they install the repaired entries instead of repairing themselves.
 """
 
 from __future__ import annotations
@@ -51,12 +50,11 @@ from repro.core.dynamic import (
     sweep_labels,
     validate_updates,
 )
-from repro.exceptions import IndexQueryError, LiveUpdateError
+from repro.exceptions import LiveUpdateError
 from repro.graph.graph import Graph
-from repro.live.overlay import LiveIndex, OverlayState, PatchEntry
+from repro.live.overlay import LiveIndex, OverlayDiff, OverlayState, PatchEntry
 from repro.obs import NULL_RECORDER
-from repro.search.pairwise import spc_query
-from repro.types import QueryResult, Vertex
+from repro.types import Vertex
 
 #: Retain at most this many applied batches for rebuild replay; older
 #: entries are dropped and a rebuild snapshotting before the drop line
@@ -74,45 +72,16 @@ class UpdateReport:
     updated_edges: int
     repaired_nodes: int
     overlay_entries: int
-    changed_vertices: FrozenSet[Vertex] = field(default_factory=frozenset)
     seconds: float = 0.0
     repaired_entries: int = 0
-    #: ``(vertex, min_dirty)`` of every changed vertex after the batch,
-    #: ``None`` for a vertex it left clean — what a fleet router
-    #: mirrors to tell clean pairs from poisoned ones.
-    min_dirty: Tuple[Tuple[Vertex, Optional[int]], ...] = ()
+    #: The batch's overlay diff: ``state.with_batch(changed)`` is the
+    #: overlay the batch published.
+    changed: OverlayDiff = field(default_factory=dict)
 
-
-class StaleRouter:
-    """Freshness-deadline fallback for queries racing a slow repair."""
-
-    def __init__(self, coordinator: "UpdateCoordinator") -> None:
-        self._coordinator = coordinator
-
-    def overdue(self) -> bool:
-        """Whether an in-flight repair has exceeded the deadline."""
-        pending = self._coordinator._pending
-        if pending is None:
-            return False
-        started, _ = pending
-        return time.monotonic() - started >= self._coordinator.freshness_s
-
-    def route(self, source: Vertex, target: Vertex) -> Optional[QueryResult]:
-        """Counting-Dijkstra answer for a possibly-stale pair."""
-        coordinator = self._coordinator
-        pending = coordinator._pending
-        if pending is None:
-            return None
-        _, min_block = pending
-        base, _ = coordinator.live_index.view
-        try:
-            prefix = base.window(source, target)[1]
-        except IndexQueryError:
-            return None  # unknown vertex: let the base scan raise
-        if prefix <= min_block:
-            return None  # scan cannot reach an affected block
-        coordinator.recorder.incr("live.fallback.queries")
-        return spc_query(coordinator.graph, source, target)
+    @property
+    def changed_vertices(self) -> FrozenSet[Vertex]:
+        """Vertices whose answers the batch can have moved."""
+        return frozenset(self.changed)
 
 
 class UpdateCoordinator:
@@ -124,7 +93,6 @@ class UpdateCoordinator:
         index: CTLIndex,
         *,
         overlay_threshold: int = 0,
-        freshness_s: float = 0.0,
         recorder=NULL_RECORDER,
         build_params: Optional[dict] = None,
     ) -> None:
@@ -145,13 +113,9 @@ class UpdateCoordinator:
         self.graph = graph.copy()
         #: Patched entries that trigger a rebuild (0 = never).
         self.overlay_threshold = overlay_threshold
-        #: Seconds a repair may lag before queries fall back (0 = never).
-        self.freshness_s = freshness_s
         self.recorder = recorder
         self._build_params = dict(build_params or {})
         self.live_index = LiveIndex(index)
-        if freshness_s > 0:
-            self.live_index.stale_router = StaleRouter(self)
         self._lock = threading.Lock()
         #: Durable :class:`~repro.live.wal.WriteAheadLog`, or ``None``.
         #: When attached, every batch is fsync'd to it *before* the
@@ -162,9 +126,6 @@ class UpdateCoordinator:
         #: makes a rotated WAL epoch file self-contained: recovery
         #: replays these weights onto the pristine graph.
         self._dirty_edges: Dict[Tuple[Vertex, Vertex], WeightUpdate] = {}
-        #: ``(monotonic start, min affected block_start)`` of the batch
-        #: currently being repaired, or ``None``.
-        self._pending: Optional[Tuple[float, int]] = None
         #: Applied batches ``(seqno, ((a, b), ...))`` kept for rebuild
         #: replay; trimmed to :data:`MAX_BATCH_LOG`.
         self._batch_log: List[Tuple[int, Tuple[Tuple[Vertex, Vertex], ...]]] = []
@@ -224,20 +185,14 @@ class UpdateCoordinator:
             for a, b, _old, weight in transitions:
                 key = (a, b) if a <= b else (b, a)
                 self._dirty_edges[key] = (a, b, weight)
-            changed: Dict[Vertex, Dict[int, Optional[PatchEntry]]] = {}
+            changed: OverlayDiff = {}
             repaired_nodes = repaired_entries = 0
             if transitions:
                 repaired_nodes = len(affected_nodes(base.tree, transitions))
-                # Every edge's root path starts at the root block, so
-                # the whole label prefix is in flight.
-                self._pending = (time.monotonic(), 0)
-                try:
-                    repaired = repair_labels(
-                        self.graph, base.tree, transitions,
-                        _overlay_reader(base, state),
-                    )
-                finally:
-                    self._pending = None
+                repaired = repair_labels(
+                    self.graph, base.tree, transitions,
+                    _overlay_reader(base, state),
+                )
                 repaired_entries = len(repaired)
                 entry = base.arena.entry
                 for (vertex, position), value in repaired.items():
@@ -272,13 +227,9 @@ class UpdateCoordinator:
             updated_edges=len(transitions),
             repaired_nodes=repaired_nodes,
             overlay_entries=new_state.entries,
-            changed_vertices=frozenset(changed),
             seconds=self.last_apply_seconds,
             repaired_entries=repaired_entries,
-            min_dirty=tuple(
-                (vertex, new_state.min_dirty.get(vertex))
-                for vertex in sorted(changed)
-            ),
+            changed=changed,
         )
 
     # ------------------------------------------------------------------
@@ -372,7 +323,6 @@ class UpdateCoordinator:
             "overlay_entries": new_state.entries,
             "full_diff": full_diff,
             "adopt_seconds": seconds,
-            "min_dirty": sorted(new_state.min_dirty.items()),
         }
 
     # ------------------------------------------------------------------
@@ -389,7 +339,6 @@ class UpdateCoordinator:
             "overlay_entries": state.entries,
             "poisoned_vertices": state.poisoned_vertices,
             "overlay_threshold": self.overlay_threshold,
-            "freshness_s": self.freshness_s,
             "applied_batches": self.applied_batches,
             "applied_edges": self.applied_edges,
             "rebuilds": self.rebuilds,

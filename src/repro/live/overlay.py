@@ -25,7 +25,9 @@ Poisoned pairs take a scalar merge of base entries and patches.
 
 Overlay states are immutable snapshots: the coordinator builds a new
 state off-thread and publishes it with one attribute store, so readers
-never see a half-applied batch.
+never see a half-applied batch.  :func:`patch_rows` and
+:func:`read_patch_rows` carry a patch table, or one batch's diff, over
+JSON: that is how a fleet router hands its overlay to its workers.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.base import SELF_QUERY_RESULT
 from repro.core.ctl import CTLIndex
-from repro.exceptions import IndexQueryError
+from repro.exceptions import IndexQueryError, LiveUpdateError
 from repro.types import INF, QueryResult, Vertex, Weight
 
 #: A patched label value in the decoded domain (``INF`` when the hub
@@ -43,6 +45,11 @@ PatchEntry = Tuple[Weight, int]
 
 #: Sentinel "no dirty position" — larger than any real label length.
 CLEAN = 1 << 62
+
+#: One batch's overlay diff: ``{vertex: {position: value}}``, where a
+#: value is the entry's new ``(dist, count)`` or ``None`` for an entry
+#: back at its base value (see :meth:`OverlayState.with_batch`).
+OverlayDiff = Dict[Vertex, Dict[int, Optional[PatchEntry]]]
 
 
 class OverlayState:
@@ -106,10 +113,7 @@ class OverlayState:
         prefix = base.window(source, target)[1]
         return self.pair_clean(source, target, prefix)
 
-    def with_batch(
-        self,
-        changed: Dict[Vertex, Dict[int, Optional[PatchEntry]]],
-    ) -> "OverlayState":
+    def with_batch(self, changed: OverlayDiff) -> "OverlayState":
         """A new state with ``changed`` merged in (``None`` = unpatch).
 
         ``changed`` carries the diff of one repaired batch: positions
@@ -150,12 +154,6 @@ class LiveIndex:
             base,
             state if state is not None else OverlayState.initial(),
         )
-        #: Optional freshness-deadline hook.  An object with
-        #: ``overdue() -> bool`` (cheap, checked once per call) and
-        #: ``route(s, t) -> Optional[QueryResult]`` (returns a
-        #: counting-Dijkstra answer for possibly-stale pairs, or
-        #: ``None`` to fall through to the overlay scan).
-        self.stale_router = None
 
     # ------------------------------------------------------------------
     # view management
@@ -204,11 +202,6 @@ class LiveIndex:
 
     def query(self, source: Vertex, target: Vertex) -> QueryResult:
         base, state = self._view
-        stale = self.stale_router
-        if stale is not None and stale.overdue():
-            routed = stale.route(source, target)
-            if routed is not None:
-                return routed
         if state.base_answers(base, source, target):
             return base.query(source, target)
         prefix = self._prefix(base, source, target)
@@ -216,19 +209,11 @@ class LiveIndex:
 
     def query_batch(self, pairs) -> List[QueryResult]:
         base, state = self._view
-        stale = self.stale_router
-        if stale is not None and not stale.overdue():
-            stale = None
         pairs = list(pairs)
         results: List[Optional[QueryResult]] = [None] * len(pairs)
         clean_pairs: List[Tuple[Vertex, Vertex]] = []
         clean_slots: List[int] = []
         for slot, (source, target) in enumerate(pairs):
-            if stale is not None:
-                routed = stale.route(source, target)
-                if routed is not None:
-                    results[slot] = routed
-                    continue
             try:
                 clean = state.base_answers(base, source, target)
             except IndexQueryError:
@@ -269,6 +254,50 @@ class LiveIndex:
             return not state.base_answers(base, source, target)
         except IndexQueryError:
             return False
+
+
+def patch_rows(changed) -> List[list]:
+    """A patch table, or one batch's diff, as JSON-safe rows.
+
+    Each entry becomes ``[vertex, position, dist, count]``: ``INF``
+    travels as the string ``"inf"`` (JSON has no infinity) and an
+    entry back at its base value (``None`` in a diff) as
+    ``[vertex, position, null, null]``.  Rows, not objects keyed by
+    vertex, so integer vertex ids survive JSON.
+    """
+    rows = []
+    for vertex, positions in changed.items():
+        for position, value in positions.items():
+            if value is None:
+                rows.append([vertex, position, None, None])
+            else:
+                dist, count = value
+                rows.append(
+                    [vertex, position, "inf" if dist == INF else dist, count]
+                )
+    return rows
+
+
+def read_patch_rows(rows) -> OverlayDiff:
+    """The patch table (or diff) :func:`patch_rows` wrote; raises
+    :class:`~repro.exceptions.LiveUpdateError` on a malformed row."""
+    changed: OverlayDiff = {}
+    try:
+        for vertex, position, dist, count in rows:
+            if type(vertex) is not int or type(position) is not int:
+                raise ValueError("vertex and position must be integers")
+            if dist is None:
+                value = None
+            elif dist == "inf":
+                value = (INF, count)
+            elif isinstance(dist, (int, float)) and type(count) is int:
+                value = (dist, count)
+            else:
+                raise ValueError(f"bad entry {[dist, count]!r}")
+            changed.setdefault(vertex, {})[position] = value
+    except (TypeError, ValueError) as exc:
+        raise LiveUpdateError(f"malformed patch row: {exc}") from exc
+    return changed
 
 
 def patched_scan(

@@ -2,7 +2,7 @@
 
 The :class:`~repro.live.coordinator.UpdateCoordinator` keeps the current
 weights and the overlay in process memory only — a ``kill -9`` silently
-reverts a worker to the weights its index was built from.  This module
+reverts a server to the weights its index was built from.  This module
 makes every acknowledged batch durable: the coordinator appends each
 batch here (fsync'd) *before* publishing the overlay, so an HTTP 200
 on ``/admin/update`` always implies the batch survives a crash.
@@ -481,7 +481,6 @@ def recover_coordinator(
     index,
     *,
     overlay_threshold: int = 0,
-    freshness_s: float = 0.0,
     recorder=NULL_RECORDER,
     build_params: Optional[dict] = None,
     fault_plan=None,
@@ -489,7 +488,7 @@ def recover_coordinator(
     """Reconstruct a WAL-backed coordinator from ``wal_dir``.
 
     ``graph``/``index`` are the *cold-start* state (the original graph
-    file and the index the worker just mmap'd).  The highest usable
+    file and the index the server just mapped).  The highest usable
     epoch file decides everything else: its base record rebuilds the
     current-weights graph and the post-snapshot overlay, and its batch
     records replay through :meth:`UpdateCoordinator.apply_batch` — a
@@ -509,7 +508,6 @@ def recover_coordinator(
             graph,
             index,
             overlay_threshold=overlay_threshold,
-            freshness_s=freshness_s,
             recorder=recorder,
             build_params=build_params,
         )
@@ -562,7 +560,6 @@ def recover_coordinator(
         graph,
         base_index,
         overlay_threshold=overlay_threshold,
-        freshness_s=freshness_s,
         recorder=recorder,
         build_params=build_params,
     )

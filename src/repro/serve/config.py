@@ -89,10 +89,6 @@ class ServeConfig:
     #: rebuild-and-swap of the base index; 0 lets the overlay grow
     #: forever (rebuilds only on demand).
     overlay_threshold: int = 20000
-    #: Seconds an in-flight repair may lag before queries that could
-    #: see stale labels fall back to counting Dijkstra on the current
-    #: weights; 0 disables the freshness deadline.
-    update_freshness_s: float = 0.0
     #: Per-process ring-buffer capacity (spans) of the distributed
     #: trace collector; 0 disables tracing entirely — no traceparent
     #: parsing, no spans, no ``/admin/trace``.
@@ -107,8 +103,8 @@ class ServeConfig:
     #: ``/stats``; 0 disables workload analytics.
     top_pairs_capacity: int = 256
     #: Directory of the durable live-update write-ahead log; ``None``
-    #: (default) keeps accepted batches in memory only.  A fleet gives
-    #: each worker its own ``worker-<id>/`` subdirectory.
+    #: (default) keeps accepted batches in memory only.  In a fleet the
+    #: router owns the one log there.
     wal_dir: Optional[str] = None
     #: Fleet only: respawn dead workers (capped-exponential backoff,
     #: flap circuit) instead of leaving them ejected from the ring.
@@ -160,8 +156,6 @@ class ServeConfig:
             raise ServeConfigError("breaker_cooldown_s must be >= 0")
         if self.overlay_threshold < 0:
             raise ServeConfigError("overlay_threshold must be >= 0")
-        if self.update_freshness_s < 0:
-            raise ServeConfigError("update_freshness_s must be >= 0")
         if self.trace_buffer < 0:
             raise ServeConfigError("trace_buffer must be >= 0")
         if self.trace_sample_every < 0:

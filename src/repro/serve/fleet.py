@@ -17,41 +17,47 @@ pipelined connection loop, drain, ``traceparent`` sampling and
 It owns the fleet's one result cache (``workers × cache_size``
 entries; the workers run without one), keyed on the symmetric pair
 ``(min(s, t), max(s, t))``, so a repeated query is answered without a
-worker hop.  Commit fan-outs run one at a time, in the order each
-worker's one update thread applies them.  A seqlock generation, odd
-while a commit fan-out is in flight, keeps the cache exact: an answer
-is cached only if no commit overlapped its request, an update commit
-drops every pair touching a vertex in the workers'
-``changed_vertices``, and a reload clears it.
+worker hop.  Commits — an update batch, a reload, a rebuilt base — run
+one at a time under a seqlock generation that is odd while one is in
+flight: an answer is cached only if no commit overlapped its request,
+an update drops every pair touching a vertex whose labels moved, and a
+reload clears the cache.
 
 The router also maps the index its workers serve — the same v4 file
 and ``load_index(path, verify=True)``, so the same page-cache pages —
-and answers a miss itself whenever the answer is exactly a worker's:
-every pair of a static fleet, and on a live fleet every pair clean by
-the workers' own rule (:meth:`OverlayState.base_answers`).  For that
-it mirrors the workers' overlay ``min_dirty`` (each patched vertex's
-first dirty label position) from their update and reload commit
-reports and from their readiness after WAL recovery, which also names
-the base a rotated WAL pinned (the router maps that base).  It answers
-locally only while the seqlock is even, the workers agree on
-``(epoch, seqno, min_dirty)`` and serve the base it maps; on any
-disagreement it forwards everything until a reload brings agreement
-back.  In a reload it is one more two-phase participant: it opens and
-verifies the new file on prepare and swaps on commit.
+and answers every cache miss from it itself.
+
+**Live updates.**  On a live fleet the router owns the live tier, just
+as a single live server does (:class:`~repro.serve.server.LiveTier`,
+the same handler code): it recovers one
+:class:`~repro.live.coordinator.UpdateCoordinator` from ``--wal-dir``
+at start, and each ``POST /admin/update`` is validated, fsync'd to the
+one WAL and repaired once, then its overlay diff is installed on every
+live worker (``POST /admin/install``) before the 200.  Workers are
+replicas: a :class:`~repro.live.overlay.LiveIndex` over the base the
+router names, with no graph, coordinator or WAL of their own.  Past
+the overlay threshold the router rebuilds the base, saves it next to
+the served index, adopts it (the WAL pins its path) and joins every
+worker to the new state.  *Joining* sends the router's whole state —
+base path, ``(epoch, seqno)`` and patch table — under the commit lock;
+it admits a worker at start, on respawn, after a rebuild, and after an
+install the worker did not take (it is ejected until it has joined).
+So every worker serves the router's version, and the router answers
+every pair from its own overlay.
 
 Every other request is forwarded to the next live worker, round-robin:
-poisoned pairs, pairs whose local scan raises, ``explain``, requests
-carrying a sampled inbound ``traceparent``, and the ``/admin/profile``
-relay.  Every worker serves the same index and overlay, so any live
-one answers exactly.  A forwarded hot ``GET /query`` is the client's
-own bytes, and the worker's response is relayed verbatim.  A client
-that pipelines keeps several queries in flight upstream, each on a
-pooled keep-alive loopback connection of its own, and gets its answers
-back in request order.  Queries are pure reads, so a request that dies
-with its upstream connection (a worker restart, an injected
-``conn.reset`` fault) is transparently resent a bounded number of
-times, and re-dispatched once to another worker if its worker died,
-before the client sees a retryable 502.
+pairs whose local scan raises, ``explain``, requests carrying a
+sampled inbound ``traceparent``, and the ``/admin/profile`` relay.
+Every worker serves the same index and overlay, so any live one
+answers exactly.  A forwarded hot ``GET /query`` is the client's own
+bytes, and the worker's response is relayed verbatim.  A client that
+pipelines keeps several queries in flight upstream, each on a pooled
+keep-alive loopback connection of its own, and gets its answers back
+in request order.  Queries are pure reads, so a request that dies with
+its upstream connection (a worker restart, an injected ``conn.reset``
+fault) is transparently resent a bounded number of times, and
+re-dispatched once to another worker if its worker died, before the
+client sees a retryable 502.
 
 Fleet-wide endpoints:
 
@@ -63,23 +69,18 @@ Fleet-wide endpoints:
   still sheds answers its members with that worker's 503 and
   ``Retry-After``.
 * ``GET /metrics`` — per-worker snapshots merged (counters and gauges
-  summed, histograms merged bucket-wise); Prometheus text on request.
-  ``serve.requests`` is the router's own count: every ``/query`` a
-  client sent the fleet, once.
+  summed, histograms merged bucket-wise) with the router's own;
+  Prometheus text on request.  ``serve.requests`` is the router's own
+  count: every ``/query`` a client sent the fleet, once.
 * ``GET /health`` — fleet status: ``ok`` only if every worker is ok.
-* ``POST /admin/reload`` — **two-phase** fleet reload: every worker,
-  and the router, stages and fully verifies the new index
-  (``prepare``), and only if all succeed does the router ``commit``
-  the swap everywhere.  One corrupt file → ``abort`` everywhere, 409,
-  old index keeps serving on all workers and at the router.
-* ``POST /admin/update`` — **two-phase** fleet-wide delta batch: every
-  worker validates and stages the batch (``prepare``); only if all N
-  accept does the router ``commit`` it everywhere, so the workers'
-  deterministic shadow graphs never diverge.  When a commit reports
-  the overlay past its rebuild threshold, the router runs one
-  coordinated rebuild: worker 0 builds and saves a fresh index, then
-  the normal two-phase reload path swaps it in on every worker while
-  each worker replays its post-snapshot batches onto the new base.
+* ``POST /admin/reload`` — **two-phase** fleet reload of a static
+  fleet: every worker, and the router, stages and fully verifies the
+  new index (``prepare``), and only if all succeed does the router
+  ``commit`` the swap everywhere.  One corrupt file → ``abort``
+  everywhere, 409, old index keeps serving on all workers and at the
+  router.  A live fleet refuses it, as a live server does.
+* ``POST /admin/update`` — one delta batch, applied by the router's
+  live tier and installed on every live worker (above).
 * ``POST /admin/profile`` — relayed to a live worker, headers and all.
 * ``POST /admin/trace`` — fleet trace capture: every worker's span
   ring (plus the router's own) drained, clock-aligned, and merged
@@ -87,11 +88,10 @@ Fleet-wide endpoints:
   boundary (router ``fleet.request`` → worker ``serve.request`` →
   ``serve.scan_batch``).
 * ``GET /stats`` — per-worker stats fanned out and merged: a
-  ``fleet.per_worker`` table (QPS, p99, epoch/seqno lag vs the fleet
-  maximum), ``fleet.answers`` (local vs forwarded misses, agreement,
-  the mapped index, the mirror's version), the router's ``cache``
-  snapshot, and ``top_pairs`` from the router's Space-Saving sketch
-  of every routed query.
+  ``fleet.per_worker`` table (QPS, p99, epoch/seqno lag behind the
+  router's version), ``fleet.answers`` (local vs forwarded misses and
+  the mapped index), the router's ``live`` block, ``cache`` snapshot,
+  and ``top_pairs`` from its Space-Saving sketch of every routed query.
 
 ``SIGTERM``/``SIGINT`` drain in cascade: the router stops accepting,
 answers every request already read, then signals each worker to run
@@ -103,29 +103,27 @@ proactively by the periodic liveness probe) stops receiving traffic
 immediately — its in-flight queries re-dispatch to the survivors, so
 availability degrades but correctness never does — and, with
 ``respawn`` enabled, is respawned under capped-exponential backoff.
-The replacement cold-starts from the same zero-copy v4 mmap, replays
-its private write-ahead log (``wal_dir/worker-<id>/``) back to its
-pre-crash overlay, is topped up by the router to the fleet's current
-``(epoch, seqno)`` (missed batches from the router's retained update
-bodies, missed rebuilds by adopting the last coordinated base), and
-takes traffic again only after a readiness probe answers.  A worker
-that dies ``flap_max_restarts`` times within ``flap_window_s`` trips
-its flap circuit and stays down (``/health`` reports ``flapped`` and
-stays degraded).  With *every* worker down, queries answer 503 with a
+The replacement cold-starts from the same zero-copy v4 mmap of the
+base the router serves, joins the router's state, and takes traffic
+again only after a readiness probe answers.  A worker that dies
+``flap_max_restarts`` times within ``flap_window_s`` trips its flap
+circuit and stays down (``/health`` reports ``flapped`` and stays
+degraded).  With *every* worker down, queries answer 503 with a
 ``Retry-After`` header instead of hanging.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import json
 import multiprocessing
-import os
 import signal
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ReproError
 from repro.obs import Recorder, merge_trace_fragments
@@ -139,13 +137,8 @@ from repro.serve.http import (
     parse_response,
     read_response_bytes,
 )
-from repro.serve.server import encode_result, encode_result_bytes
+from repro.serve.server import LiveTier, encode_result, encode_result_bytes
 from repro.types import INF, QueryResult
-
-if TYPE_CHECKING:
-    # Imported where a live report arrives: a static fleet's processes
-    # never load the live tier.
-    from repro.live.overlay import OverlayState
 
 #: Upstream response headers the router frames itself; every other
 #: header of a relayed admin response is forwarded.
@@ -157,10 +150,6 @@ _UPSTREAM_RESENDS = 2
 
 #: Idle upstream connections kept pooled per worker.
 _POOL_SIZE = 32
-
-#: Committed update bodies retained for respawn catch-up; matches the
-#: coordinator's own in-memory batch log bound.
-_UPDATE_LOG_MAX = 4096
 
 #: Consecutive failed HTTP probes before a live-but-wedged worker
 #: process is killed and treated as dead.
@@ -228,18 +217,12 @@ class WorkerSpec:
     config: ServeConfig
     fault_spec: Optional[str] = None
     fault_seed: int = 0
-    #: Graph file backing live updates; each worker loads its own copy
-    #: and keeps it in lockstep via the router's all-or-nothing update
-    #: fan-out.  ``None`` disables the live tier.
-    live_graph_path: Optional[str] = None
-    #: This worker's private write-ahead-log directory; applied batches
-    #: are fsync'd there before acknowledgement and replayed on respawn.
-    wal_dir: Optional[str] = None
 
 
 async def _worker_serve(spec: WorkerSpec, conn) -> None:
     from repro.core.serialize import load_index
     from repro.faults import FaultPlan
+    from repro.live.overlay import LiveIndex
     from repro.serve.server import SPCServer
 
     try:
@@ -251,44 +234,12 @@ async def _worker_serve(spec: WorkerSpec, conn) -> None:
             if spec.fault_spec
             else None
         )
-        updates = None
-        served_path = spec.index_path
-        if spec.live_graph_path is not None:
-            from repro.graph.io import read_graph_auto
-            from repro.live import UpdateCoordinator, recover_coordinator
-
-            graph = read_graph_auto(spec.live_graph_path)
-            if spec.wal_dir is not None:
-                # Cold start from the mmap'd index, then replay this
-                # worker's WAL to the exact pre-crash overlay state
-                # before the readiness report goes out.
-                updates, recovery = recover_coordinator(
-                    spec.wal_dir,
-                    graph,
-                    index,
-                    overlay_threshold=spec.config.overlay_threshold,
-                    freshness_s=spec.config.update_freshness_s,
-                    fault_plan=plan,
-                )
-                # A rotated WAL may pin a rebuilt base: the overlay sits
-                # on that file now, and the router must map it too.
-                served_path = recovery.base_path or served_path
-            else:
-                updates = UpdateCoordinator(
-                    graph,
-                    index,
-                    overlay_threshold=spec.config.overlay_threshold,
-                    freshness_s=spec.config.update_freshness_s,
-                )
+        if spec.config.live_updates:
+            # A replica: the router repairs every batch once and
+            # installs the result here (POST /admin/install).
+            index = LiveIndex(index)
         server = SPCServer(
-            index,
-            spec.config,
-            fault_plan=plan,
-            index_path=served_path,
-            updates=updates,
-            # The router owns rebuilds: one worker building per update
-            # burst is enough, and the swap must be fleet-coordinated.
-            auto_rebuild=False,
+            index, spec.config, fault_plan=plan, index_path=spec.index_path
         )
         if server.tracer is not None:
             # Fragments carry the role so a merged fleet trace names
@@ -300,7 +251,7 @@ async def _worker_serve(spec: WorkerSpec, conn) -> None:
         conn.close()
         return
     server.install_signal_handlers()
-    conn.send(("ready", server.port, server.overlay_report()))
+    conn.send(("ready", server.port))
     conn.close()
     await server.wait_stopped()
 
@@ -327,9 +278,10 @@ class _Worker:
     #: fresh one (new fault seed) so a deterministic crash draw does
     #: not re-kill every replacement on its first request.
     spec: Optional[WorkerSpec] = None
-    #: Receiving traffic.  A dead worker is ejected the moment its
-    #: death is detected and re-admitted only after a respawn passes
-    #: its readiness probe and catch-up.
+    #: Receiving traffic (and, on a live fleet, every batch's diff).  A
+    #: dead worker is ejected the moment its death is detected, a live
+    #: one that did not take a diff until it has joined again; either
+    #: is re-admitted only once it has joined the router's state.
     up: bool = True
     #: Process incarnation: 0 for the original spawn, +1 per respawn.
     generation: int = 0
@@ -339,7 +291,7 @@ class _Worker:
     total_deaths: int = 0
     #: Consecutive failed supervisor probes on a live process.
     probe_failures: int = 0
-    #: A respawn task currently owns this handle.
+    #: A respawn or rejoin task currently owns this handle.
     respawning: bool = False
     #: Flap circuit: died too often, stays down until router restart.
     circuit_open: bool = False
@@ -350,7 +302,7 @@ class _Worker:
 # ----------------------------------------------------------------------
 # router
 # ----------------------------------------------------------------------
-class FleetRouter(FrontEnd):
+class FleetRouter(LiveTier, FrontEnd):
     """The front process of a ``serve --workers N`` fleet."""
 
     def __init__(
@@ -375,49 +327,35 @@ class FleetRouter(FrontEnd):
         self.num_workers = num_workers
         self.fault_spec = fault_spec
         self.fault_seed = fault_seed
+        #: Graph file of a live fleet: the router loads it into the
+        #: fleet's one coordinator.  ``None`` for a static fleet.
         self.live_graph_path = (
             str(live_graph_path) if live_graph_path is not None else None
         )
-        self._rebuild_task: Optional[asyncio.Task] = None
         #: Supervisor probe loop (None when probe_interval_s == 0).
         self._supervisor_task: Optional[asyncio.Task] = None
-        #: In-flight respawn tasks, cancelled on shutdown.
+        #: In-flight respawn and rejoin tasks, cancelled on shutdown.
         self._respawn_tasks: set = set()
-        #: Recently committed update bodies ``(seqno, body)`` — the
-        #: catch-up source for a respawned worker whose WAL predates
-        #: batches the fleet accepted while it was down.
-        self._update_log: List[Tuple[int, bytes]] = []
-        #: Path and snapshot seqno of the last coordinated rebuild;
-        #: a respawned worker behind on epoch adopts this base.
-        self._last_rebuild: Optional[Tuple[str, int]] = None
         #: The fleet's one result cache, as large as the workers'
         #: caches together; workers run without one.  Every hit is a
         #: query that never takes the router → worker hop.
         self.cache = ResultCache(
             num_workers * self.config.cache_size, recorder=self.recorder
         )
-        #: Seqlock over commit fan-outs (update, reload, rebuild swap):
-        #: odd while one is in flight, and moved by its start and end.
-        #: See :meth:`_cacheable`.
+        #: Seqlock over commits (update, reload, rebuilt base): odd
+        #: while one is in flight, and moved by its start and end.  See
+        #: :meth:`_cacheable`.
         self._generation = 0
-        #: Serializes commit fan-outs, as each worker's one update
-        #: thread does: the mirror takes reports in commit order.
+        #: Serializes commits and joins, so every worker takes the
+        #: router's versions in order.
         self._commit_lock = asyncio.Lock()
         #: The index the workers serve, mapped by the router too (the
-        #: same v4 file, so one copy in the page cache), and its path.
-        #: A miss whose answer is exactly the workers' is answered from
-        #: it (:meth:`_local_answers`).
+        #: same v4 file, so one copy in the page cache) — on a live
+        #: fleet the coordinator's :class:`LiveIndex` over it — and
+        #: the file's path.  Cache misses are answered from it
+        #: (:meth:`_local_answers`).
         self._index = None
         self._index_path: Optional[str] = None
-        #: Mirror of the workers' overlay — ``(epoch, seqno)`` and each
-        #: patched vertex's ``min_dirty``, no patches — on a live fleet;
-        #: ``None`` on a static one.
-        self._overlay: Optional[OverlayState] = None
-        #: Whether the workers last agreed on the mirror and serve the
-        #: mapped index; while not, every miss goes to a worker.
-        self._agreed = False
-        #: Why the last agreement check failed (``/stats``).
-        self._disagreement: Optional[str] = None
         #: ``(index, path)`` the router's own reload prepare opened.
         self._staged: Optional[tuple] = None
         #: Heavy-hitter pairs over every routed query (``/stats``).
@@ -434,61 +372,106 @@ class FleetRouter(FrontEnd):
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "FleetRouter":
-        """Spawn the workers, wait for readiness, map the index they
-        serve, bind the front port."""
+        """Spawn the workers; while they start, map the index they
+        serve (on a live fleet, recover the live tier from the WAL);
+        join them to it; bind the front port."""
         loop = asyncio.get_running_loop()
+        live = self.live_graph_path is not None
         for worker_id in range(self.num_workers):
             spec = self._worker_spec(worker_id, generation=0)
             process, parent_conn = self._spawn_process(spec)
             self.workers.append(
                 _Worker(worker_id, process, parent_conn, spec=spec)
             )
-        reports = []
-        for worker in self.workers:
-            try:
+        opening = loop.run_in_executor(
+            None, self._open_live if live else self._open_static
+        )
+        try:
+            for worker in self.workers:
                 message = await loop.run_in_executor(
                     None, self._await_ready, worker
                 )
-            except Exception:
-                await self._terminate_workers()
-                raise
-            if message[0] != "ready":
-                await self._terminate_workers()
-                raise FleetError(
-                    f"worker {worker.worker_id} failed to start: "
-                    f"{message[1]}"
-                )
-            worker.port = message[1]
-            reports.append(message[2])
-        await self._map_reported(reports)
+                if message[0] != "ready":
+                    raise FleetError(
+                        f"worker {worker.worker_id} failed to start: "
+                        f"{message[1]}"
+                    )
+                worker.port = message[1]
+            await opening
+            if live:
+                async with self._commit_lock:
+                    for worker in self.workers:
+                        await self._join(worker)
+        except BaseException:
+            await asyncio.gather(opening, return_exceptions=True)
+            await self._terminate_workers()
+            raise
         await self._listen()
         if self.config.probe_interval_s > 0:
             self._supervisor_task = loop.create_task(self._supervise())
         return self
 
-    def _worker_spec(self, worker_id: int, generation: int) -> WorkerSpec:
-        wal_dir = None
-        if self.config.wal_dir is not None:
-            # Each worker owns a private WAL subdirectory: the logs are
-            # per-process replay journals, not a shared commit stream.
-            wal_dir = os.path.join(
-                self.config.wal_dir, f"worker-{worker_id}"
+    def _open_static(self) -> None:
+        """Map the index the workers serve (a thread)."""
+        from repro.core.serialize import load_index
+
+        self._index = load_index(self.index_path, verify=True)
+        self._index_path = self.index_path
+
+    def _open_live(self) -> None:
+        """Load the graph and the index into the fleet's one coordinator,
+        recovered from ``--wal-dir`` when one is given (a thread)."""
+        from repro.core.serialize import load_index
+        from repro.faults import FaultPlan
+        from repro.graph.io import read_graph_auto
+        from repro.live import UpdateCoordinator, recover_coordinator
+
+        graph = read_graph_auto(self.live_graph_path)
+        index = load_index(self.index_path, verify=True)
+        threshold = self.config.overlay_threshold
+        base_path = self.index_path
+        if self.config.wal_dir is None:
+            updates = UpdateCoordinator(
+                graph, index, overlay_threshold=threshold,
+                recorder=self.recorder,
             )
+        else:
+            _refuse_worker_logs(self.config.wal_dir)
+            updates, recovery = recover_coordinator(
+                self.config.wal_dir,
+                graph,
+                index,
+                overlay_threshold=threshold,
+                recorder=self.recorder,
+                fault_plan=FaultPlan.parse(
+                    self.fault_spec, seed=self.fault_seed
+                ) if self.fault_spec else None,
+            )
+            # A rotated WAL may pin a rebuilt base: the overlay sits on
+            # that file, and the workers open it when they join.
+            base_path = recovery.base_path or base_path
+        self._init_live(updates)
+        self._index = updates.live_index
+        self._index_path = base_path
+
+    def _worker_spec(self, worker_id: int, generation: int) -> WorkerSpec:
         return WorkerSpec(
             worker_id=worker_id,
-            index_path=self.index_path,
-            # The router owns the cache and the pair sketch.
+            # The file the router serves now: a respawn after a reload
+            # or a rebuild opens the same one.
+            index_path=self._index_path or self.index_path,
+            # The router owns the cache, the pair sketch and the live
+            # tier; a live fleet's worker is a replica of its overlay.
             config=replace(
                 self.config, host="127.0.0.1", port=0, cache_size=0,
-                top_pairs_capacity=0,
+                top_pairs_capacity=0, wal_dir=None,
+                live_updates=self.live_graph_path is not None,
             ),
             fault_spec=self.fault_spec,
             # Distinct seeds: workers fault independently, not in
             # lockstep — one bad draw must not take out the fleet —
             # and every respawned generation rolls new dice.
             fault_seed=self.fault_seed + worker_id + 7919 * generation,
-            live_graph_path=self.live_graph_path,
-            wal_dir=wal_dir,
         )
 
     @staticmethod
@@ -560,14 +543,14 @@ class FleetRouter(FrontEnd):
             )
         rebuild = self._rebuild_task
         if rebuild is not None:
-            # Let an in-flight coordinated swap land: it is about to
-            # commit on every worker and interrupting it mid-phase is
-            # the one thing the two-phase protocol cannot recover from.
+            # Let an in-flight rebuild land: its base swap is committed
+            # to the WAL and about to be joined by every worker.
             await asyncio.gather(rebuild, return_exceptions=True)
         await self._drain_connections()
         for worker in self.workers:
             self._close_pool(worker)
         await self._terminate_workers()
+        await self._stop_live()
         self._stopped.set()
 
     async def _terminate_workers(self) -> None:
@@ -610,13 +593,15 @@ class FleetRouter(FrontEnd):
         """Eject a dead worker; maybe schedule a respawn.
 
         Idempotent: reactive detection (a failed proxy), the probe
-        loop, and a failed update commit can all report the same death.
+        loop, and a failed fan-out can all report the same death.
         Ejection is immediate — queries re-dispatch to the survivors,
         so availability degrades but correctness never does.
         """
-        if not worker.up:
-            return
-        worker.up = False
+        if worker.up:
+            worker.up = False
+            self._mark_dead(worker, reason)
+
+    def _mark_dead(self, worker: _Worker, reason: str) -> None:
         worker.probe_failures = 0
         worker.last_error = reason
         self._close_pool(worker)
@@ -661,11 +646,9 @@ class FleetRouter(FrontEnd):
     async def _respawn(self, worker: _Worker, delay: float) -> None:
         """Respawn one dead worker after ``delay`` seconds.
 
-        The replacement cold-starts from the same mmap'd index, replays
-        its own WAL back to its pre-crash overlay, then the router tops
-        it up to the fleet's current state (missed batches, then any
-        missed base adoption) and re-admits it only once a readiness
-        probe answers 200.
+        The replacement cold-starts from the mmap'd base the router
+        serves, and is re-admitted only once a readiness probe answers
+        200 and it has joined the router's state.
         """
         worker.respawning = True
         process: Optional[multiprocessing.process.BaseProcess] = None
@@ -679,10 +662,7 @@ class FleetRouter(FrontEnd):
             process, parent_conn = self._spawn_process(spec)
             worker.process = process
             worker.conn = parent_conn
-            loop = asyncio.get_running_loop()
-            # Its readiness report is not mirrored: the catch-up below
-            # brings it to the fleet state the mirror already holds.
-            message = await loop.run_in_executor(
+            message = await asyncio.get_running_loop().run_in_executor(
                 None, self._await_ready, worker
             )
             if message[0] != "ready":
@@ -691,7 +671,6 @@ class FleetRouter(FrontEnd):
                     f"{message[1]}"
                 )
             worker.port = message[1]
-            await self._catch_up(worker)
             status, _, _body = await self._upstream(
                 worker, "GET", "/health", resend=True
             )
@@ -700,7 +679,7 @@ class FleetRouter(FrontEnd):
                     f"worker {worker.worker_id} readiness probe answered "
                     f"HTTP {status}"
                 )
-            worker.up = True
+            await self._admit(worker)
             worker.probe_failures = 0
             worker.last_error = None
             self.recorder.incr("fleet.worker.respawns")
@@ -718,103 +697,143 @@ class FleetRouter(FrontEnd):
         finally:
             worker.respawning = False
 
-    async def _live_block(self, worker: _Worker) -> Optional[dict]:
-        """The worker's ``/stats`` live block, or None when not live."""
-        status, _, body = await self._upstream(
-            worker, "GET", "/stats", resend=True
+    # ------------------------------------------------------------------
+    # joining the router's live state
+    # ------------------------------------------------------------------
+    def _state_body(self) -> bytes:
+        """The router's whole live state as an install body."""
+        from repro.live.overlay import patch_rows
+
+        state = self.updates.live_index.state
+        return json.dumps(
+            {
+                "base": self._index_path,
+                "epoch": state.epoch,
+                "seqno": state.seqno,
+                "patches": patch_rows(state.patches),
+            },
+            separators=(",", ":"),
+        ).encode()
+
+    async def _join(self, worker: _Worker) -> None:
+        """Install the router's whole state on ``worker``.  The caller
+        holds the commit lock, so no diff slips between this state and
+        the next; raises :class:`FleetError` when the worker refuses."""
+        status, _, payload = await self._upstream(
+            worker, "POST", "/admin/install", self._state_body(),
+            resend=True,
         )
         if status != 200:
             raise FleetError(
-                f"worker {worker.worker_id} stats answered HTTP {status}"
+                f"worker {worker.worker_id} did not join: HTTP {status} "
+                f"{payload.decode('latin-1', 'replace')[:200]}"
             )
+
+    async def _admit(self, worker: _Worker) -> None:
+        """Put ``worker`` back in rotation.  A live fleet's worker joins
+        first, and is marked up under the same commit lock, so it takes
+        every diff committed after the state it joined."""
+        async with self._commit_lock:
+            if self.updates is not None:
+                await self._join(worker)
+            worker.up = True
+
+    def _settle(self, outcomes, what: str) -> int:
+        """Count the workers that took a fan-out to ``/admin/install``;
+        a worker that died is ejected (and respawns), one still alive
+        that did not take it is ejected until it has joined."""
+        done = 0
+        for worker, outcome in outcomes:
+            if not isinstance(outcome, BaseException) and outcome[0] == 200:
+                done += 1
+            elif _died(worker, outcome):
+                self._on_worker_death(worker, f"died mid-{what}: {outcome}")
+            elif worker.up:
+                worker.up = False
+                worker.last_error = f"{what} failed: {_detail(outcome)}"
+                self._close_pool(worker)
+                if self._draining:
+                    continue
+                self.recorder.incr("fleet.worker.rejoins")
+                task = asyncio.get_running_loop().create_task(
+                    self._rejoin(worker)
+                )
+                self._respawn_tasks.add(task)
+                task.add_done_callback(self._respawn_tasks.discard)
+        return done
+
+    async def _rejoin(self, worker: _Worker) -> None:
+        """Join an ejected live worker again; one that cannot join is
+        replaced like a dead one (killed, then respawned)."""
+        worker.respawning = True
         try:
-            parsed = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise FleetError(
-                f"worker {worker.worker_id} stats unparseable: {exc}"
-            )
-        live = parsed.get("live") if isinstance(parsed, dict) else None
-        return live if isinstance(live, dict) else None
+            await self._admit(worker)
+            worker.last_error = None
+        except asyncio.CancelledError:
+            raise
+        except Exception as exc:
+            if worker.process.is_alive():
+                worker.process.kill()
+            self._mark_dead(worker, f"could not rejoin: {exc}")
+        finally:
+            worker.respawning = False
 
-    async def _catch_up(self, worker: _Worker) -> None:
-        """Bring a respawned worker to the fleet's current update state.
+    @contextlib.asynccontextmanager
+    async def _commit_window(self):
+        """One commit at a time, under the seqlock: the generation is
+        odd while it runs, so no answer computed across it is cached
+        (:meth:`_cacheable`)."""
+        async with self._commit_lock:
+            self._generation += 1
+            try:
+                yield
+            finally:
+                self._generation += 1
 
-        Its own WAL already put it back at its pre-crash
-        ``(epoch, seqno)``; whatever the fleet accepted while it was
-        down is topped up here from the router's retained update
-        bodies.  Batches replay strictly *before* any base adoption:
-        adopting diffs the worker's shadow graph against the new base,
-        so the graph must be current first.
-        """
-        reference = self._first_live()
-        if reference is None:
-            # Sole survivor: whatever this worker recovered *is* the
-            # fleet's state now.
-            return
-        worker_live = await self._live_block(worker)
-        if worker_live is None:
-            return  # not a live-update fleet: the index is immutable
-        ref_live = await self._live_block(reference)
-        if ref_live is None:
-            return
-        seqno = int(worker_live.get("seqno", 0))
-        target_seqno = int(ref_live.get("seqno", 0))
-        if seqno < target_seqno:
-            missed = [
-                body
-                for log_seqno, body in self._update_log
-                if log_seqno > seqno
-            ]
-            if len(missed) != target_seqno - seqno:
-                raise FleetError(
-                    f"worker {worker.worker_id} is "
-                    f"{target_seqno - seqno} batches behind but only "
-                    f"{len(missed)} are retained for catch-up"
-                )
-            for body in missed:
-                status, _, payload = await self._upstream(
-                    worker, "POST", "/admin/update", body
-                )
-                if status != 200:
-                    raise FleetError(
-                        f"catch-up batch rejected: HTTP {status} "
-                        f"{payload.decode('latin-1', 'replace')[:200]}"
-                    )
-            self.recorder.incr(
-                "fleet.worker.catchup_batches", len(missed)
+    async def _publish_batch(self, report) -> dict:
+        """Install an applied batch's diff on every live worker."""
+        from repro.live.overlay import patch_rows
+
+        body = json.dumps(
+            {
+                "epoch": report.epoch,
+                "seqno": report.seqno,
+                "changed": patch_rows(report.changed),
+            },
+            separators=(",", ":"),
+        ).encode()
+        outcomes = await self._fanout("POST", "/admin/install", body)
+        return {"workers": self._settle(outcomes, "install")}
+
+    async def _adopt_rebuilt(self, new_index, base_seqno: int) -> dict:
+        """Save a rebuilt base next to the served index and open it from
+        there (the pages the workers will map); then, in one commit,
+        adopt it — the WAL's new epoch file pins its path — and join
+        every live worker to the new state."""
+        from repro.core.serialize import load_index, save_index
+
+        loop = asyncio.get_running_loop()
+        epoch = self.updates.live_index.state.epoch + 1
+        path = f"{self.index_path}.epoch-{epoch}"
+
+        def _save_and_open():
+            save_index(new_index, path, format="binary")
+            return load_index(path, verify=True)
+
+        mapped = await loop.run_in_executor(
+            self._rebuild_executor, _save_and_open
+        )
+        async with self._commit_window():
+            info = await loop.run_in_executor(
+                self._update_executor,
+                self.updates.adopt_base, mapped, base_seqno, path,
             )
-        epoch = int(worker_live.get("epoch", 1))
-        target_epoch = int(ref_live.get("epoch", 1))
-        while epoch < target_epoch:
-            # Adopt the most recent rebuilt base once per missed epoch:
-            # each adoption bumps the worker's epoch by one and replays
-            # its post-snapshot batches, so repeating it against the
-            # same (newest) base converges on the fleet's watermark
-            # without re-deriving intermediate bases.
-            if self._last_rebuild is None:
-                raise FleetError(
-                    f"worker {worker.worker_id} is on epoch {epoch} < "
-                    f"{target_epoch} and no rebuilt base is retained"
-                )
-            path, base_seqno = self._last_rebuild
-            body = json.dumps(
-                {"path": path, "base_seqno": base_seqno},
-                separators=(",", ":"),
-            ).encode()
-            status, _, payload = await self._upstream(
-                worker, "POST", "/admin/reload/prepare", body
+            self._index_path = path
+            outcomes = await self._fanout(
+                "POST", "/admin/install", self._state_body(), resend=True
             )
-            if status == 200:
-                status, _, payload = await self._upstream(
-                    worker, "POST", "/admin/reload/commit", b"{}"
-                )
-            if status != 200:
-                raise FleetError(
-                    f"catch-up reload failed: HTTP {status} "
-                    f"{payload.decode('latin-1', 'replace')[:200]}"
-                )
-            epoch += 1
-            self.recorder.incr("fleet.worker.catchup_reloads")
+            self._settle(outcomes, "join")
+        return info
 
     async def _supervise(self) -> None:
         """Proactive liveness probing of every live worker.
@@ -858,7 +877,7 @@ class FleetRouter(FrontEnd):
                     worker.probe_failures = 0
 
     # ------------------------------------------------------------------
-    # the router's own index: local answers and the overlay mirror
+    # the router's own index
     # ------------------------------------------------------------------
     async def _open_index(self, path: str):
         """``path`` opened and checksummed end to end, off the loop —
@@ -869,139 +888,38 @@ class FleetRouter(FrontEnd):
             None, functools.partial(load_index, path, verify=True)
         )
 
-    async def _map_reported(self, reports: Sequence[dict]) -> None:
-        """Map the base the workers' readiness reports name (a rotated
-        WAL may have pinned a rebuilt one) and mirror their overlay."""
-        paths = {report.get("path") for report in reports}
-        if len(paths) == 1:  # else the mirror check below distrusts
-            path = paths.pop()
-            try:
-                self._index = await self._open_index(path)
-                self._index_path = path
-            except Exception as exc:
-                self._distrust(f"cannot map {path}: {exc}")
-                return
-        self._mirror_full(reports)
-
-    def _distrust(self, reason: str) -> None:
-        """Forward every miss until a reload brings agreement back."""
-        self._agreed = False
-        self._disagreement = reason
-        self.recorder.incr("fleet.local.disagreements")
-
-    def _agreed_view(self, reports: Optional[Sequence[dict]]):
-        """``(path, epoch, seqno, min_dirty)`` as every report states
-        it, or ``None`` — counted as a disagreement — when they differ
-        or a worker did not report."""
-        views = {
-            (
-                report.get("path"),
-                report.get("epoch"),
-                report.get("seqno"),
-                tuple(map(tuple, report.get("min_dirty") or ())),
-            )
-            for report in reports or ()
-        }
-        if len(views) == 1:
-            return views.pop()
-        self._distrust(
-            "workers disagree" if views else "a worker did not report"
-        )
-        return None
-
-    def _mirror_full(self, reports: Optional[Sequence[dict]]) -> None:
-        """Adopt the overlay that whole-state reports (readiness, reload
-        commits) describe, if they all agree and name the mapped base."""
-        view = self._agreed_view(reports)
-        if view is None:
-            return
-        from repro.live.overlay import OverlayState
-
-        path, epoch, seqno, min_dirty = view
-        if self._index is None or path != self._index_path:
-            self._distrust(
-                f"workers serve {path}, router maps {self._index_path}"
-            )
-            return
-        self._overlay = (
-            None
-            if epoch is None
-            else OverlayState(epoch, seqno, {}, dict(min_dirty))
-        )
-        self._agreed = True
-        self._disagreement = None
-
-    def _mirror_batch(self, reports: Optional[Sequence[dict]]) -> None:
-        """Advance the mirror by one update commit's reports: each
-        changed vertex's new ``min_dirty`` (``None`` = clean again)."""
-        view = self._agreed_view(reports)
-        mirror = self._overlay
-        if view is None or not self._agreed or mirror is None:
-            return
-        from repro.live.overlay import OverlayState
-
-        _path, epoch, seqno, changes = view
-        if (epoch, seqno) != (mirror.epoch, mirror.seqno + 1):
-            self._distrust(
-                f"update to ({epoch}, {seqno}) does not follow the "
-                f"mirror at ({mirror.epoch}, {mirror.seqno})"
-            )
-            return
-        min_dirty = dict(mirror.min_dirty)
-        for vertex, position in changes:
-            if position is None:
-                min_dirty.pop(vertex, None)
-            else:
-                min_dirty[vertex] = position
-        self._overlay = OverlayState(epoch, seqno, {}, min_dirty)
-
     def _local_answers(self, pairs) -> List[Optional[QueryResult]]:
         """Answers to cache-missed ``pairs`` from the router's own index,
         ``None`` where a worker must answer.
 
-        A pair is answered here only when the answer is exactly a
-        worker's: no commit fan-out in flight, the workers agree
-        with the mirror, and the pair is clean by their own rule
-        (:meth:`OverlayState.base_answers`) — then a worker's answer is
-        the same base scan through the same ``query_batch``.  A pair
-        whose check or scan raises (an unknown vertex) is left to a
-        worker, so error answers stay the workers' own.  With every
-        worker down the fleet is down: nothing is answered here.  Only
-        the first ``queue_high_water`` pairs of one request are checked
-        and scanned here, on the loop; the rest go to the workers,
-        whose admission control bounds them.
+        The router serves what its workers serve — the same file, and
+        on a live fleet the overlay it installs on them — so a pair is
+        answered here unless its scan raises (an unknown vertex): that
+        one is left to a worker, so error answers stay the workers'
+        own.  With every worker down the fleet is down: nothing is
+        answered here.  Only the first ``queue_high_water`` pairs of
+        one request are scanned here, on the loop; the rest go to the
+        workers, whose admission control bounds them.
         """
         answers: List[Optional[QueryResult]] = [None] * len(pairs)
-        if (
-            not self._agreed
-            or self._generation & 1
-            or self._first_live() is None
-        ):
+        if self._first_live() is None:
             return answers
-        index, overlay = self._index, self._overlay
-        slots = []
-        for slot, (source, target) in enumerate(
-            pairs[: self.config.queue_high_water]
-        ):
-            try:
-                if overlay is None or overlay.base_answers(
-                    index, source, target
-                ):
-                    slots.append(slot)
-            except Exception:
-                continue
-        if not slots:
-            return answers
+        index = self._index
+        batch = list(pairs[: self.config.queue_high_water])
         try:
-            results = index.query_batch([pairs[slot] for slot in slots])
+            results = index.query_batch(batch)
         except Exception:
-            return answers
+            results = [_query_or_none(index, pair) for pair in batch]
         cacheable = self._cacheable(self._generation)
-        for slot, result in zip(slots, results):
-            answers[slot] = result
-            if cacheable:
-                self.cache.put(*pairs[slot], result)
-        self.recorder.incr("fleet.answers.local", len(slots))
+        local = 0
+        for slot, result in enumerate(results):
+            if result is not None:
+                answers[slot] = result
+                local += 1
+                if cacheable:
+                    self.cache.put(*batch[slot], result)
+        if local:
+            self.recorder.incr("fleet.answers.local", local)
         return answers
 
     async def _prepare_reload(self, body: bytes) -> List[str]:
@@ -1210,7 +1128,9 @@ class FleetRouter(FrontEnd):
             if path == "/admin/reload":
                 return await self._handle_reload(request)
             if path == "/admin/update":
-                return await self._handle_update(request)
+                return await self._handle_update(
+                    request, request.headers.get("x-request-id")
+                )
             if path == "/admin/profile":
                 return await self._proxy(request)
             if path == "/admin/trace":
@@ -1568,8 +1488,8 @@ class FleetRouter(FrontEnd):
     ) -> List[Tuple[_Worker, object]]:
         """The same request to every *live* worker; ``(worker,
         outcome)`` pairs with exceptions as values.  Ejected workers
-        are skipped — they catch up from the router's retained update
-        bodies when their respawn rejoins."""
+        are skipped — they join the router's state when they come
+        back."""
         live = self._live_workers()
         outcomes = await asyncio.gather(
             *(
@@ -1595,6 +1515,8 @@ class FleetRouter(FrontEnd):
                 continue
         self.recorder.gauge("serve.cache.size", len(self.cache))
         self.recorder.gauge("serve.cache.hit_rate", self.cache.hit_rate)
+        if self.updates is not None:
+            self._live_gauges()
         for snapshot in snapshots:
             # Workers see only the router's traffic: the fleet's query
             # count is the router's own, every client query once.
@@ -1749,6 +1671,8 @@ class FleetRouter(FrontEnd):
             "supervisor": self._supervisor_snapshot(),
             "answers": self._answers_snapshot(),
         }
+        if self.updates is not None:
+            payload["live"] = self._live_stats()
         payload["cache"] = self.cache.snapshot()
         if self.top_pairs is not None:
             payload["top_pairs"] = self.top_pairs.block()
@@ -1757,23 +1681,15 @@ class FleetRouter(FrontEnd):
     def _per_worker_rows(self, stats: Dict[int, dict]) -> List[dict]:
         """One freshness/throughput row per reporting worker.
 
-        ``epoch_lag``/``seqno_lag`` are relative to the fleet maximum —
-        a worker behind its peers is the one that would serve stale
-        counts, and ``repro-spc top`` renders exactly these rows.
+        On a live fleet ``epoch_lag``/``seqno_lag`` are how far a
+        worker's installed overlay is behind the router's version — a
+        worker behind it would serve stale counts, and ``repro-spc
+        top`` renders exactly these rows.
         """
-        live_by_worker = {
-            worker_id: parsed["live"]
-            for worker_id, parsed in stats.items()
-            if isinstance(parsed.get("live"), dict)
-        }
-        max_epoch = max(
-            (live.get("epoch", 0) for live in live_by_worker.values()),
-            default=0,
-        )
-        max_seqno = max(
-            (live.get("seqno", 0) for live in live_by_worker.values()),
-            default=0,
-        )
+        version = None
+        if self.updates is not None:
+            state = self.updates.live_index.state
+            version = (state.epoch, state.seqno)
         rows = []
         for worker_id in sorted(stats):
             parsed = stats[worker_id]
@@ -1786,42 +1702,30 @@ class FleetRouter(FrontEnd):
                 "p99_ms": latency.get("p99", 0.0),
                 "cache_hit_rate": window.get("cache_hit_rate", 0.0),
             }
-            live = live_by_worker.get(worker_id)
-            if live is not None:
+            live = parsed.get("live")
+            if version is not None and isinstance(live, dict):
                 epoch = live.get("epoch", 0)
                 seqno = live.get("seqno", 0)
                 row["epoch"] = epoch
                 row["seqno"] = seqno
-                row["epoch_lag"] = max_epoch - epoch
-                row["seqno_lag"] = max_seqno - seqno
-                if "staleness_s" in live:
-                    row["staleness_s"] = live["staleness_s"]
+                row["epoch_lag"] = version[0] - epoch
+                row["seqno_lag"] = version[1] - seqno
             rows.append(row)
         return rows
 
     def _answers_snapshot(self) -> dict:
         """Who answered the cache misses — the router's own index or a
-        worker — and whether the router may answer them now."""
+        worker — and the file the router maps."""
         counters = self.recorder.counters
 
         def count(name: str) -> int:
             counter = counters.get(name)
             return counter.value if counter is not None else 0
 
-        mirror = self._overlay
         return {
             "local": count("fleet.answers.local"),
             "forwarded": count("fleet.answers.forwarded"),
-            "agreed": self._agreed,
-            "disagreement": self._disagreement,
             "index_path": self._index_path,
-            "mirror": None
-            if mirror is None
-            else {
-                "epoch": mirror.epoch,
-                "seqno": mirror.seqno,
-                "poisoned_vertices": len(mirror.min_dirty),
-            },
         }
 
     def _supervisor_snapshot(self) -> dict:
@@ -1853,6 +1757,13 @@ class FleetRouter(FrontEnd):
     async def _handle_reload(self, request: Request) -> Response:
         if request.method != "POST":
             return 405, {"error": "reload requires POST"}, _ALLOW_POST
+        if self.updates is not None:
+            return 409, {
+                "reloaded": False,
+                "error": "live-update fleet: a reload would desynchronize "
+                "the delta overlay from the served labels; the overlay "
+                "threshold's rebuild-and-swap replaces the base instead",
+            }, ()
         if not self._live_workers():
             return self._unavailable()
         failures = await self._prepare_reload(request.body or b"{}")
@@ -1870,119 +1781,20 @@ class FleetRouter(FrontEnd):
         self.recorder.incr("fleet.reload.count")
         return 200, {"reloaded": True, "workers": len(committed)}, ()
 
-    # ------------------------------------------------------------------
-    # fleet live updates: two-phase commit + coordinated rebuild
-    # ------------------------------------------------------------------
-    async def _handle_update(self, request: Request) -> Response:
-        if request.method != "POST":
-            return 405, {"error": "update requires POST"}, _ALLOW_POST
-        if not self._live_workers():
-            return self._unavailable()
-        try:
-            request.json()
-        except HTTPProtocolError as exc:
-            # Not JSON (NaN and Infinity included): no worker sees it.
-            self.recorder.incr("fleet.update.failed")
-            return 400, {"applied": False, "error": str(exc)}, ()
-        body = request.body or b"{}"
-        prepared = await self._fanout(
-            "POST", "/admin/update/prepare", body
-        )
-        failures = self._phase_failures(prepared)
-        if failures:
-            # All-or-nothing across the *live* fleet: the live
-            # workers' shadow graphs must stay in lockstep, so one
-            # rejection (malformed batch, unknown edge, live updates
-            # disabled) drops the batch everywhere.  A worker that
-            # *died* mid-phase is ejected instead of failing the batch
-            # — it catches up from the router's update log on respawn.
-            await self._fanout("POST", "/admin/update/abort", b"{}")
-            self.recorder.incr("fleet.update.failed")
-            return 409, {"applied": False, "errors": failures}, ()
-        if not self._live_workers():
-            return self._unavailable()
-        committed = await self._commit("/admin/update/commit")
-        commit_failures = self._phase_failures(committed)
-        if commit_failures:
-            # A commit that validated on prepare only fails if a worker
-            # broke mid-flight while staying alive; the survivors
-            # applied the batch, so report the divergence loudly rather
-            # than pretending the fleet is consistent.
-            self.recorder.incr("fleet.update.failed")
-            return 500, {"applied": False, "errors": commit_failures}, ()
-        payload = {"applied": True, "workers": len(committed)}
-        rebuild_due = False
-        for _worker, outcome in committed:
-            if isinstance(outcome, BaseException):
-                continue
-            try:
-                report = json.loads(outcome[2])
-            except (json.JSONDecodeError, TypeError, IndexError):
-                continue
-            rebuild_due = rebuild_due or bool(report.get("rebuild_due"))
-            for key in (
-                "epoch",
-                "seqno",
-                "updated_edges",
-                "submitted_edges",
-                "repaired_nodes",
-                "repaired_entries",
-                "overlay_entries",
-            ):
-                if key in report and key not in payload:
-                    payload[key] = report[key]
-        self.recorder.incr("fleet.update.count")
-        seqno = payload.get("seqno")
-        if isinstance(seqno, int):
-            # Retain the accepted body: a respawned worker whose WAL
-            # predates this batch replays it straight from here.
-            self._update_log.append((seqno, body))
-            if len(self._update_log) > _UPDATE_LOG_MAX:
-                del self._update_log[: -_UPDATE_LOG_MAX]
-        if rebuild_due and self._rebuild_task is None and not self._draining:
-            # Single-flight: one background rebuild per burst, no
-            # matter how many batches land while it runs.
-            self._rebuild_task = asyncio.get_running_loop().create_task(
-                self._coordinate_rebuild()
-            )
-        return 200, payload, ()
-
     async def _commit(self, path: str) -> List[Tuple[_Worker, object]]:
-        """One commit fan-out, bracketed by the seqlock.
-
-        Commits run one at a time, in the order the workers apply them.
-        The generation is odd while one is in flight, so no answer
-        computed across it is cached (:meth:`_cacheable`) and none is
-        answered locally (:meth:`_local_answers`).  Before it turns
-        even again the router catches up with the commit: after
-        an update, the cache drops every pair touching a vertex in the
-        workers' ``changed_vertices`` (the workers' own rule) and the
-        mirror takes their new ``min_dirty``; after a reload, the cache
-        empties, the router swaps in the index it staged, and the
-        mirror takes the workers' whole overlay.
-        """
-        async with self._commit_lock:
-            self._generation += 1
+        """The reload's commit fan-out, in one commit window: before it
+        closes, the cache empties and the router swaps in the index it
+        staged."""
+        async with self._commit_window():
             committed: List[Tuple[_Worker, object]] = []
             try:
                 committed = await self._fanout("POST", path, b"{}")
             finally:
-                reports = _commit_reports(committed)
-                if path == "/admin/update/commit":
-                    changed = _changed_vertices(reports)
-                    if changed is None:
-                        self.cache.clear()
-                    else:
-                        self.cache.invalidate(changed)
-                    self._mirror_batch(reports)
-                else:
-                    self.cache.clear()
-                    if self._staged is not None:
-                        self._index, self._index_path = self._staged
-                        self._staged = None
-                    self._mirror_full(reports)
-                self._generation += 1
-            return committed
+                self.cache.clear()
+                if self._staged is not None:
+                    self._index, self._index_path = self._staged
+                    self._staged = None
+        return committed
 
     def _phase_failures(
         self, outcomes: Sequence[Tuple[_Worker, object]]
@@ -1991,120 +1803,66 @@ class FleetRouter(FrontEnd):
 
         A worker whose *process died* mid-phase is not a failure: it is
         ejected (and queued for respawn) and the phase proceeds on the
-        survivors — a crash must degrade capacity, not block updates.
+        survivors — a crash must degrade capacity, not block a reload.
         """
         failures = []
         for worker, outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                if _died(worker, outcome):
-                    self._on_worker_death(
-                        worker, f"died mid-fanout: {outcome}"
-                    )
-                    continue
-                failures.append(f"worker {worker.worker_id}: {outcome}")
-                continue
-            status, _, payload = outcome
-            if status != 200:
-                try:
-                    detail = json.loads(payload).get("error", "")
-                except (json.JSONDecodeError, AttributeError):
-                    detail = payload.decode("latin-1", "replace")[:200]
-                failures.append(f"worker {worker.worker_id}: {detail}")
+            if isinstance(outcome, BaseException) and _died(worker, outcome):
+                self._on_worker_death(worker, f"died mid-fanout: {outcome}")
+            elif isinstance(outcome, BaseException) or outcome[0] != 200:
+                failures.append(
+                    f"worker {worker.worker_id}: {_detail(outcome)}"
+                )
         return failures
 
-    async def _coordinate_rebuild(self) -> None:
-        """Rebuild on worker 0, then two-phase swap the whole fleet.
 
-        Worker 0 snapshots its shadow graph, builds a fresh index, and
-        saves it next to the serving one; the router then drives the
-        ordinary two-phase reload with the saved path *plus* the
-        snapshot's ``base_seqno``, so every worker adopts the new base
-        and replays exactly its post-snapshot batches onto it.  The
-        workers' graphs are identical by construction (updates land
-        all-or-nothing), so one build serves all N.
-        """
-        try:
-            builder = self._first_live()
-            if builder is None:
-                raise FleetError("no live worker can run the rebuild")
-            status, _, payload = await self._upstream(
-                builder, "POST", "/admin/rebuild", b"{}"
-            )
-            if status != 200:
-                raise FleetError(
-                    f"rebuild on worker {builder.worker_id} failed: "
-                    f"HTTP {status} {payload.decode('latin-1', 'replace')[:200]}"
-                )
-            report = json.loads(payload)
-            body = json.dumps(
-                {
-                    "path": report["path"],
-                    "base_seqno": report["base_seqno"],
-                },
-                separators=(",", ":"),
-            ).encode()
-            failures = await self._prepare_reload(body)
-            if failures:
-                raise FleetError(
-                    f"rebuild swap rejected: {'; '.join(failures)}"
-                )
-            committed = await self._commit("/admin/reload/commit")
-            commit_failures = self._phase_failures(committed)
-            if commit_failures:  # pragma: no cover - commit cannot fail
-                raise FleetError(
-                    f"rebuild swap commit failed: {'; '.join(commit_failures)}"
-                )
-            # A worker respawning after this point adopts exactly this
-            # base to close any epoch gap.
-            self._last_rebuild = (
-                str(report["path"]), int(report["base_seqno"])
-            )
-            self.recorder.incr("fleet.rebuild.count")
-        except Exception:
-            self.recorder.incr("fleet.rebuild.failed")
-        finally:
-            self._rebuild_task = None
-
-
-def _died(worker: _Worker, outcome: BaseException) -> bool:
+def _died(worker: _Worker, outcome) -> bool:
     """Whether a fan-out failed on ``worker`` because its process died:
-    it is ejected, and catches up on respawn, instead of failing the
-    phase."""
+    it is ejected, and respawns, instead of failing the phase."""
     return isinstance(outcome, FleetError) and (
         not worker.up or not worker.process.is_alive()
     )
 
 
-def _commit_reports(committed) -> Optional[List[dict]]:
-    """The JSON reports of one commit fan-out's surviving workers;
-    ``None`` unless every worker that is still alive reported a 200."""
-    reports = []
-    for worker, outcome in committed:
-        if isinstance(outcome, BaseException):
-            if _died(worker, outcome):
-                continue
-            return None
-        status, _, body = outcome
-        try:
-            report = json.loads(body)
-        except ValueError:
-            return None
-        if status != 200 or not isinstance(report, dict):
-            return None
-        reports.append(report)
-    return reports or None
+def _detail(outcome) -> str:
+    """Why one worker's fan-out outcome was not a 200."""
+    if isinstance(outcome, BaseException):
+        return str(outcome)
+    status, _, payload = outcome
+    try:
+        return json.loads(payload).get("error", "") or f"HTTP {status}"
+    except (ValueError, AttributeError):
+        return payload.decode("latin-1", "replace")[:200]
 
 
-def _changed_vertices(reports: Optional[List[dict]]) -> Optional[set]:
-    """The union of the commit reports' ``changed_vertices``; ``None``
-    unless every report has one (then the cache is cleared)."""
-    changed: set = set()
-    for report in reports or ():
-        vertices = report.get("changed_vertices")
-        if not isinstance(vertices, list):
-            return None
-        changed.update(vertices)
-    return changed if reports else None
+def _query_or_none(index, pair) -> Optional[QueryResult]:
+    """``index``'s answer to one pair, ``None`` if its scan raises."""
+    try:
+        return index.query(*pair)
+    except Exception:
+        return None
+
+
+def _refuse_worker_logs(wal_dir: str) -> None:
+    """Refuse a WAL directory an older fleet left: one log per worker
+    under ``worker-<id>/`` and none at the top.  Starting from it would
+    begin at the original base and drop every batch they acknowledged."""
+    from repro.live.wal import WriteAheadLog
+
+    if WriteAheadLog.epoch_files(wal_dir):
+        return
+    old = sorted(
+        path.name
+        for path in Path(wal_dir).glob("worker-*")
+        if WriteAheadLog.epoch_files(path)
+    )
+    if old:
+        raise FleetError(
+            f"WAL directory {wal_dir} holds per-worker logs "
+            f"({', '.join(old)}) from an older fleet and no fleet log; "
+            "starting would drop their batches (move one worker's "
+            f"wal-*.log files up into {wal_dir} to recover from them)"
+        )
 
 
 # ----------------------------------------------------------------------

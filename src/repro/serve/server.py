@@ -19,6 +19,11 @@ over a small JSON/HTTP surface:
 Client HTTP — the pipelined connection loop, the drain, ``traceparent``
 sampling and ``/metrics`` negotiation — is the
 :class:`~repro.serve.frontend.FrontEnd` it shares with the fleet router.
+So is the live-update tier, :class:`LiveTier`: ``POST /admin/update``
+and the threshold rebuild-and-swap run the same code in a live server
+and in a live fleet's router.  A fleet worker on a live fleet is a
+replica: it serves a :class:`~repro.live.overlay.LiveIndex` whose
+overlay the router installs over ``POST /admin/install``.
 
 Answers are ``{"source", "target", "distance", "count"}`` with
 ``distance: null`` for a disconnected pair — exactly the values
@@ -48,6 +53,8 @@ Three protections keep the server honest under load:
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import functools
 import json
 import os
 import signal
@@ -77,6 +84,8 @@ from repro.serve.http import HTTPProtocolError, Request, parse_query_head
 from repro.types import INF, QueryResult, Vertex
 
 _RETRY_AFTER = (("Retry-After", "1"),)
+
+_ALLOW_POST = (("Allow", "POST"),)
 
 #: Deferred log records to accumulate before handing a drain to the
 #: executor thread — amortizes the submit overhead over a batch of
@@ -160,7 +169,327 @@ def encode_result_bytes(
     )
 
 
-class SPCServer(FrontEnd):
+class LiveTier:
+    """The live-update tier of a process that owns an
+    :class:`~repro.live.coordinator.UpdateCoordinator`.
+
+    ``POST /admin/update`` and the threshold rebuild-and-swap, shared by
+    :class:`SPCServer` and :class:`~repro.serve.fleet.FleetRouter`: a
+    batch is validated, applied off the event loop (one WAL append and
+    one ``repair_labels``), the cache drops every pair touching a vertex
+    whose labels moved, and a rebuild starts once the overlay passes its
+    threshold.  A subclass may hook three steps: :meth:`_commit_window`
+    brackets every apply and base swap, :meth:`_publish_batch` ships a
+    batch's diff on, and :meth:`_adopt_rebuilt` swaps a rebuilt base in.
+    """
+
+    updates = None
+    request_log = None
+    _index_meta = None
+    _update_executor: Optional[ThreadPoolExecutor] = None
+    #: Lazy executor for full index rebuilds, so a long build never
+    #: queues behind (or blocks) streaming update batches.
+    _rebuild_executor: Optional[ThreadPoolExecutor] = None
+    _rebuild_task: Optional[asyncio.Task] = None
+    #: perf_counter of the most recent update batch becoming visible
+    #: (drives the ``live.staleness_s`` gauge).
+    _last_update_visible: Optional[float] = None
+
+    def _init_live(self, updates) -> None:
+        """Run ``updates`` (a coordinator, or ``None``) in this process;
+        repairs are serialised on one executor thread."""
+        self.updates = updates
+        if updates is not None:
+            if updates.recorder is NULL_RECORDER:
+                updates.recorder = self.recorder
+            self._update_executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="spc-update"
+            )
+
+    async def _stop_live(self) -> None:
+        """Cancel a running rebuild, stop the live executors and close
+        the write-ahead log."""
+        if self._rebuild_task is not None:
+            self._rebuild_task.cancel()
+            await asyncio.gather(self._rebuild_task, return_exceptions=True)
+        for executor in (self._update_executor, self._rebuild_executor):
+            if executor is not None:
+                executor.shutdown(wait=True, cancel_futures=True)
+        if self.updates is not None and self.updates.wal is not None:
+            self.updates.wal.close()
+
+    # ------------------------------------------------------------------
+    # subclass hooks
+    # ------------------------------------------------------------------
+    def _commit_window(self):
+        """The context every apply and base swap runs in."""
+        return contextlib.nullcontext()
+
+    async def _publish_batch(self, report) -> dict:
+        """Ship an applied batch on; extra fields for the update's 200."""
+        return {}
+
+    async def _adopt_rebuilt(self, new_index, base_seqno: int) -> dict:
+        """Swap a rebuilt base in; :meth:`UpdateCoordinator.adopt_base`'s
+        report."""
+        return await asyncio.get_running_loop().run_in_executor(
+            self._update_executor,
+            self.updates.adopt_base,
+            new_index,
+            base_seqno,
+        )
+
+    def _admin_answer(
+        self, request: Request, rid: str, started: float, status: int,
+        payload, extra=(), error: Optional[str] = None,
+    ) -> Response:
+        """The response of an admin request."""
+        return status, payload, tuple(extra)
+
+    # ------------------------------------------------------------------
+    # updates
+    # ------------------------------------------------------------------
+    async def _handle_update(self, request: Request, rid: str) -> Response:
+        """``POST /admin/update``: apply one JSON delta batch.
+
+        Body: ``{"updates": [[a, b, new_weight], ...]}``.  The 200 is
+        sent only after the overlay reflecting the batch is published
+        (in a fleet, installed on every live worker), so a caller that
+        got the response is guaranteed every subsequent query answers
+        on the new weights.  Bad batches (not JSON, unknown edge,
+        non-positive weight, malformed item) are rejected 400 before
+        any weight is written.
+        """
+        started = time.perf_counter()
+        if request.method != "POST":
+            status, error, extra = 405, "update requires POST", _ALLOW_POST
+        elif self.updates is None:
+            status, extra = 409, ()
+            error = (
+                "live updates are not enabled (start the server with "
+                "--live-updates and --graph)"
+            )
+        else:
+            status, error, extra = 200, None, ()
+            try:
+                body = request.json()
+                raw = body.get("updates") if isinstance(body, dict) else None
+                if not isinstance(raw, list):
+                    raise LiveUpdateError(
+                        'update body must be {"updates": [[a, b, weight], '
+                        "...]}"
+                    )
+                validate_started = time.perf_counter()
+                normalized = self.updates.validate_batch(raw)
+                payload = await self._apply_update(
+                    normalized,
+                    started,
+                    (validate_started, time.perf_counter() - validate_started),
+                )
+            except Exception as exc:
+                status, error = 400, str(exc) or type(exc).__name__
+        if error is not None:
+            payload = {"applied": False, "error": error}
+        return self._admin_answer(
+            request, rid, started, status, payload, extra, error
+        )
+
+    async def _apply_update(
+        self,
+        normalized: list,
+        ingest_started: Optional[float] = None,
+        validate_span: Optional[Tuple[float, float]] = None,
+    ) -> dict:
+        """Apply a validated batch off-loop; invalidate poisoned keys.
+
+        ``ingest_started`` is when the delta batch hit the socket —
+        the whole ingest → validation → overlay-apply → visible-epoch
+        path is measured from it into the ``live.freshness_ms``
+        histogram and, when tracing is on, recorded as a ``live.update``
+        span tree (``validate_span`` carries the validation phase's
+        ``(start, duration)`` when it ran in this request).
+        """
+        loop = asyncio.get_running_loop()
+        async with self._commit_window():
+            apply_started = time.perf_counter()
+            report = await loop.run_in_executor(
+                self._update_executor, self.updates.apply_batch, normalized
+            )
+            # Targeted invalidation: an answer can only have moved if
+            # one of its endpoints had a label entry patched (or
+            # unpatched) by this batch.
+            dropped = self.cache.invalidate(report.changed_vertices)
+            published = await self._publish_batch(report)
+        visible = time.perf_counter()
+        self._last_update_visible = visible
+        if ingest_started is not None:
+            self.recorder.observe(
+                "live.freshness_ms", (visible - ingest_started) * 1000.0
+            )
+            if self.tracer is not None:
+                self._trace_update(
+                    report, ingest_started, validate_span, apply_started,
+                    visible,
+                )
+        rec = self.recorder
+        rec.incr("serve.update.batches")
+        rec.incr("serve.update.edges", report.updated_edges)
+        rec.observe("serve.update.apply_seconds", report.seconds)
+        if self.request_log is not None:
+            self.request_log.log_server(
+                "update",
+                epoch=report.epoch,
+                seqno=report.seqno,
+                edges=report.updated_edges,
+                repaired_nodes=report.repaired_nodes,
+                repaired_entries=report.repaired_entries,
+                overlay_entries=report.overlay_entries,
+                cache_dropped=dropped,
+                seconds=round(report.seconds, 6),
+            )
+        rebuild_due = self.updates.should_rebuild()
+        if rebuild_due and self._rebuild_task is None and not self._draining:
+            # Single-flight: one background rebuild per burst, no
+            # matter how many batches land while it runs.
+            self._rebuild_task = loop.create_task(self._run_rebuild())
+        return {
+            "applied": True,
+            "epoch": report.epoch,
+            "seqno": report.seqno,
+            "updated_edges": report.updated_edges,
+            "submitted_edges": report.submitted_edges,
+            "repaired_nodes": report.repaired_nodes,
+            "repaired_entries": report.repaired_entries,
+            "overlay_entries": report.overlay_entries,
+            "cache_dropped": dropped,
+            "rebuild_due": rebuild_due,
+            **published,
+        }
+
+    def _trace_update(
+        self, report, ingest_started, validate_span, apply_started, visible
+    ) -> None:
+        """The ``live.update`` span tree of one batch."""
+        tracer = self.tracer
+        ctx = TraceContext.generate()
+        tracer.record(
+            "live.update",
+            trace_id=ctx.trace_id,
+            span_id=ctx.span_id,
+            start=ingest_started,
+            duration=visible - ingest_started,
+            attrs={
+                "epoch": report.epoch,
+                "seqno": report.seqno,
+                "edges": report.updated_edges,
+            },
+        )
+        if validate_span is not None:
+            tracer.record(
+                "live.ingest",
+                trace_id=ctx.trace_id,
+                span_id=new_span_id(),
+                parent_id=ctx.span_id,
+                start=ingest_started,
+                duration=validate_span[0] - ingest_started,
+            )
+            tracer.record(
+                "live.validate",
+                trace_id=ctx.trace_id,
+                span_id=new_span_id(),
+                parent_id=ctx.span_id,
+                start=validate_span[0],
+                duration=validate_span[1],
+            )
+        tracer.record(
+            "live.overlay_apply",
+            trace_id=ctx.trace_id,
+            span_id=new_span_id(),
+            parent_id=ctx.span_id,
+            start=apply_started,
+            duration=visible - apply_started,
+            attrs={
+                "repaired_nodes": report.repaired_nodes,
+                "repaired_entries": report.repaired_entries,
+            },
+        )
+
+    async def _run_rebuild(self) -> None:
+        """Background rebuild-and-swap after the overlay threshold.
+
+        The full CTL construction runs on its own executor thread so
+        streaming batches keep applying; the swap itself (adopting the
+        new base and replaying post-snapshot batches) is the only
+        pause, reported as ``serve.rebuild.swap_seconds``.
+        """
+        started = time.perf_counter()
+        try:
+            if self._rebuild_executor is None:
+                self._rebuild_executor = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="spc-rebuild"
+                )
+            new_index, base_seqno = await asyncio.get_running_loop(
+            ).run_in_executor(self._rebuild_executor, self.updates.rebuild)
+            swap_started = time.perf_counter()
+            info = await self._adopt_rebuilt(new_index, base_seqno)
+            pause = time.perf_counter() - swap_started
+            self._index_meta = None
+            rec = self.recorder
+            rec.incr("serve.rebuild.count")
+            rec.observe(
+                "serve.rebuild.seconds", time.perf_counter() - started
+            )
+            rec.observe("serve.rebuild.swap_seconds", pause)
+            if self.request_log is not None:
+                self.request_log.log_server(
+                    "rebuild",
+                    epoch=info["epoch"],
+                    base_seqno=base_seqno,
+                    replayed_edges=info["replayed_edges"],
+                    overlay_entries=info["overlay_entries"],
+                    seconds=round(time.perf_counter() - started, 6),
+                    swap_ms=round(pause * 1000, 3),
+                )
+        except Exception as exc:
+            self.recorder.incr("serve.rebuild.failed")
+            if self.request_log is not None:
+                self.request_log.log_server(
+                    "rebuild_failed", error=str(exc) or type(exc).__name__
+                )
+        finally:
+            self._rebuild_task = None
+
+    # ------------------------------------------------------------------
+    # introspection
+    # ------------------------------------------------------------------
+    def _live_stats(self) -> dict:
+        """The ``/stats`` ``live`` block."""
+        live = self.updates.stats()
+        if self._last_update_visible is not None:
+            live["staleness_s"] = (
+                time.perf_counter() - self._last_update_visible
+            )
+        freshness = self.recorder.histograms.get("live.freshness_ms")
+        if freshness is not None:
+            live["freshness_ms"] = freshness.snapshot()
+        return live
+
+    def _live_gauges(self) -> None:
+        """Refresh the ``live.*`` gauges ``/metrics`` reports."""
+        rec = self.recorder
+        state = self.updates.live_index.state
+        rec.gauge("live.overlay.entries", state.entries)
+        rec.gauge("live.overlay.poisoned_vertices", state.poisoned_vertices)
+        rec.gauge("live.epoch", state.epoch)
+        rec.gauge("live.seqno", state.seqno)
+        if self._last_update_visible is not None:
+            rec.gauge(
+                "live.staleness_s",
+                time.perf_counter() - self._last_update_visible,
+            )
+
+
+class SPCServer(LiveTier, FrontEnd):
     """Serves one built SPC index over HTTP with micro-batching.
 
     The server records into its own :class:`repro.obs.Recorder` (not
@@ -183,7 +512,6 @@ class SPCServer(FrontEnd):
         fault_plan=None,
         index_path: Optional[str] = None,
         updates=None,
-        auto_rebuild: bool = True,
     ) -> None:
         super().__init__(
             config or ServeConfig(),
@@ -195,18 +523,21 @@ class SPCServer(FrontEnd):
             self._reset_faults = fault_plan
         if fault_plan is not None and fault_plan.recorder is NULL_RECORDER:
             fault_plan.recorder = self.recorder
-        #: Live-update coordinator (``None`` = static serving).  When
-        #: set, the server serves its :class:`LiveIndex` view and
-        #: accepts ``POST /admin/update`` delta batches.
-        self.updates = updates
-        #: Whether passing the overlay threshold triggers an in-process
-        #: rebuild-and-swap.  Fleet workers run with ``False``: the
-        #: router drives the coordinated two-phase swap instead.
-        self.auto_rebuild = auto_rebuild
+        #: Live-update coordinator (``None`` = no live tier of its
+        #: own).  When set, the server serves its :class:`LiveIndex`
+        #: view and accepts ``POST /admin/update`` delta batches.
+        from repro.live.overlay import LiveIndex
+
+        self._init_live(updates)
         if updates is not None:
-            if updates.recorder is NULL_RECORDER:
-                updates.recorder = self.recorder
             index = updates.live_index
+        #: The served :class:`LiveIndex`: the coordinator's, or — when
+        #: a fleet worker was handed one without a coordinator — a
+        #: replica whose overlay the router installs
+        #: (``POST /admin/install``).  ``None`` for a static index.
+        self.live: Optional["LiveIndex"] = (
+            index if isinstance(index, LiveIndex) else None
+        )
         if fault_plan is not None and fault_plan.targets(
             "scan.fail", "scan.slow"
         ):
@@ -254,9 +585,6 @@ class SPCServer(FrontEnd):
             if self.config.top_pairs_capacity > 0
             else None
         )
-        #: perf_counter of the most recent update batch becoming
-        #: visible (drives the ``live.staleness_s`` gauge).
-        self._last_update_visible: Optional[float] = None
         self.request_log = request_log
         self._log_pending: list = []
         self._log_drain = self._drain_request_log
@@ -272,23 +600,8 @@ class SPCServer(FrontEnd):
         )
         self._index_meta: Optional[dict] = None
         #: Index staged by ``/admin/reload/prepare`` awaiting commit —
-        #: ``(index, path, base_seqno)``; the fleet router drives the
-        #: two phases (``base_seqno`` is ``None`` outside live mode).
+        #: ``(index, path)``; the fleet router drives the two phases.
         self._staged_reload: Optional[tuple] = None
-        #: Delta batch staged by ``/admin/update/prepare`` awaiting the
-        #: fleet router's commit (all-or-nothing fan-out).
-        self._staged_update: Optional[list] = None
-        #: Single-thread executor serialising overlay repairs off the
-        #: event loop (created only in live mode).
-        self._update_executor: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(max_workers=1, thread_name_prefix="spc-update")
-            if updates is not None
-            else None
-        )
-        #: Lazy executor for full index rebuilds, so a long build never
-        #: queues behind (or blocks) streaming update batches.
-        self._rebuild_executor: Optional[ThreadPoolExecutor] = None
-        self._rebuild_task: Optional[asyncio.Task] = None
         #: Guards /admin/rebuild (one build-and-save at a time).
         self._rebuilding = False
         self._prev_switch_interval: Optional[float] = None
@@ -389,13 +702,6 @@ class SPCServer(FrontEnd):
         the previous index serving untouched.
         """
         started = time.perf_counter()
-        if self.updates is not None:
-            raise ReproError(
-                "live-update server: a direct reload would desynchronize "
-                "the delta overlay from the served labels; use "
-                "POST /admin/rebuild (or the fleet's coordinated swap) "
-                "instead"
-            )
         new_index, path = await self._load_for_reload(path)
         return self._swap_index(new_index, path, started)
 
@@ -410,6 +716,12 @@ class SPCServer(FrontEnd):
         """
         from repro.core.serialize import load_index
 
+        if self.live is not None:
+            raise ReproError(
+                "live-update server: a direct reload would desynchronize "
+                "the delta overlay from the served labels; the overlay "
+                "threshold's rebuild-and-swap replaces the base instead"
+            )
         path = path or self.index_path
         if path is None:
             raise ReproError(
@@ -466,59 +778,6 @@ class SPCServer(FrontEnd):
             self.request_log.log_server("reload", **info)
         return info
 
-    async def _adopt_live(
-        self,
-        new_index,
-        path: str,
-        base_seqno,
-        started: Optional[float] = None,
-    ) -> dict:
-        """Live-mode commit: adopt a rebuilt base into the coordinator.
-
-        The loaded index becomes the overlay's new base (epoch + 1);
-        batches applied after its snapshot are re-derived onto it on the
-        update executor.  The serving :class:`LiveIndex` object never
-        changes identity, so the batcher keeps its reference and the
-        cache stays valid — answers are unchanged by construction.
-        """
-        if isinstance(new_index, FaultyIndex):
-            new_index = new_index.inner
-        info = await asyncio.get_running_loop().run_in_executor(
-            self._update_executor,
-            self.updates.adopt_base,
-            new_index,
-            int(base_seqno),
-            path,  # pin the adopted base in the WAL's new epoch file
-        )
-        self.index_path = path
-        self._index_meta = None
-        self.breaker.record_success()
-        self.recorder.incr("serve.reload.count")
-        # The whole min_dirty table is for a fleet router, not the log.
-        min_dirty = info.pop("min_dirty")
-        payload = {"path": path, "live": True, **info}
-        if started is not None:
-            payload["seconds"] = time.perf_counter() - started
-        if self.request_log is not None:
-            self.request_log.log_server("reload", **payload)
-        payload["min_dirty"] = min_dirty
-        return payload
-
-    def overlay_report(self) -> dict:
-        """The served base's path and, with live updates, the overlay's
-        ``epoch``, ``seqno`` and every patched vertex's ``min_dirty`` —
-        what a fleet router mirrors to answer clean pairs itself.  A
-        fleet worker sends it with its readiness report."""
-        report = {"path": self.index_path}
-        if self.updates is not None:
-            state = self.updates.live_index.state
-            report.update(
-                epoch=state.epoch,
-                seqno=state.seqno,
-                min_dirty=sorted(state.min_dirty.items()),
-            )
-        return report
-
     async def shutdown(self) -> None:
         """Graceful drain: stop accepting, finish in-flight, flush, stop."""
         if self._draining:
@@ -528,16 +787,10 @@ class SPCServer(FrontEnd):
         await self._drain_connections()
         if self.batcher is not None:
             await self.batcher.drain()
-        if self._rebuild_task is not None:
-            self._rebuild_task.cancel()
-            await asyncio.gather(self._rebuild_task, return_exceptions=True)
+        await self._stop_live()
         self._executor.shutdown(wait=True)
         if self._fallback_executor is not None:
             self._fallback_executor.shutdown(wait=True)
-        if self._update_executor is not None:
-            self._update_executor.shutdown(wait=True, cancel_futures=True)
-        if self._rebuild_executor is not None:
-            self._rebuild_executor.shutdown(wait=True, cancel_futures=True)
         self._drain_request_log(force=True, inline=True)
         if self.request_log is not None:
             self.request_log.log_server("drain")
@@ -629,6 +882,16 @@ class SPCServer(FrontEnd):
                 )
         return status, payload, (("X-Request-Id", rid),) + tuple(extra)
 
+    def _admin_answer(
+        self, request: Request, rid: str, started: float, status: int,
+        payload, extra=(), error: Optional[str] = None,
+    ) -> Response:
+        return self._finish_request(
+            status, payload, extra,
+            rid=rid, started=started, method=request.method,
+            path=request.path, error=error, track_slo=False,
+        )
+
     def _drain_request_log(
         self, force: bool = False, inline: bool = False
     ) -> None:
@@ -695,8 +958,8 @@ class SPCServer(FrontEnd):
                 counters["lca_width"] = node.size
             except (KeyError, AttributeError):
                 pass
-        if self.updates is not None:
-            live = self.updates.live_index
+        live = self.live
+        if live is not None:
             state = live.state
             counters["epoch"] = state.epoch
             counters["seqno"] = state.seqno
@@ -783,15 +1046,9 @@ class SPCServer(FrontEnd):
                 request, rid, request.path.rsplit("/", 1)[1]
             )
         if request.path == "/admin/update":
-            return self._handle_update(request, rid, None)
-        if request.path in (
-            "/admin/update/prepare",
-            "/admin/update/commit",
-            "/admin/update/abort",
-        ):
-            return self._handle_update(
-                request, rid, request.path.rsplit("/", 1)[1]
-            )
+            return self._handle_update(request, rid)
+        if request.path == "/admin/install":
+            return self._handle_install(request, rid)
         if request.path == "/admin/rebuild":
             return self._handle_rebuild(request, rid)
         if request.path == "/admin/profile":
@@ -921,31 +1178,16 @@ class SPCServer(FrontEnd):
                 target = (
                     body.get("path") if isinstance(body, dict) else None
                 )
-                base_seqno = (
-                    body.get("base_seqno") if isinstance(body, dict) else None
-                )
-                if self.updates is not None and base_seqno is None:
-                    raise ReproError(
-                        "live-update server: reload prepare requires the "
-                        "coordinated rebuild's base_seqno (a plain reload "
-                        "would desynchronize the delta overlay)"
-                    )
-                staged = await self._load_for_reload(target)
-                self._staged_reload = (staged[0], staged[1], base_seqno)
+                self._staged_reload = await self._load_for_reload(target)
                 status, payload = 200, {
-                    "prepared": True, "path": staged[1],
+                    "prepared": True, "path": self._staged_reload[1],
                 }
             elif phase == "commit":
                 if self._staged_reload is None:
                     raise ReproError("no staged reload to commit")
-                new_index, target, base_seqno = self._staged_reload
+                new_index, target = self._staged_reload
                 self._staged_reload = None
-                if self.updates is not None:
-                    info = await self._adopt_live(
-                        new_index, target, base_seqno, started
-                    )
-                else:
-                    info = self._swap_index(new_index, target, started)
+                info = self._swap_index(new_index, target, started)
                 status, payload = 200, {"reloaded": True, **info}
             else:  # abort
                 dropped = self._staged_reload is not None
@@ -960,255 +1202,76 @@ class SPCServer(FrontEnd):
             path=path, error=error, track_slo=False,
         )
 
-    async def _handle_update(
-        self, request: Request, rid: str, phase: Optional[str]
-    ) -> Response:
-        """``POST /admin/update``: apply one JSON delta batch.
+    async def _handle_install(self, request: Request, rid: str) -> Response:
+        """``POST /admin/install``: take the fleet router's overlay.
 
-        Body: ``{"updates": [[a, b, new_weight], ...]}``.  The 200 is
-        sent only after the overlay reflecting the batch is published,
-        so a caller that got the response is guaranteed every
-        subsequent query answers on the new weights.  Bad batches
-        (unknown edge, non-positive weight, malformed item) are
-        rejected 400 before any weight is written.
-
-        ``/admin/update/prepare|commit|abort`` are the fleet's
-        all-or-nothing fan-out: prepare validates and stages the batch,
-        commit applies the staged batch, abort drops it.
+        Only a replica serves it — a fleet worker holding a
+        :class:`LiveIndex` and no coordinator of its own.  The body is
+        either one batch's diff, ``{"epoch", "seqno", "changed":
+        rows}``, which must follow the served state exactly (same
+        epoch, ``seqno + 1``), or the router's whole state, ``{"base",
+        "epoch", "seqno", "patches": rows}``, which replaces it
+        (opening ``base``, checksummed, when it is not the served
+        file).  Rows are :func:`~repro.live.overlay.patch_rows`.  A
+        diff that does not follow is refused 409 and changes nothing.
         """
-        started = time.perf_counter()
-        path = "/admin/update" if phase is None else f"/admin/update/{phase}"
+        from repro.live.overlay import OverlayState, read_patch_rows
 
-        def _reject(status: int, message: str, extra=()):
-            return self._finish_request(
-                status, {"applied": False, "error": message}, extra,
-                rid=rid, started=started, method=request.method,
-                path=path, error=message, track_slo=False,
+        started = time.perf_counter()
+
+        def refuse(status: int, error: str, extra=()) -> Response:
+            return self._admin_answer(
+                request, rid, started, status,
+                {"installed": False, "error": error}, extra, error,
             )
 
         if request.method != "POST":
-            return _reject(
-                405, "update requires POST", (("Allow", "POST"),)
-            )
-        if self.updates is None:
-            return _reject(
+            return refuse(405, "install requires POST", _ALLOW_POST)
+        live = self.live
+        if live is None or self.updates is not None:
+            return refuse(
                 409,
-                "live updates are not enabled (start the server with "
-                "--live-updates and --graph)",
+                "install is a live fleet worker's endpoint; this server "
+                "has no overlay to install into, or repairs its own",
             )
-        error = None
-        status = 200
         try:
-            if phase == "abort":
-                dropped = self._staged_update is not None
-                self._staged_update = None
-                payload: dict = {"aborted": dropped}
-            elif phase == "commit":
-                if self._staged_update is None:
-                    raise LiveUpdateError("no staged update batch to commit")
-                staged = self._staged_update
-                self._staged_update = None
-                payload = await self._apply_update(staged, started)
+            body = request.json()
+            epoch, seqno = int(body["epoch"]), int(body["seqno"])
+            whole = "base" in body
+            rows = read_patch_rows(body["patches" if whole else "changed"])
+        except (ReproError, KeyError, TypeError, ValueError) as exc:
+            return refuse(400, f"malformed install body: {exc}")
+        try:
+            base, state = live.view
+            if whole:
+                path = body["base"]
+                if path != self.index_path:
+                    from repro.core.serialize import load_index
+
+                    base = await asyncio.get_running_loop().run_in_executor(
+                        None, functools.partial(load_index, path, verify=True)
+                    )
+                min_dirty = {v: min(kept) for v, kept in rows.items()}
+                live.swap(base, OverlayState(epoch, seqno, rows, min_dirty))
+                self.index_path = path
+                self._index_meta = None
+                self.cache.clear()
+            elif (epoch, seqno) == (state.epoch, state.seqno + 1):
+                live.swap(base, state.with_batch(rows))
+                self.cache.invalidate(rows)
             else:
-                body = request.json()
-                raw = body.get("updates") if isinstance(body, dict) else None
-                if not isinstance(raw, list):
-                    raise LiveUpdateError(
-                        'update body must be {"updates": [[a, b, weight], '
-                        "...]}"
-                    )
-                validate_started = time.perf_counter()
-                normalized = self.updates.validate_batch(raw)
-                validate_span = (
-                    validate_started,
-                    time.perf_counter() - validate_started,
-                )
-                if phase == "prepare":
-                    self._staged_update = normalized
-                    payload = {"prepared": True, "edges": len(normalized)}
-                else:
-                    payload = await self._apply_update(
-                        normalized, started, validate_span
-                    )
-        except Exception as exc:
-            error = str(exc) or type(exc).__name__
-            status = 409 if phase == "commit" else 400
-            payload = {"applied": False, "error": error}
-        return self._finish_request(
-            status, payload, (),
-            rid=rid, started=started, method="POST",
-            path=path, error=error, track_slo=False,
-        )
-
-    async def _apply_update(
-        self,
-        normalized: list,
-        ingest_started: Optional[float] = None,
-        validate_span: Optional[Tuple[float, float]] = None,
-    ) -> dict:
-        """Apply a validated batch off-loop; invalidate poisoned keys.
-
-        ``ingest_started`` is when the delta batch hit the socket —
-        the whole ingest → validation → overlay-apply → visible-epoch
-        path is measured from it into the ``live.freshness_ms``
-        histogram and, when tracing is on, recorded as a ``live.update``
-        span tree (``validate_span`` carries the validation phase's
-        ``(start, duration)`` when it ran in this request).
-        """
-        apply_started = time.perf_counter()
-        report = await asyncio.get_running_loop().run_in_executor(
-            self._update_executor, self.updates.apply_batch, normalized
-        )
-        visible = time.perf_counter()
-        self._last_update_visible = visible
-        if ingest_started is not None:
-            self.recorder.observe(
-                "live.freshness_ms", (visible - ingest_started) * 1000.0
-            )
-            tracer = self.tracer
-            if tracer is not None:
-                ctx = TraceContext.generate()
-                tracer.record(
-                    "live.update",
-                    trace_id=ctx.trace_id,
-                    span_id=ctx.span_id,
-                    start=ingest_started,
-                    duration=visible - ingest_started,
-                    attrs={
-                        "epoch": report.epoch,
-                        "seqno": report.seqno,
-                        "edges": report.updated_edges,
-                    },
-                )
-                if validate_span is not None:
-                    tracer.record(
-                        "live.ingest",
-                        trace_id=ctx.trace_id,
-                        span_id=new_span_id(),
-                        parent_id=ctx.span_id,
-                        start=ingest_started,
-                        duration=validate_span[0] - ingest_started,
-                    )
-                    tracer.record(
-                        "live.validate",
-                        trace_id=ctx.trace_id,
-                        span_id=new_span_id(),
-                        parent_id=ctx.span_id,
-                        start=validate_span[0],
-                        duration=validate_span[1],
-                    )
-                tracer.record(
-                    "live.overlay_apply",
-                    trace_id=ctx.trace_id,
-                    span_id=new_span_id(),
-                    parent_id=ctx.span_id,
-                    start=apply_started,
-                    duration=visible - apply_started,
-                    attrs={
-                        "repaired_nodes": report.repaired_nodes,
-                        "repaired_entries": report.repaired_entries,
-                    },
-                )
-        changed = report.changed_vertices
-        # Targeted invalidation: an answer can only have moved if one
-        # of its endpoints had a label entry patched (or unpatched) by
-        # this batch.
-        dropped = self.cache.invalidate(changed)
-        rec = self.recorder
-        rec.incr("serve.update.batches")
-        rec.incr("serve.update.edges", report.updated_edges)
-        rec.observe("serve.update.apply_seconds", report.seconds)
-        if self.request_log is not None:
-            self.request_log.log_server(
-                "update",
-                epoch=report.epoch,
-                seqno=report.seqno,
-                edges=report.updated_edges,
-                repaired_nodes=report.repaired_nodes,
-                repaired_entries=report.repaired_entries,
-                overlay_entries=report.overlay_entries,
-                cache_dropped=dropped,
-                seconds=round(report.seconds, 6),
-            )
-        rebuild_due = self.updates.should_rebuild()
-        if (
-            rebuild_due
-            and self.auto_rebuild
-            and self._rebuild_task is None
-            and not self._draining
-        ):
-            self._rebuild_task = asyncio.get_running_loop().create_task(
-                self._run_rebuild()
-            )
-        return {
-            "applied": True,
-            "epoch": report.epoch,
-            "seqno": report.seqno,
-            "updated_edges": report.updated_edges,
-            "submitted_edges": report.submitted_edges,
-            "repaired_nodes": report.repaired_nodes,
-            "repaired_entries": report.repaired_entries,
-            "overlay_entries": report.overlay_entries,
-            "cache_dropped": dropped,
-            "rebuild_due": rebuild_due,
-            # Answers can have moved only for pairs touching these: a
-            # fleet router invalidates its cache by them, and mirrors
-            # their new min_dirty to keep answering clean pairs itself.
-            "changed_vertices": sorted(changed),
-            "min_dirty": report.min_dirty,
-        }
-
-    async def _run_rebuild(self) -> None:
-        """Background rebuild-and-swap after the overlay threshold.
-
-        The full CTL construction runs on its own executor thread so
-        streaming batches keep applying; the swap itself (adopting the
-        new base and replaying post-snapshot batches) is the only
-        pause, reported as ``serve.rebuild.swap_seconds``.
-        """
-        loop = asyncio.get_running_loop()
-        started = time.perf_counter()
-        try:
-            if self._rebuild_executor is None:
-                self._rebuild_executor = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="spc-rebuild"
-                )
-            new_index, base_seqno = await loop.run_in_executor(
-                self._rebuild_executor, self.updates.rebuild
-            )
-            swap_started = time.perf_counter()
-            info = await loop.run_in_executor(
-                self._update_executor,
-                self.updates.adopt_base,
-                new_index,
-                base_seqno,
-            )
-            pause = time.perf_counter() - swap_started
-            self._index_meta = None
-            rec = self.recorder
-            rec.incr("serve.rebuild.count")
-            rec.observe(
-                "serve.rebuild.seconds", time.perf_counter() - started
-            )
-            rec.observe("serve.rebuild.swap_seconds", pause)
-            if self.request_log is not None:
-                self.request_log.log_server(
-                    "rebuild",
-                    epoch=info["epoch"],
-                    base_seqno=base_seqno,
-                    replayed_edges=info["replayed_edges"],
-                    overlay_entries=info["overlay_entries"],
-                    seconds=round(time.perf_counter() - started, 6),
-                    swap_ms=round(pause * 1000, 3),
+                raise LiveUpdateError(
+                    f"diff at (epoch {epoch}, seqno {seqno}) does not "
+                    f"follow the served (epoch {state.epoch}, seqno "
+                    f"{state.seqno})"
                 )
         except Exception as exc:
-            self.recorder.incr("serve.rebuild.failed")
-            if self.request_log is not None:
-                self.request_log.log_server(
-                    "rebuild_failed", error=str(exc) or type(exc).__name__
-                )
-        finally:
-            self._rebuild_task = None
+            return refuse(409, str(exc) or type(exc).__name__)
+        self._last_update_visible = time.perf_counter()
+        return self._admin_answer(
+            request, rid, started, 200,
+            {"installed": True, "epoch": epoch, "seqno": seqno},
+        )
 
     async def _handle_rebuild(self, request: Request, rid: str) -> Response:
         """``POST /admin/rebuild``: build + save a fresh base index.
@@ -1216,9 +1279,9 @@ class SPCServer(FrontEnd):
         Builds a new index from the coordinator's current graph and
         writes it (atomically, v4 container) to the body's ``path`` or
         ``<index_path>.rebuild``.  Returns the saved path and the
-        snapshot's ``base_seqno`` — the fleet router feeds both into the
-        two-phase ``/admin/reload`` so every worker adopts the same
-        base.  The overlay keeps serving unchanged until that commit.
+        snapshot's ``base_seqno``.  The served base and overlay do not
+        change: the file is a fresh index of the current weights, for
+        starting a server from.
         """
         started = time.perf_counter()
 
@@ -1444,18 +1507,7 @@ class SPCServer(FrontEnd):
         rec.gauge("serve.cache.size", len(self.cache))
         rec.gauge("serve.cache.hit_rate", self.cache.hit_rate)
         if self.updates is not None:
-            state = self.updates.live_index.state
-            rec.gauge("live.overlay.entries", state.entries)
-            rec.gauge(
-                "live.overlay.poisoned_vertices", state.poisoned_vertices
-            )
-            rec.gauge("live.epoch", state.epoch)
-            rec.gauge("live.seqno", state.seqno)
-            if self._last_update_visible is not None:
-                rec.gauge(
-                    "live.staleness_s",
-                    time.perf_counter() - self._last_update_visible,
-                )
+            self._live_gauges()
         return self._metrics_answer(request, rec.metrics_snapshot())
 
     def _handle_trace(self, request: Request) -> Response:
@@ -1500,15 +1552,15 @@ class SPCServer(FrontEnd):
                 "pending": self.batcher.pending_count,
             }
         if self.updates is not None:
-            live = self.updates.stats()
-            if self._last_update_visible is not None:
-                live["staleness_s"] = (
-                    time.perf_counter() - self._last_update_visible
-                )
-            freshness = self.recorder.histograms.get("live.freshness_ms")
-            if freshness is not None:
-                live["freshness_ms"] = freshness.snapshot()
-            payload["live"] = live
+            payload["live"] = self._live_stats()
+        elif self.live is not None:
+            state = self.live.state
+            payload["live"] = {
+                "epoch": state.epoch,
+                "seqno": state.seqno,
+                "overlay_entries": state.entries,
+                "poisoned_vertices": state.poisoned_vertices,
+            }
         if self.top_pairs is not None:
             payload["top_pairs"] = self.top_pairs.block()
         if self.tracer is not None:

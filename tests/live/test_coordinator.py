@@ -1,7 +1,6 @@
 """UpdateCoordinator: validation, atomic batches, rebuild-and-swap."""
 
 import random
-import time
 
 import pytest
 
@@ -190,24 +189,6 @@ class TestRebuild:
 
 
 class TestFreshnessFallback:
-    def test_overdue_repair_routes_to_dijkstra(self, graph):
-        coordinator = UpdateCoordinator(
-            graph, CTLIndex.build(graph), freshness_s=0.001
-        )
-        live = coordinator.live_index
-        assert live.stale_router is not None
-        # Force the overdue condition: a pending repair older than the
-        # deadline, covering every block.
-        coordinator._pending = (time.monotonic() - 1.0, 0)
-        assert live.stale_router.overdue()
-        vertices = sorted(graph.vertices())
-        rng = random.Random(6)
-        for _ in range(20):
-            s, t = rng.choice(vertices), rng.choice(vertices)
-            assert tuple(live.query(s, t)) == tuple(spc_query(graph, s, t))
-        coordinator._pending = None
-        assert not live.stale_router.overdue()
-
     def test_stats_shape(self, coordinator):
         stats = coordinator.stats()
         for key in (

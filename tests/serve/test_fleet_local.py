@@ -1,19 +1,21 @@
 """Fleet misses answered by the router from the index it maps itself.
 
 The router opens the same v4 file its workers serve and answers every
-cache miss whose answer is exactly the owning worker's: on a static
-fleet that is every well-formed pair; on a live fleet every pair that
-is clean by the workers' own ``min_dirty`` rule, which the router
-mirrors from their commit and readiness reports.  The contract pinned
-here:
+cache miss from it.  On a live fleet it owns the live tier: it repairs
+each batch once, logs it in the one WAL and installs the diff on every
+worker, so its own overlay is the one they all serve.  The contract
+pinned here:
 
-* a local answer is byte-identical to every worker's, and a static
-  fleet answers hot GETs without a worker moving;
+* a local answer is byte-identical to every worker's, and a fleet
+  answers hot GETs and batches without a worker moving;
+* nothing is cached across a commit, and commits reach the workers in
+  the order the router made them;
 * after every acknowledged update batch, every pair equals counting
-  Dijkstra, with both local and forwarded answers in play;
-* after ``kill -9`` of the whole live fleet and a restart on the same
-  WAL directory, the router maps the base the WAL pinned and every
-  answer is still exact;
+  Dijkstra, and every worker serves the router's ``(epoch, seqno)``;
+* a worker that does not take a batch is ejected and rejoins; a router
+  that dies between its WAL append and the install, or a whole fleet
+  hit with ``kill -9`` mid-stream, restarts on the same WAL with every
+  acknowledged batch on every worker;
 * a reload swaps the router's index with the workers', and a file the
   router cannot verify is refused fleet-wide.
 """
@@ -38,11 +40,11 @@ from hypothesis import strategies as st
 import repro
 from repro.core.ctl import CTLIndex
 from repro.core.ctls import CTLSIndex
-from repro.core.serialize import save_index
+from repro.core.serialize import load_index, save_index
 from repro.exceptions import ReproError
 from repro.graph.generators import road_network
 from repro.graph.io import write_json
-from repro.live import synthesize_deltas
+from repro.live import UpdateCoordinator, synthesize_deltas
 from repro.live.wal import WriteAheadLog, scan_wal
 from repro.search.dijkstra import ssspc
 from repro.serve import FleetThread, ServeConfig, replay
@@ -223,20 +225,15 @@ class TestStaticFleet:
         )
         assert forwarded == len(pairs) - config.queue_high_water
 
-    def test_nothing_is_answered_locally_across_a_commit(
-        self, static_paths
-    ):
+    def test_nothing_is_cached_across_a_commit(self, static_paths):
         paths, expected, _ = static_paths
         path = str(paths["a"])
-        router = _router_with_live_workers(path, ServeConfig(cache_size=0))
+        router = _router_with_live_workers(path, ServeConfig(cache_size=8))
         pair = (3, 140)
 
         async def scenario():
             router._index = await router._open_index(path)
             router._index_path = path
-            router._mirror_full([{"path": path}, {"path": path}])
-            answer = router._local_answers([pair])[0]
-            assert _wire(*answer) == expected[pair]
             gate = asyncio.Event()
 
             async def held_fanout(method, url, body=None, *, resend=False):
@@ -245,86 +242,80 @@ class TestStaticFleet:
 
             router._fanout = held_fanout
             commit = asyncio.ensure_future(
-                router._commit("/admin/update/commit")
-            )
-            await asyncio.sleep(0)
-            assert router._local_answers([pair]) == [None]
-            gate.set()
-            await commit
-            # No worker reported the commit: the router cannot know the
-            # state it left, so it forwards until a reload.
-            assert router._local_answers([pair]) == [None]
-            assert router._disagreement == "a worker did not report"
-            router._mirror_full([{"path": path}, {"path": "other.bin"}])
-            assert router._local_answers([pair]) == [None]
-            router._mirror_full([{"path": path}, {"path": path}])
-            assert router._local_answers([pair])[0] == answer
-
-        asyncio.run(scenario())
-
-    def test_commits_reach_the_mirror_in_commit_order(self, static_paths):
-        # A coordinated rebuild's reload commit and an update commit
-        # are issued back to back.  Each worker applies them in that
-        # order on its one update thread, so the update fan-out must
-        # not start — and its small report must not reach the mirror —
-        # before the reload's whole-state report has.
-        paths, expected, _ = static_paths
-        path = str(paths["a"])
-        router = _router_with_live_workers(path, ServeConfig(cache_size=0))
-        pair = (3, 140)
-
-        def replies(report):
-            body = json.dumps(report).encode()
-            return [(None, (200, {}, body)), (None, (200, {}, body))]
-
-        async def scenario():
-            router._index = await router._open_index(path)
-            router._index_path = path
-            whole = {"path": path, "epoch": 1, "seqno": 0, "min_dirty": []}
-            router._mirror_full([whole, whole])
-            assert _wire(*router._local_answers([pair])[0]) == (
-                expected[pair]
-            )
-            reload_gate = asyncio.Event()
-            fanned = []
-
-            async def held_fanout(method, url, body=None, *, resend=False):
-                fanned.append(url)
-                if url == "/admin/reload/commit":
-                    await reload_gate.wait()
-                    return replies(dict(whole, epoch=2))
-                return replies(
-                    {
-                        "path": path, "epoch": 2, "seqno": 1,
-                        "min_dirty": [[pair[0], 0]],
-                        "changed_vertices": [pair[0]],
-                    }
-                )
-
-            router._fanout = held_fanout
-            generation = router._generation
-            reload = asyncio.ensure_future(
                 router._commit("/admin/reload/commit")
             )
             await asyncio.sleep(0)
-            update = asyncio.ensure_future(
-                router._commit("/admin/update/commit")
+            # Mid-commit the router still answers from the index it
+            # serves, but caches nothing.
+            answer = router._local_answers([pair])[0]
+            assert _wire(*answer) == expected[pair]
+            assert router.cache.get(*pair) is None
+            gate.set()
+            await commit
+            assert len(router.cache) == 0
+            # The next answer is cached.
+            assert router._local_answers([pair])[0] == answer
+            assert router.cache.get(*pair) == answer
+
+        asyncio.run(scenario())
+
+    def test_commits_reach_the_mirror_in_commit_order(self, tmp_path):
+        # The workers mirror the router's overlay.  A rebuilt base's
+        # join and an update's diff are both commits: the update must
+        # not apply — nor its diff go out — before the join's fan-out
+        # has ended, so every worker takes the joined state and then
+        # the diff at the next seqno, and no answer computed across
+        # either is cached.
+        graph = road_network(60, seed=4)
+        index_path, _ = _live_files(tmp_path, graph)
+        router = _router_with_live_workers(
+            str(index_path), ServeConfig(cache_size=8)
+        )
+        updates = UpdateCoordinator(graph, load_index(index_path))
+        router._init_live(updates)
+        router._index = updates.live_index
+        router._index_path = str(index_path)
+        batch = synthesize_deltas(graph, batches=1, seed=3)[0]
+        bodies = []
+        join_gate = asyncio.Event()
+        pair = (3, 40)
+
+        async def held_fanout(method, url, body=None, *, resend=False):
+            payload = json.loads(body)
+            bodies.append(payload)
+            if "base" in payload:
+                await join_gate.wait()
+            return [(w, (200, {}, b"{}")) for w in router.workers]
+
+        router._fanout = held_fanout
+
+        async def scenario():
+            rebuilt, base_seqno = updates.rebuild()
+            generation = router._generation
+            adopt = asyncio.ensure_future(
+                router._adopt_rebuilt(rebuilt, base_seqno)
             )
-            for _ in range(5):
-                await asyncio.sleep(0)
-            assert fanned == ["/admin/reload/commit"]
+            while not bodies:  # the save runs off the loop
+                await asyncio.sleep(0.01)
+            update = asyncio.ensure_future(
+                router._apply_update(updates.validate_batch(batch.updates))
+            )
+            for _ in range(20):
+                await asyncio.sleep(0.01)
+            assert len(bodies) == 1
+            assert updates.live_index.state.seqno == 0
             assert router._generation == generation + 1
-            assert router._local_answers([pair]) == [None]
-            reload_gate.set()
-            await asyncio.gather(reload, update)
-            assert fanned == ["/admin/reload/commit", "/admin/update/commit"]
+            assert router._local_answers([pair])[0] is not None
+            assert len(router.cache) == 0
+            join_gate.set()
+            await asyncio.gather(adopt, update)
+            join, diff = bodies
+            assert join["base"] == f"{index_path}.epoch-2"
+            assert (join["epoch"], join["seqno"]) == (2, 0)
+            assert (diff["epoch"], diff["seqno"]) == (2, 1)
             assert router._generation == generation + 4
-            assert router._agreed, router._disagreement
-            mirror = router._overlay
-            assert (mirror.epoch, mirror.seqno) == (2, 1)
-            assert mirror.min_dirty == {pair[0]: 0}
-            # The batch poisoned the pair: a worker answers it now.
-            assert router._local_answers([pair]) == [None]
+            state = updates.live_index.state
+            assert (state.epoch, state.seqno) == (2, 1)
 
         asyncio.run(scenario())
 
@@ -344,7 +335,6 @@ class TestStaticFleet:
         async def scenario():
             router._index = await router._open_index(path)
             router._index_path = path
-            router._mirror_full([{"path": path}, {"path": path}])
             return router._local_answers(pairs)
 
         answers = asyncio.run(scenario())
@@ -465,9 +455,9 @@ def live_fleet(tmp_path_factory):
     index_path, graph_path = _live_files(
         tmp_path_factory.mktemp("live_local"), graph
     )
-    # No router cache: every query of every check is a miss, answered
-    # locally or forwarded.  A low threshold lets coordinated rebuilds
-    # (reload commits) land between batches as well.
+    # No router cache: every query of every check is a miss.  A low
+    # threshold lets rebuilds (base swaps joined by every worker) land
+    # between batches as well.
     config = ServeConfig(
         port=0, live_updates=True, cache_size=0, overlay_threshold=150,
         probe_interval_s=0,
@@ -476,7 +466,7 @@ def live_fleet(tmp_path_factory):
         index_path, 2, config, live_graph_path=str(graph_path)
     )
     host, port = thread.start()
-    yield graph, graph.copy(), host, port
+    yield graph, graph.copy(), host, port, thread.router
     thread.stop()
 
 
@@ -485,7 +475,7 @@ _OPS = ("increase", "decrease", "restore")
 
 class TestLiveFleet:
     def test_every_pair_is_exact_after_every_batch(self, live_fleet):
-        graph, mirror, host, port = live_fleet
+        graph, mirror, host, port, _router = live_fleet
         edges = sorted(
             (a, b, weight) for a, b, weight, _ in graph.edges() if a < b
         )
@@ -536,19 +526,32 @@ class TestLiveFleet:
         batches_then_check()
         after = _counters(host, port)
         assert checks
-        for name in ("fleet.answers.local", "fleet.answers.forwarded"):
-            assert after.get(name, 0) > before.get(name, 0), name
+        # The router answered every plain query from its own overlay.
+        assert after["fleet.answers.local"] > before.get(
+            "fleet.answers.local", 0
+        )
+        assert after.get("fleet.answers.forwarded", 0) == before.get(
+            "fleet.answers.forwarded", 0
+        )
+        # One repair and one log append per batch, all in the router.
+        assert after["live.updates.batches"] - before.get(
+            "live.updates.batches", 0
+        ) == len(checks)
 
     def test_router_mirror_follows_the_workers(self, live_fleet):
-        _graph, _mirror, host, port = live_fleet
+        # The workers mirror the router: each serves the router's
+        # (epoch, seqno) and overlay, and none repairs a batch itself.
+        _graph, _mirror, host, port, router = live_fleet
         stats = _json(host, port, "GET", "/stats")
-        answers = stats["fleet"]["answers"]
-        assert answers["agreed"] is True, answers
-        assert answers["mirror"]["seqno"] == stats["live"]["seqno"]
-        assert answers["mirror"]["epoch"] == stats["live"]["epoch"]
-        assert answers["mirror"]["poisoned_vertices"] == (
-            stats["live"]["poisoned_vertices"]
-        )
+        version = (stats["live"]["epoch"], stats["live"]["seqno"])
+        assert version[1] > 0
+        for worker in router.workers:
+            live = _json("127.0.0.1", worker.port, "GET", "/stats")["live"]
+            assert (live["epoch"], live["seqno"]) == version, worker
+            assert live["overlay_entries"] == stats["live"]["overlay_entries"]
+            counters = _counters("127.0.0.1", worker.port)
+            assert "live.updates.batches" not in counters
+            assert "live.repair.entries" not in counters
 
 
 # ----------------------------------------------------------------------
@@ -558,12 +561,12 @@ def _start_cli_fleet(args, log_path):
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    log = open(log_path, "w")
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", *args, "--port", "0"],
-        stdout=log, stderr=subprocess.STDOUT, env=env,
-        start_new_session=True,
-    )
+    with open(log_path, "w") as log:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", *args, "--port", "0"],
+            stdout=log, stderr=subprocess.STDOUT, env=env,
+            start_new_session=True,
+        )
     deadline = time.time() + 90
     while time.time() < deadline:
         text = Path(log_path).read_text()
@@ -586,9 +589,9 @@ def _kill_group(process):
     process.wait(30)
 
 
-def _pinned_base(worker_wal):
-    """The base path the newest epoch file of a worker's WAL pins."""
-    _epoch, newest = WriteAheadLog.epoch_files(worker_wal)[-1]
+def _pinned_base(wal):
+    """The base path the newest epoch file of the fleet's WAL pins."""
+    _epoch, newest = WriteAheadLog.epoch_files(wal)[-1]
     return scan_wal(newest).records[0].payload.get("base_path")
 
 
@@ -642,14 +645,14 @@ class TestWholeFleetRestart:
                 assert push(host, port)["overlay_entries"] < threshold
         finally:
             _kill_group(process)
-        pinned = _pinned_base(wal / "worker-0")
-        assert pinned and pinned == _pinned_base(wal / "worker-1")
-        assert pinned != str(index_path)
+        # One log, at the top of the WAL directory.
+        assert not list(wal.glob("worker-*"))
+        pinned = _pinned_base(wal)
+        assert pinned and pinned != str(index_path)
 
         process, host, port = _start_cli_fleet(args, tmp_path / "two.log")
         try:
             answers = _json(host, port, "GET", "/stats")["fleet"]["answers"]
-            assert answers["agreed"] is True, answers
             assert answers["index_path"] == pinned
             expected = _all_pairs(mirror)
             before = _counters(host, port)
@@ -658,6 +661,243 @@ class TestWholeFleetRestart:
             assert after["fleet.answers.local"] > before.get(
                 "fleet.answers.local", 0
             )
+        finally:
+            process.send_signal(signal.SIGTERM)
+            try:
+                process.wait(30)
+            finally:
+                _kill_group(process)
+
+
+# ----------------------------------------------------------------------
+# chaos: every worker ends at the router's version, every pair exact
+# ----------------------------------------------------------------------
+def _push(host, port, mirror, batch):
+    """One batch through the router; the mirror follows once it is
+    acknowledged."""
+    payload = _json(
+        host, port, "POST", "/admin/update",
+        {"updates": [list(u) for u in batch.updates]},
+    )
+    assert payload["applied"], payload
+    for a, b, w in batch.updates:
+        mirror.add_edge(a, b, w, mirror.count(a, b))
+    return payload
+
+
+def _assert_converged(host, port, mirror, worker_ports=()):
+    """Every worker is up at the router's ``(epoch, seqno)``, and every
+    pair — at the router and, when given, at each worker — equals
+    counting Dijkstra on ``mirror``."""
+    deadline = time.time() + 60
+    while True:
+        stats = _json(host, port, "GET", "/stats")
+        rows = stats["fleet"]["per_worker"]
+        if (
+            stats["fleet"]["supervisor"]["workers_down"] == 0
+            and len(rows) == 2
+            and all(
+                row["epoch_lag"] == 0 and row["seqno_lag"] == 0
+                for row in rows
+            )
+        ):
+            break
+        assert time.time() < deadline, (stats["fleet"], stats["live"])
+        time.sleep(0.2)
+    expected = _all_pairs(mirror)
+    _assert_fleet_matches(host, port, expected, gets=20)
+    for worker_port in worker_ports:
+        _assert_fleet_matches("127.0.0.1", worker_port, expected, gets=5)
+    return stats
+
+
+def _batches_applied(graph, batches, seqno):
+    """``graph`` with the first ``seqno`` batches applied."""
+    mirror = graph.copy()
+    for batch in batches[:seqno]:
+        for a, b, w in batch.updates:
+            mirror.add_edge(a, b, w, mirror.count(a, b))
+    return mirror
+
+
+#: Runs the CLI with the router's install fan-out replaced by SIGKILL:
+#: the router dies after its WAL append and before any worker hears of
+#: the batch.
+_DIE_BEFORE_INSTALL = """
+import os, signal, sys
+from repro.serve import fleet
+
+async def _die(self, report):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+fleet.FleetRouter._publish_batch = _die
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestLiveFleetChaos:
+    def test_a_worker_that_misses_an_install_is_ejected_and_rejoins(
+        self, tmp_path
+    ):
+        graph = road_network(80, seed=6)
+        index_path, graph_path = _live_files(tmp_path, graph)
+        config = ServeConfig(
+            port=0, live_updates=True, cache_size=0, probe_interval_s=0,
+            wal_dir=str(tmp_path / "wal"),
+        )
+        thread = FleetThread(
+            index_path, 2, config, live_graph_path=str(graph_path)
+        )
+        host, port = thread.start()
+        try:
+            router = thread.router
+            victim = router.workers[1]
+            mirror = graph.copy()
+            batches = synthesize_deltas(graph, batches=3, seed=8)
+            _push(host, port, mirror, batches[0])
+            # Move the victim off the router's version behind its back:
+            # it stays alive, but the next diff does not follow.
+            status, body = _http(
+                "127.0.0.1", victim.port, "POST", "/admin/install",
+                {"base": str(index_path), "epoch": 1, "seqno": 7,
+                 "patches": []},
+            )
+            assert status == 200, body
+            payload = _push(host, port, mirror, batches[1])
+            assert payload["workers"] == 1, payload
+            assert victim.process.is_alive()
+            stats = _assert_converged(
+                host, port, mirror, [w.port for w in router.workers]
+            )
+            assert stats["live"]["seqno"] == 2
+            counters = _counters(host, port)
+            assert counters["fleet.worker.rejoins"] == 1
+            assert counters.get("fleet.worker.deaths", 0) == 0
+            # The rejoined worker takes the next diff like any other.
+            assert _push(host, port, mirror, batches[2])["workers"] == 2
+            _assert_converged(
+                host, port, mirror, [w.port for w in router.workers]
+            )
+        finally:
+            thread.stop()
+
+    def test_router_killed_between_wal_append_and_install(self, tmp_path):
+        graph = road_network(80, seed=12)
+        index_path, graph_path = _live_files(tmp_path, graph)
+        wal = tmp_path / "wal"
+        args = [
+            str(index_path), "--workers", "2", "--live-updates",
+            "--graph", str(graph_path), "--wal-dir", str(wal),
+            "--probe-interval-s", "0",
+        ]
+        batches = synthesize_deltas(graph, batches=2, seed=13)
+        mirror = graph.copy()
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        log_path = tmp_path / "one.log"
+        with open(log_path, "w") as log:
+            process = subprocess.Popen(
+                [sys.executable, "-c", _DIE_BEFORE_INSTALL, "serve", *args,
+                 "--port", "0"],
+                stdout=log, stderr=subprocess.STDOUT, env=env,
+                start_new_session=True,
+            )
+        try:
+            deadline = time.time() + 90
+            while "serving" not in log_path.read_text():
+                assert process.poll() is None, log_path.read_text()
+                assert time.time() < deadline, log_path.read_text()
+                time.sleep(0.1)
+            text = log_path.read_text()
+            host, port = text.split("http://", 1)[1].split(" ", 1)[0].rsplit(
+                ":", 1
+            )
+            with pytest.raises((ConnectionError, http.client.HTTPException)):
+                _http(
+                    host, int(port), "POST", "/admin/update",
+                    {"updates": [list(u) for u in batches[0].updates]},
+                )
+            assert process.wait(30) == -signal.SIGKILL
+        finally:
+            _kill_group(process)
+        # The batch was never acknowledged, but it is in the log: the
+        # restarted fleet recovers it and every worker joins it.
+        process, host, port = _start_cli_fleet(args, tmp_path / "two.log")
+        try:
+            mirror = _batches_applied(graph, batches, 1)
+            stats = _assert_converged(host, port, mirror)
+            assert (stats["live"]["epoch"], stats["live"]["seqno"]) == (1, 1)
+            _push(host, port, mirror, batches[1])
+            _assert_converged(host, port, mirror)
+        finally:
+            process.send_signal(signal.SIGTERM)
+            try:
+                process.wait(30)
+            finally:
+                _kill_group(process)
+
+    def test_kill_nine_mid_stream_after_a_rebuild(self, tmp_path):
+        graph = road_network(120, seed=9)
+        index_path, graph_path = _live_files(tmp_path, graph)
+        wal = tmp_path / "wal"
+        args = [
+            str(index_path), "--workers", "2", "--live-updates",
+            "--graph", str(graph_path), "--wal-dir", str(wal),
+            "--overlay-threshold", "300", "--probe-interval-s", "0",
+        ]
+        batches = synthesize_deltas(
+            graph, batches=400, edges_per_batch=3, seed=19
+        )
+        acked = []
+        process, host, port = _start_cli_fleet(args, tmp_path / "one.log")
+        try:
+            for batch in batches:
+                _json(
+                    host, port, "POST", "/admin/update",
+                    {"updates": [list(u) for u in batch.updates]},
+                )
+                acked.append(batch)
+                if _json(host, port, "GET", "/stats")["live"]["epoch"] >= 2:
+                    break
+            assert len(acked) < len(batches), "no rebuild landed"
+            stop = threading.Event()
+
+            def stream():
+                for batch in batches[len(acked):]:
+                    if stop.is_set():
+                        return
+                    try:
+                        _json(
+                            host, port, "POST", "/admin/update",
+                            {"updates": [list(u) for u in batch.updates]},
+                        )
+                    except (OSError, http.client.HTTPException):
+                        return
+                    acked.append(batch)
+
+            streamer = threading.Thread(target=stream)
+            rebuilt = len(acked)
+            streamer.start()
+            time.sleep(0.5)
+        finally:
+            _kill_group(process)
+        stop.set()
+        streamer.join(30)
+        # The kill landed mid-stream, after batches on the rebuilt base.
+        assert rebuilt < len(acked) < len(batches), (rebuilt, len(acked))
+        assert not list(wal.glob("worker-*"))
+        process, host, port = _start_cli_fleet(args, tmp_path / "two.log")
+        try:
+            seqno = _json(host, port, "GET", "/stats")["live"]["seqno"]
+            # Every acknowledged batch is there; at most the one in
+            # flight at the kill is too.
+            assert len(acked) <= seqno <= len(acked) + 1, (seqno, len(acked))
+            stats = _assert_converged(
+                host, port, _batches_applied(graph, batches, seqno)
+            )
+            assert stats["live"]["epoch"] >= 2
         finally:
             process.send_signal(signal.SIGTERM)
             try:

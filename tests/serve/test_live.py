@@ -11,8 +11,10 @@ The serving contract under streaming deltas:
   vertices;
 * past the overlay threshold a background rebuild swaps in a fresh
   base index without changing any answer;
-* a fleet applies batches all-or-nothing across workers and runs one
-  coordinated rebuild-and-swap for the whole fleet.
+* a fleet worker is a replica: ``POST /admin/install`` takes a batch's
+  diff at exactly ``seqno + 1``, or the router's whole state;
+* a fleet's router applies each batch once, installs it on every
+  worker, and runs the rebuild-and-swap for the whole fleet.
 """
 
 import http.client
@@ -23,10 +25,15 @@ import time
 import pytest
 
 from repro.core.ctl import CTLIndex
-from repro.core.serialize import save_index
+from repro.core.serialize import load_index, save_index
 from repro.graph.generators import road_network
 from repro.graph.io import write_json
-from repro.live import UpdateCoordinator, synthesize_deltas
+from repro.live import (
+    LiveIndex,
+    UpdateCoordinator,
+    patch_rows,
+    synthesize_deltas,
+)
 from repro.serve import FleetThread, ServeConfig, ServerThread
 from repro.search.pairwise import spc_query
 from repro.types import INF
@@ -184,12 +191,11 @@ class TestSingleServer:
         a, b, weight, _count = next(iter(graph.edges()))
         with thread as (host, port):
             for template in NON_FINITE_BODIES:
-                for path in ("/admin/update", "/admin/update/prepare"):
-                    status, response = _post_raw(
-                        host, port, path, template % (a, b)
-                    )
-                    assert status == 400, (template, response)
-                    assert response["applied"] is False
+                status, response = _post_raw(
+                    host, port, "/admin/update", template % (a, b)
+                )
+                assert status == 400, (template, response)
+                assert response["applied"] is False
             _, stats = _http(host, port, "GET", "/stats")
             assert stats["live"]["seqno"] == 0
             assert coordinator.graph.weight(a, b) == weight
@@ -211,41 +217,82 @@ class TestSingleServer:
             payload["repaired_entries"]
         )
 
-    def test_two_phase_prepare_commit(self, graph):
-        thread, _ = _live_server(graph)
-        with thread as (host, port):
-            batch = synthesize_deltas(graph, batches=1, seed=4)[0]
-            body = {"updates": [list(u) for u in batch.updates]}
-            status, _ = _http(
-                host, port, "POST", "/admin/update/prepare", body
-            )
-            assert status == 200
-            # Staged but not applied: answers still match the original.
-            _assert_parity(host, port, graph, seed=5, samples=20)
-            status, payload = _http(
-                host, port, "POST", "/admin/update/commit", {}
-            )
-            assert status == 200 and payload["seqno"] == 1
+    def test_install_diff_and_whole_state(self, graph, tmp_path):
+        # A replica serves what the router installs: a batch's diff at
+        # seqno + 1, then the router's whole state on a new base.
+        index = CTLIndex.build(graph)
+        router = UpdateCoordinator(graph, index)
+        replica = ServerThread(
+            LiveIndex(index), ServeConfig(port=0, live_updates=True)
+        )
+        with replica as (host, port):
             mirror = graph.copy()
-            _mirror_apply(mirror, batch.updates)
+            for batch in synthesize_deltas(graph, batches=2, seed=4):
+                report = router.apply_batch(batch.updates)
+                status, payload = _http(
+                    host, port, "POST", "/admin/install",
+                    {"epoch": report.epoch, "seqno": report.seqno,
+                     "changed": patch_rows(report.changed)},
+                )
+                assert status == 200, payload
+                _mirror_apply(mirror, batch.updates)
+                _assert_parity(host, port, mirror, seed=5, samples=20)
+            _, stats = _http(host, port, "GET", "/stats")
+            assert (stats["live"]["epoch"], stats["live"]["seqno"]) == (1, 2)
+            # The whole state replaces whatever the replica held, base
+            # file included.
+            rebuilt = tmp_path / "rebuilt.bin"
+            save_index(CTLIndex.build(router.graph), rebuilt, format="binary")
+            router.adopt_base(load_index(rebuilt), 2)
+            state = router.live_index.state
+            status, payload = _http(
+                host, port, "POST", "/admin/install",
+                {"base": str(rebuilt), "epoch": state.epoch,
+                 "seqno": state.seqno, "patches": patch_rows(state.patches)},
+            )
+            assert status == 200, payload
+            _, stats = _http(host, port, "GET", "/stats")
+            assert (stats["live"]["epoch"], stats["live"]["seqno"]) == (2, 2)
             _assert_parity(host, port, mirror, seed=6, samples=20)
 
-    def test_two_phase_abort_and_empty_commit(self, graph):
+    def test_install_refuses_a_diff_out_of_order(self, graph):
+        index = CTLIndex.build(graph)
+        router = UpdateCoordinator(graph, index)
+        replica = ServerThread(
+            LiveIndex(index), ServeConfig(port=0, live_updates=True)
+        )
+        batches = synthesize_deltas(graph, batches=2, seed=7)
+        first = router.apply_batch(batches[0].updates)
+        second = router.apply_batch(batches[1].updates)
+        with replica as (host, port):
+            # The second diff does not follow seqno 0: refused, and
+            # nothing changes.
+            status, payload = _http(
+                host, port, "POST", "/admin/install",
+                {"epoch": second.epoch, "seqno": second.seqno,
+                 "changed": patch_rows(second.changed)},
+            )
+            assert status == 409, payload
+            assert payload["installed"] is False
+            assert "does not follow" in payload["error"]
+            _, stats = _http(host, port, "GET", "/stats")
+            assert stats["live"]["seqno"] == 0
+            _assert_parity(host, port, graph, seed=8, samples=20)
+            status, _ = _http(
+                host, port, "POST", "/admin/install",
+                {"epoch": first.epoch, "seqno": first.seqno,
+                 "changed": patch_rows(first.changed)},
+            )
+            assert status == 200
+        # A server with a coordinator of its own repairs its own
+        # overlay: it takes no install.
         thread, _ = _live_server(graph)
         with thread as (host, port):
-            batch = synthesize_deltas(graph, batches=1, seed=7)[0]
-            body = {"updates": [list(u) for u in batch.updates]}
-            assert _http(
-                host, port, "POST", "/admin/update/prepare", body
-            )[0] == 200
-            assert _http(
-                host, port, "POST", "/admin/update/abort", {}
-            )[0] == 200
             status, payload = _http(
-                host, port, "POST", "/admin/update/commit", {}
+                host, port, "POST", "/admin/install",
+                {"epoch": 1, "seqno": 1, "changed": []},
             )
-            assert status == 409  # nothing staged any more
-            _assert_parity(host, port, graph, seed=8, samples=20)
+            assert status == 409, payload
 
     def test_cache_invalidation_is_targeted(self, graph):
         thread, coordinator = _live_server(graph)
@@ -353,8 +400,10 @@ class TestFleet:
             host, port, "POST", "/admin/update",
             {"updates": [[10**9, 0, 5]]},
         )
-        assert status == 409
-        assert payload["applied"] is False and payload["errors"]
+        # The router's live tier rejects it as a single server does,
+        # before any weight is written or any worker hears of it.
+        assert status == 400
+        assert payload["applied"] is False and payload["error"]
         _, after = _http(host, port, "GET", "/stats")
         assert after["live"]["applied_batches"] == (
             before["live"]["applied_batches"]
@@ -428,3 +477,59 @@ class TestFreshnessTelemetry:
             assert spans[stage]["trace_id"] == (
                 spans["live.update"]["trace_id"]
             )
+
+
+class TestInstallBody:
+    """The install body a fleet router ships carries every value a
+    patch can hold, bit for bit: ``INF`` (a hub became unreachable),
+    an unpatch, a float distance and a count past ``2**63``."""
+
+    def test_diffs_round_trip_bit_for_bit(self, graph):
+        import asyncio
+
+        from repro.live import OverlayState, UpdateReport
+        from repro.serve.fleet import FleetRouter, _Worker
+
+        index = CTLIndex.build(graph)
+        v1, v2 = sorted(graph.vertices())[:2]
+        diffs = [
+            {v1: {0: (INF, 0), 1: (2.5, 3)}, v2: {0: (7, 2**64 + 3)}},
+            {v1: {1: None}, v2: {1: (1.0, 1), 0: (7.0, 2**63)}},
+        ]
+        router = FleetRouter("unused.bin", 1, ServeConfig())
+        router.workers = [_Worker(0, None, None)]
+        bodies = []
+
+        async def capture(method, url, body=None, *, resend=False):
+            bodies.append(body)
+            return [(router.workers[0], (200, {}, b"{}"))]
+
+        router._fanout = capture
+        expected = OverlayState.initial()
+        for changed in diffs:
+            expected = expected.with_batch(changed)
+            report = UpdateReport(
+                epoch=1, seqno=expected.seqno, submitted_edges=0,
+                updated_edges=0, repaired_nodes=0, overlay_entries=0,
+                changed=changed,
+            )
+            asyncio.run(router._publish_batch(report))
+        replica = ServerThread(
+            LiveIndex(index), ServeConfig(port=0, live_updates=True)
+        )
+        with replica as (host, port):
+            for body in bodies:
+                status, payload = _post_raw(
+                    host, port, "/admin/install", body
+                )
+                assert status == 200, payload
+            state = replica.server.live.state
+        assert (state.epoch, state.seqno) == (expected.epoch, expected.seqno)
+        assert state.patches == expected.patches
+        assert repr(sorted(state.patches.items())) == repr(
+            sorted(expected.patches.items())
+        )
+        assert state.min_dirty == expected.min_dirty
+        assert type(state.patches[v2][1][0]) is float
+        assert state.patches[v2][0][1] == 2**63
+        assert state.patches[v1] == {0: (INF, 0)}

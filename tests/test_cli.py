@@ -359,6 +359,68 @@ class TestServeFlags:
         ) == 1
         assert "--graph" in capsys.readouterr().err
 
+    def test_update_freshness_flag_is_gone(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["serve", "index.bin", "--update-freshness-s", "0.5"]
+            )
+        assert exit_info.value.code == 2
+        assert "--update-freshness-s" in capsys.readouterr().err
+
+    def test_fleet_refuses_the_per_worker_wal_layout(self, tmp_path,
+                                                     graph_file):
+        # An older fleet kept one log per worker under DIR/worker-<id>/.
+        # Starting from such a directory would begin at the original
+        # base and drop every batch those logs hold: refused, one
+        # error line naming the directory, no traceback, exit 1.
+        import os
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.live.wal import WriteAheadLog
+
+        index_path = tmp_path / "index.bin"
+        assert main(["build", str(graph_file), str(index_path),
+                     "--format", "binary", "--algorithm", "ctl"]) == 0
+        wal_dir = tmp_path / "wal"
+        for worker in ("worker-0", "worker-1"):
+            log = WriteAheadLog(wal_dir / worker)
+            log.start(epoch=1)
+            log.append_batch(1, 1, [(0, 1, 2.0)])
+            log.close()
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", str(index_path),
+             "--workers", "2", "--live-updates", "--graph", str(graph_file),
+             "--wal-dir", str(wal_dir), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env, start_new_session=True,
+        )
+        try:
+            stdout, stderr = process.communicate(timeout=120)
+        finally:
+            # A fleet that started after all must not outlive the test.
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            process.wait(30)
+        assert process.returncode == 1, (stdout, stderr)
+        lines = stderr.strip().splitlines()
+        assert len(lines) == 1, stderr
+        assert lines[0].startswith("error:") and str(wal_dir) in lines[0]
+        assert "Traceback" not in stderr
+        assert "serving" not in stdout
+        # Nothing was written: the old logs are still the only ones.
+        assert WriteAheadLog.epoch_files(wal_dir) == []
+
 
 class TestProfileBatch:
     def test_profile_batched_replay(self, tmp_path, graph_file, capsys):
