@@ -233,18 +233,20 @@ class ArenaIndex(SPCIndex):
         distance, count = self.arena.scan(a, b, start, end)
         return QueryResult(distance, count), end - start
 
-    def query_batch(self, pairs):
+    def query_batch(self, pairs, side=None):
         """Answer many pairs with one batched arena scan.
 
         Phase 1 resolves ids and scan windows for every pair in a single
         tight loop; phase 2 hands all windows to
         :meth:`LabelArena.scan_batch`, which merges them in one
-        vectorised pass when numpy is available.
+        vectorised pass when numpy is available.  ``side`` (a
+        :class:`~repro.labels.arena.SideRows`) replaces some vertices'
+        rows: each endpoint's row is read from it when it has one there.
         """
         enabled = obs.ENABLED
         started = time.perf_counter() if enabled else 0.0
         ids = self.arena.vertex_ids
-        offsets = self.arena.offsets
+        offsets = self.arena.offsets if side is None else side.starts
         window = self._window
         results: List[Optional[QueryResult]] = []
         append = results.append
@@ -271,8 +273,9 @@ class ArenaIndex(SPCIndex):
             slots.append(len(results))
             visited += end - start
             append(None)
+        rows = None if side is None else side.arena
         for slot, scanned in zip(
-            slots, self.arena.scan_batch(starts_a, starts_b, lengths)
+            slots, self.arena.scan_batch(starts_a, starts_b, lengths, rows)
         ):
             results[slot] = QueryResult(*scanned)
         if enabled:

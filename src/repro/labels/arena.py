@@ -251,15 +251,11 @@ class LabelArena:
         dist_of: Dict[Vertex, List] = {}
         count_of: Dict[Vertex, List[int]] = {}
         offsets = self.offsets
-        overflow = self._overflow
         for i, v in enumerate(self.vertices):
-            start, end = offsets[i], offsets[i + 1]
-            dist_of[v] = [self.decode_dist(d) for d in self.dist[start:end]]
-            counts = []
-            for position in range(start, end):
-                c = self.count[position]
-                counts.append(overflow[position] if c < 0 else c)
-            count_of[v] = counts
+            start = offsets[i]
+            dists, counts = self._row(start, offsets[i + 1] - start, None)
+            dist_of[v] = [self.decode_dist(d) for d in dists]
+            count_of[v] = list(counts)
         return dist_of, count_of
 
     def to_store(self):
@@ -291,43 +287,55 @@ class LabelArena:
             end - start,
         )
 
-    def _scan_window(self, a: int, b: int, n: int) -> Tuple[Weight, int]:
-        """Scalar merge of ``n`` positions at absolute offsets ``a``, ``b``."""
-        dist = self.dist
-        count = self.count
+    def _scan_window(
+        self, a: int, b: int, n: int, side: Optional["LabelArena"] = None
+    ) -> Tuple[Weight, int]:
+        """Scalar merge of ``n`` entries at combined offsets ``a``, ``b``."""
+        if side is None and not self._overflow:
+            dist, count = self.dist, self.count
+            dist_a, dist_b = dist[a : a + n], dist[b : b + n]
+            count_a, count_b = count[a : a + n], count[b : b + n]
+        else:
+            dist_a, count_a = self._row(a, n, side)
+            dist_b, count_b = self._row(b, n, side)
         best = INF
         total = 0
-        if not self._overflow:
-            for d_s, d_t, c_s, c_t in zip(
-                dist[a : a + n],
-                dist[b : b + n],
-                count[a : a + n],
-                count[b : b + n],
-            ):
-                d = d_s + d_t
-                if d < best:
-                    best = d
-                    total = c_s * c_t
-                elif d == best:
-                    total += c_s * c_t
-        else:
-            overflow = self._overflow
-            for k in range(n):
-                c_s = count[a + k]
-                if c_s < 0:
-                    c_s = overflow[a + k]
-                c_t = count[b + k]
-                if c_t < 0:
-                    c_t = overflow[b + k]
-                d = dist[a + k] + dist[b + k]
-                if d < best:
-                    best = d
-                    total = c_s * c_t
-                elif d == best:
-                    total += c_s * c_t
+        for d_s, d_t, c_s, c_t in zip(dist_a, dist_b, count_a, count_b):
+            d = d_s + d_t
+            if d < best:
+                best = d
+                total = c_s * c_t
+            elif d == best:
+                total += c_s * c_t
         if total == 0:
             return INF, 0
         return best, total
+
+    def _locate(self, at: int, side) -> Tuple["LabelArena", int]:
+        """The arena, and the offset in it, of combined offset ``at``."""
+        if side is not None and at >= len(self.dist):
+            return side, at - len(self.dist)
+        return self, at
+
+    def _row(self, at: int, n: int, side):
+        """Distances, at the width a scan with ``side`` compares at, and
+        exact counts of the ``n`` entries at combined offset ``at``."""
+        code = _dist_code(self, side or self)
+        arena, at = self._locate(at, side)
+        dist = arena.dist[at : at + n]
+        if arena.dist_typecode != code:
+            inf, coded = arena._inf, WIDTHS[code].inf
+            dist = [coded if d >= inf else d for d in dist]
+        count = arena.count[at : at + n]
+        if arena._overflow:
+            count = [arena._count(k) for k in range(at, at + n)]
+        return dist, count
+
+    def _count(self, at: int, side=None) -> int:
+        """The exact count at combined offset ``at``."""
+        arena, at = self._locate(at, side)
+        c = arena.count[at]
+        return arena._overflow[at] if c < 0 else c
 
     def _dist_view(self):
         """Zero-copy numpy view of the packed distance array (cached)."""
@@ -339,28 +347,52 @@ class LabelArena:
             self._np_dist = view
         return view
 
+    def _gather(self, side, positions):
+        """Distances at combined offsets ``positions`` (numpy), re-coded
+        at the wider of this arena's and ``side``'s widths."""
+        end = len(self.dist)
+        width = WIDTHS[_dist_code(self, side)]
+        out = _np.empty(positions.size, width.dtype)
+        in_side = positions >= end
+        for arena, mask, shift in ((self, ~in_side, 0), (side, in_side, end)):
+            part = arena._dist_view()[positions[mask] - shift]
+            part = part.astype(width.dtype)
+            part[part >= arena._inf] = width.inf
+            out[mask] = part
+        return out
+
     def scan_batch(
         self,
         starts_a: Sequence[int],
         starts_b: Sequence[int],
         lengths: Sequence[int],
+        side: Optional["LabelArena"] = None,
     ) -> List[Tuple[Weight, int]]:
         """Merge many label ranges at once; one result tuple per pair.
 
         Positions are *absolute* offsets into the packed arrays: pair
         ``k`` scans ``dist[starts_a[k] : starts_a[k] + lengths[k]]``
-        against the same-length window at ``starts_b[k]``.  With numpy
-        available the distance sums and per-pair minima run as one
-        segmented C kernel over zero-copy views of the arena buffers;
+        against the same-length window at ``starts_b[k]``.  Offsets at or
+        past this arena's end address ``side`` (a :class:`SideRows`
+        arena), so either row of a pair may live in either buffer; where
+        the widths differ, distances compare decoded at the wider one.
+
+        With numpy available the distance sums and per-pair minima run
+        as one segmented C kernel over zero-copy views of the buffers;
         exact (arbitrary-precision) count products are then accumulated
         only at the minimising positions, which keeps counts bit-exact
         including the overflow lane.  Without numpy this degrades to the
-        scalar :meth:`scan` loop per pair.
+        scalar merge per pair.
         """
-        if _np is None or len(lengths) < _MIN_VECTOR_BATCH:
+        # Float side rows over integer base rows take the scalar merge:
+        # there, sums of integer entries stay integers.
+        if _np is None or len(lengths) < _MIN_VECTOR_BATCH or (
+            side is not None
+            and side.dist_typecode == "d" != self.dist_typecode
+        ):
             scan = self._scan_window
             return [
-                scan(a, b, n)
+                scan(a, b, n, side)
                 for a, b, n in zip(starts_a, starts_b, lengths)
             ]
 
@@ -386,31 +418,28 @@ class LabelArena:
         offs = _np.arange(int(ends[-1]), dtype=_np.int64) - seg_start[seg]
         pos_a = sa[seg] + offs
         pos_b = sb[seg] + offs
-        dist = self._dist_view()
-        summed = dist[pos_a] + dist[pos_b]
+        if side is None:
+            dist = self._dist_view()
+            summed = dist[pos_a] + dist[pos_b]
+        else:
+            summed = self._gather(side, pos_a) + self._gather(side, pos_b)
         best = _np.minimum.reduceat(summed, seg_start)
         min_flat = _np.flatnonzero(summed == best[seg])
 
         # Exact count products only where the minimum is attained; the
         # array module hands back Python ints, so products never clip.
-        count = self.count
-        overflow = self._overflow
         totals = [0] * lens.size
         seg_min = seg[min_flat].tolist()
         pa_min = pos_a[min_flat].tolist()
         pb_min = pos_b[min_flat].tolist()
-        if overflow:
-            for k, ia, ib in zip(seg_min, pa_min, pb_min):
-                c_s = count[ia]
-                if c_s < 0:
-                    c_s = overflow[ia]
-                c_t = count[ib]
-                if c_t < 0:
-                    c_t = overflow[ib]
-                totals[k] += c_s * c_t
-        else:
+        if side is None and not self._overflow:
+            count = self.count
             for k, ia, ib in zip(seg_min, pa_min, pb_min):
                 totals[k] += count[ia] * count[ib]
+        else:
+            count = self._count
+            for k, ia, ib in zip(seg_min, pa_min, pb_min):
+                totals[k] += count(ia, side) * count(ib, side)
 
         # An unreachable side always carries count 0, so total == 0 is
         # exactly the disconnected case (same rule as the scalar scan).
@@ -433,13 +462,88 @@ class LabelArena:
         dense = self.vertex_ids[v]
         return self.offsets[dense + 1] - self.offsets[dense]
 
-    def entry(self, v: Vertex, position: int) -> Tuple[Weight, int]:
-        """The decoded ``(distance, count)`` label of ``v`` at ``position``."""
-        at = self.offsets[self.vertex_ids[v]] + position
-        c = self.count[at]
+    def entry(
+        self, v: Vertex, position: int, side: Optional["SideRows"] = None
+    ) -> Tuple[Weight, int]:
+        """The decoded ``(distance, count)`` label of ``v`` at ``position``
+        (read from ``side`` when it holds ``v``'s row)."""
+        starts = self.offsets if side is None else side.starts
+        arena, at = self, starts[self.vertex_ids[v]] + position
+        if side is not None and at >= len(self.dist):
+            arena, at = side.arena, at - len(self.dist)
+        c = arena.count[at]
         if c < 0:
-            c = self._overflow[at]
-        return self.decode_dist(self.dist[at]), c
+            c = arena._overflow[at]
+        d = arena.dist[at]
+        return INF if d >= arena._inf else d, c
+
+    def with_rows(
+        self, side: Optional["SideRows"], rows
+    ) -> Optional["SideRows"]:
+        """``side`` (``None``: new buffers, with twice the room needed)
+        with ``rows``: a dense id maps to ``None`` (serve its base row
+        again) or to ``{position: value}`` — its current row is copied,
+        as one buffer slice, past ``side.size`` and each value written
+        over it (``None``: the base entry).  ``side``'s entries are not
+        touched, so its readers keep their view; ``None`` is returned
+        when its buffers lack the room or the width for ``rows``."""
+        end = len(self.dist)
+        old = self if side is None else side.arena
+        offsets = self.offsets
+        size = 0 if side is None else side.size
+        need = size + sum(
+            offsets[d + 1] - offsets[d]
+            for d, entries in rows.items() if entries is not None
+        )
+        if need > len(old.dist) and side is not None:
+            return None
+        values = [v for e in rows.values() if e for v in e.values() if v]
+        top = max((c for _, c in values), default=0)
+        dist_code = max(
+            old.dist_typecode, _dist_typecode([[d for d, _ in values]]),
+            key=DIST_TYPECODES.index,
+        )
+        count_code = max(
+            old.count_typecode, "i" if top <= WIDTHS["i"].max_count else "q",
+            key=COUNT_TYPECODES.index,
+        )
+        if side is None:
+            dist = array(dist_code, [0]) * (2 * need)
+            count = array(count_code, [0]) * (2 * need)
+            overflow: Dict[int, int] = {}
+            starts = array("q")
+            starts.frombytes(memoryview(offsets)[:-1].tobytes())
+        elif dist_code + count_code != old.dist_typecode + old.count_typecode:
+            return None
+        else:
+            dist, count, overflow = old.dist, old.count, dict(old._overflow)
+            starts = side.starts[:]
+        targets = (memoryview(dist), memoryview(count))
+        inf = WIDTHS[dist_code].inf
+        max_count = WIDTHS[count_code].max_count
+        for dense, entries in rows.items():
+            if entries is None:
+                starts[dense] = offsets[dense]
+                continue
+            source, at = self._locate(starts[dense], old)
+            length = offsets[dense + 1] - offsets[dense]
+            _copy_row(targets, overflow, size, source, at, length)
+            for position, value in entries.items():
+                d, c = value or self.entry(self.vertices[dense], position)
+                slot = size + position
+                dist[slot] = inf if d == INF else d
+                if c > max_count:
+                    overflow[slot], c = c, COUNT_OVERFLOW
+                else:
+                    overflow.pop(slot, None)
+                count[slot] = c
+            starts[dense] = end + size
+            size += length
+        arena = LabelArena(
+            (), array("q", [0]), dist, count, list(overflow),
+            list(overflow.values()),
+        )
+        return SideRows(arena, starts, size)
 
     @property
     def is_mapped(self) -> bool:
@@ -515,6 +619,47 @@ class LabelArena:
             f"count={self.count_typecode!r}, "
             f"overflow={len(self.overflow_positions)})"
         )
+
+
+class SideRows(NamedTuple):
+    """Label rows that stand in for some of a base arena's rows.
+
+    ``arena`` holds whole rows in the :class:`LabelArena` layout in its
+    first ``size`` entries; the room past them is for later snapshots'
+    rows.  ``starts[d]`` is dense id ``d``'s row start in the offsets
+    :meth:`LabelArena.scan_batch` reads with ``side=arena`` (past the
+    base's entries for a side row).  Rewritten rows stay behind for
+    older readers until the room runs out."""
+
+    arena: LabelArena
+    starts: array
+    size: int
+
+
+def _dist_code(arena: LabelArena, side: LabelArena) -> str:
+    """The distance width a scan over rows of both arenas compares at."""
+    codes = (arena.dist_typecode, side.dist_typecode)
+    return max(codes, key=DIST_TYPECODES.index)
+
+
+def _copy_row(targets, overflow, to: int, arena, at: int, n: int) -> None:
+    """Copy entries ``[at, at + n)`` of ``arena`` over ``[to, to + n)`` of
+    ``targets`` (dist, count views) and ``overflow``, recoding widths."""
+    dist, count = targets
+    piece = arena.dist[at : at + n]
+    if arena.dist_typecode != dist.format:
+        inf = WIDTHS[dist.format].inf
+        piece = array(
+            dist.format, [inf if d >= arena._inf else d for d in piece]
+        )
+    dist[to : to + n] = piece
+    piece = arena.count[at : at + n]
+    if arena.count_typecode != count.format:
+        piece = array(count.format, piece.tolist())
+    count[to : to + n] = piece
+    for k in range(n) if arena._overflow else ():
+        if at + k in arena._overflow:
+            overflow[to + k] = arena._overflow[at + k]
 
 
 def _dist_typecode(rows: Iterable[Sequence[Weight]]) -> str:

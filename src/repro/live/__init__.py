@@ -5,9 +5,10 @@ edge-weight deltas without blocking readers:
 
 * :class:`~repro.live.overlay.OverlayState` /
   :class:`~repro.live.overlay.LiveIndex` — immutable patch-table
-  snapshots over the base arena; clean pairs keep the vectorised scan,
-  poisoned pairs take a patched scalar merge; :func:`patch_rows` and
-  :func:`read_patch_rows` carry a patch table or a batch diff as JSON.
+  snapshots over the base arena; patched vertices' rows are copied
+  into a side arena that the one arena kernel reads beside the base;
+  :func:`patch_rows` and :func:`read_patch_rows` carry a patch table or
+  a batch diff as JSON.
 * :class:`~repro.live.coordinator.UpdateCoordinator` — atomic batch
   application (epoch/seqno versioning) and overlay-threshold rebuild
   snapshots.

@@ -12,7 +12,8 @@ delta batch is applied under one lock:
    :class:`~repro.core.dynamic.DynamicCTL` uses — reading the current
    overlay over the base arena, and turn the rewritten entries into an
    overlay diff against the immutable base,
-4. publish a new immutable :class:`OverlayState` (seqno + 1).
+4. publish a new immutable :class:`OverlayState` (seqno + 1) and the
+   changed vertices' label rows (:meth:`LiveIndex.apply`).
 
 Adopting a rebuilt base and re-deriving the overlay after a WAL
 rotation do not know each edge's old weight; they recompute the
@@ -189,19 +190,19 @@ class UpdateCoordinator:
             repaired_nodes = repaired_entries = 0
             if transitions:
                 repaired_nodes = len(affected_nodes(base.tree, transitions))
+                side, entry = self.live_index.side, base.arena.entry
                 repaired = repair_labels(
                     self.graph, base.tree, transitions,
-                    _overlay_reader(base, state),
+                    lambda vertex, position: entry(vertex, position, side),
                 )
                 repaired_entries = len(repaired)
-                entry = base.arena.entry
                 for (vertex, position), value in repaired.items():
                     # A rewritten entry that matches the base again was
                     # patched before: unpatch it.
                     changed.setdefault(vertex, {})[position] = (
                         None if value == entry(vertex, position) else value
                     )
-            new_state = state.with_batch(changed)
+            new_state = self.live_index.apply(changed)
             if transitions:
                 self._batch_log.append((
                     new_state.seqno,
@@ -210,7 +211,6 @@ class UpdateCoordinator:
                 if len(self._batch_log) > MAX_BATCH_LOG:
                     evicted = self._batch_log.pop(0)
                     self._log_floor = evicted[0]
-            self.live_index.swap(base, new_state)
             self.applied_batches += 1
             self.applied_edges += len(transitions)
             self.last_apply_seconds = time.perf_counter() - started
@@ -291,10 +291,8 @@ class UpdateCoordinator:
                         replayed.extend(edges)
                 affected = affected_nodes(new_index.tree, replayed)
                 nodes = [affected[i] for i in sorted(affected)]
-            patches, min_dirty = self.swept_overlay(new_index, nodes)
-            new_state = OverlayState(
-                state.epoch + 1, state.seqno, patches, min_dirty
-            )
+            patches = self.swept_overlay(new_index, nodes)
+            new_state = OverlayState(state.epoch + 1, state.seqno, patches)
             self.live_index.swap(new_index, new_state)
             self._batch_log = [
                 entry for entry in self._batch_log if entry[0] > base_seqno
@@ -351,8 +349,8 @@ class UpdateCoordinator:
     # ------------------------------------------------------------------
     def swept_overlay(
         self, base: CTLIndex, nodes
-    ) -> Tuple[Dict[Vertex, Dict[int, PatchEntry]], Dict[Vertex, int]]:
-        """``(patches, min_dirty)`` of the current graph against ``base``.
+    ) -> Dict[Vertex, Dict[int, PatchEntry]]:
+        """The patches of the current graph against ``base``.
 
         Recomputes ``nodes``' label blocks in full with
         :func:`~repro.core.dynamic.sweep_labels` and keeps the entries
@@ -367,21 +365,5 @@ class UpdateCoordinator:
         ):
             if entry(vertex, position) != (dist, count):
                 patches.setdefault(vertex, {})[position] = (dist, count)
-        min_dirty = {vertex: min(kept) for vertex, kept in patches.items()}
-        return patches, min_dirty
+        return patches
 
-
-def _overlay_reader(base: CTLIndex, state: OverlayState):
-    """``read(v, position)`` of the label entry a query currently sees."""
-    patches = state.patches
-    entry = base.arena.entry
-
-    def read(vertex: Vertex, position: int) -> PatchEntry:
-        patched = patches.get(vertex)
-        if patched is not None:
-            value = patched.get(position)
-            if value is not None:
-                return value
-        return entry(vertex, position)
-
-    return read

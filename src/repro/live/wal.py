@@ -575,11 +575,10 @@ def recover_coordinator(
     else:
         repair_edges = [(a, b) for a, b, _ in weights]
     affected = affected_nodes(base_index.tree, repair_edges)
-    patches, min_dirty = coordinator.swept_overlay(
-        base_index, [affected[i] for i in sorted(affected)]
-    )
+    nodes = [affected[i] for i in sorted(affected)]
+    patches = coordinator.swept_overlay(base_index, nodes)
     coordinator.live_index.swap(
-        base_index, OverlayState(epoch, rotation_seqno, patches, min_dirty)
+        base_index, OverlayState(epoch, rotation_seqno, patches)
     )
     coordinator._batch_log = list(pending)
     coordinator._log_floor = base_seqno

@@ -137,6 +137,7 @@ from repro.serve.http import (
     parse_response,
     read_response_bytes,
 )
+from repro.serve.runner import ServerThread
 from repro.serve.server import LiveTier, encode_result, encode_result_bytes
 from repro.types import INF, QueryResult
 
@@ -1943,7 +1944,7 @@ def merge_metrics_snapshots(snapshots: Sequence[dict]) -> dict:
 # ----------------------------------------------------------------------
 # thread runner (tests, benchmarks)
 # ----------------------------------------------------------------------
-class FleetThread:
+class FleetThread(ServerThread):
     """Run a :class:`FleetRouter` on a daemon thread with its own loop.
 
     The fleet analogue of :class:`~repro.serve.runner.ServerThread`::
@@ -1952,6 +1953,9 @@ class FleetThread:
             report = replay(host, port, pairs)
     """
 
+    front_end = FleetRouter
+    thread_name = "spc-fleet"
+
     def __init__(
         self,
         index_path: str,
@@ -1959,69 +1963,16 @@ class FleetThread:
         config: Optional[ServeConfig] = None,
         **router_kwargs,
     ) -> None:
-        import threading
-
-        self._index_path = str(index_path)
-        self._workers = workers
-        self._config = config or ServeConfig(port=0)
-        self._router_kwargs = router_kwargs
-        self.router: Optional[FleetRouter] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-        self._failure: Optional[BaseException] = None
-        self._thread = threading.Thread(
-            target=self._run, name="spc-fleet", daemon=True
+        super().__init__(
+            str(index_path), config, num_workers=workers, **router_kwargs
         )
+
+    @property
+    def router(self) -> Optional[FleetRouter]:
+        return self.server
 
     def start(self, timeout: float = 120.0) -> Tuple[str, int]:
-        """Start the fleet; returns the router's ``(host, port)``."""
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("fleet thread did not start in time")
-        if self._failure is not None:
-            raise RuntimeError(
-                f"fleet failed to start: {self._failure!r}"
-            ) from self._failure
-        assert self.router is not None
-        return self.router.host, self.router.port
+        return super().start(timeout)
 
     def stop(self, timeout: float = 60.0) -> None:
-        """Drain the fleet and join the thread."""
-        if (
-            self._loop is not None
-            and self.router is not None
-            and not self._loop.is_closed()
-        ):
-            shutdown = self.router.shutdown()
-            try:
-                asyncio.run_coroutine_threadsafe(
-                    shutdown, self._loop
-                ).result(timeout)
-            except (RuntimeError, asyncio.CancelledError):
-                shutdown.close()  # loop already gone: fleet finished
-        self._thread.join(timeout)
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:
-            self._failure = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self.router = FleetRouter(
-            self._index_path,
-            self._workers,
-            self._config,
-            **self._router_kwargs,
-        )
-        await self.router.start()
-        self._loop = asyncio.get_running_loop()
-        self._ready.set()
-        await self.router.wait_stopped()
-
-    def __enter__(self) -> Tuple[str, int]:
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        super().stop(timeout)

@@ -12,12 +12,14 @@ Extra keyword arguments pass straight through to
 :class:`~repro.serve.server.SPCServer`; a durable live tier is one
 ``updates=recover_coordinator(wal_dir, graph, index)[0]`` away — the
 coordinator arrives already replayed to its pre-crash overlay and
-keeps appending to the same WAL.
+keeps appending to the same WAL.  :class:`~repro.serve.fleet.FleetThread`
+runs a fleet router the same way.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 from typing import Optional, Tuple
 
@@ -29,6 +31,10 @@ from repro.serve.server import SPCServer
 class ServerThread:
     """Owns one server event loop on a background daemon thread."""
 
+    #: What the thread runs (a ``start``/``shutdown``/``wait_stopped``).
+    front_end = SPCServer
+    thread_name = "spc-serve"
+
     def __init__(
         self,
         index,
@@ -37,26 +43,26 @@ class ServerThread:
         recorder: Optional[Recorder] = None,
         **server_kwargs,
     ) -> None:
-        self._index = index
-        self._config = config or ServeConfig(port=0)
-        self._recorder = recorder
-        self._server_kwargs = server_kwargs
-        self.server: Optional[SPCServer] = None
+        self._build = functools.partial(
+            self.front_end, index, config=config or ServeConfig(port=0),
+            recorder=recorder, **server_kwargs,
+        )
+        self.server = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._ready = threading.Event()
         self._failure: Optional[BaseException] = None
         self._thread = threading.Thread(
-            target=self._run, name="spc-serve", daemon=True
+            target=self._run, name=self.thread_name, daemon=True
         )
 
     def start(self, timeout: float = 10.0) -> Tuple[str, int]:
         """Start serving; returns the bound ``(host, port)``."""
         self._thread.start()
         if not self._ready.wait(timeout):
-            raise RuntimeError("server thread did not start in time")
+            raise RuntimeError(f"{self.thread_name} did not start in time")
         if self._failure is not None:
             raise RuntimeError(
-                f"server thread failed to start: {self._failure!r}"
+                f"{self.thread_name} failed to start: {self._failure!r}"
             ) from self._failure
         assert self.server is not None
         return self.server.host, self.server.port
@@ -64,12 +70,13 @@ class ServerThread:
     def stop(self, timeout: float = 10.0) -> None:
         """Trigger a graceful drain and join the thread."""
         if self._loop is not None and self.server is not None:
+            shutdown = self.server.shutdown()
             try:
                 asyncio.run_coroutine_threadsafe(
-                    self.server.shutdown(), self._loop
+                    shutdown, self._loop
                 ).result(timeout)
             except (RuntimeError, asyncio.CancelledError):
-                pass  # loop already gone: the server finished on its own
+                shutdown.close()  # loop already gone: it finished on its own
         self._thread.join(timeout)
 
     def _run(self) -> None:
@@ -80,12 +87,7 @@ class ServerThread:
             self._ready.set()
 
     async def _main(self) -> None:
-        self.server = SPCServer(
-            self._index,
-            self._config,
-            recorder=self._recorder,
-            **self._server_kwargs,
-        )
+        self.server = self._build()
         await self.server.start()
         self._loop = asyncio.get_running_loop()
         self._ready.set()

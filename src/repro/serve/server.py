@@ -967,10 +967,7 @@ class SPCServer(LiveTier, FrontEnd):
                 counters["update_staleness_s"] = round(
                     time.perf_counter() - self._last_update_visible, 6
                 )
-            try:
-                counters["poisoned"] = live.pair_poisoned(source, target)
-            except Exception:
-                pass  # diagnostic only
+            counters["poisoned"] = live.pair_poisoned(source, target)
         if meta:
             if meta.get("fallback"):
                 counters["fallback"] = True
@@ -1213,7 +1210,8 @@ class SPCServer(LiveTier, FrontEnd):
         "epoch", "seqno", "patches": rows}``, which replaces it
         (opening ``base``, checksummed, when it is not the served
         file).  Rows are :func:`~repro.live.overlay.patch_rows`.  A
-        diff that does not follow is refused 409 and changes nothing.
+        diff that does not follow, or rows that do not fit the served
+        base, are refused 409 and change nothing.
         """
         from repro.live.overlay import OverlayState, read_patch_rows
 
@@ -1251,13 +1249,12 @@ class SPCServer(LiveTier, FrontEnd):
                     base = await asyncio.get_running_loop().run_in_executor(
                         None, functools.partial(load_index, path, verify=True)
                     )
-                min_dirty = {v: min(kept) for v, kept in rows.items()}
-                live.swap(base, OverlayState(epoch, seqno, rows, min_dirty))
+                live.swap(base, OverlayState(epoch, seqno, rows))
                 self.index_path = path
                 self._index_meta = None
                 self.cache.clear()
             elif (epoch, seqno) == (state.epoch, state.seqno + 1):
-                live.swap(base, state.with_batch(rows))
+                live.apply(rows)
                 self.cache.invalidate(rows)
             else:
                 raise LiveUpdateError(

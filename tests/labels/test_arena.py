@@ -250,6 +250,72 @@ class TestScan:
         ]
 
 
+class TestSideRows:
+    """Rows in a side arena wider than the base compare decoded: the
+    base's int32 ``INF`` code (``2**30 - 1``) is no distance next to an
+    int64 side row, and a base row copied into that side row keeps its
+    ``INF`` an ``INF``."""
+
+    def _arenas(self):
+        base = LabelArena.from_lists(
+            [0, 1, 2],
+            {0: [INF, 5], 1: [3, 4], 2: [INF, 6]},
+            {0: [0, 2], 1: [1, 3], 2: [0, 1]},
+        )
+        side = base.with_rows(None, {1: {1: (2**40, 7)}, 2: {1: (2**41, 5)}})
+        assert (base.dist_typecode, side.arena.dist_typecode) == ("i", "q")
+        return base, side
+
+    def test_mixed_width_pairs_match_the_decoded_merge(self, monkeypatch):
+        import repro.labels.arena as arena_module
+
+        base, side = self._arenas()
+        s = side.starts
+        assert s[0] == 0  # vertex 0 keeps its base row
+        windows = ([s[0], s[1], s[1], s[2]], [s[1], s[0], s[2], s[1]], [2] * 4)
+        expected = [
+            (2**40 + 5, 14),
+            (2**40 + 5, 14),
+            (2**40 + 2**41, 35),
+            (2**40 + 2**41, 35),
+        ]
+        assert base.scan_batch(*windows, side.arena) == expected
+        assert [
+            base.scan_batch([a], [b], [n], side.arena)[0]
+            for a, b, n in zip(*windows)
+        ] == expected
+        monkeypatch.setattr(arena_module, "_np", None)
+        assert base.scan_batch(*windows, side.arena) == expected
+
+    def test_float_side_rows_keep_integer_answers_integers(self):
+        base = LabelArena.from_lists(
+            [0, 1, 2],
+            {0: [0, 4], 1: [3, 1], 2: [2, 5]},
+            {0: [1, 1], 1: [1, 2], 2: [1, 1]},
+        )
+        side = base.with_rows(None, {2: {1: (2.5, 1)}})
+        assert side.arena.dist_typecode == "d"
+        s = side.starts
+        windows = ([s[0], s[1], s[0], s[2]], [s[1], s[0], s[2], s[0]], [2] * 4)
+        got = base.scan_batch(*windows, side.arena)
+        assert got == [(3, 1), (3, 1), (2, 1), (2, 1)]
+        # Base rows add up to integers whatever the batch size; a
+        # float-width side row makes its pairs' sums floats.
+        singles = [
+            base.scan_batch([a], [b], [n], side.arena)[0]
+            for a, b, n in zip(*windows)
+        ]
+        assert [type(d) for d, _ in got] == [type(d) for d, _ in singles]
+        assert [type(d) for d, _ in got[:2]] == [int, int]
+
+    def test_side_entries_read_through_entry(self):
+        base, side = self._arenas()
+        assert base.entry(2, 0, side) == (INF, 0)
+        assert base.entry(2, 1, side) == (2**41, 5)
+        assert base.entry(0, 1, side) == (5, 2)
+        assert base.entry(2, 1) == (6, 1)
+
+
 class TestShapeAndAccounting:
     def test_lengths_and_totals(self, simple_lists):
         arena = LabelArena.from_lists(*simple_lists)

@@ -215,3 +215,80 @@ def test_dynamic_update_past_int32_reseals_wide_and_exact():
     dynamic.update_weight(0, pendant, 3)
     assert dynamic.index.arena.dist_typecode == "i"
     exact()
+
+
+#: Count multiplicity of the ladder edge ``a-q``: the int32 limit.
+LADDER_COUNT = 2 ** 31 - 1
+
+
+@st.composite
+def weighted_trees(draw, max_vertices: int = 8):
+    """Random trees with small integer weights (every count is 1)."""
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10_000)))
+    g = Graph()
+    for v in range(1, n):
+        g.add_edge(rng.randrange(v), v, rng.randint(1, 9))
+    return g
+
+
+def _with_pendant_and_ladder(tree: Graph):
+    """``tree`` plus a pendant ``p`` at vertex 0 and a ladder ``0-a-q``,
+    ``0-b-q`` whose edge ``a-q`` carries :data:`LADDER_COUNT`; the rung
+    ``b-q`` is one longer than ``a-q``, so no shortest paths tie yet.
+    Setting the rung to 1 ties them: some label count reaches
+    ``LADDER_COUNT + 1``."""
+    g = tree.copy()
+    p, a, b, q = range(max(g.vertices()) + 1, max(g.vertices()) + 5)
+    g.add_edge(0, p, 1)
+    g.add_edge(0, a, 1)
+    g.add_edge(0, b, 1)
+    g.add_edge(a, q, 1, LADDER_COUNT)
+    g.add_edge(b, q, 2)
+    return g, p, (b, q)
+
+
+def _largest_patch(state):
+    values = [v for row in state.patches.values() for v in row.values()]
+    return (
+        max(d for d, _ in values if d != INF),
+        max(c for _, c in values),
+    )
+
+
+@width_settings
+@given(tree=weighted_trees())
+def test_live_side_rows_either_side_of_int32(tree):
+    """A live batch on an int32 CTL base pushes a patched distance to
+    exactly ``2**29 - 1`` and then ``2**29``, and a patched count past
+    ``2**31 - 1``: answers stay exact for every pair of patched and
+    base rows, with and without numpy."""
+    from repro.live import UpdateCoordinator
+
+    graph, pendant, (b, q) = _with_pendant_and_ladder(tree)
+    index = CTLIndex.build(graph)
+    arena = index.arena
+    assert (arena.dist_typecode, arena.count_typecode) == ("i", "i")
+    coordinator = UpdateCoordinator(graph, index)
+    live = coordinator.live_index
+    probe = 2 ** 20
+    coordinator.apply_batch([(0, pendant, probe)])
+    shift = _largest_patch(live.state)[0] - probe
+    seen = set()
+    for top, batch, widths in (
+        (2 ** 29 - 1, [(0, pendant, 2 ** 29 - 1 - shift), (b, q, 1)], "iq"),
+        (2 ** 29, [(0, pendant, 2 ** 29 - shift)], "qq"),
+    ):
+        coordinator.apply_batch(batch)
+        top_dist, top_count = _largest_patch(live.state)
+        assert top_dist == top
+        assert top_count > 2 ** 31 - 1
+        side = live.side.arena
+        assert side.dist_typecode + side.count_typecode == widths
+        pairs, expected = _reference(coordinator.graph)
+        patched = live.state.patches
+        seen |= {(s in patched, t in patched) for s, t in pairs}
+        assert _answers(live, pairs) == expected
+        with mock.patch.object(arena_module, "_np", None):
+            assert _answers(live, pairs) == expected
+    assert {(True, True), (True, False), (False, True)} <= seen

@@ -1,15 +1,18 @@
-"""Overlay semantics: immutable snapshots, poisoning, patched scans."""
+"""Overlay semantics: immutable snapshots, side rows, patched scans."""
 
 import random
+import sys
+import threading
 
 import pytest
 
 from repro.core.ctl import CTLIndex
-from repro.exceptions import IndexQueryError
+from repro.exceptions import IndexQueryError, LiveUpdateError
 from repro.graph.generators import road_network
 from repro.live import LiveIndex, OverlayState, UpdateCoordinator
-from repro.live.overlay import CLEAN
+from repro.live.overlay import read_patch_rows
 from repro.search.pairwise import spc_query
+from repro.types import INF
 
 
 class TestOverlayState:
@@ -19,7 +22,6 @@ class TestOverlayState:
         assert state.seqno == 0
         assert state.entries == 0
         assert state.poisoned_vertices == 0
-        assert state.pair_clean(3, 7, 99)
 
     def test_with_batch_merges_per_position(self):
         state = OverlayState.initial()
@@ -37,15 +39,15 @@ class TestOverlayState:
         cleared = state.with_batch({4: {0: None}})
         assert cleared.entries == 0
         assert 4 not in cleared.patches
-        assert cleared.min_dirty.get(4, CLEAN) == CLEAN
 
-    def test_min_dirty_tracks_lowest_patched_position(self):
-        state = OverlayState.initial().with_batch({4: {7: (1, 1), 3: (2, 2)}})
-        assert state.min_dirty[4] == 3
-        # Clean below the dirty prefix, poisoned at or above it.
-        assert state.pair_clean(4, 9, prefix=3)
-        assert not state.pair_clean(4, 9, prefix=4)
-        assert not state.pair_clean(9, 4, prefix=8)
+    def test_read_patch_rows_refuses_malformed_entries(self):
+        assert read_patch_rows([[4, 0, "inf", 0], [4, 1, None, None]]) == {
+            4: {0: (INF, 0), 1: None}
+        }
+        # A negative count would read as the overflow-lane marker.
+        for row in ([4, 0, 1, -1], [4, 0, -1, 1], [4, 0, "inf", "1"]):
+            with pytest.raises(LiveUpdateError):
+                read_patch_rows([row])
 
     def test_seqno_bumps_even_for_empty_batch(self):
         state = OverlayState.initial()
@@ -127,3 +129,109 @@ class TestLiveIndex:
             for t in vertices[-5:]:
                 stats = live.query_with_stats(s, t)
                 assert tuple(stats.result) == tuple(spc_query(mirror, s, t))
+
+
+class TestSideRows:
+    def test_side_rows_track_exactly_the_patched_vertices(self):
+        graph = road_network(120, seed=5)
+        base = CTLIndex.build(graph)
+        coordinator = UpdateCoordinator(graph, base)
+        live = coordinator.live_index
+        assert live.side is None
+        arena = base.arena
+        sizes = []
+        rng = random.Random(11)
+        edges = [(u, v, w) for u, v, w, _ in graph.edges()]
+        for _ in range(25):
+            coordinator.apply_batch([
+                (u, v, rng.randint(1, 2 * max(w, 1)))
+                for u, v, w in rng.sample(edges, 2)
+            ])
+            patched = live.state.patches
+            side = live.side
+            if not patched:
+                assert side is None
+                continue
+            in_side = {
+                v for v in arena.vertices
+                if side.starts[arena.vertex_ids[v]] >= arena.total_entries
+            }
+            assert in_side == set(patched)
+            for v, row in patched.items():
+                expected = [
+                    row.get(p, arena.entry(v, p))
+                    for p in range(arena.label_length(v))
+                ]
+                got = [
+                    arena.entry(v, p, side)
+                    for p in range(arena.label_length(v))
+                ]
+                assert got == expected
+            assert side.size <= side.arena.total_entries
+            sizes.append(side.size)
+        # Rewritten rows are dropped once the buffers run out of room.
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
+
+    def test_unfit_rows_are_refused_and_publish_nothing(self):
+        graph = road_network(60, seed=3)
+        live = LiveIndex(CTLIndex.build(graph))
+        vertex = min(graph.vertices())
+        for diff in (
+            {vertex: {10**6: (1, 1)}},
+            {999999: {0: (2, 3)}},
+            {vertex: {-1: (5, 5)}},
+        ):
+            with pytest.raises(LiveUpdateError):
+                live.apply(diff)
+            assert live.state.seqno == 0
+            assert live.state.entries == 0
+        with pytest.raises(LiveUpdateError):
+            live.swap(live.base, OverlayState(1, 3, {vertex: {0: None}}))
+        assert live.state.seqno == 0
+
+    def test_readers_see_whole_snapshots_while_batches_apply(self):
+        """Queries racing batch publication each see one published
+        state: never a half-built side arena."""
+        graph = road_network(120, seed=5)
+        coordinator = UpdateCoordinator(graph, CTLIndex.build(graph))
+        live = coordinator.live_index
+        rng = random.Random(13)
+        vertices = sorted(graph.vertices())
+        pairs = [
+            (rng.choice(vertices), rng.choice(vertices)) for _ in range(40)
+        ]
+        edges = [(u, v, w) for u, v, w, _ in graph.edges()]
+        batches = [
+            [(u, v, rng.randint(1, 2 * max(w, 1)))
+             for u, v, w in rng.sample(edges, 3)]
+            for _ in range(12)
+        ]
+        mirror = graph.copy()
+        published = {tuple(tuple(spc_query(mirror, s, t)) for s, t in pairs)}
+        for batch in batches:
+            for a, b, w in batch:
+                mirror.add_edge(a, b, w, mirror.count(a, b))
+            published.add(
+                tuple(tuple(spc_query(mirror, s, t)) for s, t in pairs)
+            )
+        seen, stop = [], threading.Event()
+
+        def read():
+            while not stop.is_set():
+                seen.append(tuple(tuple(r) for r in live.query_batch(pairs)))
+
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for reader in readers:
+                reader.start()
+            for batch in batches:
+                coordinator.apply_batch(batch)
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert seen and set(seen) <= published

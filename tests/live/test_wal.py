@@ -33,6 +33,22 @@ def index(graph):
     return CTLIndex.build(graph)
 
 
+@pytest.fixture()
+def recover():
+    """:func:`recover_coordinator`, with every WAL it opens closed at
+    teardown."""
+    opened = []
+
+    def run(*args, **kwargs):
+        coordinator, report = recover_coordinator(*args, **kwargs)
+        opened.append(coordinator.wal)
+        return coordinator, report
+
+    yield run
+    for wal in opened:
+        wal.close()
+
+
 def _random_batches(graph, *, rounds, per_batch=3, seed=0):
     rng = random.Random(seed)
     edges = [(u, v, w) for u, v, w, _ in graph.edges()]
@@ -69,13 +85,14 @@ def _overlay_key(coordinator):
         state.epoch,
         state.seqno,
         {v: dict(p) for v, p in state.patches.items()},
-        dict(state.min_dirty),
     )
 
 
 class TestAppend:
-    def test_fresh_start_creates_epoch_file(self, tmp_path, graph, index):
-        coordinator, report = recover_coordinator(tmp_path, graph, index)
+    def test_fresh_start_creates_epoch_file(
+        self, recover, tmp_path, graph, index
+    ):
+        coordinator, report = recover(tmp_path, graph, index)
         assert report.fresh
         assert coordinator.wal is not None
         path = coordinator.wal.path
@@ -85,8 +102,10 @@ class TestAppend:
         assert [r.kind for r in scan.records] == ["base"]
         assert scan.torn is None
 
-    def test_every_batch_appends_one_record(self, tmp_path, graph, index):
-        coordinator, _ = recover_coordinator(tmp_path, graph, index)
+    def test_every_batch_appends_one_record(
+        self, recover, tmp_path, graph, index
+    ):
+        coordinator, _ = recover(tmp_path, graph, index)
         batches = _random_batches(graph, rounds=4, seed=3)
         for batch in batches:
             coordinator.apply_batch(batch)
@@ -99,8 +118,10 @@ class TestAppend:
         assert [r.seqno for r in scan.records] == [0, 1, 2, 3, 4, 5]
         assert coordinator.live_index.state.seqno == 5
 
-    def test_record_framing_is_crc_checked(self, tmp_path, graph, index):
-        coordinator, _ = recover_coordinator(tmp_path, graph, index)
+    def test_record_framing_is_crc_checked(
+        self, recover, tmp_path, graph, index
+    ):
+        coordinator, _ = recover(tmp_path, graph, index)
         coordinator.apply_batch(next(iter(_random_batches(graph, rounds=1))))
         report = verify_wal(coordinator.wal.path)
         assert report.ok
@@ -110,12 +131,14 @@ class TestAppend:
 
 
 class TestRecovery:
-    def test_round_trip_is_bit_identical(self, tmp_path, graph, index):
-        coordinator, _ = recover_coordinator(tmp_path, graph, index)
+    def test_round_trip_is_bit_identical(
+        self, recover, tmp_path, graph, index
+    ):
+        coordinator, _ = recover(tmp_path, graph, index)
         mirror = graph.copy()
         for batch in _random_batches(graph, rounds=4, seed=5):
             _apply(coordinator, mirror, batch)
-        recovered, report = recover_coordinator(tmp_path, graph, index)
+        recovered, report = recover(tmp_path, graph, index)
         assert not report.fresh
         assert report.replayed_batches == 4
         assert not report.torn_tail
@@ -127,7 +150,7 @@ class TestRecovery:
         assert verify_wal(recovered.wal.path).ok
 
     def test_truncation_at_every_byte_recovers_a_prefix(
-        self, tmp_path, graph, index
+        self, recover, tmp_path, graph, index
     ):
         """Satellite 3: cut the log anywhere, recovery is exact.
 
@@ -138,7 +161,7 @@ class TestRecovery:
         continuous (never skips, never invents).
         """
         source_dir = tmp_path / "source"
-        coordinator, _ = recover_coordinator(source_dir, graph, index)
+        coordinator, _ = recover(source_dir, graph, index)
         mirror = graph.copy()
         reference = [_overlay_key(coordinator)]
         mirrors = [graph.copy()]
@@ -155,7 +178,7 @@ class TestRecovery:
         crash_file = crash_dir / wal_path.name
         for cut in range(len(data) + 1):
             crash_file.write_bytes(data[:cut])
-            recovered, report = recover_coordinator(crash_dir, graph, index)
+            recovered, report = recover(crash_dir, graph, index)
             seqno = recovered.live_index.state.seqno
             # Continuity: the prefix is exactly the records wholly
             # before the cut (minus the base record).
@@ -170,9 +193,9 @@ class TestRecovery:
             recovered.wal.close()  # one open handle per cut adds up
 
     def test_torn_tail_drops_only_the_unacknowledged_record(
-        self, tmp_path, graph, index
+        self, recover, tmp_path, graph, index
     ):
-        coordinator, _ = recover_coordinator(tmp_path, graph, index)
+        coordinator, _ = recover(tmp_path, graph, index)
         mirror = graph.copy()
         batches = _random_batches(graph, rounds=3, seed=13)
         for batch in batches[:-1]:
@@ -182,7 +205,7 @@ class TestRecovery:
         path = coordinator.wal.path
         with open(path, "r+b") as handle:
             handle.truncate(os.path.getsize(path) - 3)
-        recovered, report = recover_coordinator(tmp_path, graph, index)
+        recovered, report = recover(tmp_path, graph, index)
         assert report.torn_tail
         assert recovered.live_index.state.seqno == 2
         assert _overlay_key(recovered) == pre_crash
@@ -191,9 +214,9 @@ class TestRecovery:
         assert verify_wal(recovered.wal.path).torn_tail is None
 
     def test_corruption_before_the_tail_is_refused(
-        self, tmp_path, graph, index
+        self, recover, tmp_path, graph, index
     ):
-        coordinator, _ = recover_coordinator(tmp_path, graph, index)
+        coordinator, _ = recover(tmp_path, graph, index)
         for batch in _random_batches(graph, rounds=3, seed=17):
             coordinator.apply_batch(batch)
         path = coordinator.wal.path
@@ -207,21 +230,21 @@ class TestRecovery:
         assert not report.ok
         assert "CRC mismatch" in report.problem
         with pytest.raises(WalCorruptError, match="CRC mismatch"):
-            recover_coordinator(tmp_path, graph, index)
+            recover(tmp_path, graph, index)
 
-    def test_bad_magic_is_refused(self, tmp_path, graph, index):
+    def test_bad_magic_is_refused(self, recover, tmp_path, graph, index):
         path = tmp_path / "wal-000001.log"
         path.write_bytes(b"NOTAWAL1" + b"\x00" * 32)
         with pytest.raises(WalCorruptError, match="bad magic"):
-            recover_coordinator(tmp_path, graph, index)
+            recover(tmp_path, graph, index)
 
 
 class TestTornWriteFault:
     def test_failed_append_leaves_coordinator_untouched(
-        self, tmp_path, graph, index
+        self, recover, tmp_path, graph, index
     ):
         plan = FaultPlan.parse("wal.torn_write:1.0", seed=0)
-        coordinator, _ = recover_coordinator(
+        coordinator, _ = recover(
             tmp_path, graph, index, fault_plan=plan
         )
         batch = _random_batches(graph, rounds=1, seed=19)[0]
@@ -241,10 +264,10 @@ class TestTornWriteFault:
         assert coordinator.wal.stats()["failed"]
 
     def test_torn_write_recovers_to_pre_crash_state(
-        self, tmp_path, graph, index
+        self, recover, tmp_path, graph, index
     ):
         plan = FaultPlan.parse("wal.torn_write:0.34", seed=23)
-        coordinator, _ = recover_coordinator(
+        coordinator, _ = recover(
             tmp_path, graph, index, fault_plan=plan
         )
         mirror = graph.copy()
@@ -257,16 +280,18 @@ class TestTornWriteFault:
                 break
         assert torn, "fault plan never fired"
         pre_crash = _overlay_key(coordinator)
-        recovered, report = recover_coordinator(tmp_path, graph, index)
+        recovered, report = recover(tmp_path, graph, index)
         assert report.torn_tail
         assert _overlay_key(recovered) == pre_crash
         _assert_parity(recovered, mirror, seed=24)
 
 
 class TestRotation:
-    def test_rebuild_rotates_and_compacts(self, tmp_path, graph, index):
+    def test_rebuild_rotates_and_compacts(
+        self, recover, tmp_path, graph, index
+    ):
         wal_dir = tmp_path / "wal"
-        coordinator, _ = recover_coordinator(wal_dir, graph, index)
+        coordinator, _ = recover(wal_dir, graph, index)
         mirror = graph.copy()
         for batch in _random_batches(graph, rounds=3, seed=29):
             _apply(coordinator, mirror, batch)
@@ -283,7 +308,7 @@ class TestRotation:
         # the rotated base alone reproduces the exact live state.
         for batch in _random_batches(graph, rounds=2, seed=31):
             _apply(coordinator, mirror, batch)
-        recovered, report = recover_coordinator(wal_dir, graph, index)
+        recovered, report = recover(wal_dir, graph, index)
         assert report.epoch == 2
         assert report.replayed_batches == 2
         assert not report.base_fallback
@@ -291,11 +316,11 @@ class TestRotation:
         _assert_parity(recovered, mirror, seed=32)
 
     def test_in_memory_rotation_recovers_without_saved_base(
-        self, tmp_path, graph, index
+        self, recover, tmp_path, graph, index
     ):
         """``adopt_base`` without a path: recovery re-derives the full
         diff against the cold-start index instead of reloading."""
-        coordinator, _ = recover_coordinator(tmp_path, graph, index)
+        coordinator, _ = recover(tmp_path, graph, index)
         mirror = graph.copy()
         for batch in _random_batches(graph, rounds=3, seed=37):
             _apply(coordinator, mirror, batch)
@@ -303,15 +328,17 @@ class TestRotation:
         coordinator.adopt_base(new_index, base_seqno)
         for batch in _random_batches(graph, rounds=2, seed=41):
             _apply(coordinator, mirror, batch)
-        recovered, report = recover_coordinator(tmp_path, graph, index)
+        recovered, report = recover(tmp_path, graph, index)
         assert report.epoch == 2
         assert report.seqno == coordinator.live_index.state.seqno
         assert not report.base_fallback
         _assert_parity(recovered, mirror, seed=42)
 
-    def test_missing_saved_base_falls_back(self, tmp_path, graph, index):
+    def test_missing_saved_base_falls_back(
+        self, recover, tmp_path, graph, index
+    ):
         wal_dir = tmp_path / "wal"
-        coordinator, _ = recover_coordinator(wal_dir, graph, index)
+        coordinator, _ = recover(wal_dir, graph, index)
         mirror = graph.copy()
         for batch in _random_batches(graph, rounds=2, seed=43):
             _apply(coordinator, mirror, batch)
@@ -320,7 +347,7 @@ class TestRotation:
         save_index(new_index, base_path, format="binary")
         coordinator.adopt_base(new_index, base_seqno, str(base_path))
         base_path.unlink()
-        recovered, report = recover_coordinator(wal_dir, graph, index)
+        recovered, report = recover(wal_dir, graph, index)
         assert report.base_fallback
         assert report.epoch == 2
         _assert_parity(recovered, mirror, seed=44)

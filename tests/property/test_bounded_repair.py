@@ -6,8 +6,8 @@ recomputes every block in full.  On random tie-heavy graphs —
 integer and fractional weights, edge count weights above 1 — and
 batches that mix increases and decreases, repeat an edge, touch a
 root cut vertex and restore earlier weights, the two must agree on
-every entry: in the live overlay (patches, ``min_dirty`` and the
-changed-vertex set the result cache invalidates by) and in
+every entry: in the live overlay (patches and the changed-vertex set
+the result cache invalidates by) and in
 :class:`~repro.core.dynamic.DynamicCTL`'s label store and arena.
 """
 
@@ -102,12 +102,9 @@ def test_live_overlay_matches_full_sweep(data):
     for batch in batches:
         before = _current_labels(coordinator)
         report = coordinator.apply_batch(batch)
-        patches, min_dirty = coordinator.swept_overlay(
-            index, index.tree.nodes
-        )
+        patches = coordinator.swept_overlay(index, index.tree.nodes)
         state = coordinator.live_index.state
         assert state.patches == patches, batch
-        assert state.min_dirty == min_dirty, batch
         after = _current_labels(coordinator)
         moved = [key for key in after if after[key] != before[key]]
         assert {v for v, _ in moved} <= report.changed_vertices, batch

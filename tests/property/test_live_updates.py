@@ -107,7 +107,6 @@ def _overlay_key(coordinator):
         state.epoch,
         state.seqno,
         {v: dict(p) for v, p in state.patches.items()},
-        dict(state.min_dirty),
     )
 
 

@@ -278,6 +278,34 @@ class TestSingleServer:
             _, stats = _http(host, port, "GET", "/stats")
             assert stats["live"]["seqno"] == 0
             _assert_parity(host, port, graph, seed=8, samples=20)
+            # Rows that do not fit the served base — a position past the
+            # row, an unindexed vertex, a negative position — and a whole
+            # state with a null entry: each refused, none counted.
+            vertex = min(graph.vertices())
+            unfit = [
+                [[vertex, 10**6, 1, 1]],
+                [[999999, 0, 2, 3]],
+                [[vertex, -1, 5, 5]],
+                [[vertex, 10**6, 1, 1], [999999, 0, 2, 3], [vertex, -1, 5, 5]],
+            ]
+            for rows in unfit:
+                status, payload = _http(
+                    host, port, "POST", "/admin/install",
+                    {"epoch": first.epoch, "seqno": first.seqno,
+                     "changed": rows},
+                )
+                assert status == 409, (rows, payload)
+                assert payload["installed"] is False
+            status, payload = _http(
+                host, port, "POST", "/admin/install",
+                {"base": None, "epoch": 1, "seqno": 5,
+                 "patches": [[vertex, 0, None, None]]},
+            )
+            assert status == 409, payload
+            _, stats = _http(host, port, "GET", "/stats")
+            assert (stats["live"]["seqno"], stats["live"]["overlay_entries"]) \
+                == (0, 0)
+            _assert_parity(host, port, graph, seed=8, samples=20)
             status, _ = _http(
                 host, port, "POST", "/admin/install",
                 {"epoch": first.epoch, "seqno": first.seqno,
@@ -529,7 +557,6 @@ class TestInstallBody:
         assert repr(sorted(state.patches.items())) == repr(
             sorted(expected.patches.items())
         )
-        assert state.min_dirty == expected.min_dirty
         assert type(state.patches[v2][1][0]) is float
         assert state.patches[v2][0][1] == 2**63
         assert state.patches[v1] == {0: (INF, 0)}
