@@ -94,8 +94,6 @@ def _live_server(graph, index):
         port=0,
         live_updates=True,
         cache_size=0,  # every request reaches the (possibly patched) scan
-        max_batch=128,
-        max_wait_us=2000,
     )
     return ServerThread(index, config, updates=coordinator), coordinator
 

@@ -1,16 +1,14 @@
-"""Serving benchmark: micro-batching coalescing vs per-request scans.
+"""Serving benchmarks: what the serving stack's extras cost.
 
-Runs the full serving stack — asyncio HTTP server, load-generator
-client, coalescer — on one machine and compares QPS with the
-coalescer on and off under identical load.  The workload is chosen so
-batch-kernel amortisation has something to amortise: a unit-weight
-grid's TL labels are wide (every grid pair has many equal-length
-paths), making the per-query scan expensive enough to dominate the
-fixed HTTP cost.
+Runs the full serving stack — asyncio HTTP server and load-generator
+client — on one machine and measures the overhead of each optional
+layer (request logging and the SLO window, fault hooks, tracing, the
+sampling profiler) against the server without it.  The workload gives
+the scan real work: a unit-weight grid's TL labels are wide (every
+grid pair has many equal-length paths).
 
 Client and server share this process (and, on CI runners, usually one
-core), so the measured ratio *understates* what a dedicated server
-core would see — which makes the >= 2x assertion conservative.
+core).
 
 Run with::
 
@@ -31,7 +29,6 @@ import time
 import pytest
 
 from repro.baselines.tl import TLIndex
-from repro.bench.report import render_load_report
 from repro.graph.generators import grid_graph
 from repro.serve import ServeConfig, ServerThread, replay
 
@@ -59,62 +56,6 @@ def pairs():
     ]
 
 
-def _run(index, pairs, *, coalesce: bool, **observability):
-    config = ServeConfig(
-        port=0,
-        coalesce=coalesce,
-        max_batch=128,
-        max_wait_us=2000,
-        cache_size=0,  # every request reaches the scan path
-        **observability,
-    )
-    with ServerThread(index, config) as (host, port):
-        return replay(
-            host,
-            port,
-            pairs,
-            concurrency=CONCURRENCY,
-            pipeline=PIPELINE,
-        )
-
-
-def test_coalescing_doubles_qps(index, pairs, capsys, perf):
-    """The coalesced server must at least double uncoalesced QPS."""
-    coalesced = _run(index, pairs, coalesce=True)
-    uncoalesced = _run(index, pairs, coalesce=False)
-    ratio = coalesced.qps / uncoalesced.qps
-    perf.record(
-        "coalescing_speedup",
-        [ratio],
-        unit="x",
-        direction="higher",
-        dataset=f"grid{GRID_SIDE}",
-        pairs=NUM_PAIRS,
-    )
-    perf.record(
-        "qps_coalesced",
-        [coalesced.qps],
-        unit="req/s",
-        direction="higher",
-        dataset=f"grid{GRID_SIDE}",
-    )
-    with capsys.disabled():
-        print(
-            f"\n\nServing benchmark ({CONCURRENCY} connections, "
-            f"pipeline depth {PIPELINE}, grid {GRID_SIDE}x{GRID_SIDE} TL)"
-        )
-        print("\n-- coalesced --")
-        print(render_load_report(coalesced))
-        print("\n-- uncoalesced --")
-        print(render_load_report(uncoalesced))
-        print(f"\ncoalescing speedup: {ratio:.2f}x")
-    assert coalesced.ok == uncoalesced.ok == NUM_PAIRS
-    assert ratio >= 2.0, (
-        f"coalescing speedup {ratio:.2f}x below the 2x acceptance bar "
-        f"({coalesced.qps:.0f} vs {uncoalesced.qps:.0f} qps)"
-    )
-
-
 #: Access-log sampling used by the overhead bench: the documented
 #: production setting for a saturated server (slow and non-200
 #: requests are always logged regardless).
@@ -128,7 +69,7 @@ OVERHEAD_ROUNDS = 5
 
 
 def _timed_run(index, pairs, **observability):
-    """One coalesced run; returns (LoadReport, requests per CPU second).
+    """One run; returns (LoadReport, requests per CPU second).
 
     Wall-clock QPS on a shared (CI / VM) runner is polluted by
     hypervisor steal and frequency drift — this process simply does
@@ -141,9 +82,6 @@ def _timed_run(index, pairs, **observability):
     """
     config = ServeConfig(
         port=0,
-        coalesce=True,
-        max_batch=128,
-        max_wait_us=2000,
         cache_size=0,
         **observability,
     )
@@ -252,7 +190,7 @@ def test_robustness_hooks_cost_under_five_percent(index, pairs, capsys, perf):
 
     def timed(fault_plan, **config_kwargs):
         config = ServeConfig(
-            port=0, coalesce=True, max_batch=128, max_wait_us=2000,
+            port=0,
             cache_size=0, **config_kwargs,
         )
         with _ServerThread(
@@ -318,7 +256,7 @@ def test_tracing_overhead_under_five_percent(index, pairs, capsys, perf):
     request) is thinner than the other overhead benches', so this test
     trades load-shape realism for measurement resolution, twice over:
 
-    * one client connection at pipeline depth 32 — the coalescer stays
+    * one client connection at pipeline depth 32 — the server stays
       fed, but the single-core CI runner is not asked to juggle eight
       client threads against the server loop (with multiple
       connections the round-to-round spread is +-15%, an order of
@@ -335,7 +273,7 @@ def test_tracing_overhead_under_five_percent(index, pairs, capsys, perf):
 
     def timed(**observability):
         config = ServeConfig(
-            port=0, coalesce=True, max_batch=128, max_wait_us=2000,
+            port=0,
             cache_size=0, **observability,
         )
         with ServerThread(index, config) as (host, port):
@@ -444,8 +382,8 @@ def test_profiler_overhead_under_five_percent(
       without the memo (~30%).
 
     The capture must also actually see the work: the collapsed stacks
-    must contain ``scan_batch`` frames, the batch kernel the coalescer
-    drives.  All rounds run against one server instance — a fresh
+    must contain ``scan_batch`` frames, the batch kernel every query
+    runs.  All rounds run against one server instance — a fresh
     instance locks in its own thread placement, which swings CPU
     throughput by several percent and would confound the pairing.
     The capture duration is calibrated to ~0.8x one replay's wall time
@@ -456,7 +394,7 @@ def test_profiler_overhead_under_five_percent(
     ~0.13s, too short for a stable CPU-throughput reading.
     """
     config = ServeConfig(
-        port=0, coalesce=True, max_batch=128, max_wait_us=2000, cache_size=0
+        port=0, cache_size=0
     )
     load = pairs * 8
     rounds = max(OVERHEAD_ROUNDS, 5)
@@ -568,13 +506,8 @@ def test_profiler_overhead_under_five_percent(
 
 
 def test_closed_loop_strict_request_response(index, pairs, capsys):
-    """Pipeline depth 1 (strict request/response) must not regress.
-
-    With no pipelining the coalescer can only merge requests from
-    different connections that happen to arrive in one event-loop
-    tick, so the bar is parity, not a speedup.
-    """
-    config = ServeConfig(port=0, coalesce=True, cache_size=0)
+    """Pipeline depth 1 (strict request/response) answers every pair."""
+    config = ServeConfig(port=0, cache_size=0)
     with ServerThread(index, config) as (host, port):
         report = replay(
             host, port, pairs[:500], concurrency=CONCURRENCY, pipeline=1

@@ -6,14 +6,12 @@ Run with::
 
 The script builds a small synthetic road network, serves its index
 with :class:`repro.serve.ServerThread`, and replays a random query
-workload through the :mod:`repro.serve.client` load generator twice —
-once with micro-batching coalescing enabled, once without — printing
-the QPS/latency report for each run plus the serving metrics that
-``GET /metrics`` exposes (cache hit rate, batch sizes, shed counts).
+workload through the :mod:`repro.serve.client` load generator, printing
+the QPS/latency report plus the serving metrics that ``GET /metrics``
+exposes (cache hits, scans, shed counts).
 
-The same comparison, tuned as a pass/fail benchmark, lives in
-``benchmarks/bench_serve.py``; the serving layer itself is documented
-in ``docs/serving.md``.
+The serving benchmarks live in ``benchmarks/bench_serve.py``; the
+serving layer itself is documented in ``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -39,15 +37,10 @@ def main() -> None:
         (rng.choice(vertices), rng.choice(vertices)) for _ in range(1000)
     ]
 
-    for coalesce in (True, False):
-        config = ServeConfig(port=0, coalesce=coalesce)
-        mode = "coalesced" if coalesce else "uncoalesced"
-        with ServerThread(index, config) as (host, port):
-            report = replay(
-                host, port, pairs, concurrency=8, pipeline=4
-            )
-        print(f"\n== {mode} ==")
-        print(render_load_report(report))
+    with ServerThread(index, ServeConfig(port=0)) as (host, port):
+        report = replay(host, port, pairs, concurrency=8, pipeline=4)
+    print("\n== replay ==")
+    print(render_load_report(report))
 
     # One more short run to show the /metrics counters a live server
     # exposes (the cache absorbs the second repeat of the workload).

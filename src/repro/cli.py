@@ -366,9 +366,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        coalesce=not args.no_coalesce,
-        max_batch=args.max_batch,
-        max_wait_us=args.max_wait_us,
         cache_size=args.cache_size,
         queue_high_water=args.high_water,
         request_timeout_ms=args.timeout_ms,
@@ -455,16 +452,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         await server.start()
         server.install_signal_handlers()
-        mode = "coalesced" if config.coalesce else "uncoalesced"
+        modes = []
         if fault_plan is not None and fault_plan.active:
-            mode += ", chaos"
+            modes.append("chaos")
         if fallback is not None:
-            mode += ", fallback=online"
+            modes.append("fallback=online")
         if updates is not None:
-            mode += ", live"
+            modes.append("live")
+        mode = f" ({', '.join(modes)})" if modes else ""
         print(
             f"serving {type(index).__name__} on "
-            f"http://{server.host}:{server.port} ({mode}); "
+            f"http://{server.host}:{server.port}{mode}; "
             "SIGTERM/SIGINT drains and exits, SIGHUP reloads the index",
             flush=True,
         )
@@ -937,29 +935,18 @@ def build_parser() -> argparse.ArgumentParser:
         "server)",
     )
     p_serve.add_argument(
-        "--no-coalesce", action="store_true",
-        help="answer each request with its own scan (baseline mode)",
-    )
-    p_serve.add_argument(
-        "--max-batch", type=int, default=64, metavar="N",
-        help="coalescer window size limit (default 64)",
-    )
-    p_serve.add_argument(
-        "--max-wait-us", type=int, default=1000, metavar="US",
-        help="coalescer backstop timer in microseconds (default 1000)",
-    )
-    p_serve.add_argument(
         "--cache-size", type=int, default=4096, metavar="N",
         help="LRU result-cache capacity, 0 disables (default 4096)",
     )
     p_serve.add_argument(
         "--high-water", type=int, default=256, metavar="N",
-        help="shed new requests (503) past this queue depth "
-        "(default 256)",
+        help="shed (503) a POST batch of more pairs than this, and "
+        "fallback queries past this many waiting (default 256)",
     )
     p_serve.add_argument(
         "--timeout-ms", type=int, default=1000, metavar="MS",
-        help="per-request deadline; losers get 504 (default 1000)",
+        help="deadline of a query answered by the breaker's fallback; "
+        "past it the query gets 504 (default 1000)",
     )
     p_serve.add_argument(
         "--access-log", metavar="FILE", default=None,
@@ -996,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--fault-plan", metavar="SPEC", default=None,
         help="chaos injection plan, e.g. 'scan.fail:0.1,conn.reset:0.05' "
-        "(sites: scan.fail scan.slow flush.fail conn.reset index.load "
+        "(sites: scan.fail scan.slow conn.reset index.load "
         "worker.kill wal.torn_write; falls back to $REPRO_FAULT_PLAN "
         "when omitted)",
     )

@@ -2,9 +2,8 @@
 
 A :class:`FaultPlan` describes *which* failures to inject, *where*, and
 *how often*, so the chaos test suite and the ``chaos-smoke`` CI job can
-drive the real server through index corruption, scan-executor crashes,
-slow scans, coalescer flush errors, and mid-response connection resets
-— reproducibly.  Every site draws from its own seeded RNG, so a plan
+drive the real server through index corruption, scan crashes, slow
+scans and mid-response connection resets — reproducibly.  Every site draws from its own seeded RNG, so a plan
 with the same seed fires the same faults in the same order regardless
 of what the other sites are doing.
 
@@ -14,11 +13,12 @@ Sites (each checked at exactly one place in the stack):
 ``scan.fail``             :class:`FaultyIndex` raises :class:`InjectedFault`
                           from ``query``/``query_batch`` (an infrastructure
                           crash, *not* a :class:`~repro.exceptions.ReproError`
-                          — the server must 500 the request, not 400 it).
+                          — the server must 500 the request, not 400 it;
+                          exercises the per-pair isolation retry).
 ``scan.slow``             :class:`FaultyIndex` sleeps ``delay_ms`` before
-                          delegating (deadline and drain testing).
-``flush.fail``            the coalescer's batch flush raises before the scan
-                          (exercises isolate-and-retry).
+                          delegating, on the thread that scans — the event
+                          loop on the index path (drain and pipeline
+                          testing).
 ``conn.reset``            the server aborts the TCP connection mid-response
                           (exercises client transport-error handling).
 ``index.load``            the server's hot-reload path fails validation
@@ -55,7 +55,6 @@ from repro.obs import NULL_RECORDER
 SITES = (
     "scan.fail",
     "scan.slow",
-    "flush.fail",
     "conn.reset",
     "index.load",
     "worker.kill",

@@ -101,8 +101,8 @@ class OverlayState:
 class LiveIndex:
     """A ``(base index, overlay)`` view with the SPCIndex query surface.
 
-    The server, micro-batcher, and cache talk to this object exactly as
-    they would to a static index; rebuild-and-swap replaces the internal
+    The server, the fleet router and the cache talk to this object
+    exactly as they would to a static index; rebuild-and-swap replaces the internal
     view atomically, so in-flight batches finish on the snapshot they
     started with.
     """

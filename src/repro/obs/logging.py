@@ -186,8 +186,7 @@ def _route_string(value: str) -> str:
 
 def _access_line(
     request_id, method, path, status, latency_ms,
-    source, target, cache_hit, batch_size, queue_wait_s, scan_s,
-    labels_scanned, trace_id, ts_part,
+    source, target, cache_hit, scan_s, labels_scanned, trace_id, ts_part,
 ):
     """One ``access`` record as a JSON line.
 
@@ -197,8 +196,6 @@ def _access_line(
     ``"ts":...`` fragment so a burst can share one clock read.
     """
     parts = []
-    if batch_size is not None:
-        parts.append(f'"batch_size":{batch_size}')
     if cache_hit is not None:
         parts.append(
             '"cache_hit":true' if cache_hit else '"cache_hit":false'
@@ -209,8 +206,6 @@ def _access_line(
     parts.append(f'"latency_ms":{latency_ms:.3f}')
     parts.append(f'"method":{_route_string(method)}')
     parts.append(f'"path":{_route_string(path)}')
-    if queue_wait_s is not None:
-        parts.append(f'"queue_wait_ms":{queue_wait_s * 1000.0:.3f}')
     parts.append(f'"request_id":{_json_string(request_id)}')
     if scan_s is not None:
         parts.append(f'"scan_ms":{scan_s * 1000.0:.3f}')
@@ -231,8 +226,8 @@ class RequestLog:
     One instance per server; :meth:`log_request` is the single hot-path
     entry point.  The caller passes whatever it knows about the request
     — unknown fields are simply omitted from the record, so cache hits
-    (no batch) and scan misses (batch metadata from the coalescer)
-    produce the same record type with different field sets.
+    (no scan) and scan misses (with the scan's time) produce the same
+    record type with different field sets.
 
     Fast 200s (the overwhelming majority under load) are serialized by
     a hand-rolled formatter emitting the same sorted-key compact JSON
@@ -277,8 +272,6 @@ class RequestLog:
         source: Optional[int] = None,
         target: Optional[int] = None,
         cache_hit: Optional[bool] = None,
-        batch_size: Optional[int] = None,
-        queue_wait_s: Optional[float] = None,
         scan_s: Optional[float] = None,
         labels_scanned: Optional[int] = None,
         error: Optional[str] = None,
@@ -303,9 +296,8 @@ class RequestLog:
             self.writer.write_line(
                 _access_line(
                     request_id, method, path, status, latency_ms,
-                    source, target, cache_hit, batch_size,
-                    queue_wait_s, scan_s, labels_scanned, trace_id,
-                    f'"ts":{self._clock()!r}',
+                    source, target, cache_hit, scan_s, labels_scanned,
+                    trace_id, f'"ts":{self._clock()!r}',
                 )
             )
             self.access_records += 1
@@ -325,10 +317,6 @@ class RequestLog:
             record["target"] = target
         if cache_hit is not None:
             record["cache_hit"] = cache_hit
-        if batch_size is not None:
-            record["batch_size"] = batch_size
-        if queue_wait_s is not None:
-            record["queue_wait_ms"] = round(queue_wait_s * 1000.0, 3)
         if scan_s is not None:
             record["scan_ms"] = round(scan_s * 1000.0, 3)
         if labels_scanned is not None:
@@ -350,10 +338,9 @@ class RequestLog:
         """Record a burst of finished requests with a single flush.
 
         ``records`` are ``(request_id, method, path, status,
-        latency_s, source, target, cache_hit, meta, labels_scanned,
-        error, trace_id)`` tuples, where ``meta`` is the server's per-request
-        coalescer metadata dict (``batch_size`` / ``queue_wait_s`` /
-        ``scan_s`` keys) or ``None``.  Semantically identical to one
+        latency_s, source, target, cache_hit, scan_s, labels_scanned,
+        error, trace_id)`` tuples, where ``scan_s`` is the time of the
+        scan that answered the request, or ``None``.  Semantically identical to one
         :meth:`log_request` call per tuple, in order — same sampling
         stream, same slow/error handling — but positional and with
         one clock read and one flush for the whole burst, which is
@@ -372,7 +359,7 @@ class RequestLog:
         ts_part = f'"ts":{self._clock()!r}'
         with writer.batched():
             for (request_id, method, path, status, latency_s, source,
-                 target, cache_hit, meta, labels_scanned,
+                 target, cache_hit, scan_s, labels_scanned,
                  error, trace_id) in records:
                 latency_ms = latency_s * 1000.0
                 if (latency_ms >= slow_ms > 0) or error is not None:
@@ -380,14 +367,7 @@ class RequestLog:
                         request_id=request_id, method=method,
                         path=path, status=status, latency_s=latency_s,
                         source=source, target=target,
-                        cache_hit=cache_hit,
-                        batch_size=(
-                            meta.get("batch_size") if meta else None
-                        ),
-                        queue_wait_s=(
-                            meta.get("queue_wait_s") if meta else None
-                        ),
-                        scan_s=meta.get("scan_s") if meta else None,
+                        cache_hit=cache_hit, scan_s=scan_s,
                         labels_scanned=labels_scanned, error=error,
                         trace_id=trace_id,
                     )
@@ -395,18 +375,11 @@ class RequestLog:
                 if not presampled and status == 200 and not keep():
                     self.sampled_out += 1
                     continue
-                if meta is not None:
-                    batch_size = meta.get("batch_size")
-                    queue_wait_s = meta.get("queue_wait_s")
-                    scan_s = meta.get("scan_s")
-                else:
-                    batch_size = queue_wait_s = scan_s = None
                 writer.write_line(
                     _access_line(
                         request_id, method, path, status, latency_ms,
-                        source, target, cache_hit, batch_size,
-                        queue_wait_s, scan_s, labels_scanned, trace_id,
-                        ts_part,
+                        source, target, cache_hit, scan_s,
+                        labels_scanned, trace_id, ts_part,
                     )
                 )
                 self.access_records += 1

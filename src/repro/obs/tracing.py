@@ -135,8 +135,7 @@ class SpanCollector:
     no ids), the collector keeps the most recent ``capacity`` spans
     with their trace/span/parent ids, ready to be shipped as one
     *fragment* of a distributed capture.  Appends are O(1) and
-    lock-guarded — the server records from both the event loop and the
-    scan-executor thread.
+    lock-guarded, so any thread of the process may record.
     """
 
     def __init__(self, capacity: int = 4096, *, role: str = "server"):

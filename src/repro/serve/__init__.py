@@ -1,28 +1,27 @@
 """Concurrent query serving: HTTP front end over the batch kernel.
 
-The indexes answer ``Q(s, t)`` fastest through :meth:`SPCIndex.query_batch`
-(one vectorised arena scan amortises id and LCA resolution), but a
-network server receives queries one at a time.  This package closes the
-gap with a **micro-batching coalescer**: concurrent in-flight requests
-are gathered for a bounded window (``max_batch`` requests or
-``max_wait_us`` microseconds, whichever first) and resolved in a single
-``query_batch`` call, so throughput under load approaches the batch
-kernel rather than the per-pair path.
+A query is answered on the event loop the moment it is read: result
+cache, then one :meth:`SPCIndex.query_batch` call over the request's
+misses (one pair for a GET, the whole batch for a POST ``pairs`` body),
+then encode.  The CTLS scan costs a few microseconds, less than any
+queueing around it would, so nothing waits for it; instead a
+connection writes all the answers that became ready in one loop tick
+in one socket write, which is what a pipelining client needs.  The
+single server and the fleet router answer through the same function,
+:func:`repro.serve.server.scan_answers`.
 
 Layers, innermost first:
 
 * :mod:`repro.serve.cache` — LRU result cache on normalized
   ``(min(s, t), max(s, t))`` keys (queries are symmetric).
-* :mod:`repro.serve.coalescer` — the :class:`MicroBatcher` turning
-  awaitable single submissions into ``query_batch`` calls on a worker
-  thread.
 * :mod:`repro.serve.http` — minimal stdlib HTTP/1.1 framing over
   asyncio streams.
 * :mod:`repro.serve.frontend` — the client-facing HTTP front end
   (pipelined connection loop, drain, trace sampling, ``/metrics``
   negotiation) that the server and the fleet router share.
-* :mod:`repro.serve.server` — :class:`SPCServer`: routing, admission
-  control (load shedding), per-request deadlines, request correlation
+* :mod:`repro.serve.server` — :class:`SPCServer`: routing, the one
+  answer path, admission control (load shedding), the circuit
+  breaker's fallback with its deadline, request correlation
   ids + structured request logging, ``/health`` (SLO-aware readiness),
   ``/metrics`` (JSON or Prometheus text), ``/stats`` (rolling SLO
   window), graceful drain on SIGTERM.
@@ -48,7 +47,6 @@ from repro.serve.analyze import render_analysis
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.cache import ResultCache
 from repro.serve.client import LoadReport, RetryPolicy, replay, run_workload
-from repro.serve.coalescer import MicroBatcher
 from repro.serve.config import ServeConfig
 from repro.serve.fleet import (
     FleetRouter,
@@ -64,7 +62,6 @@ __all__ = [
     "FleetRouter",
     "FleetThread",
     "LoadReport",
-    "MicroBatcher",
     "ResultCache",
     "RetryPolicy",
     "SPCServer",

@@ -14,32 +14,21 @@ class ServeConfigError(ReproError):
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Configuration of one :class:`~repro.serve.server.SPCServer`.
-
-    The coalescing window is bounded on both axes: a batch is flushed as
-    soon as ``max_batch`` requests are pending *or* ``max_wait_us``
-    microseconds have passed since the first one arrived, so an idle
-    server adds at most ``max_wait_us`` of latency and a loaded server
-    fills whole batches without waiting at all.
-    """
+    """Configuration of one :class:`~repro.serve.server.SPCServer`
+    (and of a :class:`~repro.serve.fleet.FleetRouter` and its workers)."""
 
     #: Interface to bind; loopback by default.
     host: str = "127.0.0.1"
     #: TCP port; 0 binds an ephemeral port (read it back off the server).
     port: int = 8355
-    #: Resolve concurrent requests through one ``query_batch`` call.
-    #: ``False`` answers per request — the uncoalesced baseline the
-    #: serving benchmark compares against.
-    coalesce: bool = True
-    #: Flush a pending batch at this size.
-    max_batch: int = 64
-    #: Flush a pending batch after this many microseconds.
-    max_wait_us: int = 1000
     #: LRU result-cache capacity in entries; 0 disables caching.
     cache_size: int = 4096
-    #: Shed (HTTP 503) once this many requests are queued unanswered.
+    #: Shed (HTTP 503) a POST batch of more pairs than this, and a
+    #: fallback query once this many fallback queries are waiting.  A
+    #: fleet router scans at most this many pairs of one request itself
+    #: and forwards the rest in chunks this large.
     queue_high_water: int = 256
-    #: Per-request deadline covering queueing, batching, and the scan.
+    #: Deadline of a fallback query (HTTP 504 past it).
     request_timeout_ms: int = 1000
     #: Seconds to wait for in-flight connections during graceful drain.
     drain_grace_s: float = 5.0
@@ -74,10 +63,10 @@ class ServeConfig:
     breaker_cooldown_s: float = 5.0
     #: CPython thread switch interval (``sys.setswitchinterval``)
     #: applied while the server runs; 0 leaves the process default.
-    #: The event loop and the scan worker hand the GIL back and forth
-    #: once per batch, and the interpreter default (5 ms) lets a
-    #: finished scan sit unresolved while the loop runs Python — a
-    #: short interval cuts that handoff latency.  Process-global: the
+    #: The event loop shares the GIL with the update, rebuild, log and
+    #: fallback threads, and the interpreter default (5 ms) lets one of
+    #: them hold it that long while answers wait on the loop — a short
+    #: interval cuts that handoff latency.  Process-global: the
     #: previous value is restored on drain.
     switch_interval_s: float = 1e-4
     #: Accept streamed edge-weight deltas on ``POST /admin/update``.
@@ -124,10 +113,6 @@ class ServeConfig:
     respawn_backoff_max_s: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ServeConfigError("max_batch must be >= 1")
-        if self.max_wait_us < 0:
-            raise ServeConfigError("max_wait_us must be >= 0")
         if self.cache_size < 0:
             raise ServeConfigError("cache_size must be >= 0")
         if self.queue_high_water < 1:

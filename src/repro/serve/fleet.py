@@ -2,10 +2,10 @@
 
 ``repro-spc serve --workers N`` starts one :class:`FleetRouter` in the
 foreground process and ``N`` :class:`~repro.serve.server.SPCServer`
-workers, each its own OS process with its own event loop, GIL, and
-scan executor.  The index is **not** copied to the workers: every
-worker opens the same v4 container with ``load_index(path)`` and the
-OS page cache shares one physical copy of the mapped arena across the
+workers, each its own OS process with its own event loop and GIL.
+The index is **not** copied to the workers: every worker opens the
+same v4 container with ``load_index(path)`` and the OS page cache
+shares one physical copy of the mapped arena across the
 whole fleet — cold start per worker is page-fault-time, and resident
 memory grows with *one* index, not ``N``.
 
@@ -138,7 +138,12 @@ from repro.serve.http import (
     read_response_bytes,
 )
 from repro.serve.runner import ServerThread
-from repro.serve.server import LiveTier, encode_result, encode_result_bytes
+from repro.serve.server import (
+    LiveTier,
+    encode_result,
+    encode_result_bytes,
+    scan_answers,
+)
 from repro.types import INF, QueryResult
 
 #: Upstream response headers the router frames itself; every other
@@ -899,22 +904,19 @@ class FleetRouter(LiveTier, FrontEnd):
         one is left to a worker, so error answers stay the workers'
         own.  With every worker down the fleet is down: nothing is
         answered here.  Only the first ``queue_high_water`` pairs of
-        one request are scanned here, on the loop; the rest go to the
-        workers, whose admission control bounds them.
+        one request are scanned here, on the loop, through the single
+        server's :func:`~repro.serve.server.scan_answers`; the rest go
+        to the workers, whose admission control bounds them.
         """
         answers: List[Optional[QueryResult]] = [None] * len(pairs)
         if self._first_live() is None:
             return answers
-        index = self._index
         batch = list(pairs[: self.config.queue_high_water])
-        try:
-            results = index.query_batch(batch)
-        except Exception:
-            results = [_query_or_none(index, pair) for pair in batch]
+        results = scan_answers(self._index, batch, self.recorder)
         cacheable = self._cacheable(self._generation)
         local = 0
         for slot, result in enumerate(results):
-            if result is not None:
+            if not isinstance(result, BaseException):
                 answers[slot] = result
                 local += 1
                 if cacheable:
@@ -1318,12 +1320,9 @@ class FleetRouter(LiveTier, FrontEnd):
                     if answer is not None:
                         return answer
                 else:
-                    try:
-                        pair = (
-                            int(payload["source"]), int(payload["target"])
-                        )
-                    except (KeyError, TypeError, ValueError):
-                        pair = None
+                    pair = _vertex_pair(
+                        payload.get("source"), payload.get("target")
+                    )
         else:
             explain = request.flag("explain")
             try:
@@ -1368,10 +1367,10 @@ class FleetRouter(LiveTier, FrontEnd):
         for item in pairs:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 return None
-            try:
-                keys.append((int(item[0]), int(item[1])))
-            except (TypeError, ValueError):
+            pair = _vertex_pair(*item)
+            if pair is None:
                 return None
+            keys.append(pair)
         probe = not explain and _probes(trace)
         results: List[object] = [None] * len(pairs)
         missing = []
@@ -1661,7 +1660,7 @@ class FleetRouter(LiveTier, FrontEnd):
             self.recorder.incr("fleet.errors.upstream")
             return 502, {"error": "no worker could report stats"}, ()
         # Worker 0 (or the lowest reporting id) provides the base
-        # payload — index metadata, batcher and breaker snapshots are
+        # payload — index metadata and breaker snapshots are
         # representative — and the fleet block carries what differs.
         payload = stats[min(stats)]
         payload["fleet"] = {
@@ -1836,12 +1835,12 @@ def _detail(outcome) -> str:
         return payload.decode("latin-1", "replace")[:200]
 
 
-def _query_or_none(index, pair) -> Optional[QueryResult]:
-    """``index``'s answer to one pair, ``None`` if its scan raises."""
-    try:
-        return index.query(*pair)
-    except Exception:
-        return None
+def _vertex_pair(source, target) -> Optional[Tuple[int, int]]:
+    """``(source, target)`` when both are JSON integers (no bool, float
+    or string), else ``None``: a worker answers that request's 400."""
+    if type(source) is int and type(target) is int:
+        return source, target
+    return None
 
 
 def _refuse_worker_logs(wal_dir: str) -> None:

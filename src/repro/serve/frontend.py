@@ -14,8 +14,9 @@ the ``/admin/trace`` argument checks.  A subclass routes:
 An *answer* is a ``(status, payload, extra headers)`` tuple, or the
 bytes of a whole response relayed from upstream (framed keep-alive),
 or — while it is still being computed — a coroutine (run as a task)
-or a future-like object (``done``, ``result``, ``add_done_callback``)
-whose result is one of the first two.
+or a future whose result is one of the first two.  Every answer of a
+connection that becomes ready in one loop tick leaves in one socket
+write.
 
 ``serve.requests`` counts ``/query`` requests, here and nowhere else.
 """
@@ -60,13 +61,14 @@ class _Connection:
     """One client connection's answers, written in request order.
 
     ``out`` holds ``(answer, keep_alive)`` for every request read but
-    not yet answered.  Its head is always an answer still being
-    computed, and :meth:`flush` is that answer's done callback: it
-    writes the ready prefix in one call and hooks itself onto the next
-    pending answer, so a window resolving at once costs one callback.
+    not yet written.  While it is not empty one :meth:`flush` is on its
+    way: scheduled with ``call_soon`` when its head is ready, or hooked
+    onto the head while that is still being computed.  So the answers
+    that become ready in one loop tick — a pipelining client's whole
+    window — go out in one write.
     """
 
-    __slots__ = ("front", "reader", "writer", "out", "space")
+    __slots__ = ("front", "reader", "writer", "out", "space", "loop")
 
     def __init__(self, front: "FrontEnd", reader, writer) -> None:
         self.front = front
@@ -75,22 +77,24 @@ class _Connection:
         self.out: deque = deque()
         #: Set when the head of ``out`` is taken (:meth:`taken`).
         self.space: Optional[asyncio.Future] = None
+        self.loop = asyncio.get_running_loop()
 
     def queue(self, answer, keep_alive: bool) -> None:
-        """Write ``answer`` now if it is ready and nothing is ahead of
-        it, else queue it behind the answers ahead."""
-        kind = type(answer)
-        if kind is tuple or kind is bytes:
-            if not self.out:
-                self.write([self.front._encode(answer, keep_alive)])
-                return
-        elif not self.out:
-            answer.add_done_callback(self.flush)
+        """Queue ``answer`` behind the answers ahead of it; the first
+        answer of an empty queue arranges the flush."""
+        out = self.out
+        out.append((answer, keep_alive))
         self.front._inflight += 1
-        self.out.append((answer, keep_alive))
+        if len(out) == 1:
+            kind = type(answer)
+            if kind is tuple or kind is bytes:
+                self.loop.call_soon(self.flush)
+            else:
+                answer.add_done_callback(self.flush)
 
     def flush(self, _done=None) -> None:
-        """Write the answers at the head of ``out`` that are ready."""
+        """Write the answers at the head of ``out`` that are ready, in
+        one call, and hook onto the next one still being computed."""
         front, out = self.front, self.out
         ready = []
         while out:
@@ -137,7 +141,7 @@ class _Connection:
 
     async def taken(self) -> None:
         """Wait until the answer at the head of ``out`` is written."""
-        self.space = asyncio.get_running_loop().create_future()
+        self.space = self.loop.create_future()
         await self.space
 
 
@@ -217,7 +221,8 @@ class FrontEnd:
         at most, every connection closes: an idle one sees end of input
         and its loop ends as if the client had closed it; one still
         owing answers, or whose client is not taking them, is
-        cancelled and its answers are dropped.
+        cancelled — it writes the answers already computed and drops
+        the rest.
         """
         if self._server is not None:
             self._server.close()
@@ -240,12 +245,12 @@ class FrontEnd:
     async def _on_connection(self, reader, writer) -> None:
         """One client connection.
 
-        The loop never awaits a query's answer: a ready answer is
-        written at once, a pending one is queued, and the next request
-        is read — so a pipelining client lands its whole window in one
-        coalescer batch, or keeps several forwarded queries in flight
-        upstream.  Answers go out in request order, each as soon as it
-        and every answer ahead of it are ready.  Reading pauses while
+        The loop never awaits a query's answer: every answer is queued
+        and the next request is read — so a pipelining client's window
+        is answered in one tick and written in one call, or keeps
+        several forwarded queries in flight upstream.  Answers go out
+        in request order, in the tick they and every answer ahead of
+        them are ready.  Reading pauses while
         ``_PIPELINE_DEPTH`` answers wait or the client is not taking
         them.  A request other than ``/query`` whose answer is not
         ready at once (an admin call, a fleet fan-out) runs alone:
@@ -293,8 +298,10 @@ class FrontEnd:
         except (ConnectionError, OSError, asyncio.IncompleteReadError):
             self.recorder.incr("serve.errors.connection")
         except asyncio.CancelledError:
-            # The drain grace is over: answers not yet sent are dropped
-            # (the requests themselves run to completion).
+            # The drain grace is over: the answers already computed
+            # are written, the rest dropped (their requests run to
+            # completion).
+            conn.flush()
             self._inflight -= len(out)
             out.clear()
             raise

@@ -7,14 +7,14 @@ over a small JSON/HTTP surface:
 * ``POST /query`` with ``{"source": S, "target": T}`` or
   ``{"pairs": [[S, T], ...]}`` — one query or an explicit batch; add
   ``"explain": true`` for the algorithmic counters behind the answer
-  (labels scanned, LCA node, batch/queue/scan timings).
+  (labels scanned, LCA node, scan time).
 * ``GET /health`` — liveness + readiness: 503 once draining **or**
   when the rolling SLO window is degraded.
 * ``GET /metrics`` — the server recorder's metrics, content-negotiated:
   JSON snapshot by default, Prometheus text exposition for
   ``Accept: text/plain`` / ``?format=prometheus``.
 * ``GET /stats`` — the rolling SLO window (p50/p95/p99, error/shed/
-  cache-hit rates, queue depth) plus cache and batcher state.
+  cache-hit rates, queue depth) plus cache and breaker state.
 
 Client HTTP — the pipelined connection loop, the drain, ``traceparent``
 sampling and ``/metrics`` negotiation — is the
@@ -25,29 +25,40 @@ and in a live fleet's router.  A fleet worker on a live fleet is a
 replica: it serves a :class:`~repro.live.overlay.LiveIndex` whose
 overlay the router installs over ``POST /admin/install``.
 
+**One answer path.**  A ``/query`` is answered the way the fleet router
+answers one: drain check, result cache, then one ``index.query_batch``
+of the request's misses run on the event loop (:func:`scan_answers`,
+the function the router scans with too), then encode.  The answer is
+ready when the request has been read, so the connection writes every
+answer that became ready in one loop tick in one socket write.  A pair
+whose scan raises fails alone: :func:`scan_answers` retries the pairs
+one by one.
+
 Answers are ``{"source", "target", "distance", "count"}`` with
 ``distance: null`` for a disconnected pair — exactly the values
 :meth:`SPCIndex.query` returns, just JSON-framed.
 
 **Request correlation:** every request carries a request id — the
 inbound ``X-Request-Id`` header when the client sent one, a generated
-``<instance>-<counter>`` id otherwise.  The id rides through the
-coalescer and cache, is echoed in the ``X-Request-Id`` response
-header, and stamps every structured log record
-(:class:`repro.obs.logging.RequestLog`: JSON-lines access log plus a
-slow-query log past ``slow_query_ms``), so one grep connects a user
-report to the exact batch scan that served it.
+``<instance>-<counter>`` id otherwise.  The id is echoed in the
+``X-Request-Id`` response header and stamps every structured log
+record (:class:`repro.obs.logging.RequestLog`: JSON-lines access log
+plus a slow-query log past ``slow_query_ms``), so one grep connects a
+user report to the scan that served it.
 
-Three protections keep the server honest under load:
+Three protections keep the server honest:
 
-* **Admission control** — once ``queue_high_water`` admitted requests
-  are waiting, new ones are shed with 503 + ``Retry-After`` instead of
-  growing the queue without bound.
-* **Deadlines** — every admitted request races
-  ``request_timeout_ms``; losers get 504 and their slot back.
+* **Admission control** — a draining server, and a POST batch of more
+  than ``queue_high_water`` pairs, get 503 + ``Retry-After``.
+* **The breaker's fallback** — once the circuit breaker trips on a
+  failing index, queries go to the fallback index (when one is
+  configured) on its own threads.  That is the one path where requests
+  wait: past ``queue_high_water`` waiting fallback queries new ones
+  are shed with 503, and one still waiting after ``request_timeout_ms``
+  gets 504.
 * **Graceful drain** — SIGTERM (or :meth:`SPCServer.shutdown`) stops
-  accepting, answers every request already read within ``drain_grace_s``,
-  flushes the coalescer, and only then lets the process exit.
+  accepting, answers every request already read within
+  ``drain_grace_s``, and only then lets the process exit.
 """
 
 from __future__ import annotations
@@ -77,7 +88,6 @@ from repro.obs import (
 )
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.cache import ResultCache, TopPairs
-from repro.serve.coalescer import MicroBatcher, offload
 from repro.serve.config import ServeConfig
 from repro.serve.frontend import FrontEnd, Response
 from repro.serve.http import HTTPProtocolError, Request, parse_query_head
@@ -88,58 +98,38 @@ _RETRY_AFTER = (("Retry-After", "1"),)
 _ALLOW_POST = (("Allow", "POST"),)
 
 #: Deferred log records to accumulate before handing a drain to the
-#: executor thread — amortizes the submit overhead over a batch of
+#: log writer thread — amortizes the submit overhead over a batch of
 #: records.  Connection close and shutdown flush regardless.
 _LOG_DRAIN_MIN_RECORDS = 24
 
 
-class _Waiter:
-    """An admitted query waiting on its batcher future.
+def scan_answers(index, pairs, recorder=NULL_RECORDER) -> List[object]:
+    """``index``'s answers to ``pairs`` from one ``query_batch`` call,
+    run on the calling thread — the one scan of the server and of the
+    fleet router.
 
-    To the connection loop it is a future-like answer: the loop hooks
-    its flush onto ``future``, so a resolved window's answers are
-    finished and written with their batch-mates in one socket write.
-    Awaiting the waiter (the POST batch path) awaits the bare future.
-    Its deadline is armed where the scan was handed off, so no
-    per-request timer or task exists.
+    If the batch call raises, each pair is retried alone with
+    ``index.query`` and a pair that still fails gets its exception in
+    its slot, so a bad pair or a scan crash fails only its own answer.
+    A :class:`ReproError` is one bad pair failing the whole call;
+    anything else is an infrastructure crash (injected fault, corrupt
+    read) and is counted as an isolation.
     """
-
-    __slots__ = (
-        "server", "future", "source", "target", "rid", "started",
-        "meta", "explain", "fallback", "trace",
-    )
-
-    def __init__(
-        self, server, future, source, target, rid, started, meta,
-        explain, fallback=False, trace=None,
-    ):
-        self.server = server
-        self.future = future
-        self.source = source
-        self.target = target
-        self.rid = rid
-        self.started = started
-        self.meta = meta
-        self.explain = explain
-        self.fallback = fallback
-        self.trace = trace
-
-    def __await__(self):
-        try:
-            yield from self.future.__await__()
-        except Exception:
-            pass  # _finish reads the failure off the future
-        return self.server._finish(self)
-
-    def done(self) -> bool:
-        return self.future.done()
-
-    def add_done_callback(self, callback) -> None:
-        self.future.add_done_callback(callback)
-
-    def result(self) -> Response:
-        """The response, once :meth:`done` (call it once)."""
-        return self.server._finish(self)
+    try:
+        return index.query_batch(pairs)
+    except Exception as exc:
+        results: List[object] = []
+        for source, target in pairs:
+            try:
+                results.append(index.query(source, target))
+            except Exception as error:
+                results.append(error)
+        if not isinstance(exc, ReproError):
+            failed = sum(isinstance(r, BaseException) for r in results)
+            recorder.incr("serve.batch.isolated")
+            recorder.incr("serve.batch.retry_ok", len(results) - failed)
+            recorder.incr("serve.batch.retry_failed", failed)
+        return results
 
 
 def encode_result(
@@ -490,7 +480,7 @@ class LiveTier:
 
 
 class SPCServer(LiveTier, FrontEnd):
-    """Serves one built SPC index over HTTP with micro-batching.
+    """Serves one built SPC index over HTTP.
 
     The server records into its own :class:`repro.obs.Recorder` (not
     the process-global one), so the indexes' zero-overhead-when-off
@@ -556,8 +546,9 @@ class SPCServer(LiveTier, FrontEnd):
         self.cache = ResultCache(
             self.config.cache_size, recorder=self.recorder
         )
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="spc-scan"
+        #: The request-log writer thread (started on first use).
+        self._log_executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="spc-log"
         )
         self._fallback_executor: Optional[ThreadPoolExecutor] = (
             ThreadPoolExecutor(
@@ -566,18 +557,6 @@ class SPCServer(LiveTier, FrontEnd):
             if fallback is not None
             else None
         )
-        self.batcher: Optional[MicroBatcher] = None
-        if self.config.coalesce:
-            self.batcher = MicroBatcher(
-                self.index,
-                max_batch=self.config.max_batch,
-                max_wait_us=self.config.max_wait_us,
-                recorder=self.recorder,
-                executor=self._executor,
-                fault_plan=fault_plan,
-                tracer=self.tracer,
-                timeout_s=self.config.request_timeout_ms / 1000.0,
-            )
         #: Space-Saving sketch over symmetric query pairs with cache
         #: attribution — the ``top_pairs`` workload analytics in /stats.
         self.top_pairs: Optional[TopPairs] = (
@@ -608,7 +587,7 @@ class SPCServer(LiveTier, FrontEnd):
         #: Active sampling-profiler capture, if any — one at a time.
         self._profiler = None
         self._profile_seq = 0
-        #: Admitted queries not yet answered (the shedding signal).
+        #: Fallback queries waiting for an answer (the shedding signal).
         self._admitted = 0
 
     # ------------------------------------------------------------------
@@ -695,8 +674,7 @@ class SPCServer(LiveTier, FrontEnd):
 
         The load (and its full checksum validation) runs on a side
         thread; the swap itself happens on the event loop in one step,
-        so in-flight batches finish against the old index object while
-        new submissions see the new one — zero requests dropped.  The
+        between two scans — zero requests dropped.  The
         result cache is cleared (answers may differ) and the circuit
         breaker resets.  Raises on any load/validation failure, leaving
         the previous index serving untouched.
@@ -754,13 +732,11 @@ class SPCServer(LiveTier, FrontEnd):
     ) -> dict:
         """Point the serving path at ``new_index`` — one event-loop step.
 
-        In-flight batches finish against the old index object; new
-        submissions see the new one.  Never fails: everything that can
-        go wrong happened in :meth:`_load_for_reload`.
+        Scans run on the loop, so every scan after this step sees the
+        new index.  Never fails: everything that can go wrong happened
+        in :meth:`_load_for_reload`.
         """
         self.index = new_index
-        if self.batcher is not None:
-            self.batcher.swap_index(new_index)
         self.cache.clear()
         self._index_meta = None
         self.breaker.record_success()
@@ -785,10 +761,8 @@ class SPCServer(LiveTier, FrontEnd):
         self._draining = True
         self.recorder.incr("serve.drain.count")
         await self._drain_connections()
-        if self.batcher is not None:
-            await self.batcher.drain()
         await self._stop_live()
-        self._executor.shutdown(wait=True)
+        self._log_executor.shutdown(wait=True)
         if self._fallback_executor is not None:
             self._fallback_executor.shutdown(wait=True)
         self._drain_request_log(force=True, inline=True)
@@ -819,7 +793,7 @@ class SPCServer(LiveTier, FrontEnd):
         source: Optional[int] = None,
         target: Optional[int] = None,
         cache_hit: Optional[bool] = None,
-        meta: Optional[dict] = None,
+        scan_s: Optional[float] = None,
         labels_scanned: Optional[int] = None,
         error: Optional[str] = None,
         track_slo: bool = True,
@@ -830,7 +804,7 @@ class SPCServer(LiveTier, FrontEnd):
         Every response funnels through here exactly once, so the
         correlation contract — the id a client sent comes back in the
         header *and* appears in the matching log records — holds on
-        every path (cache hit, batch scan, shed, timeout, error).
+        every path (cache hit, scan, fallback, shed, timeout, error).
         ``trace`` is the request's span tuple ``(trace_id, span_id,
         parent_id)`` when it is being traced: the request span is
         recorded here (covering admission to response encoding) and
@@ -854,7 +828,7 @@ class SPCServer(LiveTier, FrontEnd):
                 status >= 500 and status != 503,
                 status == 503,
                 cache_hit,
-                self._admitted,
+                self.queue_depth,
             )
         log = self.request_log
         if log is not None:
@@ -872,12 +846,11 @@ class SPCServer(LiveTier, FrontEnd):
             else:
                 # Defer the record: formatting and writing happen in
                 # _drain_request_log after the response bytes are on
-                # the wire, so logging never sits between a resolved
-                # batch and the client seeing its answers (which would
-                # shrink the next coalescing window).
+                # the wire, so logging never sits between an answer
+                # and the write that sends it.
                 self._log_pending.append(
                     (rid, method, path, status, latency_s, source,
-                     target, cache_hit, meta, labels_scanned, error,
+                     target, cache_hit, scan_s, labels_scanned, error,
                      trace[0] if trace is not None else None)
                 )
         return status, payload, (("X-Request-Id", rid),) + tuple(extra)
@@ -895,13 +868,11 @@ class SPCServer(LiveTier, FrontEnd):
     def _drain_request_log(
         self, force: bool = False, inline: bool = False
     ) -> None:
-        """Hand deferred request records to the scan worker to write.
+        """Hand deferred request records to the log writer thread.
 
-        Formatting and writing happen on the executor thread, in the
-        shadow of the scans it is already running, so the event loop
+        Formatting and writing happen on that thread, so the event loop
         never pauses to serialize log lines between sending a burst of
-        responses and reading the next requests (a pause there staggers
-        arrivals and shrinks coalescing windows).  The executor has one
+        responses and reading the next requests.  The executor has one
         worker, so drains run in submission order and record order
         matches finish order — sampling (already decided per record)
         and the log file stay deterministic.
@@ -921,7 +892,9 @@ class SPCServer(LiveTier, FrontEnd):
         if inline:
             log.log_batch(pending, presampled=True)
         else:
-            self._executor.submit(log.log_batch, pending, presampled=True)
+            self._log_executor.submit(
+                log.log_batch, pending, presampled=True
+            )
 
     def _explain_counters(
         self,
@@ -930,7 +903,8 @@ class SPCServer(LiveTier, FrontEnd):
         rid: str,
         *,
         cache_hit: bool,
-        meta: Optional[dict],
+        scan_s: Optional[float] = None,
+        fallback: bool = False,
     ) -> dict:
         """The algorithmic story behind one answer.
 
@@ -968,18 +942,10 @@ class SPCServer(LiveTier, FrontEnd):
                     time.perf_counter() - self._last_update_visible, 6
                 )
             counters["poisoned"] = live.pair_poisoned(source, target)
-        if meta:
-            if meta.get("fallback"):
-                counters["fallback"] = True
-            if "batch_size" in meta:
-                counters["batch_size"] = meta["batch_size"]
-                counters["flush_reason"] = meta.get("flush_reason")
-            if "queue_wait_s" in meta:
-                counters["queue_wait_us"] = round(
-                    meta["queue_wait_s"] * 1e6, 1
-                )
-            if "scan_s" in meta:
-                counters["scan_us"] = round(meta["scan_s"] * 1e6, 1)
+        if fallback:
+            counters["fallback"] = True
+        if scan_s is not None:
+            counters["scan_us"] = round(scan_s * 1e6, 1)
         counters["request_id"] = rid
         return counters
 
@@ -1021,10 +987,9 @@ class SPCServer(LiveTier, FrontEnd):
     def _dispatch(self, request: Request):
         """Route one request: a ready Response or an awaitable of one.
 
-        Runs synchronously inside the read loop, so a query's
-        submission reaches the coalescer *before* the next pipelined
-        request is parsed — only the waiting (deadline, cache fill,
-        encoding) is deferred to the answer the connection resolves.
+        Runs synchronously inside the read loop: a query is answered
+        before the next pipelined request is parsed, and only a
+        fallback query or an admin call leaves an awaitable.
         """
         rid = request.headers.get("x-request-id") or self._ids.next_id()
         if request.path == "/query":
@@ -1486,7 +1451,7 @@ class SPCServer(LiveTier, FrontEnd):
         payload = {
             "status": status_text,
             "index": self._index_metadata(),
-            "inflight": self._admitted,
+            "inflight": self.queue_depth,
             "uptime_seconds": time.perf_counter() - self._started_at,
             "slo": {"status": slo_status, "breaches": breaches},
             "breaker": self.breaker.snapshot(),
@@ -1542,12 +1507,6 @@ class SPCServer(LiveTier, FrontEnd):
         }
         if self.fault_plan is not None:
             payload["faults"] = self.fault_plan.snapshot()
-        if self.batcher is not None:
-            payload["batcher"] = {
-                "batches_flushed": self.batcher.batches_flushed,
-                "queries_batched": self.batcher.queries_batched,
-                "pending": self.batcher.pending_count,
-            }
         if self.updates is not None:
             payload["live"] = self._live_stats()
         elif self.live is not None:
@@ -1573,15 +1532,21 @@ class SPCServer(LiveTier, FrontEnd):
     # ------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
-        """Admitted-but-unanswered requests (the shedding signal)."""
-        return self._admitted
+        """Requests read but not yet answered on the wire, across
+        connections: answers waiting for their tick's write and
+        fallback queries still running."""
+        return self._inflight
 
     def _parse_query(
         self, request: Request
     ) -> Tuple[
         Optional[List[Tuple[int, int]]], Optional[Tuple[int, int]], bool
     ]:
-        """Returns ``(pairs, single, explain)``; one of the first two set."""
+        """Returns ``(pairs, single, explain)``; one of the first two set.
+
+        A POST body's vertex ids must be JSON integers: a float, a
+        boolean or a string is refused, as ``source=1.9`` is on a GET.
+        """
         if request.method == "POST":
             payload = request.json()
             if not isinstance(payload, dict):
@@ -1596,22 +1561,20 @@ class SPCServer(LiveTier, FrontEnd):
                     if (
                         not isinstance(item, (list, tuple))
                         or len(item) != 2
+                        or type(item[0]) is not int
+                        or type(item[1]) is not int
                     ):
                         raise HTTPProtocolError(
                             "each pair must be [source, target]"
                         )
-                    pairs.append((int(item[0]), int(item[1])))
+                    pairs.append((item[0], item[1]))
                 return pairs, None, explain
-            try:
-                return (
-                    None,
-                    (int(payload["source"]), int(payload["target"])),
-                    explain,
-                )
-            except (KeyError, TypeError, ValueError) as exc:
+            source, target = payload.get("source"), payload.get("target")
+            if type(source) is not int or type(target) is not int:
                 raise HTTPProtocolError(
                     "query body needs integer 'source' and 'target'"
-                ) from exc
+                )
+            return None, (source, target), explain
         explain = request.flag("explain")
         try:
             return (
@@ -1628,12 +1591,8 @@ class SPCServer(LiveTier, FrontEnd):
             ) from exc
 
     def _dispatch_query(self, request: Request, rid: str, trace=None):
-        """Admit (or reject) one ``/query`` synchronously.
-
-        Cache hits, malformed requests, and shed responses come back as
-        ready tuples; an admitted miss submits its scan *now* and
-        returns the awaitable :class:`_Waiter` for its answer.
-        """
+        """Answer one ``/query``: a ready tuple, or a coroutine when the
+        breaker's fallback answers."""
         started = time.perf_counter()
         try:
             pairs, single, explain = self._parse_query(request)
@@ -1665,23 +1624,39 @@ class SPCServer(LiveTier, FrontEnd):
         return self._answer_pairs(pairs, rid, started, explain, trace)
 
     def _shed(self, pairs: int) -> Optional[Response]:
-        """The 503 for ``pairs`` more queries while draining or past
-        the queue high-water mark; ``None`` admits them."""
+        """The 503 for a request of ``pairs`` queries while draining or
+        when it has more pairs than the queue high-water mark; ``None``
+        admits it."""
         if self._draining:
             self.recorder.incr("serve.shed.draining")
             return 503, {"error": "draining"}, _RETRY_AFTER
-        if self.queue_depth + pairs > self.config.queue_high_water:
-            self.recorder.incr("serve.shed", pairs)
-            return (
-                503,
-                {
-                    "error": "overloaded",
-                    "queue_depth": self.queue_depth,
-                    "high_water": self.config.queue_high_water,
-                },
-                _RETRY_AFTER,
-            )
+        if pairs > self.config.queue_high_water:
+            return self._overloaded(pairs)
         return None
+
+    def _overloaded(self, pairs: int) -> Response:
+        """The 503 past ``queue_high_water``, counting ``pairs`` shed."""
+        self.recorder.incr("serve.shed", pairs)
+        return (
+            503,
+            {
+                "error": "overloaded",
+                "queue_depth": self._admitted,
+                "high_water": self.config.queue_high_water,
+            },
+            _RETRY_AFTER,
+        )
+
+    def _lookup(self, source: int, target: int) -> Optional[QueryResult]:
+        """The cached answer of one pair; every pair feeds ``top_pairs``."""
+        cached = self.cache.get(source, target)
+        if self.top_pairs is not None:
+            # The symmetric key is built inline: this runs per query.
+            self.top_pairs.offer(
+                (source, target) if source <= target else (target, source),
+                cached is not None,
+            )
+        return cached
 
     def _query_entry(
         self,
@@ -1692,133 +1667,121 @@ class SPCServer(LiveTier, FrontEnd):
         explain: bool = False,
         trace=None,
     ):
-        """Drain/shed/cache-check one pair; ready tuple or waiter.
+        """One pair: drain check, cache, then the scan on the loop — a
+        ready tuple — or, with the breaker open, the fallback's
+        coroutine.
 
         200 payloads come back as pre-serialized bytes (see
         :func:`encode_result_bytes`) unless ``explain`` asked for the
         annotated dict form."""
         started = time.perf_counter()
-        shed = self._shed(1)
-        if shed is not None:
+        if self._draining:
             return self._finish_request(
-                *shed,
+                *self._shed(1),
                 rid=rid,
                 started=started,
                 source=source,
                 target=target,
                 trace=trace,
             )
-        cached = self.cache.get(source, target)
-        if self.top_pairs is not None:
-            # The symmetric key is built inline: this runs per query.
-            self.top_pairs.offer(
-                (source, target) if source <= target else (target, source),
-                cached is not None,
-            )
+        cached = self._lookup(source, target)
         if cached is not None:
-            if explain:
-                payload = encode_result(source, target, cached)
-                payload["explain"] = self._explain_counters(
-                    source, target, rid, cache_hit=True, meta=None
-                )
-            else:
-                payload = encode_result_bytes(source, target, cached)
-            return self._finish_request(
-                200,
-                payload,
-                (),
-                rid=rid,
-                started=started,
-                source=source,
-                target=target,
-                cache_hit=True,
-                trace=trace,
+            return self._answered(
+                source, target, cached, rid, started, explain, trace
             )
-        return self._admit(source, target, rid, started, explain, trace)
-
-    def _admit(
-        self,
-        source: int,
-        target: int,
-        rid: str,
-        started: float,
-        explain: bool,
-        trace=None,
-    ) -> "_Waiter":
-        """Take a queue slot and start the scan; returns the waiter.
-
-        With the breaker open and a fallback index configured, queries
-        route to the fallback's own executor (correct but slow) — the
-        breaker still lets one probe per cooldown through the real
-        index so it can close itself once the index heals.
-        """
-        self._admitted += 1
-        self.recorder.gauge_max("serve.queue.depth.max", self._admitted)
-        meta = (
-            {}
-            if explain or self.request_log is not None or trace is not None
-            else None
-        )
-        if trace is not None:
-            # The coalescer parents its scan_batch span to the request
-            # span created in _finish_request — hand it the ids now.
-            meta["trace"] = (trace[0], trace[1])
-        fallback = self.fallback is not None and self.breaker.prefer_fallback()
-        if fallback:
-            self.recorder.incr("serve.fallback.queries")
-        if self.batcher is not None and not fallback:
-            future = self.batcher.submit(source, target, meta)
-        else:
-            if meta is not None:
-                meta["batch_size"] = 1
-                meta["flush_reason"] = (
-                    "fallback" if fallback else "uncoalesced"
-                )
-                if fallback:
-                    meta["fallback"] = True
-            future = offload(
-                self._fallback_executor if fallback else self._executor,
-                self.config.request_timeout_ms / 1000.0,
-                self.fallback.query if fallback else self.index.query,
-                source,
-                target,
+        if self.fallback is not None and self.breaker.prefer_fallback():
+            return self._fallback_answer(
+                source, target, rid, started, explain, trace
             )
-        return _Waiter(
-            self, future, source, target, rid, started, meta, explain,
-            fallback, trace,
+        scan_started = time.perf_counter()
+        result = scan_answers(
+            self.index, ((source, target),), self.recorder
+        )[0]
+        return self._scanned(
+            source, target, result, rid, started, explain, trace,
+            (scan_started, time.perf_counter() - scan_started, 1),
         )
 
-    async def _answer_pairs(
+    def _answer_pairs(
         self,
         pairs: List[Tuple[int, int]],
         rid: str,
         started: float,
         explain: bool,
         trace=None,
-    ) -> Response:
-        """A POST batch: each pair rides the normal entry path with a
-        derived id (``<rid>/<slot>``), so batch members correlate in
-        the logs while the envelope keeps the client's id.  On a traced
-        request, each member gets its own span parented under the
-        envelope's request span."""
-        results = await asyncio.gather(
-            *(
-                self._answer_single(
-                    s,
-                    t,
-                    f"{rid}/{slot}",
-                    explain,
-                    None
-                    if trace is None
-                    else (trace[0], new_span_id(), trace[1]),
-                )
-                for slot, (s, t) in enumerate(pairs)
+    ):
+        """A POST batch: cached pairs answered, the misses scanned in
+        one :func:`scan_answers` call.  Each member gets a derived id
+        (``<rid>/<slot>``), so members correlate in the logs while the
+        envelope keeps the client's id; on a traced request each member
+        gets its own span parented under the envelope's request span.
+        A ready tuple, or a coroutine when the fallback answers the
+        misses."""
+        members = []
+        misses = []
+        for slot, (source, target) in enumerate(pairs):
+            member_rid = f"{rid}/{slot}"
+            member_trace = (
+                None if trace is None else (trace[0], new_span_id(), trace[1])
             )
-        )
-        worst = max(status for status, _, _ in results)
+            cached = self._lookup(source, target)
+            if cached is not None:
+                members.append(self._answered(
+                    source, target, cached, member_rid, started, explain,
+                    member_trace,
+                ))
+            else:
+                members.append(None)
+                misses.append((slot, member_rid, member_trace))
+        if misses and self.fallback is not None and (
+            self.breaker.prefer_fallback()
+        ):
+            return self._fallback_envelope(
+                pairs, members, misses, rid, started, explain, trace
+            )
+        if misses:
+            scan_started = time.perf_counter()
+            results = scan_answers(
+                self.index, [pairs[slot] for slot, _, _ in misses],
+                self.recorder,
+            )
+            scan = (
+                scan_started, time.perf_counter() - scan_started, len(misses)
+            )
+            for (slot, member_rid, member_trace), result in zip(
+                misses, results
+            ):
+                members[slot] = self._scanned(
+                    *pairs[slot], result, member_rid, started, explain,
+                    member_trace, scan,
+                )
+        return self._envelope(members, rid, started, trace)
+
+    async def _fallback_envelope(
+        self, pairs, members, misses, rid, started, explain, trace
+    ) -> Response:
+        """A POST batch whose misses the fallback answers."""
+        answers = await asyncio.gather(*(
+            self._fallback_answer(
+                *pairs[slot], member_rid, started, explain, member_trace
+            )
+            for slot, member_rid, member_trace in misses
+        ))
+        for (slot, _, _), answer in zip(misses, answers):
+            members[slot] = answer
+        return self._envelope(members, rid, started, trace)
+
+    def _envelope(self, members, rid, started, trace) -> Response:
+        """The ``{"results": [...]}`` answer of a POST batch."""
+        worst = max((status for status, _, _ in members), default=200)
         return self._finish_request(
             worst,
-            {"results": [payload for _, payload, _ in results]},
+            {
+                "results": [
+                    json.loads(payload) if type(payload) is bytes else payload
+                    for _, payload, _ in members
+                ]
+            },
             _RETRY_AFTER if worst == 503 else (),
             rid=rid,
             started=started,
@@ -1827,77 +1790,149 @@ class SPCServer(LiveTier, FrontEnd):
             trace=trace,
         )
 
-    async def _answer_single(
-        self, source: int, target: int, rid: str, explain: bool, trace=None
+    async def _fallback_answer(
+        self,
+        source: int,
+        target: int,
+        rid: str,
+        started: float,
+        explain: bool,
+        trace=None,
     ) -> Response:
-        """One pair of a POST batch, payload as a JSON-able dict."""
-        entry = self._query_entry(
-            source, target, rid, explain=explain, trace=trace
+        """One pair answered by the fallback index on its own threads —
+        the one path where a query waits.  Past ``queue_high_water``
+        waiting fallback queries it is shed (503); still waiting after
+        ``request_timeout_ms`` it gets a 504 and the late answer is
+        dropped."""
+        if self._admitted >= self.config.queue_high_water:
+            return self._finish_request(
+                *self._overloaded(1),
+                rid=rid,
+                started=started,
+                source=source,
+                target=target,
+                trace=trace,
+            )
+        self._admitted += 1
+        self.recorder.gauge_max("serve.queue.depth.max", self._admitted)
+        self.recorder.incr("serve.fallback.queries")
+        scan_started = time.perf_counter()
+        try:
+            result = await asyncio.wait_for(
+                asyncio.get_running_loop().run_in_executor(
+                    self._fallback_executor, self.fallback.query, source,
+                    target,
+                ),
+                self.config.request_timeout_ms / 1000.0,
+            )
+        except Exception as exc:
+            result = exc
+        finally:
+            self._admitted -= 1
+        return self._scanned(
+            source, target, result, rid, started, explain, trace,
+            (scan_started, time.perf_counter() - scan_started, 1),
+            fallback=True,
         )
-        status, payload, extra = (
-            entry if type(entry) is tuple else await entry
+
+    def _answered(
+        self, source, target, result, rid, started, explain, trace
+    ) -> Response:
+        """The 200 of a cache hit."""
+        if explain:
+            payload = encode_result(source, target, result)
+            payload["explain"] = self._explain_counters(
+                source, target, rid, cache_hit=True
+            )
+        else:
+            payload = encode_result_bytes(source, target, result)
+        return self._finish_request(
+            200,
+            payload,
+            (),
+            rid=rid,
+            started=started,
+            source=source,
+            target=target,
+            cache_hit=True,
+            trace=trace,
         )
-        if type(payload) is bytes:
-            payload = json.loads(payload)
-        return status, payload, extra
 
-    def _finish(self, w: "_Waiter") -> Response:
-        """The response for a waiter whose future has resolved.
+    def _scanned(
+        self,
+        source: int,
+        target: int,
+        result,
+        rid: str,
+        started: float,
+        explain: bool,
+        trace,
+        scan: Tuple[float, float, int],
+        fallback: bool = False,
+    ) -> Response:
+        """The response to one pair a scan answered: ``result`` is its
+        :class:`QueryResult` or the exception it failed with, ``scan``
+        the ``(start, seconds, pairs)`` of that scan.
 
-        A deadline (the batcher's window timer or :func:`offload`'s)
-        fails the future with ``TimeoutError``: a 504, and the scan's
-        late answer is dropped without touching batch-mates.
+        A timeout (the fallback's deadline) is a 504, a
+        :class:`ReproError` a 400, anything else a 500 counted against
+        the circuit breaker.  Only index-path successes close the
+        breaker, so fallback answers cannot mask a broken index.
         """
-        self._admitted -= 1
-        self.recorder.observe(
-            "serve.latency_seconds", time.perf_counter() - w.started
-        )
-        exc = w.future.exception()
+        rec = self.recorder
+        scan_start, scan_s, scan_pairs = scan
+        rec.observe("serve.latency_seconds", time.perf_counter() - started)
+        if trace is not None and self.tracer is not None:
+            self.tracer.record(
+                "serve.scan_batch",
+                trace_id=trace[0],
+                span_id=new_span_id(),
+                parent_id=trace[1],
+                start=scan_start,
+                duration=scan_s,
+                attrs={"batch_size": scan_pairs},
+            )
         cache_hit = labels_scanned = error = None
-        if exc is None:
-            result = w.future.result()
-            self.cache.put(w.source, w.target, result)
-            self.recorder.incr("serve.responses.ok")
-            if w.fallback:
-                # Fallback answers must not mask a broken index: only
-                # index-path successes close the breaker.
-                self.recorder.incr("serve.fallback.ok")
+        if not isinstance(result, BaseException):
+            self.cache.put(source, target, result)
+            rec.incr("serve.responses.ok")
+            if fallback:
+                rec.incr("serve.fallback.ok")
             else:
                 self.breaker.record_success()
             # A disabled cache performs no lookup — don't count one.
             cache_hit = False if self.cache.capacity else None
             status = 200
-            if w.explain:
-                payload = encode_result(w.source, w.target, result)
+            if explain:
+                payload = encode_result(source, target, result)
                 payload["explain"] = self._explain_counters(
-                    w.source, w.target, w.rid, cache_hit=False, meta=w.meta
+                    source, target, rid, cache_hit=False, scan_s=scan_s,
+                    fallback=fallback,
                 )
                 labels_scanned = payload["explain"].get("labels_scanned")
             else:
-                payload = encode_result_bytes(w.source, w.target, result)
-        elif isinstance(exc, asyncio.TimeoutError):
-            self.recorder.incr("serve.timeouts")
+                payload = encode_result_bytes(source, target, result)
+        elif isinstance(result, asyncio.TimeoutError):
+            rec.incr("serve.timeouts")
             status, error = 504, "deadline exceeded"
             payload = {
                 "error": error,
                 "timeout_ms": self.config.request_timeout_ms,
-                "source": w.source,
-                "target": w.target,
+                "source": source,
+                "target": target,
             }
-        elif isinstance(exc, ReproError):
-            self.recorder.incr("serve.errors.query")
-            status, error = 400, str(exc)
+        elif isinstance(result, ReproError):
+            rec.incr("serve.errors.query")
+            status, error = 400, str(result)
             payload = {"error": error}
         else:
             # A scan-path crash, not a client error: 500, counted
-            # against the circuit breaker; batch-mates are unaffected.
-            self.recorder.incr("serve.errors.scan")
-            status, error = 500, str(exc) or type(exc).__name__
-            payload = {
-                "error": "scan failed", "source": w.source, "target": w.target
-            }
+            # against the circuit breaker; other pairs are unaffected.
+            rec.incr("serve.errors.scan")
+            status, error = 500, str(result) or type(result).__name__
+            payload = {"error": "scan failed", "source": source, "target": target}
             if self.breaker.record_failure():
-                self.recorder.incr("serve.breaker.trips")
+                rec.incr("serve.breaker.trips")
                 if self.request_log is not None:
                     self.request_log.log_server(
                         "breaker_open",
@@ -1908,13 +1943,13 @@ class SPCServer(LiveTier, FrontEnd):
             status,
             payload,
             (),
-            rid=w.rid,
-            started=w.started,
-            source=w.source,
-            target=w.target,
+            rid=rid,
+            started=started,
+            source=source,
+            target=target,
             cache_hit=cache_hit,
-            meta=w.meta,
+            scan_s=scan_s,
             labels_scanned=labels_scanned,
             error=error,
-            trace=w.trace,
+            trace=trace,
         )

@@ -2,8 +2,8 @@
 
 Polls ``GET /stats`` (the rolling SLO window) and ``GET /metrics`` (the
 lifetime JSON snapshot) and renders both as one text frame: QPS and
-latency percentiles over the window, error/shed/cache-hit rates, the
-batch-size histogram behind the coalescer, and lifetime totals.  The
+latency percentiles over the window, error/shed/cache-hit rates, and
+lifetime totals.  The
 renderer is a pure function of the two payloads
 (:func:`render_dashboard`), so tests drive it with fixture dicts and
 the CLI just loops fetch → render → sleep.
@@ -19,15 +19,13 @@ import http.client
 import json
 import sys
 import time
-from typing import Dict, IO, Optional, Tuple
+from typing import IO, Optional, Tuple
 
 __all__ = ["fetch_json", "render_dashboard", "run_top"]
 
 #: Clear screen + home — emitted between live frames.
 _CLEAR = "\x1b[2J\x1b[H"
 
-_BAR_WIDTH = 30
-_BAR_CHAR = "#"
 
 
 def fetch_json(
@@ -52,18 +50,6 @@ def _fmt_rate(value: Optional[float]) -> str:
     return f"{value * 100:6.2f}%" if value is not None else "    n/a"
 
 
-def _bars(buckets: Dict[str, int]) -> list:
-    """One ``label  count  ###`` line per nonzero histogram bucket."""
-    if not buckets:
-        return ["  (no samples)"]
-    peak = max(buckets.values())
-    lines = []
-    for label, count in buckets.items():
-        bar = _BAR_CHAR * max(1, round(count / peak * _BAR_WIDTH))
-        lines.append(f"  {label:>12}  {count:>8}  {bar}")
-    return lines
-
-
 def render_dashboard(
     stats: dict,
     metrics: dict,
@@ -73,7 +59,6 @@ def render_dashboard(
 ) -> str:
     """One dashboard frame from the ``/stats`` + ``/metrics`` payloads."""
     counters = metrics.get("counters", {})
-    histograms = metrics.get("histograms", {})
     window = stats.get("window")
     slo = stats.get("slo", {})
     cache = stats.get("cache", {})
@@ -175,14 +160,6 @@ def render_dashboard(
                     f"  {row.get('seqno_lag', 0):>9}"
                 )
             lines.append(line)
-    batch = histograms.get("serve.batch.size")
-    if batch and batch.get("count"):
-        lines.append("")
-        lines.append(
-            f"batch size (n={batch['count']}, mean "
-            f"{batch['mean']:.1f}, p95 {batch['p95']:g}):"
-        )
-        lines.extend(_bars(batch.get("buckets", {})))
     return "\n".join(lines) + "\n"
 
 

@@ -135,8 +135,6 @@ class TestRequestLog:
             source=7,
             target=9,
             cache_hit=False,
-            batch_size=16,
-            queue_wait_s=0.0005,
             scan_s=0.001,
         )
         (record,) = _records(stream)
@@ -144,8 +142,6 @@ class TestRequestLog:
         assert record["request_id"] == "abcd-000001"
         assert record["status"] == 200
         assert record["latency_ms"] == 2.0
-        assert record["batch_size"] == 16
-        assert record["queue_wait_ms"] == 0.5
         assert record["scan_ms"] == 1.0
         assert record["ts"] == 1000.0
         assert "error" not in record  # absent fields are omitted
@@ -215,15 +211,13 @@ class TestRequestLog:
         def records(batched):
             stream = io.StringIO()
             log = self._log(stream, slow_ms=10.0, sample_every=3, seed=5)
-            meta = {"batch_size": 4, "queue_wait_s": 0.0002,
-                    "scan_s": 0.0015}
             rows = [
                 (f"r{i}", "GET", "/query", 200, 0.001, 1, 2, None,
-                 meta, None, None, None)
+                 0.0015, None, None, None)
                 for i in range(30)
             ]
             rows.append(
-                ("slow", "GET", "/query", 200, 0.5, 3, 4, None, meta,
+                ("slow", "GET", "/query", 200, 0.5, 3, 4, None, 0.0015,
                  17, None, None)
             )
             rows.append(
@@ -234,17 +228,12 @@ class TestRequestLog:
                 log.log_batch(rows)
             else:
                 for (rid, method, path, status, latency_s, source,
-                     target, cache_hit, m, labels, error, tid) in rows:
+                     target, cache_hit, scan_s, labels, error, tid) in rows:
                     log.log_request(
                         request_id=rid, method=method, path=path,
                         status=status, latency_s=latency_s,
                         source=source, target=target,
-                        cache_hit=cache_hit,
-                        batch_size=m.get("batch_size") if m else None,
-                        queue_wait_s=(
-                            m.get("queue_wait_s") if m else None
-                        ),
-                        scan_s=m.get("scan_s") if m else None,
+                        cache_hit=cache_hit, scan_s=scan_s,
                         labels_scanned=labels, error=error,
                         trace_id=tid,
                     )

@@ -257,7 +257,9 @@ def test_drain_completes_fault_slowed_request(tmp_path, index, workload):
             "HTTP/1.1\r\nHost: x\r\n\r\n".encode()
         )
         await writer.drain()
-        while thread.server.queue_depth == 0:
+        # The slow scan runs on the server's loop; it has started once
+        # the fault fired.
+        while plan.fired("scan.slow") == 0:
             await asyncio.sleep(0.001)
         # SIGTERM-equivalent: stop the server while the fault-injected
         # slow scan is sleeping — the drain must deliver this answer
@@ -288,7 +290,7 @@ def test_drain_completes_fault_slowed_request(tmp_path, index, workload):
 
 
 def test_robustness_hooks_are_off_path_when_disabled(index, workload):
-    # No plan, no fallback: the waiters and batcher carry None hooks
+    # No plan, no fallback: the answer path carries None hooks
     # and answers match exactly (the fault-free regression guard the
     # serve benchmark quantifies).
     thread = ServerThread(index, ServeConfig(port=0, cache_size=0))

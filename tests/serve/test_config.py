@@ -8,16 +8,15 @@ from repro.serve.config import ServeConfig, ServeConfigError
 
 def test_defaults_are_valid():
     config = ServeConfig()
-    assert config.coalesce
-    assert config.max_batch >= 1
+    assert config.queue_high_water >= 1
     assert config.cache_size >= 0
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"max_batch": 0},
-        {"max_wait_us": -1},
+        {"overlay_threshold": -1},
+        {"probe_interval_s": -1.0},
         {"cache_size": -1},
         {"queue_high_water": 0},
         {"request_timeout_ms": 0},

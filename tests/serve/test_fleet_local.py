@@ -433,7 +433,7 @@ class TestStaticFleet:
                 assert (row["distance"], row["count"]) == expected_b[
                     (source, target)
                 ]
-                assert "queue_wait_us" in row["explain"]
+                assert "scan_us" in row["explain"]
         finally:
             thread.stop()
 

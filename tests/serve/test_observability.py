@@ -208,7 +208,7 @@ class TestRequestLogging:
         assert mine["status"] == 200
         assert mine["path"] == "/query"
 
-    def test_batch_metadata_reaches_the_log(self, index, workload):
+    def test_scan_time_reaches_the_log(self, index, workload):
         stream = io.StringIO()
         thread = _server(index, stream, cache_size=0)
         with thread as (host, port):
@@ -216,11 +216,11 @@ class TestRequestLogging:
         access = [
             r for r in _log_records(stream) if r["event"] == "access"
         ]
-        assert access, "no access records written"
-        batched = [r for r in access if r.get("batch_size", 0) > 1]
-        assert batched, "no batched request was logged"
-        assert all("queue_wait_ms" in r for r in batched)
-        assert all("scan_ms" in r for r in batched)
+        assert len(access) == 50, "every query is logged"
+        assert all(r["scan_ms"] >= 0 for r in access)
+        assert not any(
+            "batch_size" in r or "queue_wait_ms" in r for r in access
+        )
 
     def test_sampling_applies_to_server_log(self, index, workload):
         def run(seed):
@@ -277,7 +277,7 @@ class TestExplain:
                 assert explain["lca_depth"] == node.depth
                 assert explain["lca_width"] == node.size
 
-    def test_explain_includes_batch_and_timing_fields(self, index):
+    def test_explain_includes_timing_fields(self, index):
         config = ServeConfig(port=0, cache_size=0)
         with ServerThread(index, config) as (host, port):
             _, _, payload = _post(
@@ -286,9 +286,7 @@ class TestExplain:
             )
         explain = payload["explain"]
         assert explain["cache_hit"] is False
-        assert explain["batch_size"] >= 1
-        assert "queue_wait_us" in explain
-        assert "scan_us" in explain
+        assert explain["scan_us"] > 0
         assert "request_id" in explain
 
     def test_explain_on_cache_hit(self, index):
@@ -377,8 +375,8 @@ class TestMetricsNegotiation:
         # compare a counter the scrapes don't touch.
         ok = snapshot["counters"]["serve.responses.ok"]
         assert f"repro_serve_responses_ok_total {ok}" in text
-        hist = snapshot["histograms"]["serve.batch.size"]
-        assert f"repro_serve_batch_size_count {hist['count']}" in text
+        hist = snapshot["histograms"]["serve.latency_seconds"]
+        assert f"repro_serve_latency_seconds_count {hist['count']}" in text
 
     def test_format_param_forces_prometheus(self, index):
         with ServerThread(index, ServeConfig(port=0)) as (host, port):
@@ -419,7 +417,7 @@ class TestStatsEndpoint:
         assert window["latency_ms"]["p50"] is not None
         assert window["qps"] > 0
         assert payload["cache"]["capacity"] > 0
-        assert payload["batcher"]["queries_batched"] >= 1
+        assert payload["breaker"]["state"] == "closed"
 
     def test_disabled_window(self, index):
         config = ServeConfig(port=0, slo_window_s=0)
@@ -460,7 +458,6 @@ class TestHealthReadiness:
         config = ServeConfig(
             port=0,
             cache_size=0,
-            coalesce=False,
             slo_p99_ms=1.0,  # 20 ms scans cannot meet a 1 ms p99
         )
         with ServerThread(slow, config) as (host, port):
@@ -502,7 +499,7 @@ class TestDistributedTracing:
         requests = [s for s in spans if s["name"] == "serve.request"]
         scans = [s for s in spans if s["name"] == "serve.scan_batch"]
         assert len(requests) == 30
-        assert scans, "coalesced scans must be traced"
+        assert scans, "scans must be traced"
         # Every scan span is parented to a traced request span of the
         # same trace (explicit ids, not just time containment).
         by_id = {
@@ -515,7 +512,6 @@ class TestDistributedTracing:
             )
             assert parent is not None
             assert scan["args"]["batch_size"] >= 1
-            assert scan["args"]["flush_reason"]
 
     def test_inbound_sampled_traceparent_is_honoured(self, index):
         from repro.obs import TraceContext

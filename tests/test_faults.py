@@ -23,8 +23,8 @@ def test_parse_grammar():
     assert snap["scan.slow"]["delay_ms"] == 250.0
     assert snap["conn.reset"]["max_fires"] == 3
     assert plan.active
-    assert plan.targets("scan.fail", "flush.fail")
-    assert not plan.targets("flush.fail")
+    assert plan.targets("scan.fail", "index.load")
+    assert not plan.targets("index.load")
 
 
 def test_empty_spec_is_inactive():
@@ -44,6 +44,7 @@ def test_empty_spec_is_inactive():
         "scan.slow:0.1@soon",
         "conn.reset:0.1xfew",
         "scan.fail:0.1,scan.fail:0.2",
+        "flush.fail:1.0",
     ],
 )
 def test_bad_specs_rejected(spec):
@@ -95,10 +96,10 @@ def test_max_fires_caps_injection():
 
 
 def test_check_raises_with_site():
-    plan = FaultPlan.parse("flush.fail:1.0")
+    plan = FaultPlan.parse("index.load:1.0")
     with pytest.raises(InjectedFault) as excinfo:
-        plan.check("flush.fail")
-    assert excinfo.value.site == "flush.fail"
+        plan.check("index.load")
+    assert excinfo.value.site == "index.load"
     plan.check("scan.fail")  # no rule: never fires
 
 
