@@ -1,16 +1,15 @@
-"""Fleet serving benchmark: the workers axis and mmap cold starts.
+"""Supervised serving benchmark: mmap cold starts and supervision cost.
 
-Two claims of the multi-process design are measured here:
+Three claims are measured here:
 
 * **cold start** — a v4 (mmap-native) container must open in a small
   fraction of a heap load (``mmap=False``) of the same file, because
   ``load_index`` maps the label sections instead of reading and
   checksumming them (acceptance bar: <= 0.25x);
-* **scale-out** — ``serve --workers 4`` must beat ``--workers 1`` by
-  >= 2.5x QPS with bit-identical answers.  The speedup assertion only
-  makes sense with cores to scale onto, so it is skipped below four
-  CPUs; the parity claim (router answers == direct index answers) is
-  asserted on every machine.
+* **parity** — ``serve --workers 2`` (one answering server under a
+  supervisor) answers bit-identically to the index;
+* **supervision** — the supervisor's liveness probes cost under 10%
+  of the QPS of the same server running alone.
 
 The workload is a CTLS index over a synthetic road network — the
 paper's target shape, and the shape whose overflow lane stays empty so
@@ -28,16 +27,24 @@ Results land in ``BENCH_serve_fleet.json`` (telemetry schema of
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
+import re
+import signal
+import subprocess
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.ctls import CTLSIndex
 from repro.core.serialize import load_index, save_index
 from repro.graph.generators import road_network
-from repro.serve import FleetThread, ServeConfig, replay
+from repro.serve import replay
 from repro.types import INF
 
 #: Road-network size: big enough that a heap load is tens of
@@ -130,10 +137,41 @@ def test_mmap_cold_load_beats_heap_load(index_file, perf, capsys):
     )
 
 
-def _fleet_run(path, workers, pairs, config=None):
-    if config is None:
-        config = ServeConfig(port=0, cache_size=0)
-    with FleetThread(path, workers, config) as (host, port):
+@contextlib.contextmanager
+def _served(path, *flags):
+    """``repro-spc serve PATH --cache-size 0 FLAGS`` in a subprocess:
+    yields ``(host, port)``, then SIGTERMs it."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    with tempfile.TemporaryFile("w+") as log:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", str(path),
+             "--port", "0", "--cache-size", "0", *flags],
+            stdout=log, stderr=subprocess.STDOUT, env=env,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.time() + 120
+            while True:
+                log.seek(0)
+                match = re.search(r"http://([0-9.]+):(\d+)", log.read())
+                if match:
+                    break
+                assert process.poll() is None and time.time() < deadline
+                time.sleep(0.05)
+            yield match.group(1), int(match.group(2))
+        finally:
+            process.send_signal(signal.SIGTERM)
+            try:
+                process.wait(60)
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(process.pid, signal.SIGKILL)
+
+
+def _fleet_run(path, pairs, *flags):
+    with _served(path, *flags) as (host, port):
         return replay(
             host, port, pairs,
             concurrency=CONCURRENCY, pipeline=PIPELINE,
@@ -143,8 +181,8 @@ def _fleet_run(path, workers, pairs, config=None):
 
 def test_fleet_answers_bit_identical(index_file, index, pairs, perf,
                                      capsys):
-    """Whichever process answers, answers match the index."""
-    report = _fleet_run(index_file, 2, pairs)
+    """``serve --workers 2`` answers match the index."""
+    report = _fleet_run(index_file, pairs, "--workers", "2")
     assert report.ok == len(pairs), report.status_counts
     wrong = 0
     for source, target, status, distance, count in report.results:
@@ -163,33 +201,27 @@ def test_fleet_answers_bit_identical(index_file, index, pairs, perf,
     )
     with capsys.disabled():
         print(
-            f"\n\nFleet parity (2 workers): {report.ok}/{len(pairs)} "
-            f"ok, 0 wrong, {report.qps:.0f} req/s"
+            f"\n\nSupervised parity (--workers 2): {report.ok}/"
+            f"{len(pairs)} ok, 0 wrong, {report.qps:.0f} req/s"
         )
 
 
 def test_supervised_fleet_overhead_under_ten_percent(
     index_file, pairs, perf, capsys
 ):
-    """Worker supervision must cost < 10% steady-state QPS.
+    """Supervision must cost < 10% steady-state QPS.
 
-    Same two-worker fleet twice: once with the supervisor disabled
-    (``probe_interval_s=0`` — no liveness probes, no respawn state),
-    once with an aggressive 200 ms probe cadence plus respawn enabled.
+    The same server twice: alone (``serve``), and as the child of the
+    ``--workers 2`` supervisor with an aggressive 200 ms probe cadence.
     The probes are tiny ``/health`` requests off the query path, so the
-    supervised fleet must stay within 10% of the unsupervised QPS.
+    supervised server must stay within 10% of the server alone.
     """
-    plain = ServeConfig(port=0, cache_size=0, probe_interval_s=0)
-    supervised = ServeConfig(
-        port=0, cache_size=0, probe_interval_s=0.2, respawn=True
-    )
-    # warmup: spawn + page cache
-    _fleet_run(index_file, 2, pairs[:100], plain)
-    plain_qps = max(
-        _fleet_run(index_file, 2, pairs, plain).qps for _ in range(3)
-    )
+    supervised = ("--workers", "2", "--probe-interval-s", "0.2")
+    # warmup: page cache and imports
+    _fleet_run(index_file, pairs[:100])
+    plain_qps = max(_fleet_run(index_file, pairs).qps for _ in range(3))
     supervised_qps = max(
-        _fleet_run(index_file, 2, pairs, supervised).qps for _ in range(3)
+        _fleet_run(index_file, pairs, *supervised).qps for _ in range(3)
     )
     ratio = supervised_qps / plain_qps
     perf.record(
@@ -202,43 +234,10 @@ def test_supervised_fleet_overhead_under_ten_percent(
     )
     with capsys.disabled():
         print(
-            f"\n\nSupervision overhead (2 workers): unsupervised "
-            f"{plain_qps:.0f} req/s, supervised {supervised_qps:.0f} "
-            f"req/s ({ratio:.3f}x)"
+            f"\n\nSupervision overhead: alone {plain_qps:.0f} req/s, "
+            f"supervised {supervised_qps:.0f} req/s ({ratio:.3f}x)"
         )
     assert ratio >= 0.9, (
-        f"supervised fleet runs at {ratio:.3f}x the unsupervised QPS "
-        f"(bar: >= 0.9x)"
-    )
-
-
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="workers-4 speedup needs >= 4 CPUs to scale onto",
-)
-def test_four_workers_beat_one(index_file, pairs, perf, capsys):
-    """``--workers 4`` must deliver >= 2.5x the one-worker QPS."""
-    # warmup: page cache + spawn machinery
-    _fleet_run(index_file, 1, pairs[:100])
-    single = _fleet_run(index_file, 1, pairs)
-    quad = _fleet_run(index_file, 4, pairs)
-    assert single.ok == quad.ok == len(pairs)
-    ratio = quad.qps / single.qps
-    perf.record(
-        "fleet_speedup_4v1",
-        [ratio],
-        unit="x",
-        direction="higher",
-        dataset=f"road{ROAD_NODES}",
-        pairs=NUM_PAIRS,
-        cpus=os.cpu_count(),
-    )
-    with capsys.disabled():
-        print(
-            f"\n\nFleet speedup: 1 worker {single.qps:.0f} req/s, "
-            f"4 workers {quad.qps:.0f} req/s ({ratio:.2f}x)"
-        )
-    assert ratio >= 2.5, (
-        f"4-worker fleet is only {ratio:.2f}x a single worker "
-        f"(bar: 2.5x)"
+        f"supervised server runs at {ratio:.3f}x the QPS of the server "
+        f"alone (bar: >= 0.9x)"
     )

@@ -18,28 +18,35 @@ All indexes answer exact queries: ``distance`` is the shortest path
 distance and ``count`` the number of distinct shortest paths.
 """
 
-import repro.obs as obs
-from repro.baselines import OnlineSPC, TLIndex
-from repro.core import (
-    CTLIndex,
-    CTLSIndex,
-    DynamicCTL,
-    DynamicCTLS,
-    SPCIndex,
-    load_index,
-    save_index,
-)
-from repro.exceptions import ReproError
-from repro.graph import Graph
-from repro.graph.generators import (
-    grid_road_network,
-    power_grid_network,
-    random_geometric_network,
-    road_network,
-)
-from repro.graph.io import read_dimacs, read_edge_list, read_json
-from repro.search import spc_query
-from repro.types import INF, QueryResult, QueryStats
+import importlib
+
+#: Where each public name is defined.  Names are imported on first
+#: access, so a process that needs only a corner of the package (the
+#: ``serve --workers N`` supervisor, say) does not load the rest.
+_EXPORTS = {
+    "OnlineSPC": "repro.baselines",
+    "TLIndex": "repro.baselines",
+    "CTLIndex": "repro.core",
+    "CTLSIndex": "repro.core",
+    "DynamicCTL": "repro.core",
+    "DynamicCTLS": "repro.core",
+    "SPCIndex": "repro.core",
+    "load_index": "repro.core",
+    "save_index": "repro.core",
+    "ReproError": "repro.exceptions",
+    "Graph": "repro.graph",
+    "grid_road_network": "repro.graph.generators",
+    "power_grid_network": "repro.graph.generators",
+    "random_geometric_network": "repro.graph.generators",
+    "road_network": "repro.graph.generators",
+    "read_dimacs": "repro.graph.io",
+    "read_edge_list": "repro.graph.io",
+    "read_json": "repro.graph.io",
+    "spc_query": "repro.search",
+    "INF": "repro.types",
+    "QueryResult": "repro.types",
+    "QueryStats": "repro.types",
+}
 
 __version__ = "1.0.0"
 
@@ -69,3 +76,18 @@ __all__ = [
     "spc_query",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name == "obs":
+        return importlib.import_module("repro.obs")
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -10,7 +10,7 @@ Installed as the ``repro-spc`` console script::
     repro-spc generate road 2000 network.gr --seed 7
     repro-spc profile index.json pairs.txt --repeats 3 --batch 512
     repro-spc serve index.json --port 8355 --access-log serve.log
-    repro-spc serve index.bin --workers 4
+    repro-spc serve index.bin --workers 2
     repro-spc query index.json 17 3405 --explain
     repro-spc top --port 8355 --once
     repro-spc build network.gr index.bin --format binary --progress
@@ -21,9 +21,9 @@ Installed as the ``repro-spc`` console script::
     repro-spc serve index.bin --live-updates --graph network.gr
     repro-spc update-replay deltas.jsonl --port 8355 --speed 2.0
     repro-spc serve index.bin --workers 2 --live-updates \
-        --graph network.gr --wal-dir wal/ --respawn
+        --graph network.gr --wal-dir wal/
     repro-spc wal-verify wal/
-    repro-spc trace fleet-trace.json --port 8355 --min-cross-links 1
+    repro-spc trace trace.json --port 8355
     repro-spc analyze --port 8355
 
 Graphs are DIMACS ``.gr`` files (``.json``/``.txt`` edge lists are
@@ -31,8 +31,8 @@ auto-detected by extension); indexes use the formats of
 :mod:`repro.core.serialize` — inspectable JSON (v1) or the packed
 binary container (v4, mmap-native and checksummed), auto-detected on
 load.  ``verify-index`` validates a file's
-checksums before deployment, ``serve --workers N`` runs a
-multi-process fleet behind one port, and ``serve --fault-plan``
+checksums before deployment, ``serve --workers N`` runs the server
+under a supervisor that respawns it, and ``serve --fault-plan``
 injects deterministic chaos for resilience testing (see
 docs/operations.md).
 
@@ -47,35 +47,38 @@ paths, malformed files, unknown vertices).
 from __future__ import annotations
 
 import argparse
-import asyncio
+import functools
 import json
 import sys
 import time
 from pathlib import Path
 
-import repro.obs as obs
-from repro.baselines.tl import TLIndex
-from repro.bench.measure import profile_queries
-from repro.bench.report import render_profile
-from repro.core.ctl import CTLIndex
-from repro.core.ctls import CTLSIndex
-from repro.core.serialize import FORMATS, load_index, save_index
+# Index, graph, serving and observability modules are imported where a
+# command needs them: ``serve --workers N`` keeps its supervisor small.
 from repro.exceptions import ParseError, ReproError
-from repro.graph.generators import power_grid_network, road_network
-from repro.graph.graph import Graph
-from repro.graph.io import read_graph_auto, write_dimacs
 from repro.types import INF
 
-_ALGORITHMS = {
-    "tl": lambda g, _s, _p: TLIndex.build(g),
-    "ctl": lambda g, _s, _p: CTLIndex.build(g),
-    "ctls": lambda g, strategy, progress: CTLSIndex.build(
-        g, strategy=strategy, progress=progress
-    ),
-}
+_ALGORITHMS = ("ctl", "ctls", "tl")
 
 
-def _load_graph(path: str) -> Graph:
+def _build_index(algorithm: str, graph, strategy, progress):
+    """Build ``algorithm``'s index of ``graph``."""
+    if algorithm == "tl":
+        from repro.baselines.tl import TLIndex
+
+        return TLIndex.build(graph)
+    if algorithm == "ctl":
+        from repro.core.ctl import CTLIndex
+
+        return CTLIndex.build(graph)
+    from repro.core.ctls import CTLSIndex
+
+    return CTLSIndex.build(graph, strategy=strategy, progress=progress)
+
+
+def _load_graph(path: str):
+    from repro.graph.io import read_graph_auto
+
     return read_graph_auto(path)
 
 
@@ -119,6 +122,8 @@ def _load_pairs(path: str):
 
 def _obs_begin(args):
     """Configure the global recorder when ``--trace``/``--metrics`` ask."""
+    import repro.obs as obs
+
     if getattr(args, "trace", None) or getattr(args, "metrics", False):
         return obs.configure()
     return None
@@ -126,6 +131,8 @@ def _obs_begin(args):
 
 def _obs_end(args, rec) -> None:
     """Emit the requested trace/metrics output and reset the recorder."""
+    import repro.obs as obs
+
     if rec is None:
         return
     try:
@@ -139,6 +146,8 @@ def _obs_end(args, rec) -> None:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    import repro.obs as obs
+    from repro.core.serialize import save_index
     from repro.obs.buildphase import (
         BuildPhaseTracker,
         ProgressPrinter,
@@ -160,10 +169,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
             with tracker.phase("load-graph"):
                 graph = _load_graph(args.graph)
             print(f"loaded {graph!r}")
-            build = _ALGORITHMS[args.algorithm]
             started = time.perf_counter()
             with tracker.phase("build"):
-                index = build(graph, args.strategy, node_progress)
+                index = _build_index(
+                    args.algorithm, graph, args.strategy, node_progress
+                )
                 if node_progress is not None:
                     node_progress.finish()
             elapsed = time.perf_counter() - started
@@ -241,6 +251,8 @@ def _print_explain(index, source: int, target: int) -> None:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from repro.core.serialize import load_index
+
     if args.pairs is None and (args.source is None or args.target is None):
         raise ParseError("query needs either SOURCE TARGET or --pairs FILE")
     if args.pairs is not None and args.source is not None:
@@ -269,6 +281,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from repro.bench.measure import profile_queries
+    from repro.bench.report import render_profile
+    from repro.core.serialize import load_index
+
     rec = _obs_begin(args)
     sampler = None
     try:
@@ -305,7 +321,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     """
     import random
 
-    from repro.core.serialize import verify_index_file
+    from repro.core.serialize import load_index, verify_index_file
 
     _require_index_file(args.index)
     report = verify_index_file(args.index)
@@ -359,8 +375,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.faults import FaultPlan
-    from repro.serve import ServeConfig, SPCServer
+    from repro.serve.config import ServeConfig
 
     _require_index_file(args.index)
     config = ServeConfig(
@@ -384,7 +399,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         trace_sample_every=args.trace_sample,
         top_pairs_capacity=args.top_pairs,
         wal_dir=args.wal_dir,
-        respawn=args.respawn,
         probe_interval_s=args.probe_interval_s,
     )
     if args.live_updates and args.graph is None:
@@ -392,23 +406,60 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.wal_dir is not None and not args.live_updates:
         raise ParseError("--wal-dir needs --live-updates (it logs "
                          "accepted update batches)")
+    if args.fallback == "online" and args.graph is None:
+        raise ParseError("--fallback online needs --graph GRAPH")
     if args.workers > 1:
-        if args.fallback != "none":
+        from repro.serve.fleet import FleetRouter
+
+        if args.live_updates and args.wal_dir is None:
             raise ParseError(
-                "--fallback is a single-process option; a fleet worker "
-                "cannot host the online baseline (drop --workers or "
-                "--fallback)"
+                "--workers N --live-updates needs --wal-dir DIR (a "
+                "respawned server recovers every acknowledged batch "
+                "from it)"
             )
-        return _serve_fleet(args, config)
-    index = load_index(args.index)
-    if args.fault_plan is not None:
-        fault_plan = FaultPlan.parse(args.fault_plan, seed=args.fault_seed)
-    else:
-        fault_plan = FaultPlan.from_env()  # REPRO_FAULT_PLAN, if set
+        serve = functools.partial(_serve_one, args, config)
+        return FleetRouter(args.index, serve, config).run()
+    return _serve_one(args, config, args.index)
+
+
+def _fault_plan(args: argparse.Namespace, generation: int):
+    """``--fault-plan`` (else ``$REPRO_FAULT_PLAN``) as a plan, or
+    ``None``; each respawned generation rolls new dice, so one
+    deterministic draw does not kill every replacement alike."""
+    import os
+
+    from repro.faults import ENV_PLAN, FaultPlan
+
+    text, seed = args.fault_plan, args.fault_seed
+    if text is None:
+        plan = FaultPlan.from_env()
+        if plan is None:
+            return None
+        text, seed = os.environ[ENV_PLAN], plan.seed
+    return FaultPlan.parse(text, seed=seed + 7919 * generation)
+
+
+def _serve_one(
+    args: argparse.Namespace, config, index_path: str, supervised=None
+) -> int:
+    """Run one server on ``index_path`` until it drains: the whole of
+    ``serve``, or, given the supervisor's ``supervised`` end, the one
+    answering child of ``serve --workers N``."""
+    import asyncio
+
+    from repro.core.serialize import load_index
+    from repro.obs import Recorder
+    from repro.serve.server import SPCServer
+
+    generation = supervised.generation if supervised is not None else 0
+    # One recorder for the server and its live tier, WAL included.
+    recorder = Recorder()
+    # Every section checksummed, the label arena included: a flipped
+    # byte must stop the server, not change an answer.
+    index = load_index(index_path, verify=True)
+    fault_plan = _fault_plan(args, generation)
     fallback = None
     if args.fallback == "online":
-        if args.graph is None:
-            raise ParseError("--fallback online needs --graph GRAPH")
         from repro.baselines.online import OnlineSPC
 
         fallback = OnlineSPC.build(_load_graph(args.graph))
@@ -418,12 +469,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         if args.wal_dir is not None:
             # Durable mode: replay any existing WAL to the exact
-            # pre-crash overlay, then keep logging into it.
+            # pre-crash overlay, on the base it pins, then keep
+            # logging into it.
             updates, recovery = recover_coordinator(
                 args.wal_dir,
                 _load_graph(args.graph),
                 index,
                 overlay_threshold=config.overlay_threshold,
+                recorder=recorder,
             )
             if not recovery.fresh:
                 print(
@@ -439,16 +492,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 _load_graph(args.graph),
                 index,
                 overlay_threshold=config.overlay_threshold,
+                recorder=recorder,
             )
 
     async def _serve() -> None:
         server = SPCServer(
             index,
             config,
+            recorder=recorder,
             fault_plan=fault_plan,
             fallback=fallback,
-            index_path=args.index,
+            index_path=index_path,
             updates=updates,
+            supervised=supervised,
         )
         await server.start()
         server.install_signal_handlers()
@@ -459,6 +515,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             modes.append("fallback=online")
         if updates is not None:
             modes.append("live")
+        if supervised is not None:
+            modes.append(f"supervised, generation {generation}")
+            supervised.report("ready")
         mode = f" ({', '.join(modes)})" if modes else ""
         print(
             f"serving {type(index).__name__} on "
@@ -473,54 +532,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(_serve())
     except KeyboardInterrupt:
         pass  # ctrl-C on platforms without signal-handler support
-    return 0
-
-
-def _serve_fleet(args: argparse.Namespace, config) -> int:
-    """``serve --workers N``: a router over N worker processes."""
-    import os
-
-    from repro.faults import ENV_PLAN, ENV_SEED
-    from repro.serve import FleetRouter
-
-    fault_spec = args.fault_plan
-    fault_seed = args.fault_seed
-    if fault_spec is None:
-        fault_spec = os.environ.get(ENV_PLAN, "").strip() or None
-        if fault_spec is not None and ENV_SEED in os.environ:
-            fault_seed = int(os.environ[ENV_SEED])
-
-    async def _serve() -> None:
-        router = FleetRouter(
-            args.index,
-            args.workers,
-            config,
-            fault_spec=fault_spec,
-            fault_seed=fault_seed,
-            live_graph_path=args.graph if args.live_updates else None,
-        )
-        await router.start()
-        router.install_signal_handlers()
-        mode = f"fleet of {args.workers} workers"
-        if fault_spec:
-            mode += ", chaos"
-        if args.live_updates:
-            mode += ", live"
-        print(
-            f"serving {args.index} on http://{router.host}:{router.port} "
-            f"({mode}); SIGTERM/SIGINT drains the fleet and exits, "
-            + ("POST /admin/update applies delta batches fleet-wide"
-               if args.live_updates
-               else "POST /admin/reload swaps the index fleet-wide"),
-            flush=True,
-        )
-        await router.wait_stopped()
-        print("fleet drained cleanly", flush=True)
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
     return 0
 
 
@@ -615,18 +626,14 @@ def _post_json(host: str, port: int, path: str, timeout: float):
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """``trace``: capture a (fleet-)merged Chrome trace from a server.
+    """``trace``: capture a server's span ring as a Chrome trace.
 
-    Fetches ``POST /admin/trace?format=chrome`` — against a fleet
-    router this drains and merges every worker's span ring plus the
-    router's own — validates the payload, counts cross-process
-    parent/child links, and writes the file.  ``--min-cross-links``
-    turns the capture into an assertion: exit 1 unless at least N
-    router→worker span links are present (the CI trace-smoke bar).
+    Fetches ``POST /admin/trace?format=chrome``, validates the payload
+    and writes the file.
     """
     import http.client
 
-    from repro.obs import cross_process_links, validate_chrome_trace
+    from repro.obs import validate_chrome_trace
 
     path = "/admin/trace?format=chrome"
     if args.clear:
@@ -659,25 +666,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 1
     events = payload.get("traceEvents", [])
     spans = [e for e in events if e.get("ph") == "X"]
-    processes = {e.get("pid") for e in spans}
-    links = cross_process_links(payload)
     Path(args.output).write_text(
         json.dumps(payload, indent=2, sort_keys=True)
     )
     print(
-        f"wrote {args.output}: {len(spans)} spans across "
-        f"{len(processes)} process(es), {len(links)} cross-process "
-        "parent/child link(s) — load in chrome://tracing or Perfetto"
+        f"wrote {args.output}: {len(spans)} spans — load in "
+        "chrome://tracing or Perfetto"
     )
-    if len(links) < args.min_cross_links:
-        print(
-            f"error: expected >= {args.min_cross_links} cross-process "
-            f"link(s), found {len(links)} — was the capture window "
-            "empty, or tracing sampled out? (try replaying with "
-            "traced requests first)",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -810,6 +805,9 @@ def _cmd_bench_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.graph.generators import power_grid_network, road_network
+    from repro.graph.io import write_dimacs
+
     if args.kind == "road":
         graph = road_network(args.vertices, seed=args.seed)
     else:
@@ -845,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("graph", help="input graph (.gr/.json/edge list)")
     p_build.add_argument("index", help="output index (JSON)")
     p_build.add_argument(
-        "--algorithm", choices=sorted(_ALGORITHMS), default="ctls"
+        "--algorithm", choices=_ALGORITHMS, default="ctls"
     )
     p_build.add_argument(
         "--strategy",
@@ -855,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_build.add_argument(
         "--format",
-        choices=FORMATS,
+        choices=("json", "binary"),  # repro.core.serialize.FORMATS
         default="json",
         help="on-disk index format: inspectable JSON (v1, default) or "
         "packed binary (v4: checksummed, page-aligned sections loaded "
@@ -919,8 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        help="serve Q(s, t) over HTTP with micro-batching "
-        "(see docs/serving.md)",
+        help="serve Q(s, t) over HTTP (see docs/serving.md)",
     )
     p_serve.add_argument("index", help="built index file to serve")
     p_serve.add_argument("--host", default="127.0.0.1")
@@ -930,9 +927,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="run a fleet: N worker processes mmap the same index "
-        "behind a router on this port (default 1 = single in-process "
-        "server)",
+        help="any N >= 2 runs one supervised server: the one answering "
+        "server is the child of a supervisor that holds the port, "
+        "forwards signals and respawns it (a live one recovers from "
+        "--wal-dir); the flag stays valid because perfbench passes "
+        "--workers 2 (default 1 = the server alone)",
     )
     p_serve.add_argument(
         "--cache-size", type=int, default=4096, metavar="N",
@@ -1011,18 +1010,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--wal-dir", metavar="DIR", default=None,
         help="durable write-ahead log for accepted update batches: "
         "fsync'd before acknowledgement, replayed on restart/respawn "
-        "to the exact pre-crash overlay (needs --live-updates; in a "
-        "fleet the router owns the one log)",
-    )
-    p_serve.add_argument(
-        "--respawn", action="store_true",
-        help="fleet only: respawn dead workers with capped-exponential "
-        "backoff and a flap circuit instead of leaving them ejected",
+        "to the exact pre-crash overlay (needs --live-updates; "
+        "required with --workers N)",
     )
     p_serve.add_argument(
         "--probe-interval-s", type=float, default=1.0, metavar="S",
-        help="fleet only: seconds between supervisor liveness probes "
-        "of each worker; 0 disables proactive probing (default 1)",
+        help="--workers N only: seconds between the supervisor's "
+        "liveness probes of the server; 0 disables the HTTP probe "
+        "(a dead process is seen at once either way; default 1)",
     )
     p_serve.add_argument(
         "--overlay-threshold", type=int, default=20000, metavar="N",
@@ -1100,8 +1095,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser(
         "trace",
-        help="capture a distributed trace from a running server or "
-        "fleet (POST /admin/trace) and write a Chrome trace file",
+        help="capture the span ring of a running server "
+        "(POST /admin/trace) and write a Chrome trace file",
     )
     p_trace.add_argument(
         "output", help="output Chrome trace JSON file"
@@ -1109,18 +1104,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--host", default="127.0.0.1")
     p_trace.add_argument(
         "--port", type=int, default=8355,
-        help="server or fleet router port (default 8355)",
+        help="server port (default 8355)",
     )
     p_trace.add_argument(
         "--clear", action="store_true",
         help="drain the span rings as part of the capture, so the "
         "next capture starts empty",
-    )
-    p_trace.add_argument(
-        "--min-cross-links", type=int, default=0, metavar="N",
-        help="exit 1 unless the merged trace contains at least N "
-        "cross-process parent/child span links (default 0 = no "
-        "assertion; CI uses 1 against a fleet)",
     )
     p_trace.add_argument(
         "--timeout", type=float, default=10.0, metavar="S",
@@ -1131,12 +1120,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser(
         "analyze",
         help="workload analytics report over a running server's "
-        "/stats: hot pairs, skew, cache attribution, fleet freshness",
+        "/stats: hot pairs, skew, cache attribution",
     )
     p_analyze.add_argument("--host", default="127.0.0.1")
     p_analyze.add_argument(
         "--port", type=int, default=8355,
-        help="server or fleet router port (default 8355)",
+        help="server port (default 8355)",
     )
     p_analyze.add_argument(
         "--top", type=int, default=20, metavar="N",
@@ -1210,7 +1199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--host", default="127.0.0.1")
     p_replay.add_argument(
         "--port", type=int, default=8355,
-        help="live server or fleet router port (default 8355)",
+        help="live server port (default 8355)",
     )
     p_replay.add_argument(
         "--speed", type=float, default=1.0, metavar="X",

@@ -23,8 +23,9 @@ Sites (each checked at exactly one place in the stack):
                           (exercises client transport-error handling).
 ``index.load``            the server's hot-reload path fails validation
                           (exercises reload rollback).
-``worker.kill``           a fleet worker SIGKILLs itself mid-request
-                          (exercises router supervision and respawn).
+``worker.kill``           the server SIGKILLs itself mid-request
+                          (exercises the ``--workers`` supervisor's
+                          respawn and flap circuit).
 ``wal.torn_write``        the write-ahead log crashes mid-append, leaving a
                           torn final record on disk (exercises recovery's
                           torn-tail truncation).

@@ -180,8 +180,7 @@ GRAPH_READERS = {
 def read_graph_auto(path: PathLike) -> Graph:
     """Read a graph, picking the reader from the file extension.
 
-    Shared by the CLI and the serving fleet's worker processes (which
-    load the live-update graph themselves, without CLI plumbing).
+    Shared by the CLI's commands (``serve --graph`` among them).
     """
     target = Path(path)
     if target.is_dir():

@@ -31,8 +31,8 @@ in: epoch + 1, and the overlay shrinks to just the batches that landed
 after the rebuild snapshot (usually empty).
 
 Each :class:`UpdateReport` carries the batch's overlay diff
-(``changed``), the one a fleet router ships to its workers so that
-they install the repaired entries instead of repairing themselves.
+(``changed``): the serve tier drops the cached answers of every vertex
+it touches.
 """
 
 from __future__ import annotations
@@ -136,6 +136,10 @@ class UpdateCoordinator:
         self.applied_edges = 0
         self.rebuilds = 0
         self.last_apply_seconds = 0.0
+        #: The file the served base was opened from when it is a
+        #: rebuilt base saved for the write-ahead log to pin, else
+        #: ``None`` (the index the coordinator was built on).
+        self.base_path: Optional[str] = None
 
     def attach_wal(self, wal) -> None:
         """Make ``wal`` the durability point of every future batch.
@@ -270,7 +274,7 @@ class UpdateCoordinator:
         When a write-ahead log is attached, adoption also rotates it at
         the new epoch — ``base_path`` (where the rebuilt base was
         saved, if anywhere) is pinned in the new epoch file so a
-        recovering worker reloads the same base.
+        recovering server reloads the same base.
         """
         if not isinstance(new_index, CTLIndex):
             raise LiveUpdateError(
@@ -299,6 +303,7 @@ class UpdateCoordinator:
             ]
             self._log_floor = 0
             self.rebuilds += 1
+            self.base_path = base_path
             if self.wal is not None:
                 self.wal.rotate(
                     epoch=new_state.epoch,
@@ -342,6 +347,7 @@ class UpdateCoordinator:
             "rebuilds": self.rebuilds,
             "last_apply_seconds": round(self.last_apply_seconds, 6),
             "rebuild_due": self.should_rebuild(),
+            "base_path": self.base_path,
         }
 
     # ------------------------------------------------------------------

@@ -17,8 +17,7 @@ it has one there and from the base otherwise.
 The coordinator publishes each new view with one attribute store, so
 readers never see a half-applied batch.  :func:`patch_rows` and
 :func:`read_patch_rows` carry a patch table, or one batch's diff, over
-JSON: that is how a fleet router hands its overlay to its workers, and
-each process derives its own side rows from the entries.
+JSON.
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ class OverlayState:
 class LiveIndex:
     """A ``(base index, overlay)`` view with the SPCIndex query surface.
 
-    The server, the fleet router and the cache talk to this object
+    The server and the cache talk to this object
     exactly as they would to a static index; rebuild-and-swap replaces the internal
     view atomically, so in-flight batches finish on the snapshot they
     started with.

@@ -162,9 +162,12 @@ def stream_deltas(
     """POST each batch to ``/admin/update`` at the recorded rate.
 
     ``speed`` scales the recorded timeline (2.0 = twice as fast,
-    ``0`` = no pacing).  Failed batches are recorded and streaming
-    continues, mirroring how a real traffic feed outlives one bad
-    message.  ``on_batch(index, response_payload)`` fires per 200.
+    ``0`` = no pacing).  A batch whose connection breaks (a server
+    restart) is resent once on a fresh one: the writes are absolute,
+    so a batch that landed before the break applies again as a no-op.
+    Failed batches are recorded and streaming continues, mirroring how
+    a real traffic feed outlives one bad message.
+    ``on_batch(index, response_payload)`` fires per 200.
     """
     report = UpdateStreamReport()
     if not batches:
@@ -183,23 +186,27 @@ def stream_deltas(
                 {"updates": [list(update) for update in batch.updates]}
             ).encode()
             sent = time.perf_counter()
-            try:
-                connection.request(
-                    "POST",
-                    "/admin/update",
-                    body=body,
-                    headers={"Content-Type": "application/json"},
-                )
-                response = connection.getresponse()
-                raw = response.read()
-                status = response.status
-            except (OSError, http.client.HTTPException) as exc:
+            for _ in range(2):
+                try:
+                    connection.request(
+                        "POST",
+                        "/admin/update",
+                        body=body,
+                        headers={"Content-Type": "application/json"},
+                    )
+                    response = connection.getresponse()
+                    raw = response.read()
+                    status = response.status
+                    break
+                except (OSError, http.client.HTTPException) as exc:
+                    error = exc
+                    connection.close()
+                    connection = http.client.HTTPConnection(
+                        host, port, timeout=timeout_s
+                    )
+            else:
                 report.batches_failed += 1
-                report.errors.append(f"batch {i}: {exc}")
-                connection.close()
-                connection = http.client.HTTPConnection(
-                    host, port, timeout=timeout_s
-                )
+                report.errors.append(f"batch {i}: {error}")
                 continue
             elapsed = time.perf_counter() - sent
             if status != 200:

@@ -475,6 +475,24 @@ class WriteAheadLog:
         }
 
 
+def _refuse_worker_logs(wal_dir: PathLike) -> None:
+    """Refuse the per-worker WAL layout (see :func:`recover_coordinator`)."""
+    if WriteAheadLog.epoch_files(wal_dir):
+        return
+    old = sorted(
+        path.name
+        for path in Path(wal_dir).glob("worker-*")
+        if WriteAheadLog.epoch_files(path)
+    )
+    if old:
+        raise LiveUpdateError(
+            f"WAL directory {wal_dir} holds per-worker logs "
+            f"({', '.join(old)}) from an older fleet and no top-level "
+            "log; starting would drop their batches (move one worker's "
+            f"wal-*.log files up into {wal_dir} to recover from them)"
+        )
+
+
 def recover_coordinator(
     wal_dir: PathLike,
     graph,
@@ -495,7 +513,14 @@ def recover_coordinator(
     deterministic pipeline, so the recovered overlay is bit-identical
     to the pre-crash one.  Returns the coordinator (log attached, open
     for append) plus a :class:`RecoveryReport`.
+
+    A directory holding only the per-worker logs an older fleet kept
+    (``worker-<id>/wal-*.log``, none at the top) is refused with
+    :class:`~repro.exceptions.LiveUpdateError`: starting fresh from it
+    would begin at the original base and drop every batch those logs
+    acknowledged.
     """
+    _refuse_worker_logs(wal_dir)
     wal = WriteAheadLog(wal_dir, recorder=recorder, fault_plan=fault_plan)
     chosen: Optional[Tuple[Path, WalScan]] = None
     for _epoch, path in reversed(WriteAheadLog.epoch_files(wal_dir)):
@@ -597,6 +622,7 @@ def recover_coordinator(
     wal.open_existing(path, scan.good_bytes)
     wal.appends = replayed
     coordinator.attach_wal(wal)
+    coordinator.base_path = base_path if saved_base else None
     state = coordinator.live_index.state
     recorder.incr("live.wal.recoveries")
     return coordinator, RecoveryReport(

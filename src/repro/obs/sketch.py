@@ -18,9 +18,8 @@ per-query hot path.  Sketches are **mergeable** across workers
 (Agarwal et al., *Mergeable Summaries*): a key absent from a full
 sketch may have occurred up to that sketch's min count, so the merge
 adds ``min_count`` for absent keys to both the estimate and the error
-— the summed error bound ``sum_i N_i / capacity`` survives, which is
-what lets the fleet router fold per-worker sketches into one
-``top_pairs`` view.
+— the summed error bound ``sum_i N_i / capacity`` survives, so
+per-process sketches fold into one ``top_pairs`` view.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ Three layers live here:
   build recorder and ``repro-spc build --trace`` emit.
 * **Distributed trace context** — :class:`TraceContext` implements the
   W3C ``traceparent`` shape (128-bit trace id, 64-bit parent span id,
-  sampled flag) so the fleet router can hand a request's identity to a
-  worker over one HTTP header.
+  sampled flag) so a caller can hand a request's identity to the server
+  over one HTTP header.
 * **Cross-process capture** — each process keeps traced spans in a
   bounded :class:`SpanCollector` ring; :func:`merge_trace_fragments`
   aligns fragments from many processes onto one timeline.  Every
@@ -257,8 +257,8 @@ def merge_trace_fragments(fragments: Sequence[dict]) -> dict:
     offset ``s`` lands at ``(F.wall_at_epoch - base) + s`` seconds,
     where ``base`` is the earliest anchor across fragments — the clock
     handshake described in the module docstring.  Each process gets a
-    ``process_name`` metadata event naming its role (``router``,
-    ``worker-0``, ...), and every span's args carry its
+    ``process_name`` metadata event naming its role (``server``,
+    ``cli``, ...), and every span's args carry its
     ``trace_id``/``span_id``/``parent_id`` so cross-process links
     survive the merge explicitly, not just by time containment.
     """

@@ -6,9 +6,9 @@ misses (one pair for a GET, the whole batch for a POST ``pairs`` body),
 then encode.  The CTLS scan costs a few microseconds, less than any
 queueing around it would, so nothing waits for it; instead a
 connection writes all the answers that became ready in one loop tick
-in one socket write, which is what a pipelining client needs.  The
-single server and the fleet router answer through the same function,
-:func:`repro.serve.server.scan_answers`.
+in one socket write, which is what a pipelining client needs.  One
+process answers every query, alone or under ``serve --workers N``'s
+supervisor.
 
 Layers, innermost first:
 
@@ -18,7 +18,7 @@ Layers, innermost first:
   asyncio streams.
 * :mod:`repro.serve.frontend` — the client-facing HTTP front end
   (pipelined connection loop, drain, trace sampling, ``/metrics``
-  negotiation) that the server and the fleet router share.
+  negotiation).
 * :mod:`repro.serve.server` — :class:`SPCServer`: routing, the one
   answer path, admission control (load shedding), the circuit
   breaker's fallback with its deadline, request correlation
@@ -29,13 +29,12 @@ Layers, innermost first:
   achieved QPS, latency percentiles, and request-id echo errors.
 * :mod:`repro.serve.runner` — :class:`ServerThread`, a helper running a
   server on a daemon thread (tests, benchmarks, examples).
-* :mod:`repro.serve.fleet` — ``serve --workers N``: a router over N
-  worker processes sharing one mmap'd index through the OS page cache,
-  with one result cache, aggregated ``/metrics``/``/health`` and a
-  two-phase fleet-wide ``/admin/reload``.
+* :mod:`repro.serve.fleet` — ``serve --workers N``: the one answering
+  server as the child of a small supervisor, which holds the listening
+  socket, forwards signals and respawns the child (a live child
+  recovers every acknowledged batch from its write-ahead log).
 * :mod:`repro.serve.top` — ``repro-spc top``, a polling terminal
-  dashboard over ``/stats`` + ``/metrics`` (per-worker rows against a
-  fleet router).
+  dashboard over ``/stats`` + ``/metrics``.
 * :mod:`repro.serve.analyze` — ``repro-spc analyze``, the workload
   analytics report over the Space-Saving ``top_pairs`` block.
 
@@ -43,34 +42,40 @@ Start one from the command line with ``repro-spc serve index.bin`` and
 read :doc:`docs/serving.md </serving>` for the protocol and the knobs.
 """
 
-from repro.serve.analyze import render_analysis
-from repro.serve.breaker import CircuitBreaker
-from repro.serve.cache import ResultCache
-from repro.serve.client import LoadReport, RetryPolicy, replay, run_workload
-from repro.serve.config import ServeConfig
-from repro.serve.fleet import (
-    FleetRouter,
-    FleetThread,
-    merge_metrics_snapshots,
-)
-from repro.serve.runner import ServerThread
-from repro.serve.server import SPCServer
-from repro.serve.top import render_dashboard, run_top
+import importlib
 
-__all__ = [
-    "CircuitBreaker",
-    "FleetRouter",
-    "FleetThread",
-    "LoadReport",
-    "ResultCache",
-    "RetryPolicy",
-    "SPCServer",
-    "ServeConfig",
-    "ServerThread",
-    "merge_metrics_snapshots",
-    "render_analysis",
-    "render_dashboard",
-    "replay",
-    "run_top",
-    "run_workload",
-]
+#: Where each public name is defined, imported on first access: the
+#: ``serve --workers N`` supervisor imports :mod:`repro.serve.fleet`
+#: and none of the serving stack it supervises.
+_EXPORTS = {
+    "CircuitBreaker": "repro.serve.breaker",
+    "FleetRouter": "repro.serve.fleet",
+    "LoadReport": "repro.serve.client",
+    "ResultCache": "repro.serve.cache",
+    "RetryPolicy": "repro.serve.client",
+    "SPCServer": "repro.serve.server",
+    "ServeConfig": "repro.serve.config",
+    "ServerThread": "repro.serve.runner",
+    "render_analysis": "repro.serve.analyze",
+    "render_dashboard": "repro.serve.top",
+    "replay": "repro.serve.client",
+    "run_top": "repro.serve.top",
+    "run_workload": "repro.serve.client",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module 'repro.serve' has no attribute {name!r}"
+        )
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

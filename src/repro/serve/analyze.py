@@ -4,9 +4,8 @@ Renders the server's Space-Saving ``top_pairs`` block (see
 :class:`repro.obs.sketch.SpaceSaving`) as an operator report: the
 hot-pair table with per-key error bounds, a skew summary (what share
 of all queries the tracked heavy hitters account for), the
-cache-efficiency attribution split between heavy hitters and the tail,
-and — against a fleet router — the ``fleet.per_worker`` freshness
-table.  :func:`render_analysis` is a pure function of the payload, so
+and the cache-efficiency attribution split between heavy hitters and
+the tail.  :func:`render_analysis` is a pure function of the payload, so
 tests drive it with fixture dicts and the CLI just fetches and prints.
 """
 
@@ -59,40 +58,11 @@ def _attribution_lines(attribution: dict) -> List[str]:
     return lines
 
 
-def _per_worker_lines(rows: List[dict]) -> List[str]:
-    lines = [
-        "per-worker fleet breakdown:",
-        "  worker   requests       qps    p99 ms  cache-hit"
-        "   epoch  epoch-lag   seqno  seqno-lag",
-    ]
-    for row in rows:
-        line = (
-            f"  {row.get('worker', '?'):>6}"
-            f"  {row.get('requests', 0):>9}"
-            f"  {row.get('qps', 0.0):>8.1f}"
-            f"  {row.get('p99_ms', 0.0):>8.3f}"
-            f"  {row.get('cache_hit_rate', 0.0) * 100:>8.2f}%"
-        )
-        if "epoch" in row:
-            line += (
-                f"  {row['epoch']:>6}  {row.get('epoch_lag', 0):>9}"
-                f"  {row['seqno']:>6}  {row.get('seqno_lag', 0):>9}"
-            )
-        lines.append(line)
-    return lines
-
-
 def render_analysis(stats: dict, *, top_n: int = 20) -> str:
     """One analytics report from a ``/stats`` payload (pure function)."""
     lines: List[str] = []
     block = stats.get("top_pairs")
-    fleet = stats.get("fleet") if isinstance(stats.get("fleet"), dict) else None
     title = "repro-spc analyze"
-    if fleet:
-        title += (
-            f" — fleet of {fleet.get('workers', '?')} worker(s),"
-            f" {fleet.get('reporting', '?')} reporting"
-        )
     lines.append(title)
     lines.append("=" * len(title))
     if not isinstance(block, dict):
@@ -145,7 +115,4 @@ def render_analysis(stats: dict, *, top_n: int = 20) -> str:
     if isinstance(attribution, dict):
         lines.append("")
         lines.extend(_attribution_lines(attribution))
-    if fleet and isinstance(fleet.get("per_worker"), list):
-        lines.append("")
-        lines.extend(_per_worker_lines(fleet["per_worker"]))
     return "\n".join(lines) + "\n"

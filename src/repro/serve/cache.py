@@ -8,8 +8,8 @@ mirrored into the server's recorder (``serve.cache.hits`` /
 
 :class:`TopPairs` is the workload view beside it: a Space-Saving
 sketch of the queried pairs, with every cache lookup attributed to the
-heavy-hitter set or the tail.  The single server and the fleet router
-each own one, next to the cache they attribute.
+heavy-hitter set or the tail.  The server owns one, next to the cache
+it attributes.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ class ServeConfigError(ReproError):
 @dataclass(frozen=True)
 class ServeConfig:
     """Configuration of one :class:`~repro.serve.server.SPCServer`
-    (and of a :class:`~repro.serve.fleet.FleetRouter` and its workers)."""
+    (and of the :class:`~repro.serve.fleet.FleetRouter` supervising it
+    under ``serve --workers N``)."""
 
     #: Interface to bind; loopback by default.
     host: str = "127.0.0.1"
@@ -24,9 +25,7 @@ class ServeConfig:
     #: LRU result-cache capacity in entries; 0 disables caching.
     cache_size: int = 4096
     #: Shed (HTTP 503) a POST batch of more pairs than this, and a
-    #: fallback query once this many fallback queries are waiting.  A
-    #: fleet router scans at most this many pairs of one request itself
-    #: and forwards the rest in chunks this large.
+    #: fallback query once this many fallback queries are waiting.
     queue_high_water: int = 256
     #: Deadline of a fallback query (HTTP 504 past it).
     request_timeout_ms: int = 1000
@@ -85,27 +84,21 @@ class ServeConfig:
     #: Locally sample 1 in N requests into a new trace when the client
     #: sent no ``traceparent`` (1 traces everything, 0 traces nothing
     #: locally); an inbound sampled traceparent is always honoured
-    #: regardless, so a router's sampling decision propagates.
+    #: regardless, so a caller's sampling decision propagates.
     trace_sample_every: int = 64
     #: Space-Saving heavy-hitter sketch capacity over symmetric
     #: ``(s, t)`` query pairs, surfaced as the ``top_pairs`` block in
     #: ``/stats``; 0 disables workload analytics.
     top_pairs_capacity: int = 256
     #: Directory of the durable live-update write-ahead log; ``None``
-    #: (default) keeps accepted batches in memory only.  In a fleet the
-    #: router owns the one log there.
+    #: (default) keeps accepted batches in memory only.
     wal_dir: Optional[str] = None
-    #: Fleet only: respawn dead workers (capped-exponential backoff,
-    #: flap circuit) instead of leaving them ejected from the ring.
-    respawn: bool = False
-    #: Fleet only: seconds between supervisor liveness probes of each
-    #: worker (process check + HTTP ``/health``); 0 disables the
-    #: proactive probe loop — death is then only detected reactively,
-    #: when a proxied request fails.
+    #: Supervisor only: seconds between ``GET /health`` probes of the
+    #: child (a child that answers none of three in a row is killed);
+    #: 0 disables the probe.  A child that exits is seen at once.
     probe_interval_s: float = 1.0
-    #: Flap circuit: a worker that dies ``flap_max_restarts`` times
-    #: within ``flap_window_s`` seconds stays down and degrades
-    #: ``/health`` until the router restarts.
+    #: Flap circuit: a child that dies ``flap_max_restarts`` times
+    #: within ``flap_window_s`` seconds ends the supervisor, non-zero.
     flap_window_s: float = 30.0
     flap_max_restarts: int = 5
     #: First respawn delay; doubles per recent death up to the cap.

@@ -1,22 +1,19 @@
-"""The HTTP front end shared by the query server and the fleet router.
+"""The HTTP front end of the query server.
 
-:class:`~repro.serve.server.SPCServer` and
-:class:`~repro.serve.fleet.FleetRouter` terminate client HTTP with the
-one :class:`FrontEnd` here: the pipelined connection loop, the drain,
-the ``traceparent`` sampling rule, ``/metrics`` content negotiation and
-the ``/admin/trace`` argument checks.  A subclass routes:
+:class:`~repro.serve.server.SPCServer` terminates client HTTP with the
+:class:`FrontEnd` here: the pipelined connection loop, the drain, the
+``traceparent`` sampling rule, ``/metrics`` content negotiation and the
+``/admin/trace`` argument checks.  A subclass routes:
 
 * ``_fast_query(head)`` answers the hot ``GET /query`` shape straight
   off the head bytes as ``(answer, keep_alive)``, or returns ``None``
   to send the head to the full parser;
 * ``_dispatch(request)`` answers any parsed request.
 
-An *answer* is a ``(status, payload, extra headers)`` tuple, or the
-bytes of a whole response relayed from upstream (framed keep-alive),
-or — while it is still being computed — a coroutine (run as a task)
-or a future whose result is one of the first two.  Every answer of a
-connection that becomes ready in one loop tick leaves in one socket
-write.
+An *answer* is a ``(status, payload, extra headers)`` tuple, or —
+while it is still being computed — a coroutine (run as a task) or a
+future whose result is one.  Every answer of a connection that becomes
+ready in one loop tick leaves in one socket write.
 
 ``serve.requests`` counts ``/query`` requests, here and nowhere else.
 """
@@ -49,14 +46,6 @@ Response = Tuple[int, object, Sequence[Tuple[str, str]]]
 _PIPELINE_DEPTH = 64
 
 
-def _closing(raw: bytes) -> bytes:
-    """A relayed keep-alive response re-framed to close the connection."""
-    end = raw.index(b"\r\n\r\n")
-    return raw[:end].replace(
-        b"\r\nConnection: keep-alive", b"\r\nConnection: close", 1
-    ) + raw[end:]
-
-
 class _Connection:
     """One client connection's answers, written in request order.
 
@@ -86,8 +75,7 @@ class _Connection:
         out.append((answer, keep_alive))
         self.front._inflight += 1
         if len(out) == 1:
-            kind = type(answer)
-            if kind is tuple or kind is bytes:
+            if type(answer) is tuple:
                 self.loop.call_soon(self.flush)
             else:
                 answer.add_done_callback(self.flush)
@@ -99,8 +87,7 @@ class _Connection:
         ready = []
         while out:
             answer, keep_alive = out[0]
-            kind = type(answer)
-            if kind is not tuple and kind is not bytes:
+            if type(answer) is not tuple:
                 if not answer.done():
                     answer.add_done_callback(self.flush)
                     break
@@ -146,7 +133,7 @@ class _Connection:
 
 
 class FrontEnd:
-    """Client-facing HTTP shared by every serving process.
+    """Client-facing HTTP of a serving process.
 
     Subclasses call :meth:`__init__`, implement ``_fast_query`` and
     ``_dispatch``, and may arm the two optional parts of a write: a
@@ -163,9 +150,8 @@ class FrontEnd:
     ) -> None:
         self.config = config
         self.recorder = recorder
-        #: Distributed-trace span collector (``None`` = tracing off).
-        #: ``POST /admin/trace`` reads it as a fragment a fleet router
-        #: merges into one cross-process Chrome trace.
+        #: Distributed-trace span collector (``None`` = tracing off),
+        #: read by ``POST /admin/trace``.
         self.tracer: Optional[SpanCollector] = (
             SpanCollector(config.trace_buffer, role=role)
             if config.trace_buffer > 0
@@ -194,12 +180,18 @@ class FrontEnd:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def _listen(self) -> None:
-        """Bind the client port; resolves the actual port for port 0."""
+    async def _listen(self, sock=None) -> None:
+        """Bind the client port, or accept on ``sock`` (already bound
+        and listening); resolves the actual port for port 0."""
         self._stopped = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port
-        )
+        if sock is None:
+            self._server = await asyncio.start_server(
+                self._on_connection, self.config.host, self.config.port
+            )
+        else:
+            self._server = await asyncio.start_server(
+                self._on_connection, sock=sock
+            )
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
         self._started_at = time.perf_counter()
 
@@ -247,14 +239,13 @@ class FrontEnd:
 
         The loop never awaits a query's answer: every answer is queued
         and the next request is read — so a pipelining client's window
-        is answered in one tick and written in one call, or keeps
-        several forwarded queries in flight upstream.  Answers go out
+        is answered in one tick and written in one call.  Answers go out
         in request order, in the tick they and every answer ahead of
         them are ready.  Reading pauses while
         ``_PIPELINE_DEPTH`` answers wait or the client is not taking
         them.  A request other than ``/query`` whose answer is not
-        ready at once (an admin call, a fleet fan-out) runs alone:
-        reading waits for its answer.
+        ready at once (an admin call) runs alone: reading waits for its
+        answer.
         """
         task = asyncio.current_task()
         conn = self._connections[task] = _Connection(self, reader, writer)
@@ -329,8 +320,6 @@ class FrontEnd:
     @staticmethod
     def _encode(answer, keep_alive: bool) -> bytes:
         """The response bytes of a ready answer."""
-        if type(answer) is bytes:
-            return answer if keep_alive else _closing(answer)
         status, payload, extra = answer
         return http.response_bytes(
             status, payload, keep_alive=keep_alive, extra_headers=extra
@@ -345,7 +334,7 @@ class FrontEnd:
         request is not traced.
 
         A sampled inbound context is always honoured (this span becomes
-        its child, so a router's or client's decision wins); an explicit
+        its child, so a caller's decision wins); an explicit
         unsampled one suppresses tracing; an absent or malformed header
         (treated as absent per W3C) falls back to local 1-in-N sampling,
         which roots a new trace here.

@@ -110,7 +110,7 @@ def parse_query_head(head: bytes):
     header), which then takes :func:`parse_request`; behaviour is
     identical either way.  ``keep_alive`` follows
     :attr:`Request.keep_alive`; the two header values are ``None``
-    when absent.  The query server and the fleet router share it.
+    when absent.
     """
     if not head.startswith(b"GET /query?source="):
         return None

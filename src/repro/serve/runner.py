@@ -12,8 +12,7 @@ Extra keyword arguments pass straight through to
 :class:`~repro.serve.server.SPCServer`; a durable live tier is one
 ``updates=recover_coordinator(wal_dir, graph, index)[0]`` away — the
 coordinator arrives already replayed to its pre-crash overlay and
-keeps appending to the same WAL.  :class:`~repro.serve.fleet.FleetThread`
-runs a fleet router the same way.
+keeps appending to the same WAL.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ from repro.serve.server import SPCServer
 class ServerThread:
     """Owns one server event loop on a background daemon thread."""
 
-    #: What the thread runs (a ``start``/``shutdown``/``wait_stopped``).
-    front_end = SPCServer
     thread_name = "spc-serve"
 
     def __init__(
@@ -44,7 +41,7 @@ class ServerThread:
         **server_kwargs,
     ) -> None:
         self._build = functools.partial(
-            self.front_end, index, config=config or ServeConfig(port=0),
+            SPCServer, index, config=config or ServeConfig(port=0),
             recorder=recorder, **server_kwargs,
         )
         self.server = None

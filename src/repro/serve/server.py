@@ -18,19 +18,21 @@ over a small JSON/HTTP surface:
 
 Client HTTP — the pipelined connection loop, the drain, ``traceparent``
 sampling and ``/metrics`` negotiation — is the
-:class:`~repro.serve.frontend.FrontEnd` it shares with the fleet router.
-So is the live-update tier, :class:`LiveTier`: ``POST /admin/update``
-and the threshold rebuild-and-swap run the same code in a live server
-and in a live fleet's router.  A fleet worker on a live fleet is a
-replica: it serves a :class:`~repro.live.overlay.LiveIndex` whose
-overlay the router installs over ``POST /admin/install``.
+:class:`~repro.serve.frontend.FrontEnd`.  With an
+:class:`~repro.live.coordinator.UpdateCoordinator` the server is live:
+``POST /admin/update`` applies delta batches to the
+:class:`~repro.live.overlay.LiveIndex` it serves, and past the overlay
+threshold a background rebuild swaps in a new base.  Under
+``serve --workers N`` the server is the one child of a
+:class:`~repro.serve.fleet.FleetRouter` supervisor, serving on the
+socket the supervisor bound.
 
-**One answer path.**  A ``/query`` is answered the way the fleet router
-answers one: drain check, result cache, then one ``index.query_batch``
-of the request's misses run on the event loop (:func:`scan_answers`,
-the function the router scans with too), then encode.  The answer is
-ready when the request has been read, so the connection writes every
-answer that became ready in one loop tick in one socket write.  A pair
+**One answer path.**  A ``/query`` is answered in one step: drain
+check, result cache, then one ``index.query_batch`` of the request's
+misses run on the event loop (:func:`scan_answers`), then encode.  The
+answer is ready when the request has been read, so the connection
+writes every answer that became ready in one loop tick in one socket
+write.  A pair
 whose scan raises fails alone: :func:`scan_answers` retries the pairs
 one by one.
 
@@ -64,8 +66,6 @@ Three protections keep the server honest:
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import functools
 import json
 import os
 import signal
@@ -105,8 +105,7 @@ _LOG_DRAIN_MIN_RECORDS = 24
 
 def scan_answers(index, pairs, recorder=NULL_RECORDER) -> List[object]:
     """``index``'s answers to ``pairs`` from one ``query_batch`` call,
-    run on the calling thread — the one scan of the server and of the
-    fleet router.
+    run on the calling thread — the server's one scan.
 
     If the batch call raises, each pair is retried alone with
     ``index.query`` and a pair that still fails gets its exception in
@@ -159,327 +158,7 @@ def encode_result_bytes(
     )
 
 
-class LiveTier:
-    """The live-update tier of a process that owns an
-    :class:`~repro.live.coordinator.UpdateCoordinator`.
-
-    ``POST /admin/update`` and the threshold rebuild-and-swap, shared by
-    :class:`SPCServer` and :class:`~repro.serve.fleet.FleetRouter`: a
-    batch is validated, applied off the event loop (one WAL append and
-    one ``repair_labels``), the cache drops every pair touching a vertex
-    whose labels moved, and a rebuild starts once the overlay passes its
-    threshold.  A subclass may hook three steps: :meth:`_commit_window`
-    brackets every apply and base swap, :meth:`_publish_batch` ships a
-    batch's diff on, and :meth:`_adopt_rebuilt` swaps a rebuilt base in.
-    """
-
-    updates = None
-    request_log = None
-    _index_meta = None
-    _update_executor: Optional[ThreadPoolExecutor] = None
-    #: Lazy executor for full index rebuilds, so a long build never
-    #: queues behind (or blocks) streaming update batches.
-    _rebuild_executor: Optional[ThreadPoolExecutor] = None
-    _rebuild_task: Optional[asyncio.Task] = None
-    #: perf_counter of the most recent update batch becoming visible
-    #: (drives the ``live.staleness_s`` gauge).
-    _last_update_visible: Optional[float] = None
-
-    def _init_live(self, updates) -> None:
-        """Run ``updates`` (a coordinator, or ``None``) in this process;
-        repairs are serialised on one executor thread."""
-        self.updates = updates
-        if updates is not None:
-            if updates.recorder is NULL_RECORDER:
-                updates.recorder = self.recorder
-            self._update_executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="spc-update"
-            )
-
-    async def _stop_live(self) -> None:
-        """Cancel a running rebuild, stop the live executors and close
-        the write-ahead log."""
-        if self._rebuild_task is not None:
-            self._rebuild_task.cancel()
-            await asyncio.gather(self._rebuild_task, return_exceptions=True)
-        for executor in (self._update_executor, self._rebuild_executor):
-            if executor is not None:
-                executor.shutdown(wait=True, cancel_futures=True)
-        if self.updates is not None and self.updates.wal is not None:
-            self.updates.wal.close()
-
-    # ------------------------------------------------------------------
-    # subclass hooks
-    # ------------------------------------------------------------------
-    def _commit_window(self):
-        """The context every apply and base swap runs in."""
-        return contextlib.nullcontext()
-
-    async def _publish_batch(self, report) -> dict:
-        """Ship an applied batch on; extra fields for the update's 200."""
-        return {}
-
-    async def _adopt_rebuilt(self, new_index, base_seqno: int) -> dict:
-        """Swap a rebuilt base in; :meth:`UpdateCoordinator.adopt_base`'s
-        report."""
-        return await asyncio.get_running_loop().run_in_executor(
-            self._update_executor,
-            self.updates.adopt_base,
-            new_index,
-            base_seqno,
-        )
-
-    def _admin_answer(
-        self, request: Request, rid: str, started: float, status: int,
-        payload, extra=(), error: Optional[str] = None,
-    ) -> Response:
-        """The response of an admin request."""
-        return status, payload, tuple(extra)
-
-    # ------------------------------------------------------------------
-    # updates
-    # ------------------------------------------------------------------
-    async def _handle_update(self, request: Request, rid: str) -> Response:
-        """``POST /admin/update``: apply one JSON delta batch.
-
-        Body: ``{"updates": [[a, b, new_weight], ...]}``.  The 200 is
-        sent only after the overlay reflecting the batch is published
-        (in a fleet, installed on every live worker), so a caller that
-        got the response is guaranteed every subsequent query answers
-        on the new weights.  Bad batches (not JSON, unknown edge,
-        non-positive weight, malformed item) are rejected 400 before
-        any weight is written.
-        """
-        started = time.perf_counter()
-        if request.method != "POST":
-            status, error, extra = 405, "update requires POST", _ALLOW_POST
-        elif self.updates is None:
-            status, extra = 409, ()
-            error = (
-                "live updates are not enabled (start the server with "
-                "--live-updates and --graph)"
-            )
-        else:
-            status, error, extra = 200, None, ()
-            try:
-                body = request.json()
-                raw = body.get("updates") if isinstance(body, dict) else None
-                if not isinstance(raw, list):
-                    raise LiveUpdateError(
-                        'update body must be {"updates": [[a, b, weight], '
-                        "...]}"
-                    )
-                validate_started = time.perf_counter()
-                normalized = self.updates.validate_batch(raw)
-                payload = await self._apply_update(
-                    normalized,
-                    started,
-                    (validate_started, time.perf_counter() - validate_started),
-                )
-            except Exception as exc:
-                status, error = 400, str(exc) or type(exc).__name__
-        if error is not None:
-            payload = {"applied": False, "error": error}
-        return self._admin_answer(
-            request, rid, started, status, payload, extra, error
-        )
-
-    async def _apply_update(
-        self,
-        normalized: list,
-        ingest_started: Optional[float] = None,
-        validate_span: Optional[Tuple[float, float]] = None,
-    ) -> dict:
-        """Apply a validated batch off-loop; invalidate poisoned keys.
-
-        ``ingest_started`` is when the delta batch hit the socket —
-        the whole ingest → validation → overlay-apply → visible-epoch
-        path is measured from it into the ``live.freshness_ms``
-        histogram and, when tracing is on, recorded as a ``live.update``
-        span tree (``validate_span`` carries the validation phase's
-        ``(start, duration)`` when it ran in this request).
-        """
-        loop = asyncio.get_running_loop()
-        async with self._commit_window():
-            apply_started = time.perf_counter()
-            report = await loop.run_in_executor(
-                self._update_executor, self.updates.apply_batch, normalized
-            )
-            # Targeted invalidation: an answer can only have moved if
-            # one of its endpoints had a label entry patched (or
-            # unpatched) by this batch.
-            dropped = self.cache.invalidate(report.changed_vertices)
-            published = await self._publish_batch(report)
-        visible = time.perf_counter()
-        self._last_update_visible = visible
-        if ingest_started is not None:
-            self.recorder.observe(
-                "live.freshness_ms", (visible - ingest_started) * 1000.0
-            )
-            if self.tracer is not None:
-                self._trace_update(
-                    report, ingest_started, validate_span, apply_started,
-                    visible,
-                )
-        rec = self.recorder
-        rec.incr("serve.update.batches")
-        rec.incr("serve.update.edges", report.updated_edges)
-        rec.observe("serve.update.apply_seconds", report.seconds)
-        if self.request_log is not None:
-            self.request_log.log_server(
-                "update",
-                epoch=report.epoch,
-                seqno=report.seqno,
-                edges=report.updated_edges,
-                repaired_nodes=report.repaired_nodes,
-                repaired_entries=report.repaired_entries,
-                overlay_entries=report.overlay_entries,
-                cache_dropped=dropped,
-                seconds=round(report.seconds, 6),
-            )
-        rebuild_due = self.updates.should_rebuild()
-        if rebuild_due and self._rebuild_task is None and not self._draining:
-            # Single-flight: one background rebuild per burst, no
-            # matter how many batches land while it runs.
-            self._rebuild_task = loop.create_task(self._run_rebuild())
-        return {
-            "applied": True,
-            "epoch": report.epoch,
-            "seqno": report.seqno,
-            "updated_edges": report.updated_edges,
-            "submitted_edges": report.submitted_edges,
-            "repaired_nodes": report.repaired_nodes,
-            "repaired_entries": report.repaired_entries,
-            "overlay_entries": report.overlay_entries,
-            "cache_dropped": dropped,
-            "rebuild_due": rebuild_due,
-            **published,
-        }
-
-    def _trace_update(
-        self, report, ingest_started, validate_span, apply_started, visible
-    ) -> None:
-        """The ``live.update`` span tree of one batch."""
-        tracer = self.tracer
-        ctx = TraceContext.generate()
-        tracer.record(
-            "live.update",
-            trace_id=ctx.trace_id,
-            span_id=ctx.span_id,
-            start=ingest_started,
-            duration=visible - ingest_started,
-            attrs={
-                "epoch": report.epoch,
-                "seqno": report.seqno,
-                "edges": report.updated_edges,
-            },
-        )
-        if validate_span is not None:
-            tracer.record(
-                "live.ingest",
-                trace_id=ctx.trace_id,
-                span_id=new_span_id(),
-                parent_id=ctx.span_id,
-                start=ingest_started,
-                duration=validate_span[0] - ingest_started,
-            )
-            tracer.record(
-                "live.validate",
-                trace_id=ctx.trace_id,
-                span_id=new_span_id(),
-                parent_id=ctx.span_id,
-                start=validate_span[0],
-                duration=validate_span[1],
-            )
-        tracer.record(
-            "live.overlay_apply",
-            trace_id=ctx.trace_id,
-            span_id=new_span_id(),
-            parent_id=ctx.span_id,
-            start=apply_started,
-            duration=visible - apply_started,
-            attrs={
-                "repaired_nodes": report.repaired_nodes,
-                "repaired_entries": report.repaired_entries,
-            },
-        )
-
-    async def _run_rebuild(self) -> None:
-        """Background rebuild-and-swap after the overlay threshold.
-
-        The full CTL construction runs on its own executor thread so
-        streaming batches keep applying; the swap itself (adopting the
-        new base and replaying post-snapshot batches) is the only
-        pause, reported as ``serve.rebuild.swap_seconds``.
-        """
-        started = time.perf_counter()
-        try:
-            if self._rebuild_executor is None:
-                self._rebuild_executor = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="spc-rebuild"
-                )
-            new_index, base_seqno = await asyncio.get_running_loop(
-            ).run_in_executor(self._rebuild_executor, self.updates.rebuild)
-            swap_started = time.perf_counter()
-            info = await self._adopt_rebuilt(new_index, base_seqno)
-            pause = time.perf_counter() - swap_started
-            self._index_meta = None
-            rec = self.recorder
-            rec.incr("serve.rebuild.count")
-            rec.observe(
-                "serve.rebuild.seconds", time.perf_counter() - started
-            )
-            rec.observe("serve.rebuild.swap_seconds", pause)
-            if self.request_log is not None:
-                self.request_log.log_server(
-                    "rebuild",
-                    epoch=info["epoch"],
-                    base_seqno=base_seqno,
-                    replayed_edges=info["replayed_edges"],
-                    overlay_entries=info["overlay_entries"],
-                    seconds=round(time.perf_counter() - started, 6),
-                    swap_ms=round(pause * 1000, 3),
-                )
-        except Exception as exc:
-            self.recorder.incr("serve.rebuild.failed")
-            if self.request_log is not None:
-                self.request_log.log_server(
-                    "rebuild_failed", error=str(exc) or type(exc).__name__
-                )
-        finally:
-            self._rebuild_task = None
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def _live_stats(self) -> dict:
-        """The ``/stats`` ``live`` block."""
-        live = self.updates.stats()
-        if self._last_update_visible is not None:
-            live["staleness_s"] = (
-                time.perf_counter() - self._last_update_visible
-            )
-        freshness = self.recorder.histograms.get("live.freshness_ms")
-        if freshness is not None:
-            live["freshness_ms"] = freshness.snapshot()
-        return live
-
-    def _live_gauges(self) -> None:
-        """Refresh the ``live.*`` gauges ``/metrics`` reports."""
-        rec = self.recorder
-        state = self.updates.live_index.state
-        rec.gauge("live.overlay.entries", state.entries)
-        rec.gauge("live.overlay.poisoned_vertices", state.poisoned_vertices)
-        rec.gauge("live.epoch", state.epoch)
-        rec.gauge("live.seqno", state.seqno)
-        if self._last_update_visible is not None:
-            rec.gauge(
-                "live.staleness_s",
-                time.perf_counter() - self._last_update_visible,
-            )
-
-
-class SPCServer(LiveTier, FrontEnd):
+class SPCServer(FrontEnd):
     """Serves one built SPC index over HTTP.
 
     The server records into its own :class:`repro.obs.Recorder` (not
@@ -502,6 +181,7 @@ class SPCServer(LiveTier, FrontEnd):
         fault_plan=None,
         index_path: Optional[str] = None,
         updates=None,
+        supervised=None,
     ) -> None:
         super().__init__(
             config or ServeConfig(),
@@ -513,21 +193,30 @@ class SPCServer(LiveTier, FrontEnd):
             self._reset_faults = fault_plan
         if fault_plan is not None and fault_plan.recorder is NULL_RECORDER:
             fault_plan.recorder = self.recorder
-        #: Live-update coordinator (``None`` = no live tier of its
-        #: own).  When set, the server serves its :class:`LiveIndex`
-        #: view and accepts ``POST /admin/update`` delta batches.
-        from repro.live.overlay import LiveIndex
-
-        self._init_live(updates)
+        #: Live-update coordinator (``None`` = a static index).  When
+        #: set, the server serves its :class:`LiveIndex` view
+        #: (:attr:`live`) and accepts ``POST /admin/update`` delta
+        #: batches, repaired one at a time on one executor thread.
+        self.updates = updates
+        self.live = None
+        self._update_executor: Optional[ThreadPoolExecutor] = None
         if updates is not None:
-            index = updates.live_index
-        #: The served :class:`LiveIndex`: the coordinator's, or — when
-        #: a fleet worker was handed one without a coordinator — a
-        #: replica whose overlay the router installs
-        #: (``POST /admin/install``).  ``None`` for a static index.
-        self.live: Optional["LiveIndex"] = (
-            index if isinstance(index, LiveIndex) else None
-        )
+            if updates.recorder is NULL_RECORDER:
+                updates.recorder = self.recorder
+            self._update_executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="spc-update"
+            )
+            index = self.live = updates.live_index
+        #: Lazy executor for full index rebuilds, so a long build never
+        #: queues behind (or blocks) streaming update batches.
+        self._rebuild_executor: Optional[ThreadPoolExecutor] = None
+        self._rebuild_task: Optional[asyncio.Task] = None
+        #: perf_counter of the most recent update batch becoming
+        #: visible (drives the ``live.staleness_s`` gauge).
+        self._last_update_visible: Optional[float] = None
+        #: The supervisor of ``serve --workers N``, when this server is
+        #: its child: the socket to serve on and the pipe to report on.
+        self.supervised = supervised
         if fault_plan is not None and fault_plan.targets(
             "scan.fail", "scan.slow"
         ):
@@ -578,9 +267,6 @@ class SPCServer(LiveTier, FrontEnd):
             max_error_rate=self.config.slo_error_rate,
         )
         self._index_meta: Optional[dict] = None
-        #: Index staged by ``/admin/reload/prepare`` awaiting commit —
-        #: ``(index, path)``; the fleet router drives the two phases.
-        self._staged_reload: Optional[tuple] = None
         #: Guards /admin/rebuild (one build-and-save at a time).
         self._rebuilding = False
         self._prev_switch_interval: Optional[float] = None
@@ -611,7 +297,13 @@ class SPCServer(LiveTier, FrontEnd):
         if self.config.switch_interval_s > 0:
             self._prev_switch_interval = sys.getswitchinterval()
             sys.setswitchinterval(self.config.switch_interval_s)
-        await self._listen()
+        supervised = self.supervised
+        await self._listen(supervised.socket if supervised else None)
+        if supervised is not None:
+            loop = asyncio.get_running_loop()
+            supervised.on_orphaned(
+                loop, lambda: loop.create_task(self.shutdown())
+            )
         if self.request_log is not None:
             self.request_log.log_server(
                 "start",
@@ -672,36 +364,26 @@ class SPCServer(LiveTier, FrontEnd):
     async def reload_index(self, path: Optional[str] = None) -> dict:
         """Hot-swap a freshly validated index loaded from ``path``.
 
-        The load (and its full checksum validation) runs on a side
-        thread; the swap itself happens on the event loop in one step,
-        between two scans — zero requests dropped.  The
-        result cache is cleared (answers may differ) and the circuit
-        breaker resets.  Raises on any load/validation failure, leaving
-        the previous index serving untouched.
-        """
-        started = time.perf_counter()
-        new_index, path = await self._load_for_reload(path)
-        return self._swap_index(new_index, path, started)
-
-    async def _load_for_reload(self, path: Optional[str] = None):
-        """Load and validate a reload candidate without swapping it in.
-
-        Runs the load on a side thread with full checksum verification
-        (``verify=True`` covers the mmap'd v4 sections too — a staged
-        index must never be trusted on structure alone).  Returns
-        ``(index, path)`` with fault wrapping already applied; raises
-        on any failure, counting it against ``serve.reload.failed``.
+        The load runs on a side thread with full checksum verification
+        (``verify=True`` covers the mmap'd v4 sections too); the swap
+        itself happens on the event loop in one step, between two
+        scans — zero requests dropped.  The result cache is cleared
+        (answers may differ) and the circuit breaker resets.  Raises on
+        any load/validation failure, counted as ``serve.reload.failed``,
+        leaving the previous index serving untouched.  A supervised
+        server reports the new path, which a respawn opens.
         """
         from repro.core.serialize import load_index
 
+        started = time.perf_counter()
         if self.live is not None:
             raise ReproError(
                 "live-update server: a direct reload would desynchronize "
                 "the delta overlay from the served labels; the overlay "
                 "threshold's rebuild-and-swap replaces the base instead"
             )
-        path = path or self.index_path
-        if path is None:
+        path = str(path or self.index_path or "")
+        if not path:
             raise ReproError(
                 "no index path to reload from (server was started with "
                 "an in-memory index)"
@@ -721,35 +403,20 @@ class SPCServer(LiveTier, FrontEnd):
         except Exception:
             self.recorder.incr("serve.reload.failed")
             raise
+        info = {"path": path, "index": type(new_index).__name__}
         if self.fault_plan is not None and self.fault_plan.targets(
             "scan.fail", "scan.slow"
         ):
             new_index = FaultyIndex(new_index, self.fault_plan)
-        return new_index, str(path)
-
-    def _swap_index(
-        self, new_index, path: str, started: Optional[float] = None
-    ) -> dict:
-        """Point the serving path at ``new_index`` — one event-loop step.
-
-        Scans run on the loop, so every scan after this step sees the
-        new index.  Never fails: everything that can go wrong happened
-        in :meth:`_load_for_reload`.
-        """
         self.index = new_index
         self.cache.clear()
         self._index_meta = None
         self.breaker.record_success()
         self.index_path = path
         self.recorder.incr("serve.reload.count")
-        info = {
-            "path": path,
-            "index": type(new_index).__name__
-            if not isinstance(new_index, FaultyIndex)
-            else type(new_index.inner).__name__,
-        }
-        if started is not None:
-            info["seconds"] = time.perf_counter() - started
+        if self.supervised is not None:
+            self.supervised.report("serving", path)
+        info["seconds"] = time.perf_counter() - started
         if self.request_log is not None:
             self.request_log.log_server("reload", **info)
         return info
@@ -975,10 +642,11 @@ class SPCServer(LiveTier, FrontEnd):
     def _maybe_die(self) -> None:
         """Chaos site ``worker.kill``: SIGKILL this process mid-request.
 
-        Only query traffic draws the site — admin fan-outs and health
+        Only query traffic draws the site — admin calls and health
         probes stay deterministic — and SIGKILL (not an exception)
-        models the real failure the fleet supervisor must detect: no
-        drain, no goodbye, a half-written response on the wire.
+        models the real failure the ``serve --workers N`` supervisor
+        must detect: no drain, no goodbye, a half-written response on
+        the wire.
         """
         plan = self.fault_plan
         if plan is not None and plan.should_fire("worker.kill"):
@@ -999,18 +667,8 @@ class SPCServer(LiveTier, FrontEnd):
             )
         if request.path == "/admin/reload":
             return self._handle_reload(request, rid)
-        if request.path in (
-            "/admin/reload/prepare",
-            "/admin/reload/commit",
-            "/admin/reload/abort",
-        ):
-            return self._handle_reload_phase(
-                request, rid, request.path.rsplit("/", 1)[1]
-            )
         if request.path == "/admin/update":
             return self._handle_update(request, rid)
-        if request.path == "/admin/install":
-            return self._handle_install(request, rid)
         if request.path == "/admin/rebuild":
             return self._handle_rebuild(request, rid)
         if request.path == "/admin/profile":
@@ -1106,133 +764,6 @@ class SPCServer(LiveTier, FrontEnd):
             status, payload, (),
             rid=rid, started=started, method="POST",
             path="/admin/reload", error=error, track_slo=False,
-        )
-
-    async def _handle_reload_phase(
-        self, request: Request, rid: str, phase: str
-    ) -> Response:
-        """Two-phase reload, driven worker-by-worker by the fleet router.
-
-        * ``POST /admin/reload/prepare`` — load + fully verify the
-          candidate (body ``{"path": ...}`` or the current path) and
-          stage it without serving it.  409 on any failure.
-        * ``POST /admin/reload/commit`` — atomically swap the staged
-          index in.  409 if nothing is staged.
-        * ``POST /admin/reload/abort`` — drop the staged index (idempotent).
-
-        A router prepares every worker before committing any, so a
-        corrupt file is rejected fleet-wide while the old index keeps
-        serving on all workers — no half-upgraded fleet.
-        """
-        started = time.perf_counter()
-        path = f"/admin/reload/{phase}"
-        if request.method != "POST":
-            return self._finish_request(
-                405, {"error": f"reload {phase} requires POST"},
-                (("Allow", "POST"),),
-                rid=rid, started=started, method=request.method,
-                path=path, track_slo=False,
-            )
-        error = None
-        try:
-            if phase == "prepare":
-                body = request.json()
-                target = (
-                    body.get("path") if isinstance(body, dict) else None
-                )
-                self._staged_reload = await self._load_for_reload(target)
-                status, payload = 200, {
-                    "prepared": True, "path": self._staged_reload[1],
-                }
-            elif phase == "commit":
-                if self._staged_reload is None:
-                    raise ReproError("no staged reload to commit")
-                new_index, target = self._staged_reload
-                self._staged_reload = None
-                info = self._swap_index(new_index, target, started)
-                status, payload = 200, {"reloaded": True, **info}
-            else:  # abort
-                dropped = self._staged_reload is not None
-                self._staged_reload = None
-                status, payload = 200, {"aborted": dropped}
-        except Exception as exc:
-            error = str(exc) or type(exc).__name__
-            status, payload = 409, {phase: False, "error": error}
-        return self._finish_request(
-            status, payload, (),
-            rid=rid, started=started, method="POST",
-            path=path, error=error, track_slo=False,
-        )
-
-    async def _handle_install(self, request: Request, rid: str) -> Response:
-        """``POST /admin/install``: take the fleet router's overlay.
-
-        Only a replica serves it — a fleet worker holding a
-        :class:`LiveIndex` and no coordinator of its own.  The body is
-        either one batch's diff, ``{"epoch", "seqno", "changed":
-        rows}``, which must follow the served state exactly (same
-        epoch, ``seqno + 1``), or the router's whole state, ``{"base",
-        "epoch", "seqno", "patches": rows}``, which replaces it
-        (opening ``base``, checksummed, when it is not the served
-        file).  Rows are :func:`~repro.live.overlay.patch_rows`.  A
-        diff that does not follow, or rows that do not fit the served
-        base, are refused 409 and change nothing.
-        """
-        from repro.live.overlay import OverlayState, read_patch_rows
-
-        started = time.perf_counter()
-
-        def refuse(status: int, error: str, extra=()) -> Response:
-            return self._admin_answer(
-                request, rid, started, status,
-                {"installed": False, "error": error}, extra, error,
-            )
-
-        if request.method != "POST":
-            return refuse(405, "install requires POST", _ALLOW_POST)
-        live = self.live
-        if live is None or self.updates is not None:
-            return refuse(
-                409,
-                "install is a live fleet worker's endpoint; this server "
-                "has no overlay to install into, or repairs its own",
-            )
-        try:
-            body = request.json()
-            epoch, seqno = int(body["epoch"]), int(body["seqno"])
-            whole = "base" in body
-            rows = read_patch_rows(body["patches" if whole else "changed"])
-        except (ReproError, KeyError, TypeError, ValueError) as exc:
-            return refuse(400, f"malformed install body: {exc}")
-        try:
-            base, state = live.view
-            if whole:
-                path = body["base"]
-                if path != self.index_path:
-                    from repro.core.serialize import load_index
-
-                    base = await asyncio.get_running_loop().run_in_executor(
-                        None, functools.partial(load_index, path, verify=True)
-                    )
-                live.swap(base, OverlayState(epoch, seqno, rows))
-                self.index_path = path
-                self._index_meta = None
-                self.cache.clear()
-            elif (epoch, seqno) == (state.epoch, state.seqno + 1):
-                live.apply(rows)
-                self.cache.invalidate(rows)
-            else:
-                raise LiveUpdateError(
-                    f"diff at (epoch {epoch}, seqno {seqno}) does not "
-                    f"follow the served (epoch {state.epoch}, seqno "
-                    f"{state.seqno})"
-                )
-        except Exception as exc:
-            return refuse(409, str(exc) or type(exc).__name__)
-        self._last_update_visible = time.perf_counter()
-        return self._admin_answer(
-            request, rid, started, 200,
-            {"installed": True, "epoch": epoch, "seqno": seqno},
         )
 
     async def _handle_rebuild(self, request: Request, rid: str) -> Response:
@@ -1460,7 +991,17 @@ class SPCServer(LiveTier, FrontEnd):
                 "active": self.fallback is not None and self.breaker.open,
             },
         }
+        if self.supervised is not None:
+            payload["supervisor"] = self._supervisor_block()
         return http_status, payload, ()
+
+    def _supervisor_block(self) -> dict:
+        """Which incarnation of a supervised server answers: 0 for the
+        first child, +1 per respawn."""
+        return {
+            "generation": self.supervised.generation,
+            "pid": os.getpid(),
+        }
 
     def _handle_metrics(self, request: Request) -> Response:
         rec = self.recorder
@@ -1478,8 +1019,8 @@ class SPCServer(LiveTier, FrontEnd):
         ``format=chrome`` (default) returns a single-fragment merged
         Chrome trace payload, viewable as-is; ``format=fragment``
         returns the raw span fragment (pid, role, wall-clock anchor,
-        spans) — the form the fleet router collects from every worker
-        and merges into one cross-process trace.  ``clear=1`` drains
+        spans), for merging with other processes' fragments
+        (:func:`repro.obs.merge_trace_fragments`).  ``clear=1`` drains
         the ring so the next capture starts fresh.
         """
         refusal = self._trace_refusal(request)
@@ -1509,14 +1050,8 @@ class SPCServer(LiveTier, FrontEnd):
             payload["faults"] = self.fault_plan.snapshot()
         if self.updates is not None:
             payload["live"] = self._live_stats()
-        elif self.live is not None:
-            state = self.live.state
-            payload["live"] = {
-                "epoch": state.epoch,
-                "seqno": state.seqno,
-                "overlay_entries": state.entries,
-                "poisoned_vertices": state.poisoned_vertices,
-            }
+        if self.supervised is not None:
+            payload["supervisor"] = self._supervisor_block()
         if self.top_pairs is not None:
             payload["top_pairs"] = self.top_pairs.block()
         if self.tracer is not None:
@@ -1526,6 +1061,292 @@ class SPCServer(LiveTier, FrontEnd):
                 "capacity": self.tracer.capacity,
             }
         return 200, payload, ()
+
+    # ------------------------------------------------------------------
+    # live updates
+    # ------------------------------------------------------------------
+    async def _stop_live(self) -> None:
+        """Cancel a running rebuild, stop the live executors and close
+        the write-ahead log."""
+        if self._rebuild_task is not None:
+            self._rebuild_task.cancel()
+            await asyncio.gather(self._rebuild_task, return_exceptions=True)
+        for executor in (self._update_executor, self._rebuild_executor):
+            if executor is not None:
+                executor.shutdown(wait=True, cancel_futures=True)
+        if self.updates is not None and self.updates.wal is not None:
+            self.updates.wal.close()
+
+    # ------------------------------------------------------------------
+    # updates
+    # ------------------------------------------------------------------
+    async def _handle_update(self, request: Request, rid: str) -> Response:
+        """``POST /admin/update``: apply one JSON delta batch.
+
+        Body: ``{"updates": [[a, b, new_weight], ...]}``.  The 200 is
+        sent only after the overlay reflecting the batch is published
+        (and, with a write-ahead log, fsync'd), so a caller that
+        got the response is guaranteed every subsequent query answers
+        on the new weights.  Bad batches (not JSON, unknown edge,
+        non-positive weight, malformed item) are rejected 400 before
+        any weight is written.
+        """
+        started = time.perf_counter()
+        if request.method != "POST":
+            status, error, extra = 405, "update requires POST", _ALLOW_POST
+        elif self.updates is None:
+            status, extra = 409, ()
+            error = (
+                "live updates are not enabled (start the server with "
+                "--live-updates and --graph)"
+            )
+        else:
+            status, error, extra = 200, None, ()
+            try:
+                body = request.json()
+                raw = body.get("updates") if isinstance(body, dict) else None
+                if not isinstance(raw, list):
+                    raise LiveUpdateError(
+                        'update body must be {"updates": [[a, b, weight], '
+                        "...]}"
+                    )
+                validate_started = time.perf_counter()
+                normalized = self.updates.validate_batch(raw)
+                payload = await self._apply_update(
+                    normalized,
+                    started,
+                    (validate_started, time.perf_counter() - validate_started),
+                )
+            except Exception as exc:
+                status, error = 400, str(exc) or type(exc).__name__
+        if error is not None:
+            payload = {"applied": False, "error": error}
+        return self._admin_answer(
+            request, rid, started, status, payload, extra, error
+        )
+
+    async def _apply_update(
+        self,
+        normalized: list,
+        ingest_started: Optional[float] = None,
+        validate_span: Optional[Tuple[float, float]] = None,
+    ) -> dict:
+        """Apply a validated batch off-loop; invalidate poisoned keys.
+
+        ``ingest_started`` is when the delta batch hit the socket —
+        the whole ingest → validation → overlay-apply → visible-epoch
+        path is measured from it into the ``live.freshness_ms``
+        histogram and, when tracing is on, recorded as a ``live.update``
+        span tree (``validate_span`` carries the validation phase's
+        ``(start, duration)`` when it ran in this request).
+        """
+        loop = asyncio.get_running_loop()
+        apply_started = time.perf_counter()
+        report = await loop.run_in_executor(
+            self._update_executor, self.updates.apply_batch, normalized
+        )
+        # Targeted invalidation: an answer can only have moved if one of
+        # its endpoints had a label entry patched (or unpatched) by this
+        # batch.
+        dropped = self.cache.invalidate(report.changed_vertices)
+        visible = time.perf_counter()
+        self._last_update_visible = visible
+        if ingest_started is not None:
+            self.recorder.observe(
+                "live.freshness_ms", (visible - ingest_started) * 1000.0
+            )
+            if self.tracer is not None:
+                self._trace_update(
+                    report, ingest_started, validate_span, apply_started,
+                    visible,
+                )
+        rec = self.recorder
+        rec.incr("serve.update.batches")
+        rec.incr("serve.update.edges", report.updated_edges)
+        rec.observe("serve.update.apply_seconds", report.seconds)
+        if self.request_log is not None:
+            self.request_log.log_server(
+                "update",
+                epoch=report.epoch,
+                seqno=report.seqno,
+                edges=report.updated_edges,
+                repaired_nodes=report.repaired_nodes,
+                repaired_entries=report.repaired_entries,
+                overlay_entries=report.overlay_entries,
+                cache_dropped=dropped,
+                seconds=round(report.seconds, 6),
+            )
+        rebuild_due = self.updates.should_rebuild()
+        if rebuild_due and self._rebuild_task is None and not self._draining:
+            # Single-flight: one background rebuild per burst, no
+            # matter how many batches land while it runs.
+            self._rebuild_task = loop.create_task(self._run_rebuild())
+        return {
+            "applied": True,
+            "epoch": report.epoch,
+            "seqno": report.seqno,
+            "updated_edges": report.updated_edges,
+            "submitted_edges": report.submitted_edges,
+            "repaired_nodes": report.repaired_nodes,
+            "repaired_entries": report.repaired_entries,
+            "overlay_entries": report.overlay_entries,
+            "cache_dropped": dropped,
+            "rebuild_due": rebuild_due,
+        }
+
+    def _trace_update(
+        self, report, ingest_started, validate_span, apply_started, visible
+    ) -> None:
+        """The ``live.update`` span tree of one batch."""
+        tracer = self.tracer
+        ctx = TraceContext.generate()
+        tracer.record(
+            "live.update",
+            trace_id=ctx.trace_id,
+            span_id=ctx.span_id,
+            start=ingest_started,
+            duration=visible - ingest_started,
+            attrs={
+                "epoch": report.epoch,
+                "seqno": report.seqno,
+                "edges": report.updated_edges,
+            },
+        )
+        if validate_span is not None:
+            tracer.record(
+                "live.ingest",
+                trace_id=ctx.trace_id,
+                span_id=new_span_id(),
+                parent_id=ctx.span_id,
+                start=ingest_started,
+                duration=validate_span[0] - ingest_started,
+            )
+            tracer.record(
+                "live.validate",
+                trace_id=ctx.trace_id,
+                span_id=new_span_id(),
+                parent_id=ctx.span_id,
+                start=validate_span[0],
+                duration=validate_span[1],
+            )
+        tracer.record(
+            "live.overlay_apply",
+            trace_id=ctx.trace_id,
+            span_id=new_span_id(),
+            parent_id=ctx.span_id,
+            start=apply_started,
+            duration=visible - apply_started,
+            attrs={
+                "repaired_nodes": report.repaired_nodes,
+                "repaired_entries": report.repaired_entries,
+            },
+        )
+
+    async def _run_rebuild(self) -> None:
+        """Background rebuild-and-swap after the overlay threshold.
+
+        The full CTL construction runs on its own executor thread so
+        streaming batches keep applying; the swap itself (adopting the
+        new base and replaying post-snapshot batches) is the only
+        pause, reported as ``serve.rebuild.swap_seconds``.
+        """
+        started = time.perf_counter()
+        try:
+            if self._rebuild_executor is None:
+                self._rebuild_executor = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="spc-rebuild"
+                )
+            new_index, base_seqno = await asyncio.get_running_loop(
+            ).run_in_executor(self._rebuild_executor, self.updates.rebuild)
+            swap_started = time.perf_counter()
+            info = await self._adopt_rebuilt(new_index, base_seqno)
+            pause = time.perf_counter() - swap_started
+            self._index_meta = None
+            rec = self.recorder
+            rec.incr("serve.rebuild.count")
+            rec.observe(
+                "serve.rebuild.seconds", time.perf_counter() - started
+            )
+            rec.observe("serve.rebuild.swap_seconds", pause)
+            if self.request_log is not None:
+                self.request_log.log_server(
+                    "rebuild",
+                    epoch=info["epoch"],
+                    base_seqno=base_seqno,
+                    replayed_edges=info["replayed_edges"],
+                    overlay_entries=info["overlay_entries"],
+                    seconds=round(time.perf_counter() - started, 6),
+                    swap_ms=round(pause * 1000, 3),
+                )
+        except Exception as exc:
+            self.recorder.incr("serve.rebuild.failed")
+            if self.request_log is not None:
+                self.request_log.log_server(
+                    "rebuild_failed", error=str(exc) or type(exc).__name__
+                )
+        finally:
+            self._rebuild_task = None
+
+    async def _adopt_rebuilt(self, new_index, base_seqno: int) -> dict:
+        """Swap a rebuilt base in; :meth:`UpdateCoordinator.adopt_base`'s
+        report.
+
+        With a write-ahead log attached, the base is first saved next
+        to the served index (``<index>.epoch-<N>``) and opened from
+        there, and the log's new epoch file pins that path, so a
+        restarted or respawned server recovers onto the same base.
+        """
+        loop = asyncio.get_running_loop()
+        path = None
+        if self.updates.wal is not None and self.index_path is not None:
+            from repro.core.serialize import load_index, save_index
+
+            epoch = self.updates.live_index.state.epoch + 1
+            path = f"{self.index_path}.epoch-{epoch}"
+
+            def save_and_open():
+                save_index(new_index, path, format="binary")
+                return load_index(path, verify=True)
+
+            new_index = await loop.run_in_executor(
+                self._rebuild_executor, save_and_open
+            )
+        return await loop.run_in_executor(
+            self._update_executor,
+            self.updates.adopt_base,
+            new_index,
+            base_seqno,
+            path,
+        )
+
+    # ------------------------------------------------------------------
+    # introspection
+    # ------------------------------------------------------------------
+    def _live_stats(self) -> dict:
+        """The ``/stats`` ``live`` block."""
+        live = self.updates.stats()
+        if self._last_update_visible is not None:
+            live["staleness_s"] = (
+                time.perf_counter() - self._last_update_visible
+            )
+        freshness = self.recorder.histograms.get("live.freshness_ms")
+        if freshness is not None:
+            live["freshness_ms"] = freshness.snapshot()
+        return live
+
+    def _live_gauges(self) -> None:
+        """Refresh the ``live.*`` gauges ``/metrics`` reports."""
+        rec = self.recorder
+        state = self.updates.live_index.state
+        rec.gauge("live.overlay.entries", state.entries)
+        rec.gauge("live.overlay.poisoned_vertices", state.poisoned_vertices)
+        rec.gauge("live.epoch", state.epoch)
+        rec.gauge("live.seqno", state.seqno)
+        if self._last_update_visible is not None:
+            rec.gauge(
+                "live.staleness_s",
+                time.perf_counter() - self._last_update_visible,
+            )
 
     # ------------------------------------------------------------------
     # queries

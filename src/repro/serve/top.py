@@ -132,34 +132,12 @@ def render_dashboard(
             f"  overlay {live.get('overlay_entries', 0)}"
             + freshness
         )
-    fleet = stats.get("fleet")
-    if isinstance(fleet, dict) and isinstance(
-        fleet.get("per_worker"), list
-    ):
-        # Against a fleet router /stats carries one row per worker —
-        # the at-a-glance answer to "which worker is slow or stale".
-        lines.append("")
+    supervisor = stats.get("supervisor")
+    if isinstance(supervisor, dict):
         lines.append(
-            f"fleet ({fleet.get('reporting', '?')}/"
-            f"{fleet.get('workers', '?')} workers reporting):"
+            f"supervised: generation {supervisor.get('generation', '?')}"
+            f"  pid {supervisor.get('pid', '?')}"
         )
-        lines.append(
-            "  worker       qps    p99 ms  cache-hit"
-            "   epoch-lag  seqno-lag"
-        )
-        for row in fleet["per_worker"]:
-            line = (
-                f"  {row.get('worker', '?'):>6}"
-                f"  {row.get('qps', 0.0):>8.1f}"
-                f"  {row.get('p99_ms', 0.0):>8.3f}"
-                f"  {row.get('cache_hit_rate', 0.0) * 100:>8.2f}%"
-            )
-            if "epoch_lag" in row:
-                line += (
-                    f"  {row['epoch_lag']:>10}"
-                    f"  {row.get('seqno_lag', 0):>9}"
-                )
-            lines.append(line)
     return "\n".join(lines) + "\n"
 
 

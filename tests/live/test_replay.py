@@ -153,3 +153,24 @@ class TestStreamDeltas:
 
     def test_empty_stream(self):
         assert stream_deltas("127.0.0.1", 1, []).ok
+
+    def test_a_broken_connection_resends_the_batch(self):
+        # The first response is cut mid-write (a server restart looks
+        # the same to the client): the batch is resent on a fresh
+        # connection and lands again as a no-op, so no batch is lost.
+        from repro.faults import FaultPlan
+
+        graph = road_network(80, seed=2)
+        index = CTLIndex.build(graph)
+        thread = ServerThread(
+            index, ServeConfig(port=0, live_updates=True),
+            updates=UpdateCoordinator(graph, index),
+            fault_plan=FaultPlan.parse("conn.reset:1.0x1"),
+        )
+        batches = synthesize_deltas(graph, batches=3, seed=5)
+        with thread as (host, port):
+            report = stream_deltas(host, port, batches, speed=0)
+            state = thread.server.live.state
+        assert report.ok and report.batches_sent == 3, report.errors
+        # The cut batch was applied twice: once before the reset.
+        assert state.seqno == 4

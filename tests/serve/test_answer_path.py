@@ -1,13 +1,15 @@
 """The one answer path: :func:`scan_answers` and one write per tick.
 
-The single server and the fleet router answer a query the same way —
-cache, then one ``query_batch`` of the request's misses run on the
-event loop through :func:`repro.serve.server.scan_answers`, then encode —
-and a connection writes every answer that became ready in one loop
-tick in one socket write.
+A query is answered in one step — cache, then one ``query_batch`` of
+the request's misses run on the event loop through
+:func:`repro.serve.server.scan_answers`, then encode — by the server
+alone and by the same server as the supervised child of
+``serve --workers N``, and a connection writes every answer that
+became ready in one loop tick in one socket write.
 """
 
 import asyncio
+import multiprocessing
 import socket
 import threading
 import time
@@ -20,9 +22,9 @@ from repro.exceptions import IndexQueryError
 from repro.faults import FaultPlan, FaultyIndex
 from repro.graph.generators import road_network
 from repro.obs import Recorder
-from repro.serve import FleetRouter, FleetThread, ServeConfig, SPCServer
-from repro.serve import fleet, frontend, server
-from repro.serve.fleet import _Worker
+from repro.serve import ServeConfig, SPCServer
+from repro.serve import frontend
+from repro.serve.fleet import Supervised
 from repro.serve.http import parse_request
 from repro.serve.runner import ServerThread
 from repro.serve.server import scan_answers
@@ -145,39 +147,35 @@ def test_primary_answer_is_a_ready_tuple(index):
 
 
 # ----------------------------------------------------------------------
-# one answer path for the server and the router
+# the server alone and under the supervisor
 # ----------------------------------------------------------------------
-def test_server_and_router_give_identical_bodies(index, monkeypatch):
-    assert fleet.scan_answers is server.scan_answers
-    spc = SPCServer(index, ServeConfig(port=0))
-    router = FleetRouter("unused.bin", 1, ServeConfig(port=0))
-    router._index = index
-    router.workers = [_Worker(0, None, None)]
-    callers = []
+def _bodies(host, port):
+    """Response bodies of a miss, its symmetric hit and a POST batch."""
+    from tests.serve.supervised import request
 
-    def counting_scan(scanned, pairs, recorder):
-        callers.append("server" if recorder is spc.recorder else "router")
-        return scan_answers(scanned, pairs, recorder)
+    out = []
+    for method, path, payload in (
+        ("GET", "/query?source=3&target=150", None),
+        ("GET", "/query?source=150&target=3", None),
+        ("POST", "/query", {"pairs": [[3, 150], [7, 90], [90, 7]]}),
+    ):
+        status, _, body = request(host, port, method, path, payload)
+        out.append((status, body))
+    return out
 
-    monkeypatch.setattr(server, "scan_answers", counting_scan)
-    monkeypatch.setattr(fleet, "scan_answers", counting_scan)
 
-    def responses(front):
-        miss, _ = front._fast_query(_get_head(3, 150))
-        hit, _ = front._fast_query(_get_head(150, 3))
-        batch = front._dispatch(
-            _post_request(b'{"pairs": [[3, 150], [7, 90], [90, 7]]}')
-        )
-        if asyncio.iscoroutine(batch):
-            batch = asyncio.run(batch)
-        return [
-            frontend.FrontEnd._encode(answer, True)
-            for answer in (miss, hit, batch)
-        ]
+def test_server_and_router_give_identical_bodies(index, tmp_path):
+    # `serve` and `serve --workers 2` answer a miss, a hit and a batch
+    # with the same bytes: the supervised child is the same server.
+    from tests.serve.supervised import Served
 
-    assert responses(spc) == responses(router)
-    # the miss and the batch's two misses: one scan each, per process
-    assert callers == ["server", "server", "router", "router"]
+    path = tmp_path / "index.bin"
+    save_index(index, path, format="binary")
+    with Served([path], tmp_path / "one.log") as alone:
+        expected = _bodies(*alone.address)
+    with Served([path, "--workers", "2"], tmp_path / "two.log") as fleet:
+        assert _bodies(*fleet.address) == expected
+    assert [status for status, _ in expected] == [200, 200, 200]
 
 
 def _count_writes(monkeypatch):
@@ -215,18 +213,23 @@ def test_pipelined_gets_leave_in_one_write_on_the_server(index, monkeypatch):
     assert writes == [len(PIPELINED)]
 
 
-def test_pipelined_gets_leave_in_one_write_on_the_router(
-    tmp_path, index, monkeypatch
-):
-    path = tmp_path / "index.bin"
-    save_index(index, path, format="binary")
+def test_pipelined_gets_leave_in_one_write_on_the_router(index, monkeypatch):
+    # The supervised child's configuration: the server accepts on a
+    # socket its supervisor bound, and writes a window in one call.
+    listener = socket.create_server(("127.0.0.1", 0))
+    pipe, child_end = multiprocessing.Pipe()
     writes = _count_writes(monkeypatch)
-    thread = FleetThread(str(path), 1, ServeConfig(port=0))
-    host, port = thread.start()
+    thread = ServerThread(
+        index, ServeConfig(port=0),
+        supervised=Supervised(listener, 0, child_end),
+    )
     try:
-        _pipeline(host, port, PIPELINED)
+        with thread as (host, port):
+            assert port == listener.getsockname()[1]
+            _pipeline(host, port, PIPELINED)
     finally:
-        thread.stop()
+        listener.close()
+        pipe.close()
     assert writes == [len(PIPELINED)]
 
 

@@ -1,4 +1,4 @@
-"""Live updates over HTTP: single server and the coordinated fleet.
+"""Live updates over HTTP: a server alone and under a supervisor.
 
 The serving contract under streaming deltas:
 
@@ -11,10 +11,9 @@ The serving contract under streaming deltas:
   vertices;
 * past the overlay threshold a background rebuild swaps in a fresh
   base index without changing any answer;
-* a fleet worker is a replica: ``POST /admin/install`` takes a batch's
-  diff at exactly ``seqno + 1``, or the router's whole state;
-* a fleet's router applies each batch once, installs it on every
-  worker, and runs the rebuild-and-swap for the whole fleet.
+* under ``serve --workers 2`` the one supervised process applies each
+  batch, logs it and runs the rebuild-and-swap, saving the rebuilt
+  base for its write-ahead log to pin.
 """
 
 import http.client
@@ -28,15 +27,11 @@ from repro.core.ctl import CTLIndex
 from repro.core.serialize import load_index, save_index
 from repro.graph.generators import road_network
 from repro.graph.io import write_json
-from repro.live import (
-    LiveIndex,
-    UpdateCoordinator,
-    patch_rows,
-    synthesize_deltas,
-)
-from repro.serve import FleetThread, ServeConfig, ServerThread
+from repro.live import UpdateCoordinator, patch_rows, synthesize_deltas
+from repro.serve import ServeConfig, ServerThread
 from repro.search.pairwise import spc_query
 from repro.types import INF
+from tests.serve.supervised import Served
 
 
 def _http(host, port, method, path, payload=None):
@@ -217,111 +212,6 @@ class TestSingleServer:
             payload["repaired_entries"]
         )
 
-    def test_install_diff_and_whole_state(self, graph, tmp_path):
-        # A replica serves what the router installs: a batch's diff at
-        # seqno + 1, then the router's whole state on a new base.
-        index = CTLIndex.build(graph)
-        router = UpdateCoordinator(graph, index)
-        replica = ServerThread(
-            LiveIndex(index), ServeConfig(port=0, live_updates=True)
-        )
-        with replica as (host, port):
-            mirror = graph.copy()
-            for batch in synthesize_deltas(graph, batches=2, seed=4):
-                report = router.apply_batch(batch.updates)
-                status, payload = _http(
-                    host, port, "POST", "/admin/install",
-                    {"epoch": report.epoch, "seqno": report.seqno,
-                     "changed": patch_rows(report.changed)},
-                )
-                assert status == 200, payload
-                _mirror_apply(mirror, batch.updates)
-                _assert_parity(host, port, mirror, seed=5, samples=20)
-            _, stats = _http(host, port, "GET", "/stats")
-            assert (stats["live"]["epoch"], stats["live"]["seqno"]) == (1, 2)
-            # The whole state replaces whatever the replica held, base
-            # file included.
-            rebuilt = tmp_path / "rebuilt.bin"
-            save_index(CTLIndex.build(router.graph), rebuilt, format="binary")
-            router.adopt_base(load_index(rebuilt), 2)
-            state = router.live_index.state
-            status, payload = _http(
-                host, port, "POST", "/admin/install",
-                {"base": str(rebuilt), "epoch": state.epoch,
-                 "seqno": state.seqno, "patches": patch_rows(state.patches)},
-            )
-            assert status == 200, payload
-            _, stats = _http(host, port, "GET", "/stats")
-            assert (stats["live"]["epoch"], stats["live"]["seqno"]) == (2, 2)
-            _assert_parity(host, port, mirror, seed=6, samples=20)
-
-    def test_install_refuses_a_diff_out_of_order(self, graph):
-        index = CTLIndex.build(graph)
-        router = UpdateCoordinator(graph, index)
-        replica = ServerThread(
-            LiveIndex(index), ServeConfig(port=0, live_updates=True)
-        )
-        batches = synthesize_deltas(graph, batches=2, seed=7)
-        first = router.apply_batch(batches[0].updates)
-        second = router.apply_batch(batches[1].updates)
-        with replica as (host, port):
-            # The second diff does not follow seqno 0: refused, and
-            # nothing changes.
-            status, payload = _http(
-                host, port, "POST", "/admin/install",
-                {"epoch": second.epoch, "seqno": second.seqno,
-                 "changed": patch_rows(second.changed)},
-            )
-            assert status == 409, payload
-            assert payload["installed"] is False
-            assert "does not follow" in payload["error"]
-            _, stats = _http(host, port, "GET", "/stats")
-            assert stats["live"]["seqno"] == 0
-            _assert_parity(host, port, graph, seed=8, samples=20)
-            # Rows that do not fit the served base — a position past the
-            # row, an unindexed vertex, a negative position — and a whole
-            # state with a null entry: each refused, none counted.
-            vertex = min(graph.vertices())
-            unfit = [
-                [[vertex, 10**6, 1, 1]],
-                [[999999, 0, 2, 3]],
-                [[vertex, -1, 5, 5]],
-                [[vertex, 10**6, 1, 1], [999999, 0, 2, 3], [vertex, -1, 5, 5]],
-            ]
-            for rows in unfit:
-                status, payload = _http(
-                    host, port, "POST", "/admin/install",
-                    {"epoch": first.epoch, "seqno": first.seqno,
-                     "changed": rows},
-                )
-                assert status == 409, (rows, payload)
-                assert payload["installed"] is False
-            status, payload = _http(
-                host, port, "POST", "/admin/install",
-                {"base": None, "epoch": 1, "seqno": 5,
-                 "patches": [[vertex, 0, None, None]]},
-            )
-            assert status == 409, payload
-            _, stats = _http(host, port, "GET", "/stats")
-            assert (stats["live"]["seqno"], stats["live"]["overlay_entries"]) \
-                == (0, 0)
-            _assert_parity(host, port, graph, seed=8, samples=20)
-            status, _ = _http(
-                host, port, "POST", "/admin/install",
-                {"epoch": first.epoch, "seqno": first.seqno,
-                 "changed": patch_rows(first.changed)},
-            )
-            assert status == 200
-        # A server with a coordinator of its own repairs its own
-        # overlay: it takes no install.
-        thread, _ = _live_server(graph)
-        with thread as (host, port):
-            status, payload = _http(
-                host, port, "POST", "/admin/install",
-                {"epoch": 1, "seqno": 1, "changed": []},
-            )
-            assert status == 409, payload
-
     def test_cache_invalidation_is_targeted(self, graph):
         thread, coordinator = _live_server(graph)
         with thread as (host, port):
@@ -393,20 +283,19 @@ class TestFleet:
         graph_path = tmp / "graph.json"
         save_index(CTLIndex.build(graph), index_path, format="binary")
         write_json(graph, graph_path)
-        config = ServeConfig(
-            port=0, live_updates=True, overlay_threshold=60
+        server = Served(
+            [index_path, "--workers", "2", "--live-updates",
+             "--graph", graph_path, "--wal-dir", tmp / "wal",
+             "--overlay-threshold", "60"],
+            tmp / "serve.log",
         )
-        thread = FleetThread(
-            index_path, 2, config, live_graph_path=str(graph_path)
-        )
-        host, port = thread.start()
-        # One shared mirror: the fleet's graph state is cumulative
+        # One shared mirror: the server's graph state is cumulative
         # across the tests in this class.
-        yield graph, graph.copy(), host, port
-        thread.stop()
+        yield graph, graph.copy(), server.host, server.port, index_path
+        server.stop()
 
     def test_fleet_updates_apply_everywhere(self, live_fleet):
-        graph, mirror, host, port = live_fleet
+        graph, mirror, host, port, _ = live_fleet
         for i, batch in enumerate(
             synthesize_deltas(graph, batches=3, seed=13)
         ):
@@ -415,21 +304,19 @@ class TestFleet:
                 {"updates": [list(u) for u in batch.updates]},
             )
             assert status == 200, payload
-            assert payload["applied"] and payload["workers"] == 2
+            assert payload["applied"]
             assert payload["seqno"] == i + 1
             _mirror_apply(mirror, batch.updates)
-            # Parity on every worker: the sample spans the hash ring.
             _assert_parity(host, port, mirror, seed=60 + i)
 
     def test_fleet_rejects_bad_batch_everywhere(self, live_fleet):
-        graph, _mirror, host, port = live_fleet
+        graph, _mirror, host, port, _ = live_fleet
         _, before = _http(host, port, "GET", "/stats")
         status, payload = _http(
             host, port, "POST", "/admin/update",
             {"updates": [[10**9, 0, 5]]},
         )
-        # The router's live tier rejects it as a single server does,
-        # before any weight is written or any worker hears of it.
+        # Rejected before any weight is written or logged.
         assert status == 400
         assert payload["applied"] is False and payload["error"]
         _, after = _http(host, port, "GET", "/stats")
@@ -438,9 +325,9 @@ class TestFleet:
         )
 
     def test_fleet_coordinated_rebuild(self, live_fleet):
-        graph, mirror, host, port = live_fleet
+        graph, mirror, host, port, index_path = live_fleet
         # Drive the overlay past the threshold, then wait for the
-        # router's single-flight rebuild to swap every worker.
+        # single-flight rebuild to swap the base.
         for batch in synthesize_deltas(
             graph, batches=2, edges_per_batch=6, seed=14
         ):
@@ -460,6 +347,10 @@ class TestFleet:
             time.sleep(0.3)
         assert rebuilt, stats["live"]
         assert stats["live"]["epoch"] >= 2
+        # Saved next to the served index for the WAL to pin.
+        epoch = stats["live"]["epoch"]
+        assert stats["live"]["base_path"] == f"{index_path}.epoch-{epoch}"
+        assert load_index(stats["live"]["base_path"], verify=True)
         _assert_parity(host, port, mirror, seed=70)
 
 
@@ -508,52 +399,25 @@ class TestFreshnessTelemetry:
 
 
 class TestInstallBody:
-    """The install body a fleet router ships carries every value a
-    patch can hold, bit for bit: ``INF`` (a hub became unreachable),
+    """The JSON rows of :func:`repro.live.patch_rows` carry every value
+    a patch can hold, bit for bit: ``INF`` (a hub became unreachable),
     an unpatch, a float distance and a count past ``2**63``."""
 
     def test_diffs_round_trip_bit_for_bit(self, graph):
-        import asyncio
+        from repro.live import OverlayState, read_patch_rows
 
-        from repro.live import OverlayState, UpdateReport
-        from repro.serve.fleet import FleetRouter, _Worker
-
-        index = CTLIndex.build(graph)
         v1, v2 = sorted(graph.vertices())[:2]
         diffs = [
             {v1: {0: (INF, 0), 1: (2.5, 3)}, v2: {0: (7, 2**64 + 3)}},
             {v1: {1: None}, v2: {1: (1.0, 1), 0: (7.0, 2**63)}},
         ]
-        router = FleetRouter("unused.bin", 1, ServeConfig())
-        router.workers = [_Worker(0, None, None)]
-        bodies = []
-
-        async def capture(method, url, body=None, *, resend=False):
-            bodies.append(body)
-            return [(router.workers[0], (200, {}, b"{}"))]
-
-        router._fanout = capture
-        expected = OverlayState.initial()
+        state = expected = OverlayState.initial()
         for changed in diffs:
+            wire = json.loads(json.dumps(patch_rows(changed)))
+            assert read_patch_rows(wire) == changed
             expected = expected.with_batch(changed)
-            report = UpdateReport(
-                epoch=1, seqno=expected.seqno, submitted_edges=0,
-                updated_edges=0, repaired_nodes=0, overlay_entries=0,
-                changed=changed,
-            )
-            asyncio.run(router._publish_batch(report))
-        replica = ServerThread(
-            LiveIndex(index), ServeConfig(port=0, live_updates=True)
-        )
-        with replica as (host, port):
-            for body in bodies:
-                status, payload = _post_raw(
-                    host, port, "/admin/install", body
-                )
-                assert status == 200, payload
-            state = replica.server.live.state
+            state = state.with_batch(read_patch_rows(wire))
         assert (state.epoch, state.seqno) == (expected.epoch, expected.seqno)
-        assert state.patches == expected.patches
         assert repr(sorted(state.patches.items())) == repr(
             sorted(expected.patches.items())
         )

@@ -173,15 +173,16 @@ class TestStatsProvenance:
 
 class TestFleetProfile:
     def test_fleet_forwards_the_cost_headers(self, tmp_path):
-        # The router relays a worker's capture with every header the
-        # worker set, so the self-accounting survives the hop.
-        from repro.serve import FleetThread
+        # Under the supervisor the one child captures its own profile,
+        # with the self-accounting headers.
+        from tests.serve.supervised import Served
 
         path = tmp_path / "idx.bin"
         save_index(CTLSIndex.build(grid_graph(6, 6)), path, format="binary")
-        with FleetThread(path, 2, ServeConfig(port=0)) as (host, port):
+        with Served([path, "--workers", "2"], tmp_path / "s.log") as server:
             status, ctype, headers, body = _http(
-                host, port, "POST", "/admin/profile?seconds=0.1&interval_ms=2"
+                *server.address, "POST",
+                "/admin/profile?seconds=0.1&interval_ms=2",
             )
         assert status == 200, body
         assert ctype.startswith("text/plain")

@@ -369,12 +369,10 @@ class TestServeFlags:
         assert exit_info.value.code == 2
         assert "--update-freshness-s" in capsys.readouterr().err
 
-    def test_fleet_refuses_the_per_worker_wal_layout(self, tmp_path,
-                                                     graph_file):
-        # An older fleet kept one log per worker under DIR/worker-<id>/.
-        # Starting from such a directory would begin at the original
-        # base and drop every batch those logs hold: refused, one
-        # error line naming the directory, no traceback, exit 1.
+    @staticmethod
+    def _serve_exits(*args, timeout=120):
+        """``repro-spc serve ARGS --port 0`` in a subprocess that must
+        exit by itself: ``(exit code, stdout, stderr)``."""
         import os
         import signal
         import subprocess
@@ -382,6 +380,33 @@ class TestServeFlags:
         from pathlib import Path
 
         import repro
+
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             *map(str, args), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env, start_new_session=True,
+        )
+        try:
+            stdout, stderr = process.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            stdout, stderr = "", "still serving"
+        finally:
+            # A server that started after all must not outlive the test.
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            process.wait(30)
+        return process.returncode, stdout, stderr
+
+    @staticmethod
+    def _per_worker_wal(tmp_path, graph_file):
+        """A CTL index and a WAL directory in the per-worker layout an
+        older fleet kept: one log per worker under DIR/worker-<id>/."""
         from repro.live.wal import WriteAheadLog
 
         index_path = tmp_path / "index.bin"
@@ -393,33 +418,92 @@ class TestServeFlags:
             log.start(epoch=1)
             log.append_batch(1, 1, [(0, 1, 2.0)])
             log.close()
-        env = dict(os.environ)
-        src = str(Path(repro.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", str(index_path),
-             "--workers", "2", "--live-updates", "--graph", str(graph_file),
-             "--wal-dir", str(wal_dir), "--port", "0"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=env, start_new_session=True,
-        )
-        try:
-            stdout, stderr = process.communicate(timeout=120)
-        finally:
-            # A fleet that started after all must not outlive the test.
-            try:
-                os.killpg(process.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            process.wait(30)
-        assert process.returncode == 1, (stdout, stderr)
+        return index_path, wal_dir
+
+    @staticmethod
+    def _assert_one_error_line(code, stdout, stderr, *needles):
+        assert code == 1, (stdout, stderr)
         lines = stderr.strip().splitlines()
         assert len(lines) == 1, stderr
-        assert lines[0].startswith("error:") and str(wal_dir) in lines[0]
+        assert lines[0].startswith("error:")
+        for needle in needles:
+            assert needle in lines[0], lines[0]
         assert "Traceback" not in stderr
         assert "serving" not in stdout
-        # Nothing was written: the old logs are still the only ones.
-        assert WriteAheadLog.epoch_files(wal_dir) == []
+
+    def test_fleet_refuses_the_per_worker_wal_layout(self, tmp_path,
+                                                     graph_file):
+        # Starting from such a directory would begin at the original
+        # base and drop every batch those logs hold: refused, one
+        # error line naming the directory, no traceback, exit 1.
+        index_path, wal_dir = self._per_worker_wal(tmp_path, graph_file)
+        self._assert_one_error_line(
+            *self._serve_exits(
+                index_path, "--workers", "2", "--live-updates",
+                "--graph", graph_file, "--wal-dir", wal_dir,
+            ),
+            str(wal_dir),
+        )
+
+    def test_single_server_refuses_the_per_worker_wal_layout(
+        self, tmp_path, graph_file
+    ):
+        # The refusal lives in WAL recovery, which a server alone runs
+        # too: it used to start fresh and drop the logged batches.
+        index_path, wal_dir = self._per_worker_wal(tmp_path, graph_file)
+        self._assert_one_error_line(
+            *self._serve_exits(
+                index_path, "--live-updates", "--graph", graph_file,
+                "--wal-dir", wal_dir,
+            ),
+            str(wal_dir),
+        )
+
+    def test_serve_refuses_a_flipped_label_byte(self, tmp_path):
+        # One byte flipped in the dist section loads unchecked (and
+        # changes answers); serve checksums every section first.
+        import os
+
+        from repro.core import serialize
+        from repro.core.ctls import CTLSIndex
+        from repro.graph.generators import road_network
+
+        path = tmp_path / "index.bin"
+        serialize.save_index(
+            CTLSIndex.build(road_network(200, seed=3)), path,
+            format="binary",
+        )
+        with open(path, "rb") as handle:
+            header, entries, _, _, _ = serialize._read_v4_layout(
+                handle, path, os.path.getsize(path)
+            )
+        names = [name for name, _, _ in serialize._section_layout(header)]
+        offset, length = entries[names.index("dist")]
+        data = bytearray(path.read_bytes())
+        data[offset + length // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        serialize.load_index(path)  # unchecked: loads
+        self._assert_one_error_line(
+            *self._serve_exits(path), "corrupt index (dist)"
+        )
+        self._assert_one_error_line(
+            *self._serve_exits(path, "--workers", "2"),
+            "corrupt index (dist)",
+        )
+
+    def test_workers_live_updates_need_a_wal_dir(self, tmp_path,
+                                                 graph_file, capsys):
+        # A respawned server recovers acknowledged batches only from
+        # the WAL, so a supervised live server must have one.
+        index_path = tmp_path / "index.bin"
+        assert main(["build", str(graph_file), str(index_path),
+                     "--format", "binary", "--algorithm", "ctl"]) == 0
+        capsys.readouterr()
+        assert main(["serve", str(index_path), "--workers", "2",
+                     "--live-updates", "--graph", str(graph_file)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "--wal-dir" in err[0]
 
 
 class TestProfileBatch:
