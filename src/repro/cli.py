@@ -935,7 +935,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--cache-size", type=int, default=4096, metavar="N",
-        help="LRU result-cache capacity, 0 disables (default 4096)",
+        help="LRU result-cache capacity, 0 disables (default 4096); "
+        "with --workers N the one answering child holds this many "
+        "entries, not N times as many",
     )
     p_serve.add_argument(
         "--high-water", type=int, default=256, metavar="N",

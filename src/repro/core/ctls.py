@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import repro.obs as obs
 from repro.core.base import ArenaIndex, BuildStats
@@ -71,8 +71,13 @@ class CTLSIndex(CutTreeIndex):
         num_vertices: int,
         num_edges: int,
         strategy: str,
+        *,
+        node_of_dense: Optional[List[int]] = None,
     ) -> None:
-        super().__init__(tree, labels, build_stats, num_vertices, num_edges)
+        super().__init__(
+            tree, labels, build_stats, num_vertices, num_edges,
+            node_of_dense=node_of_dense,
+        )
         self.strategy = strategy
 
     def _window(self, a: int, b: int) -> Tuple[int, int]:

@@ -180,7 +180,7 @@ def repair_labels(
         return {}
     first, end = tree.preorder()
     node_of = tree.node_of_vertex
-    lca_of = tree.lca_table.lca
+    lca_of = tree.lca_codes.lca
     adj = graph.adj
     # Weights of the state being repaired.  ``graph`` is already at the
     # post-batch weights, so an edge a later transition rewrites reads

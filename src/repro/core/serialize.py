@@ -14,7 +14,13 @@ Two on-disk formats:
   every buffer starts 8-byte (in fact page-) aligned in the file.  The
   cut tree rides as three flat int64 sections
   (``tree_parents``/``tree_blocks``/``tree_vertices``) instead of JSON,
-  so a reload never re-parses the tree.  The ``dist`` and ``count``
+  plus ``tree_node_of`` (int32): the tree node of each of the arena's
+  dense ids, the one per-vertex array a query reads.  An open derives
+  the per-node query arrays (LCA bit codes, depths, block offsets) from
+  the first two tree sections and maps the last; the vertex lists are
+  only read when a caller walks the tree.  A file written before
+  ``tree_node_of`` existed still opens: its dense nodes are looked up
+  in the tree's vertex map instead.  The ``dist`` and ``count``
   sections keep the arena's element widths (int32 where the values
   fit, see :mod:`repro.labels.arena`), named in the header's
   ``arena.dist_typecode`` and ``arena.count_typecode``; a header
@@ -446,7 +452,7 @@ def _v4_sections(index, arena: LabelArena) -> List[Tuple[str, object]]:
     built/heap-loaded index, ``memoryview`` for an mmap-loaded one —
     so the writer uses ``handle.write(buf)``, never ``buf.tofile``.
     TL keeps its bag metadata in the JSON header (it is not scanned at
-    query time), so only CTL/CTLS grow the three tree sections.
+    query time), so only CTL/CTLS grow the four tree sections.
     """
     sections = [
         ("vertices", array("q", arena.vertices)),
@@ -459,6 +465,7 @@ def _v4_sections(index, arena: LabelArena) -> List[Tuple[str, object]]:
         sections.append(("tree_parents", array("q", parents)))
         sections.append(("tree_blocks", array("q", node_offsets)))
         sections.append(("tree_vertices", array("q", flat_vertices)))
+        sections.append(("tree_node_of", array("i", index.node_of_dense)))
     return sections
 
 
@@ -479,6 +486,8 @@ def _section_layout(header: dict) -> List[Tuple[str, str, int]]:
         layout.append(("tree_parents", "q", nodes))
         layout.append(("tree_blocks", "q", nodes + 1))
         layout.append(("tree_vertices", "q", tree_flat["vertices"]))
+        if "tree_node_of" in header.get("section_names", ()):
+            layout.append(("tree_node_of", "i", n))
     return layout
 
 
@@ -504,7 +513,7 @@ def _write_binary_v4(index, handle, build_info: dict = None) -> None:
     if isinstance(index, (CTLIndex, CTLSIndex)):
         header["tree_flat"] = {
             "nodes": index.tree.num_nodes,
-            "vertices": len(sections[-1][1]),
+            "vertices": len(dict(sections)["tree_vertices"]),
         }
     header["section_names"] = [name for name, _ in sections]
     header["sections"] = {name: _buf_nbytes(buf) for name, buf in sections}
@@ -714,14 +723,18 @@ def _index_from_binary_v4(path: PathLike, header: dict, arena, views):
             views["tree_parents"], views["tree_blocks"],
             views["tree_vertices"],
         )
+        node_of_dense = views.get("tree_node_of")
+        if node_of_dense is not None:
+            node_of_dense = node_of_dense.tolist()
         if kind == "CTLS":
             return CTLSIndex(
                 tree, arena, BuildStats(), header["num_vertices"],
                 header["num_edges"], header["strategy"],
+                node_of_dense=node_of_dense,
             )
         return CTLIndex(
             tree, arena, BuildStats(), header["num_vertices"],
-            header["num_edges"],
+            header["num_edges"], node_of_dense=node_of_dense,
         )
     if kind == "TL":
         return _tl_from_payload(header, None, None, arena=arena)
@@ -785,7 +798,7 @@ def _load_binary_v4(
     finally:
         handle.close()
     arena = LabelArena(
-        list(views["vertices"]), views["offsets"], views["dist"],
+        views["vertices"].tolist(), views["offsets"], views["dist"],
         views["count"], meta["overflow_positions"],
         meta["overflow_counts"], region=region,
     )

@@ -46,13 +46,16 @@ backing region alive via :attr:`region`; the map is torn down by
 reference counting once the last view dies (an explicit ``close`` on an
 mmap with exported views would raise ``BufferError``).
 
-When numpy is importable, :meth:`LabelArena.scan_batch` runs a
-vectorised cross-pair kernel over zero-copy numpy views of the arena
-buffers (in the width's dtype): one segmented minimum over every pair's
-scan range at C speed, with exact arbitrary-precision count accumulation
-restricted to the (few) minimising positions.  Without numpy the same
-method falls back to the scalar scan loop — numpy is an accelerator,
-never a dependency.
+For a batch of at least :data:`_MIN_VECTOR_BATCH` pairs,
+:meth:`LabelArena.scan_batch` runs a vectorised cross-pair kernel over
+zero-copy numpy views of the arena buffers (in the width's dtype): one
+segmented minimum over every pair's scan range at C speed, with exact
+arbitrary-precision count accumulation restricted to the (few)
+minimising positions.  numpy is imported by the first such batch, not
+by this module: a process that only ever scans one pair at a time (a
+server answering GETs) never loads it, and the first vector batch pays
+the one-time import (~0.1 s).  Without numpy the same method falls back
+to the scalar scan loop — numpy is an accelerator, never a dependency.
 """
 
 from __future__ import annotations
@@ -63,10 +66,24 @@ from typing import Sequence, Tuple
 
 from repro.types import INF, Vertex, Weight
 
-try:  # optional acceleration; the pure-Python path is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+#: Stands in for numpy until :func:`_numpy` has tried to import it.
+_UNLOADED = object()
+
+#: numpy once the first vector batch imported it (``None`` when it is
+#: not installed).
+_np = _UNLOADED
+
+
+def _numpy():
+    """numpy, imported on the first call; ``None`` when not installed."""
+    global _np
+    if _np is _UNLOADED:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - numpy-free installs
+            numpy = None
+        _np = numpy
+    return _np
 
 
 class Width(NamedTuple):
@@ -338,7 +355,8 @@ class LabelArena:
         return arena._overflow[at] if c < 0 else c
 
     def _dist_view(self):
-        """Zero-copy numpy view of the packed distance array (cached)."""
+        """Zero-copy numpy view of the packed distance array (cached;
+        only :meth:`scan_batch`'s kernel, after :func:`_numpy`, calls it)."""
         view = self._np_dist
         if view is None:
             view = _np.frombuffer(
@@ -377,19 +395,21 @@ class LabelArena:
         arena), so either row of a pair may live in either buffer; where
         the widths differ, distances compare decoded at the wider one.
 
-        With numpy available the distance sums and per-pair minima run
-        as one segmented C kernel over zero-copy views of the buffers;
-        exact (arbitrary-precision) count products are then accumulated
-        only at the minimising positions, which keeps counts bit-exact
-        including the overflow lane.  Without numpy this degrades to the
-        scalar merge per pair.
+        From :data:`_MIN_VECTOR_BATCH` pairs on, and with numpy
+        available (imported by the first such batch), the distance sums
+        and per-pair minima run as one segmented C kernel over zero-copy
+        views of the buffers; exact (arbitrary-precision) count products
+        are then accumulated only at the minimising positions, which
+        keeps counts bit-exact including the overflow lane.  Smaller
+        batches, and every batch without numpy, take the scalar merge
+        per pair.
         """
         # Float side rows over integer base rows take the scalar merge:
         # there, sums of integer entries stay integers.
-        if _np is None or len(lengths) < _MIN_VECTOR_BATCH or (
+        if len(lengths) < _MIN_VECTOR_BATCH or (
             side is not None
             and side.dist_typecode == "d" != self.dist_typecode
-        ):
+        ) or _numpy() is None:
             scan = self._scan_window
             return [
                 scan(a, b, n, side)

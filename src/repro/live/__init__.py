@@ -6,9 +6,7 @@ edge-weight deltas without blocking readers:
 * :class:`~repro.live.overlay.OverlayState` /
   :class:`~repro.live.overlay.LiveIndex` — immutable patch-table
   snapshots over the base arena; patched vertices' rows are copied
-  into a side arena that the one arena kernel reads beside the base;
-  :func:`patch_rows` and :func:`read_patch_rows` carry a patch table or
-  a batch diff as JSON.
+  into a side arena that the one arena kernel reads beside the base.
 * :class:`~repro.live.coordinator.UpdateCoordinator` — atomic batch
   application (epoch/seqno versioning) and overlay-threshold rebuild
   snapshots.
@@ -32,9 +30,7 @@ from repro.live.coordinator import (
 from repro.live.overlay import (
     LiveIndex,
     OverlayState,
-    patch_rows,
     patched_scan,
-    read_patch_rows,
 )
 from repro.live.replay import (
     DeltaBatch,
@@ -70,10 +66,8 @@ __all__ = [
     "WalRecord",
     "WalVerifyReport",
     "WriteAheadLog",
-    "patch_rows",
     "patched_scan",
     "read_delta_file",
-    "read_patch_rows",
     "recover_coordinator",
     "scan_wal",
     "stream_deltas",

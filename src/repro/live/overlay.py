@@ -15,9 +15,7 @@ one arena kernel, reading each endpoint's row from the side arena when
 it has one there and from the base otherwise.
 
 The coordinator publishes each new view with one attribute store, so
-readers never see a half-applied batch.  :func:`patch_rows` and
-:func:`read_patch_rows` carry a patch table, or one batch's diff, over
-JSON.
+readers never see a half-applied batch.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from repro.core.base import QueryStats
 from repro.core.ctl import CTLIndex
 from repro.exceptions import LiveUpdateError
 from repro.labels.arena import SideRows
-from repro.types import INF, QueryResult, Vertex, Weight
+from repro.types import QueryResult, Vertex, Weight
 
 #: A patched label value in the decoded domain (``INF`` when the hub
 #: became unreachable).
@@ -187,52 +185,6 @@ class LiveIndex:
         """Whether an endpoint of ``(s, t)`` has a side row."""
         patches = self.state.patches
         return source in patches or target in patches
-
-
-def patch_rows(changed) -> List[list]:
-    """A patch table, or one batch's diff, as JSON-safe rows.
-
-    Each entry becomes ``[vertex, position, dist, count]``: ``INF``
-    travels as the string ``"inf"`` (JSON has no infinity) and an
-    entry back at its base value (``None`` in a diff) as
-    ``[vertex, position, null, null]``.  Rows, not objects keyed by
-    vertex, so integer vertex ids survive JSON.
-    """
-    rows = []
-    for vertex, positions in changed.items():
-        for position, value in positions.items():
-            if value is None:
-                rows.append([vertex, position, None, None])
-            else:
-                dist, count = value
-                rows.append(
-                    [vertex, position, "inf" if dist == INF else dist, count]
-                )
-    return rows
-
-
-def read_patch_rows(rows) -> OverlayDiff:
-    """The patch table (or diff) :func:`patch_rows` wrote; raises
-    :class:`~repro.exceptions.LiveUpdateError` on a malformed row."""
-    changed: OverlayDiff = {}
-    try:
-        for vertex, position, dist, count in rows:
-            if type(vertex) is not int or type(position) is not int:
-                raise ValueError("vertex and position must be integers")
-            if dist is None:
-                value = None
-            elif type(count) is not int or count < 0:
-                raise ValueError(f"bad count {count!r}")
-            elif dist == "inf":
-                value = (INF, count)
-            elif isinstance(dist, (int, float)) and dist >= 0:
-                value = (dist, count)
-            else:
-                raise ValueError(f"bad entry {[dist, count]!r}")
-            changed.setdefault(vertex, {})[position] = value
-    except (TypeError, ValueError) as exc:
-        raise LiveUpdateError(f"malformed patch row: {exc}") from exc
-    return changed
 
 
 def patched_scan(

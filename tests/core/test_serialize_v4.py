@@ -117,9 +117,9 @@ class TestLayout:
         header, entries, _, _, _ = _layout(v4_file)
         assert header["section_names"] == [
             "vertices", "offsets", "dist", "count",
-            "tree_parents", "tree_blocks", "tree_vertices",
+            "tree_parents", "tree_blocks", "tree_vertices", "tree_node_of",
         ]
-        assert len(entries) == 7
+        assert len(entries) == 8
 
     def test_tl_keeps_tree_in_header(self, tmp_path):
         tl = TLIndex.build(grid_graph(5, 5))
@@ -318,7 +318,8 @@ def grid_file(grid_index, tmp_path):
 #: Every part of a v4 file a corruption error may name.
 PARTS = (
     "header", "vertices", "offsets", "dist", "count", "tree_parents",
-    "tree_blocks", "tree_vertices", "padding", "footer", "file",
+    "tree_blocks", "tree_vertices", "tree_node_of", "padding", "footer",
+    "file",
 )
 
 
@@ -329,13 +330,18 @@ class TestCrashSafety:
     ])
     def test_single_byte_flips_always_detected(self, grid_file, opts):
         # Property-style sweep: flip one byte at ~100 sampled offsets
-        # (always including the length field and the end marker) —
-        # every flip must be rejected, and flips past the magic must
-        # surface as a typed IndexCorruptError naming a real part.
+        # (always including the length field, the end marker and the
+        # first and last byte of every section, which the stride alone
+        # can step over) — every flip must be rejected, and flips past
+        # the magic must surface as a typed IndexCorruptError naming a
+        # real part.
         data = grid_file.read_bytes()
+        _, entries, _, _, _ = _layout(grid_file)
         step = max(1, len(data) // 97)
         offsets = sorted(
             set(range(0, len(data), step)) | {8, len(data) - 1}
+            | {at for offset, nbytes in entries
+               for at in (offset, offset + nbytes - 1)}
         )
         for offset in offsets:
             corrupted = bytearray(data)

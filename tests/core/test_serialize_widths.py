@@ -29,9 +29,10 @@ from repro.graph.generators import grid_graph
 OLD_FILE = Path(__file__).parent / "data" / "grid5x5_ctls_int64.v4"
 
 #: sha256 of the 5×5 grid CTLS v4 file with int64 label arrays (the
-#: committed fixture) and with the 32-bit arrays written today.
+#: committed fixture) and with the 32-bit arrays and the
+#: ``tree_node_of`` section written today.
 OLD_SHA256 = "f69df52d45bf9e7af00a3dc1eb46996bebc3e4cdd73beca1307db0502fea2d84"
-NEW_SHA256 = "8b0da40d06866ad6c19151d42a9e239b958c248fdb02a02212af3e4c6065b609"
+NEW_SHA256 = "0c27ac8cd4fad9257aab724a8253fe4fb991abeb53de8e9142c3e2494cb8f87d"
 
 
 def _sha256(path) -> str:
@@ -109,6 +110,33 @@ class TestOldInt64File:
         assert _sha256(built) == NEW_SHA256
         sections = _header(path)["sections"]
         assert sections["dist"] == sections["count"] == 4 * 215
+
+
+class TestDenseNodeSection:
+    """A file written today maps each dense id's tree node
+    (``tree_node_of``); a file written before that section existed (the
+    fixture) opens by looking the nodes up in the tree's vertex map."""
+
+    def test_old_file_derives_the_dense_nodes(self, fresh, pairs):
+        assert "tree_node_of" not in _header(OLD_FILE)["section_names"]
+        for options in ({}, {"mmap": False}):
+            old = load_index(OLD_FILE, **options)
+            assert old.node_of_dense == fresh.node_of_dense
+            assert old.tree._node_of_vertex is not None
+            assert _answers(old, pairs) == _answers(fresh, pairs)
+
+    def test_new_file_maps_them(self, tmp_path, fresh, pairs):
+        path = tmp_path / "new.bin"
+        save_index(fresh, path, format="binary")
+        header = _header(path)
+        assert header["section_names"][-1] == "tree_node_of"
+        assert header["sections"]["tree_node_of"] == 4 * 25
+        for options in ({}, {"mmap": False}):
+            new = load_index(path, **options)
+            assert new.node_of_dense == fresh.node_of_dense
+            assert new.tree._node_of_vertex is None
+            assert new.tree._nodes is None
+            assert _answers(new, pairs) == _answers(fresh, pairs)
 
 
 class TestDescribeWidths:

@@ -227,7 +227,7 @@ class TestScan:
         arena = LabelArena.from_lists(*simple_lists)
         windows = ([0, 0, 3, 0], [3, 0, 0, 3], [2, 3, 2, 0])
         with_numpy = arena.scan_batch(*windows)
-        monkeypatch.setattr(arena_module, "_np", None)
+        monkeypatch.setattr(arena_module, "_numpy", lambda: None)
         assert arena.scan_batch(*windows) == with_numpy
 
     def test_scan_batch_small_batches_and_empty(self, simple_lists):
@@ -284,7 +284,7 @@ class TestSideRows:
             base.scan_batch([a], [b], [n], side.arena)[0]
             for a, b, n in zip(*windows)
         ] == expected
-        monkeypatch.setattr(arena_module, "_np", None)
+        monkeypatch.setattr(arena_module, "_numpy", lambda: None)
         assert base.scan_batch(*windows, side.arena) == expected
 
     def test_float_side_rows_keep_integer_answers_integers(self):

@@ -161,7 +161,7 @@ def _check(graph, index, workdir):
     assert _widths(index) == want
     pairs, expected = _reference(graph)
     assert _answers(index, pairs) == expected
-    with mock.patch.object(arena_module, "_np", None):
+    with mock.patch.object(arena_module, "_numpy", lambda: None):
         assert _answers(index, pairs) == expected
     path = os.path.join(workdir, "index.bin")
     save_index(index, path, format="binary")
@@ -289,6 +289,6 @@ def test_live_side_rows_either_side_of_int32(tree):
         patched = live.state.patches
         seen |= {(s in patched, t in patched) for s, t in pairs}
         assert _answers(live, pairs) == expected
-        with mock.patch.object(arena_module, "_np", None):
+        with mock.patch.object(arena_module, "_numpy", lambda: None):
             assert _answers(live, pairs) == expected
     assert {(True, True), (True, False), (False, True)} <= seen

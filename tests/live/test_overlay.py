@@ -10,9 +10,7 @@ from repro.core.ctl import CTLIndex
 from repro.exceptions import IndexQueryError, LiveUpdateError
 from repro.graph.generators import road_network
 from repro.live import LiveIndex, OverlayState, UpdateCoordinator
-from repro.live.overlay import read_patch_rows
 from repro.search.pairwise import spc_query
-from repro.types import INF
 
 
 class TestOverlayState:
@@ -39,15 +37,6 @@ class TestOverlayState:
         cleared = state.with_batch({4: {0: None}})
         assert cleared.entries == 0
         assert 4 not in cleared.patches
-
-    def test_read_patch_rows_refuses_malformed_entries(self):
-        assert read_patch_rows([[4, 0, "inf", 0], [4, 1, None, None]]) == {
-            4: {0: (INF, 0), 1: None}
-        }
-        # A negative count would read as the overflow-lane marker.
-        for row in ([4, 0, 1, -1], [4, 0, -1, 1], [4, 0, "inf", "1"]):
-            with pytest.raises(LiveUpdateError):
-                read_patch_rows([row])
 
     def test_seqno_bumps_even_for_empty_batch(self):
         state = OverlayState.initial()

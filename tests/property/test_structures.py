@@ -13,7 +13,7 @@ from repro.core.serialize import load_index, save_index
 from repro.graph.graph import Graph
 from repro.graph.spc_graph import is_spc_graph_of
 from repro.graph.subgraph import boundary_graph, border_vertices
-from repro.tree.lca import LCATable
+from repro.tree.lca import BitCodeLCA, LCATable
 
 common_settings = settings(
     max_examples=30,
@@ -117,6 +117,54 @@ def test_lca_matches_bruteforce(seed, n):
         chain_b = set(chain(b))
         expected = next(x for x in chain(a) if x in chain_b)
         assert table.lca(a, b) == expected
+
+
+def _walk_lca(parents, a, b):
+    """The LCA by walking parent links: the reference answer."""
+    def chain(x):
+        out = []
+        while x >= 0:
+            out.append(x)
+            x = parents[x]
+        return out
+
+    chain_b = set(chain(b))
+    return next(x for x in chain(a) if x in chain_b)
+
+
+@st.composite
+def binary_parent_arrays(draw):
+    """Random binary trees as parent arrays (parents before children),
+    often grown on top of a spine deeper than 64 levels, so codes
+    outgrow a machine word."""
+    spine = draw(st.sampled_from([0, 0, 70, 130]))
+    extra = draw(st.integers(min_value=0, max_value=60))
+    seed = draw(st.integers(min_value=0, max_value=9_999))
+    rng = random.Random(seed)
+    parents = [-1] + list(range(max(spine, 1) - 1))
+    kids = [1] * (len(parents) - 1) + [0]
+    for i in range(len(parents), len(parents) + extra):
+        open_nodes = [j for j in range(i) if kids[j] < 2]
+        p = rng.choice(open_nodes)
+        kids[p] += 1
+        kids.append(0)
+        parents.append(p)
+    return parents
+
+
+@common_settings
+@given(parents=binary_parent_arrays(), seed=st.integers(0, 9_999))
+def test_bit_code_lca_matches_parent_walk(parents, seed):
+    rng = random.Random(seed)
+    lca = BitCodeLCA(parents)
+    n = len(parents)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(20)]
+    deepest = max(range(n), key=lca.depths.__getitem__)
+    pairs += [(deepest, rng.randrange(n)), (0, deepest), (deepest, deepest)]
+    for a, b in pairs:
+        want = _walk_lca(parents, a, b)
+        assert lca.lca(a, b) == want
+        assert lca.depths[a] == len(bin(lca.codes[a])) - 3
 
 
 @common_settings

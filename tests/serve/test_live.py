@@ -27,7 +27,7 @@ from repro.core.ctl import CTLIndex
 from repro.core.serialize import load_index, save_index
 from repro.graph.generators import road_network
 from repro.graph.io import write_json
-from repro.live import UpdateCoordinator, patch_rows, synthesize_deltas
+from repro.live import UpdateCoordinator, synthesize_deltas
 from repro.serve import ServeConfig, ServerThread
 from repro.search.pairwise import spc_query
 from repro.types import INF
@@ -396,31 +396,3 @@ class TestFreshnessTelemetry:
             assert spans[stage]["trace_id"] == (
                 spans["live.update"]["trace_id"]
             )
-
-
-class TestInstallBody:
-    """The JSON rows of :func:`repro.live.patch_rows` carry every value
-    a patch can hold, bit for bit: ``INF`` (a hub became unreachable),
-    an unpatch, a float distance and a count past ``2**63``."""
-
-    def test_diffs_round_trip_bit_for_bit(self, graph):
-        from repro.live import OverlayState, read_patch_rows
-
-        v1, v2 = sorted(graph.vertices())[:2]
-        diffs = [
-            {v1: {0: (INF, 0), 1: (2.5, 3)}, v2: {0: (7, 2**64 + 3)}},
-            {v1: {1: None}, v2: {1: (1.0, 1), 0: (7.0, 2**63)}},
-        ]
-        state = expected = OverlayState.initial()
-        for changed in diffs:
-            wire = json.loads(json.dumps(patch_rows(changed)))
-            assert read_patch_rows(wire) == changed
-            expected = expected.with_batch(changed)
-            state = state.with_batch(read_patch_rows(wire))
-        assert (state.epoch, state.seqno) == (expected.epoch, expected.seqno)
-        assert repr(sorted(state.patches.items())) == repr(
-            sorted(expected.patches.items())
-        )
-        assert type(state.patches[v2][1][0]) is float
-        assert state.patches[v2][0][1] == 2**63
-        assert state.patches[v1] == {0: (INF, 0)}
