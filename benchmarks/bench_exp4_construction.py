@@ -17,6 +17,9 @@ from repro.datasets.registry import load_dataset
 
 from conftest import BENCH_DATASETS
 
+#: Gate on ``ctls_star_build_speedup`` (see the summary test).
+SPEEDUP_TOLERANCE = 2.0
+
 BUILDERS = {
     "TL": lambda g: TLIndex.build(g),
     "CTL": lambda g: CTLIndex.build(g),
@@ -61,7 +64,10 @@ def test_fig11_12_13_summary(benchmark, capsys, perf):
             dataset=row.dataset,
         )
 
-    # Fig. 13 shape: the optimised constructions beat plain CTLS.
+    # Fig. 13 shape: the optimised constructions beat plain CTLS.  The
+    # speedup is a ratio of two single builds, so it is portable but
+    # noisy: one dataset's repeated quick runs spread by up to ~1.6x on
+    # a shared 2-vCPU host, hence the wide gate.
     for dataset in BENCH_DATASETS:
         by_alg = {r.algorithm: r for r in rows if r.dataset == dataset}
         if "CTLS" in by_alg and "CTLS*" in by_alg:
@@ -71,6 +77,7 @@ def test_fig11_12_13_summary(benchmark, capsys, perf):
                 unit="x",
                 direction="higher",
                 dataset=dataset,
+                tolerance=SPEEDUP_TOLERANCE,
             )
             assert (
                 by_alg["CTLS*"].build_seconds < by_alg["CTLS"].build_seconds

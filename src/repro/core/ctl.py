@@ -28,12 +28,10 @@ from typing import List, Optional, Tuple, Union
 
 import repro.obs as obs
 from repro.core.base import ArenaIndex, BuildStats, IndexStats
-from repro.core.labeling import compute_node_labels
-from repro.exceptions import IndexBuildError
+from repro.core.labeling import grow_tree
 from repro.graph.graph import Graph
 from repro.labels.arena import LabelArena, record_layout_gauges
 from repro.labels.store import LabelStore
-from repro.partition.balanced_cut import balanced_cut
 from repro.tree.cut_tree import CutTree
 from repro.types import Vertex
 
@@ -176,7 +174,6 @@ class CTLIndex(CutTreeIndex):
         beta: float = 0.2,
         leaf_size: int = 4,
         seed: int = 0,
-        engine: str = "csr",
         rng: Optional[random.Random] = None,
     ) -> "CTLIndex":
         """Run CTL-Construct (Algorithm 2) on ``graph``.
@@ -186,53 +183,15 @@ class CTLIndex(CutTreeIndex):
             beta: BalancedCut balance factor (paper default 0.2).
             leaf_size: subgraphs of at most this size become leaf nodes.
             seed: determinism seed (ignored when ``rng`` is given).
-            engine: ``"csr"`` (packed-array SSSPC, default) or
-                ``"dict"`` (reference implementation); identical output.
         """
-        if engine not in ("csr", "dict"):
-            raise IndexBuildError(f"unknown engine {engine!r}")
         started = time.perf_counter()
-        rng = rng or random.Random(seed)
-        tree = CutTree()
         labels = LabelStore(graph.vertices())
         rec = obs.build_scope()
-
         with rec.span("ctl.build", n=graph.num_vertices, m=graph.num_edges):
-            # Explicit stack: tree depth can exceed Python's recursion
-            # limit.
-            stack = [(graph.copy(), -1, 0)]
-            while stack:
-                subgraph, parent, depth = stack.pop()
-                if subgraph.num_vertices == 0:
-                    continue
-                rec.gauge_max("build.peak_edges", subgraph.num_edges)
-                with rec.span(
-                    "ctl.build.node", depth=depth, n=subgraph.num_vertices
-                ) as node_span:
-                    part = balanced_cut(
-                        subgraph, beta, leaf_size=leaf_size, rng=rng, rec=rec
-                    )
-                    node_id = tree.add_node(part.cut, parent)
-                    node_span.set(node=node_id, cut_size=len(part.cut))
-
-                    # Label computation (Algorithm 2 lines 2-4): highest
-                    # rank (smallest id) first, excluding each processed
-                    # cut vertex.
-                    with rec.span(
-                        "ctl.build.labels", node=node_id, cut=len(part.cut)
-                    ):
-                        compute_node_labels(
-                            subgraph, part.cut, labels, rec, engine=engine
-                        )
-
-                    for side in (part.left, part.right):
-                        if side:
-                            stack.append(
-                                (subgraph.induced_subgraph(side), node_id,
-                                 depth + 1)
-                            )
-
-            tree.finalize()
+            tree = grow_tree(
+                graph, labels, rec, beta=beta, leaf_size=leaf_size,
+                rng=rng or random.Random(seed),
+            )
         index = cls(
             tree, labels, BuildStats(), graph.num_vertices, graph.num_edges
         )

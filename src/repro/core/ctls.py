@@ -35,17 +35,11 @@ from typing import Callable, List, Optional, Tuple, Union
 import repro.obs as obs
 from repro.core.base import ArenaIndex, BuildStats
 from repro.core.ctl import CutTreeIndex
-from repro.core.labeling import compute_node_labels
-from repro.core.spc_graph_build import (
-    BlockOutDist,
-    build_spc_graph_basic,
-    build_spc_graph_cutsearch,
-)
+from repro.core.labeling import grow_tree
 from repro.exceptions import IndexBuildError
 from repro.graph.graph import Graph
 from repro.labels.arena import LabelArena, record_layout_gauges
 from repro.labels.store import LabelStore
-from repro.partition.balanced_cut import balanced_cut
 from repro.tree.cut_tree import CutTree
 
 STRATEGIES = ("basic", "pruned", "cutsearch")
@@ -101,7 +95,6 @@ class CTLSIndex(CutTreeIndex):
         leaf_size: int = 4,
         seed: int = 0,
         strategy: str = "cutsearch",
-        engine: str = "csr",
         rng: Optional[random.Random] = None,
         progress: Optional[Callable[[dict], None]] = None,
     ) -> "CTLSIndex":
@@ -113,8 +106,6 @@ class CTLSIndex(CutTreeIndex):
             leaf_size: subgraphs of at most this size become leaf nodes.
             seed: determinism seed (ignored when ``rng`` is given).
             strategy: ``"basic"`` | ``"pruned"`` | ``"cutsearch"``.
-            engine: label-computation engine, ``"csr"`` (default) or
-                ``"dict"`` (reference); identical output.
             progress: optional callback invoked once per finished cut-
                 tree node with ``{nodes, depth, cut, labels, elapsed}``
                 — the live feed behind ``repro-spc build --progress``.
@@ -123,77 +114,26 @@ class CTLSIndex(CutTreeIndex):
             raise IndexBuildError(
                 f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
             )
-        if engine not in ("csr", "dict"):
-            raise IndexBuildError(f"unknown engine {engine!r}")
         started = time.perf_counter()
-        rng = rng or random.Random(seed)
-        tree = CutTree()
         labels = LabelStore(graph.vertices())
         rec = obs.build_scope()
 
+        # Strong convex labels: each node's SSSPC runs over its SPC-Graph
+        # and excludes only processed (higher-ranked) cut vertices of the
+        # node.  Ancestor vertices are *not* excluded — shortcuts
+        # represent paths through them, which is exactly the strong
+        # convex semantics.
         with rec.span(
             "ctls.build",
             n=graph.num_vertices,
             m=graph.num_edges,
             strategy=strategy,
         ):
-            stack = [(graph.copy(), -1, 0)]
-            while stack:
-                pg, parent, depth = stack.pop()
-                if pg.num_vertices == 0:
-                    continue
-                rec.gauge_max("build.peak_edges", pg.num_edges)
-                with rec.span(
-                    "ctls.build.node", depth=depth, n=pg.num_vertices
-                ) as node_span:
-                    part = balanced_cut(
-                        pg, beta, leaf_size=leaf_size, rng=rng, rec=rec
-                    )
-                    node_id = tree.add_node(part.cut, parent)
-                    node_span.set(node=node_id, cut_size=len(part.cut))
-
-                    # Strong convex labels: SSSPC from each cut vertex over
-                    # the SPC-Graph, excluding processed (higher-ranked) cut
-                    # vertices.  Ancestor vertices are *not* excluded —
-                    # shortcuts represent paths through them, which is
-                    # exactly the strong convex semantics.
-                    with rec.span(
-                        "ctls.build.labels", node=node_id, cut=len(part.cut)
-                    ):
-                        blocks = compute_node_labels(
-                            pg, part.cut, labels, rec, engine=engine
-                        )
-
-                    if progress is not None:
-                        progress({
-                            "nodes": node_id + 1,
-                            "depth": depth,
-                            "cut": len(part.cut),
-                            "labels": labels.total_entries,
-                            "elapsed": time.perf_counter() - started,
-                        })
-
-                    if not part.left and not part.right:
-                        continue
-                    through_cut = BlockOutDist(blocks)
-                    with rec.span("ctls.build.shortcuts", node=node_id):
-                        for side in (part.left, part.right):
-                            if not side:
-                                continue
-                            if strategy == "cutsearch":
-                                child = build_spc_graph_cutsearch(
-                                    pg, side, part.cut, through_cut, rec
-                                )
-                            elif strategy == "pruned":
-                                child = build_spc_graph_basic(
-                                    pg, side, rec,
-                                    through_cut=through_cut, prune=True,
-                                )
-                            else:
-                                child = build_spc_graph_basic(pg, side, rec)
-                            stack.append((child, node_id, depth + 1))
-
-            tree.finalize()
+            tree = grow_tree(
+                graph, labels, rec, beta=beta, leaf_size=leaf_size,
+                rng=rng or random.Random(seed), strategy=strategy,
+                progress=progress,
+            )
         # Arena packing (LabelStore.seal inside the constructor) is a
         # real pipeline phase on large graphs — give it its own span so
         # build-phase breakdowns see it.

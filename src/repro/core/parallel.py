@@ -31,19 +31,12 @@ from typing import Dict, List, Tuple
 import repro.obs as obs
 from repro.core.base import BuildStats
 from repro.core.ctls import STRATEGIES, CTLSIndex
-from repro.core.spc_graph_build import (
-    BlockOutDist,
-    build_spc_graph_basic,
-    build_spc_graph_cutsearch,
-)
+from repro.core.labeling import build_node
 from repro.exceptions import IndexBuildError
 from repro.graph.graph import Graph
 from repro.labels.arena import record_layout_gauges
 from repro.labels.store import LabelStore
-from repro.partition.balanced_cut import balanced_cut
-from repro.search.dijkstra import ssspc
 from repro.tree.cut_tree import CutTree
-from repro.types import INF
 
 
 def _build_subtree(payload: Tuple[Graph, str, float, int, int]):
@@ -92,7 +85,7 @@ def build_ctls_parallel(
     ):
         # Phase 1: breadth-first sequential construction until the
         # frontier is wide enough to keep every worker busy.
-        frontier: deque = deque([(graph.copy(), -1)])
+        frontier: deque = deque([(graph, -1)])
         pending: List[Tuple[Graph, int]] = []
         with rec.span("ctls.parallel.sequential"):
             while frontier:
@@ -104,42 +97,11 @@ def build_ctls_parallel(
                 if pg.num_vertices == 0:
                     continue
                 rec.gauge_max("build.peak_edges", pg.num_edges)
-                part = balanced_cut(
-                    pg, beta, leaf_size=leaf_size, rng=rng, rec=rec
+                node_id, _cut, children = build_node(
+                    pg, tree, parent, labels, rec, beta=beta,
+                    leaf_size=leaf_size, rng=rng, strategy=strategy,
                 )
-                node_id = tree.add_node(part.cut, parent)
-
-                blocks: Dict = {v: [] for v in pg.vertices()}
-                work = pg.copy()
-                order = sorted(pg.vertices())
-                for c in part.cut:
-                    dist, count = ssspc(work, c)
-                    rec.incr("build.ssspc_runs")
-                    rec.incr("build.label_entries", work.num_vertices)
-                    for u in order:
-                        if work.has_vertex(u):
-                            d = dist.get(u, INF)
-                            labels.append(u, d, count.get(u, 0))
-                            blocks[u].append(d)
-                    work.remove_vertex(c)
-
-                if not part.left and not part.right:
-                    continue
-                through_cut = BlockOutDist(blocks)
-                for side in (part.left, part.right):
-                    if not side:
-                        continue
-                    if strategy == "cutsearch":
-                        child = build_spc_graph_cutsearch(
-                            pg, side, part.cut, through_cut, rec
-                        )
-                    elif strategy == "pruned":
-                        child = build_spc_graph_basic(
-                            pg, side, rec, through_cut=through_cut, prune=True
-                        )
-                    else:
-                        child = build_spc_graph_basic(pg, side, rec)
-                    frontier.append((child, node_id))
+                frontier.extend((child, node_id) for child in children)
 
         # Phase 2: ship each pending subtree to a worker process.
         if pending:

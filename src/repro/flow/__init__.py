@@ -1,16 +1,13 @@
-"""Max-flow and minimum vertex cuts (BalancedCut's cut engine)."""
+"""Minimum vertex cuts by Dinitz max-flow (BalancedCut's cut engine)."""
 
-from repro.flow.dinitz import max_flow, residual_reachable
-from repro.flow.network import FlowNetwork
 from repro.flow.vertex_cut import (
+    max_flow,
     min_vertex_cut_between_regions,
     min_vertex_cut_pair,
 )
 
 __all__ = [
-    "FlowNetwork",
     "max_flow",
     "min_vertex_cut_between_regions",
     "min_vertex_cut_pair",
-    "residual_reachable",
 ]

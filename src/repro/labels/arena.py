@@ -61,6 +61,7 @@ to the scalar scan loop — numpy is an accelerator, never a dependency.
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate, chain
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional
 from typing import Sequence, Tuple
 
@@ -201,37 +202,25 @@ class LabelArena:
         all of its values exactly.
         """
         vertices = list(order)
-        dist_code = _dist_typecode(dist_of[v] for v in vertices)
-        top_count = max(
-            (max(count_of[v], default=0) for v in vertices), default=0
-        )
-        count_code = "i" if top_count <= WIDTHS["i"].max_count else "q"
-        spill = top_count > MAX_INLINE_COUNT
-
+        dist_rows = [dist_of[v] for v in vertices]
         offsets = array("q", [0])
-        dist = array(dist_code)
-        count = array(count_code)
+        offsets.extend(accumulate(map(len, dist_rows)))
+        flat_dist = list(chain.from_iterable(dist_rows))
+        flat_count = list(chain.from_iterable(count_of[v] for v in vertices))
+
+        dist = _pack_dist(flat_dist)
+
+        top_count = max(flat_count, default=0)
+        count_code = "i" if top_count <= WIDTHS["i"].max_count else "q"
         overflow_positions: List[int] = []
         overflow_counts: List[int] = []
-        position = 0
-        inf_encoded = WIDTHS[dist_code].inf
-        for v in vertices:
-            dist.extend(
-                inf_encoded if d == INF else d for d in dist_of[v]
-            )
-            counts = count_of[v]
-            if spill:
-                for c in counts:
-                    if c > MAX_INLINE_COUNT:
-                        overflow_positions.append(position)
-                        overflow_counts.append(c)
-                        c = COUNT_OVERFLOW
-                    count.append(c)
-                    position += 1
-            else:
-                count.extend(counts)
-                position += len(counts)
-            offsets.append(position)
+        if top_count > MAX_INLINE_COUNT:
+            for position, c in enumerate(flat_count):
+                if c > MAX_INLINE_COUNT:
+                    overflow_positions.append(position)
+                    overflow_counts.append(c)
+                    flat_count[position] = COUNT_OVERFLOW
+        count = array(count_code, flat_count)
         return cls(
             vertices, offsets, dist, count, overflow_positions, overflow_counts
         )
@@ -520,7 +509,7 @@ class LabelArena:
         values = [v for e in rows.values() if e for v in e.values() if v]
         top = max((c for _, c in values), default=0)
         dist_code = max(
-            old.dist_typecode, _dist_typecode([[d for d, _ in values]]),
+            old.dist_typecode, _dist_typecode([d for d, _ in values]),
             key=DIST_TYPECODES.index,
         )
         count_code = max(
@@ -682,20 +671,45 @@ def _copy_row(targets, overflow, to: int, arena, at: int, n: int) -> None:
             overflow[to + k] = arena._overflow[at + k]
 
 
-def _dist_typecode(rows: Iterable[Sequence[Weight]]) -> str:
-    """The narrowest distance width holding every value of ``rows``."""
-    top = 0
-    for row in rows:
-        for d in row:
-            if d == INF:
-                continue
-            if not isinstance(d, int) or d < 0:
-                return "d"
-            if d > top:
-                top = d
+def _pack_dist(values: List[Weight]) -> array:
+    """``values`` packed at the narrowest distance width holding them.
+
+    ``INF`` becomes the width's code.  Works in place on ``values`` with
+    whole-list passes: unreachable entries are rare, so they are found
+    by ``list.index`` and patched one by one.
+    """
+    unreachable = []
+    position = -1
+    try:
+        while True:
+            position = values.index(INF, position + 1)
+            unreachable.append(position)
+    except ValueError:
+        pass
+    for position in unreachable:
+        values[position] = 0
+    top = max(values, default=0)
+    code = "d"
     if top <= WIDTHS["i"].max_dist:
-        return "i"
-    return "q" if top <= WIDTHS["q"].max_dist else "d"
+        code = "i"
+    elif top <= WIDTHS["q"].max_dist:
+        code = "q"
+    if code != "d":
+        inf = WIDTHS[code].inf
+        for position in unreachable:
+            values[position] = inf
+        try:
+            return array(code, values)
+        except TypeError:  # a float distance: only the float width holds it
+            pass
+    for position in unreachable:
+        values[position] = INF
+    return array("d", values)
+
+
+def _dist_typecode(values: Iterable[Weight]) -> str:
+    """The narrowest distance width holding every value of ``values``."""
+    return _pack_dist(list(values)).typecode
 
 
 def record_layout_gauges(rec, arena: LabelArena) -> None:

@@ -3,8 +3,8 @@
 Semantically identical to :func:`repro.search.dijkstra.ssspc` (exact
 Python-int counts, count-weight folding, terminal/excluded semantics)
 but iterating :class:`~repro.graph.csr.CSRGraph` triples with flat-list
-search state.  Used by the ``engine="csr"`` construction fast path; the
-dict implementation remains the reference and both are cross-tested.
+search state.  Index construction runs on it; the dict implementation
+remains the reference and both are cross-tested.
 """
 
 from __future__ import annotations
@@ -69,13 +69,11 @@ def ssspc_csr_arrays(
     vertices — the zero-copy interface index construction uses to fill
     label blocks without dict churn.
     """
-    n = csr.num_vertices
-    dist, count, settled = _run(
-        csr, source_dense, banned or ([False] * n), None
+    # Without terminals the heap runs dry, so every vertex given a
+    # distance is settled and the rest keep ``None``.
+    dist, count, _settled = _run(
+        csr, source_dense, banned or ([False] * csr.num_vertices), None
     )
-    for idx in range(n):
-        if not settled[idx]:
-            dist[idx] = None
     return dist, count
 
 

@@ -76,32 +76,85 @@ class TestArraysVariant:
         assert dist[csr.dense_id(1)] is None
 
 
+def reference_build(graph, strategy=None, seed=0):
+    """Labels of a build replayed with dict SSSPC for every node's labels.
+
+    The same loop as the library's (same cut order, same RNG), but each
+    node's label block comes from :func:`repro.search.dijkstra.ssspc`
+    with the processed cut vertices excluded.
+    """
+    from repro.core.spc_graph_build import (
+        BlockOutDist,
+        build_spc_graph_basic,
+        build_spc_graph_cutsearch,
+    )
+    from repro.obs import Recorder
+    from repro.partition.balanced_cut import balanced_cut
+
+    rng = random.Random(seed)
+    dist = {v: [] for v in graph.vertices()}
+    count = {v: [] for v in graph.vertices()}
+    stack = [graph]
+    while stack:
+        pg = stack.pop()
+        part = balanced_cut(pg, 0.2, leaf_size=4, rng=rng)
+        blocks = {v: [] for v in pg.vertices()}
+        processed = set()
+        for c in part.cut:
+            d, n = ssspc(pg, c, excluded=processed)
+            for u in sorted(pg.vertices()):
+                if u not in processed:
+                    dist[u].append(d.get(u, INF))
+                    count[u].append(n.get(u, 0))
+                    blocks[u].append(d.get(u, INF))
+            processed.add(c)
+        through = BlockOutDist(blocks)
+        for side in (part.left, part.right):
+            if not side:
+                continue
+            if strategy is None:
+                child = pg.induced_subgraph(side)
+            elif strategy == "cutsearch":
+                child = build_spc_graph_cutsearch(
+                    pg, side, part.cut, through, Recorder()
+                )
+            else:
+                child = build_spc_graph_basic(
+                    pg, side, Recorder(), through_cut=through,
+                    prune=strategy == "pruned",
+                )
+            stack.append(child)
+    return dist, count
+
+
 class TestEngineParity:
+    """The CSR label path of a build against dict-SSSPC reference labels."""
+
     def test_ctl_engines_identical(self):
         from repro.core.ctl import CTLIndex
 
         g = road_network(250, seed=6)
-        a = CTLIndex.build(g, engine="dict")
-        b = CTLIndex.build(g, engine="csr")
-        assert a.labels.dist == b.labels.dist
-        assert a.labels.count == b.labels.count
+        index = CTLIndex.build(g)
+        dist, count = reference_build(g)
+        assert index.labels.dist == dist
+        assert index.labels.count == count
 
     @pytest.mark.parametrize("strategy", ["basic", "pruned", "cutsearch"])
     def test_ctls_engines_identical(self, strategy):
         from repro.core.ctls import CTLSIndex
 
         g = road_network(250, seed=6)
-        a = CTLSIndex.build(g, engine="dict", strategy=strategy)
-        b = CTLSIndex.build(g, engine="csr", strategy=strategy)
-        assert a.labels.dist == b.labels.dist
-        assert a.labels.count == b.labels.count
+        index = CTLSIndex.build(g, strategy=strategy)
+        dist, count = reference_build(g, strategy)
+        assert index.labels.dist == dist
+        assert index.labels.count == count
 
     def test_unknown_engine_rejected(self, diamond):
+        # There is one label path; an ``engine`` argument is refused.
         from repro.core.ctl import CTLIndex
         from repro.core.ctls import CTLSIndex
-        from repro.exceptions import IndexBuildError
 
-        with pytest.raises(IndexBuildError):
-            CTLIndex.build(diamond, engine="gpu")
-        with pytest.raises(IndexBuildError):
-            CTLSIndex.build(diamond, engine="gpu")
+        with pytest.raises(TypeError):
+            CTLIndex.build(diamond, engine="dict")
+        with pytest.raises(TypeError):
+            CTLSIndex.build(diamond, engine="dict")

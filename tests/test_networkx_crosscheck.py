@@ -2,7 +2,7 @@
 
 networkx is a dev-environment dependency only (the library itself does
 not import it); these tests exist because independent implementations
-are the strongest oracle available for flow and centrality code.
+are the strongest oracle available for flow, cut and centrality code.
 """
 
 import random
@@ -11,37 +11,57 @@ import networkx as nx
 import pytest
 
 from repro.apps.betweenness import betweenness_exact
-from repro.flow.dinitz import max_flow
-from repro.flow.network import FlowNetwork
+from repro.flow.vertex_cut import max_flow, min_vertex_cut_pair
 from repro.graph.generators import grid_graph, road_network
 from repro.graph.graph import Graph
 from repro.search.dijkstra import ssspc
 
 
 def random_digraph_flow_case(seed):
+    """A random digraph as flat arrays and as networkx, with ``s``, ``t``."""
     rng = random.Random(seed)
     n = rng.randint(4, 10)
-    net = FlowNetwork()
+    adjacency = [[] for _ in range(n)]
+    to, cap = [], []
     nxg = nx.DiGraph()
+    nxg.add_nodes_from(range(n))
     for u in range(n):
         for v in range(n):
             if u != v and rng.random() < 0.35:
                 capacity = rng.randint(1, 9)
-                net.add_edge(u, v, capacity)
+                adjacency[u].append(len(to))
+                to.append(v)
+                cap.append(capacity)
+                adjacency[v].append(len(to))
+                to.append(u)
+                cap.append(0)
                 nxg.add_edge(u, v, capacity=capacity)
-    nxg.add_node(0)
-    nxg.add_node(n - 1)
-    net.node_id(0)
-    net.node_id(n - 1)
-    return net, nxg, 0, n - 1
+    return (adjacency, to, cap), nxg, 0, n - 1
+
+
+def random_cut_case(seed):
+    """A random graph with two non-adjacent endpoints, and networkx's."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 12)
+    g = Graph()
+    for v in range(n):
+        g.add_vertex(v)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) != (0, n - 1) and rng.random() < 0.35:
+                g.add_edge(u, v, 1)
+    return g, to_networkx(g), 0, n - 1
 
 
 class TestDinitzAgainstNetworkx:
     @pytest.mark.parametrize("seed", range(12))
     def test_max_flow_values_agree(self, seed):
-        net, nxg, s, t = random_digraph_flow_case(seed)
-        expected = nx.maximum_flow_value(nxg, s, t) if nxg.has_node(s) else 0
-        assert max_flow(net, s, t) == expected
+        network, nxg, s, t = random_digraph_flow_case(seed)
+        assert max_flow(*network, s, t)[0] == nx.maximum_flow_value(nxg, s, t)
+        # The vertex cut's size is the max flow of its split network.
+        graph, undirected, s, t = random_cut_case(seed)
+        cut = min_vertex_cut_pair(graph, s, t)
+        assert len(cut) == nx.node_connectivity(undirected, s, t)
 
 
 def to_networkx(graph: Graph) -> nx.Graph:
