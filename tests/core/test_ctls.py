@@ -93,6 +93,16 @@ class TestCTLSConstruction:
         assert a.labels.dist == b.labels.dist
         assert a.labels.count == b.labels.count
 
+    def test_progress_counts_label_entries(self, road_graph):
+        events = []
+        index = CTLSIndex.build(road_graph, progress=events.append)
+        assert [e["nodes"] for e in events] == list(
+            range(1, index.tree.num_nodes + 1)
+        )
+        totals = [e["labels"] for e in events]
+        assert totals == sorted(totals)
+        assert totals[-1] == index.arena.total_entries
+
     def test_input_graph_not_modified(self, road_graph):
         m_before = road_graph.num_edges
         CTLSIndex.build(road_graph)
