@@ -25,8 +25,10 @@ edge reaches:
 Counts are re-derived over the touched set in distance order; every
 other entry provably keeps its value.  :func:`sweep_labels` recomputes
 whole blocks in full instead (the construction's SSSPC-and-remove
-sweep).  It is the oracle the repair is tested against, and the
-fallback for callers that do not know the changed edges' old weights.
+sweep).  It is the oracle the repair is tested against, and the live
+tier's one derivation of an overlay against a new base (adopting a
+rebuilt base, recovering at a WAL rotation point), which knows each
+changed edge's current weight but not its old one.
 
 :class:`DynamicCTLS` handles the CTLS-Index, whose GSP cuts are
 *shortest-path* cuts: a weight change can re-route shortest paths around

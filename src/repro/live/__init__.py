@@ -22,11 +22,7 @@ See ``docs/serving.md`` ("Live updates") for the wire format and
 ``docs/operations.md`` for the replay and crash-recovery runbooks.
 """
 
-from repro.live.coordinator import (
-    MAX_BATCH_LOG,
-    UpdateCoordinator,
-    UpdateReport,
-)
+from repro.live.coordinator import UpdateCoordinator, UpdateReport
 from repro.live.overlay import (
     LiveIndex,
     OverlayState,
@@ -55,7 +51,6 @@ from repro.live.wal import (
 __all__ = [
     "DeltaBatch",
     "LiveIndex",
-    "MAX_BATCH_LOG",
     "OverlayState",
     "RecoveryReport",
     "UpdateCoordinator",

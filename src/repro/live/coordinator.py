@@ -15,9 +15,13 @@ delta batch is applied under one lock:
 4. publish a new immutable :class:`OverlayState` (seqno + 1) and the
    changed vertices' label rows (:meth:`LiveIndex.apply`).
 
-Adopting a rebuilt base and re-deriving the overlay after a WAL
-rotation do not know each edge's old weight; they recompute the
-affected blocks with :func:`~repro.core.dynamic.sweep_labels` instead.
+The coordinator keeps one update history: the current weight of
+every edge ever changed, with the seqno of its last effective change.
+Adopting a rebuilt base and recovering at a WAL rotation point both
+derive the overlay from it (:meth:`UpdateCoordinator.restore` and
+:meth:`~UpdateCoordinator.adopt_base` share one routine): the edges
+changed after the base's snapshot seqno have their affected blocks
+recomputed with :func:`~repro.core.dynamic.sweep_labels`.
 
 Because ``apply_batch`` returns only after step 4, an HTTP caller that
 got a 200 is guaranteed every subsequent query reflects the batch —
@@ -27,8 +31,8 @@ counting Dijkstra on the current weights.
 When the overlay grows past ``overlay_threshold`` patched entries, the
 serve tier calls :meth:`rebuild` (off the event loop) to build a fresh
 base index from the updated graph, then :meth:`adopt_base` to swap it
-in: epoch + 1, and the overlay shrinks to just the batches that landed
-after the rebuild snapshot (usually empty).
+in: epoch + 1, and the overlay shrinks to just the edges changed
+after the rebuild snapshot (usually none).
 
 Each :class:`UpdateReport` carries the batch's overlay diff
 (``changed``): the serve tier drops the cached answers of every vertex
@@ -40,7 +44,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.ctl import CTLIndex
 from repro.core.dynamic import (
@@ -55,12 +59,10 @@ from repro.exceptions import LiveUpdateError
 from repro.graph.graph import Graph
 from repro.live.overlay import LiveIndex, OverlayDiff, OverlayState, PatchEntry
 from repro.obs import NULL_RECORDER
-from repro.types import Vertex
+from repro.types import Vertex, Weight
 
-#: Retain at most this many applied batches for rebuild replay; older
-#: entries are dropped and a rebuild snapshotting before the drop line
-#: falls back to a full-label diff (always correct, just slower).
-MAX_BATCH_LOG = 4096
+#: A changed edge: ``(a, b, current_weight, seqno_of_last_change)``.
+DirtyEdge = Tuple[Vertex, Vertex, Weight, int]
 
 
 @dataclass(frozen=True)
@@ -122,16 +124,13 @@ class UpdateCoordinator:
         #: When attached, every batch is fsync'd to it *before* the
         #: overlay publishes — see :meth:`attach_wal`.
         self.wal = None
-        #: Current weight of every edge ever effectively changed, keyed
-        #: by the normalized ``(min, max)`` endpoint pair.  This is what
-        #: makes a rotated WAL epoch file self-contained: recovery
-        #: replays these weights onto the pristine graph.
-        self._dirty_edges: Dict[Tuple[Vertex, Vertex], WeightUpdate] = {}
-        #: Applied batches ``(seqno, ((a, b), ...))`` kept for rebuild
-        #: replay; trimmed to :data:`MAX_BATCH_LOG`.
-        self._batch_log: List[Tuple[int, Tuple[Tuple[Vertex, Vertex], ...]]] = []
-        #: Highest seqno evicted from the log (0 = nothing evicted).
-        self._log_floor = 0
+        #: Every edge ever effectively changed, keyed by the normalized
+        #: ``(min, max)`` endpoint pair: its current weight and the
+        #: seqno of its last change.  This is what makes a rotated WAL
+        #: epoch file self-contained (recovery writes these weights
+        #: onto the pristine graph), and the seqnos say which label
+        #: blocks a base built at a given seqno is missing.
+        self._dirty_edges: Dict[Tuple[Vertex, Vertex], DirtyEdge] = {}
         self.applied_batches = 0
         self.applied_edges = 0
         self.rebuilds = 0
@@ -180,16 +179,17 @@ class UpdateCoordinator:
         started = time.perf_counter()
         with self._lock:
             base, state = self.live_index.view
+            seqno = state.seqno + 1
             if self.wal is not None:
                 # Durability point: the batch hits disk (fsync'd) before
                 # any weight is written or the overlay publishes, so an
                 # acknowledged batch survives a crash and a failed
                 # append leaves the coordinator untouched.
-                self.wal.append_batch(state.epoch, state.seqno + 1, normalized)
+                self.wal.append_batch(state.epoch, seqno, normalized)
             transitions = apply_weights(self.graph, normalized)
             for a, b, _old, weight in transitions:
                 key = (a, b) if a <= b else (b, a)
-                self._dirty_edges[key] = (a, b, weight)
+                self._dirty_edges[key] = (a, b, weight, seqno)
             changed: OverlayDiff = {}
             repaired_nodes = repaired_entries = 0
             if transitions:
@@ -207,14 +207,6 @@ class UpdateCoordinator:
                         None if value == entry(vertex, position) else value
                     )
             new_state = self.live_index.apply(changed)
-            if transitions:
-                self._batch_log.append((
-                    new_state.seqno,
-                    tuple((a, b) for a, b, _old, _new in transitions),
-                ))
-                if len(self._batch_log) > MAX_BATCH_LOG:
-                    evicted = self._batch_log.pop(0)
-                    self._log_floor = evicted[0]
             self.applied_batches += 1
             self.applied_edges += len(transitions)
             self.last_apply_seconds = time.perf_counter() - started
@@ -266,15 +258,15 @@ class UpdateCoordinator:
         base_seqno: int,
         base_path: Optional[str] = None,
     ) -> dict:
-        """Swap in a rebuilt base; replay post-snapshot batches onto it.
+        """Swap in a rebuilt base built from the graph at ``base_seqno``.
 
         The swap itself is one atomic view publication; the only work
-        under the lock is re-deriving patches for batches that were
-        applied after the rebuild snapshot (none, in the common case).
-        When a write-ahead log is attached, adoption also rotates it at
-        the new epoch — ``base_path`` (where the rebuilt base was
-        saved, if anywhere) is pinned in the new epoch file so a
-        recovering server reloads the same base.
+        under the lock is re-deriving patches for the edges changed
+        after the rebuild snapshot (none, in the common case).  When a
+        write-ahead log is attached, adoption also rotates it at the
+        new epoch — ``base_path`` (where the rebuilt base was saved, if
+        anywhere) is pinned in the new epoch file so a recovering
+        server reloads the same base.
         """
         if not isinstance(new_index, CTLIndex):
             raise LiveUpdateError(
@@ -283,25 +275,10 @@ class UpdateCoordinator:
         started = time.perf_counter()
         with self._lock:
             state = self.live_index.state
-            replayed: List[Tuple[Vertex, Vertex]] = []
-            full_diff = base_seqno < self._log_floor
-            if full_diff:
-                # The batch log no longer reaches back to the snapshot:
-                # diff every label block (correct, rarely needed).
-                nodes = new_index.tree.nodes
-            else:
-                for seqno, edges in self._batch_log:
-                    if seqno > base_seqno:
-                        replayed.extend(edges)
-                affected = affected_nodes(new_index.tree, replayed)
-                nodes = [affected[i] for i in sorted(affected)]
-            patches = self.swept_overlay(new_index, nodes)
-            new_state = OverlayState(state.epoch + 1, state.seqno, patches)
-            self.live_index.swap(new_index, new_state)
-            self._batch_log = [
-                entry for entry in self._batch_log if entry[0] > base_seqno
-            ]
-            self._log_floor = 0
+            replayed = self._rebase(
+                new_index, base_seqno, state.epoch + 1, state.seqno
+            )
+            new_state = self.live_index.state
             self.rebuilds += 1
             self.base_path = base_path
             if self.wal is not None:
@@ -311,8 +288,6 @@ class UpdateCoordinator:
                     base_seqno=base_seqno,
                     base_path=base_path,
                     weights=list(self._dirty_edges.values()),
-                    pending=list(self._batch_log),
-                    full_diff=full_diff,
                 )
         seconds = time.perf_counter() - started
         self.recorder.incr("live.rebuilds")
@@ -322,11 +297,35 @@ class UpdateCoordinator:
             "epoch": new_state.epoch,
             "seqno": new_state.seqno,
             "base_seqno": base_seqno,
-            "replayed_edges": len(replayed),
+            "replayed_edges": replayed,
             "overlay_entries": new_state.entries,
-            "full_diff": full_diff,
             "adopt_seconds": seconds,
         }
+
+    def restore(
+        self,
+        weights: Iterable[DirtyEdge],
+        *,
+        epoch: int,
+        seqno: int,
+        base_seqno: int,
+        base_path: Optional[str] = None,
+    ) -> None:
+        """Put the coordinator at a write-ahead log's rotation point.
+
+        ``weights`` are the changed edges a WAL base record holds, as
+        ``(a, b, weight, seqno_of_last_change)``; they are written onto
+        the graph, and the overlay of the served base — built from the
+        graph at ``base_seqno`` — is derived as :meth:`adopt_base`
+        derives it, then published at ``(epoch, seqno)``.
+        """
+        with self._lock:
+            for a, b, weight, changed in weights:
+                self.graph.add_edge(a, b, weight, self.graph.count(a, b))
+                key = (a, b) if a <= b else (b, a)
+                self._dirty_edges[key] = (a, b, weight, changed)
+            self._rebase(self.live_index.base, base_seqno, epoch, seqno)
+            self.base_path = base_path
 
     # ------------------------------------------------------------------
     # introspection
@@ -353,23 +352,28 @@ class UpdateCoordinator:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def swept_overlay(
-        self, base: CTLIndex, nodes
-    ) -> Dict[Vertex, Dict[int, PatchEntry]]:
-        """The patches of the current graph against ``base``.
+    def _rebase(
+        self, base: CTLIndex, base_seqno: int, epoch: int, seqno: int
+    ) -> int:
+        """Publish ``base`` at ``(epoch, seqno)`` under the overlay of the
+        current graph; returns how many changed edges it swept.
 
-        Recomputes ``nodes``' label blocks in full with
-        :func:`~repro.core.dynamic.sweep_labels` and keeps the entries
-        that differ from the base arena.  For the paths that do not
-        know each changed edge's old weight: adopting a rebuilt base
-        and re-deriving the overlay after a WAL rotation.
+        ``base`` was built from the graph at ``base_seqno``, so only the
+        edges changed after it can make a block differ: their affected
+        blocks are recomputed in full with
+        :func:`~repro.core.dynamic.sweep_labels` (no old weight is
+        needed), and the entries that differ from the base arena become
+        the patches.  Call with the lock held.
         """
+        edges = [edge for edge in self._dirty_edges.values()
+                 if edge[3] > base_seqno]
+        affected = affected_nodes(base.tree, edges)
         entry = base.arena.entry
         patches: Dict[Vertex, Dict[int, PatchEntry]] = {}
         for vertex, position, dist, count in sweep_labels(
-            self.graph, base.tree, nodes
+            self.graph, base.tree, [affected[i] for i in sorted(affected)]
         ):
             if entry(vertex, position) != (dist, count):
                 patches.setdefault(vertex, {})[position] = (dist, count)
-        return patches
-
+        self.live_index.swap(base, OverlayState(epoch, seqno, patches))
+        return len(edges)

@@ -19,11 +19,15 @@ length-prefixed records::
 
 The first record of a file is always a **base** record pinning the
 epoch's starting point: the base index path, the ``(epoch, seqno)``
-watermark, the cumulative weight of every edge ever changed, and the
-post-snapshot batches still in the overlay.  Every subsequent record is
-a **batch** record carrying one normalized update batch.  Because the
-base record is self-contained, rotation at a rebuild *compacts* the
-log: older epoch files are deleted.
+watermark, the seqno the base was built at (``base_seqno``), and every
+edge ever changed as ``[a, b, weight, seqno]`` — its current weight and
+the seqno of its last change.  Every subsequent record is a **batch**
+record carrying one normalized update batch.  Because the base record
+is self-contained, rotation at a rebuild *compacts* the log: older
+epoch files are deleted.  A base record written before the per-edge
+seqnos (``[a, b, weight]`` entries plus a ``pending`` batch list)
+still recovers: each edge reads as changed at the rotation seqno, so
+every changed edge's blocks are swept, which is exact, only slower.
 
 Crash semantics:
 
@@ -55,13 +59,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.core.dynamic import affected_nodes
 from repro.core.serialize import load_index
 from repro.exceptions import LiveUpdateError, ReproError
-from repro.live.coordinator import UpdateCoordinator
-from repro.live.overlay import OverlayState
+from repro.live.coordinator import DirtyEdge, UpdateCoordinator
 from repro.obs import NULL_RECORDER
-from repro.types import Vertex
 
 PathLike = Union[str, Path]
 
@@ -236,8 +237,6 @@ class RecoveryReport:
     epoch: int
     seqno: int
     base_seqno: int
-    #: Post-snapshot batches re-derived from the base record.
-    pending_batches: int
     #: Batch records replayed through ``apply_batch``.
     replayed_batches: int
     #: Cumulative dirty-edge weights written into the graph.
@@ -309,9 +308,7 @@ class WriteAheadLog:
         seqno: int = 0,
         base_seqno: int = 0,
         base_path: Optional[str] = None,
-        weights: Sequence[Tuple[Vertex, Vertex, float]] = (),
-        pending: Sequence[Tuple[int, Sequence[Tuple[Vertex, Vertex]]]] = (),
-        full_diff: bool = False,
+        weights: Sequence[DirtyEdge] = (),
     ) -> None:
         """Write a fresh epoch file (magic + base record) and append to it.
 
@@ -324,11 +321,7 @@ class WriteAheadLog:
             "seqno": int(seqno),
             "base_seqno": int(base_seqno),
             "base_path": None if base_path is None else str(base_path),
-            "weights": [[a, b, w] for a, b, w in weights],
-            "pending": [
-                [int(s), [[a, b] for a, b in edges]] for s, edges in pending
-            ],
-            "full_diff": bool(full_diff),
+            "weights": [[a, b, w, int(s)] for a, b, w, s in weights],
         }
         path = self.directory / f"wal-{int(epoch):06d}.log"
         tmp = path.with_suffix(".log.tmp")
@@ -441,9 +434,7 @@ class WriteAheadLog:
         seqno: int,
         base_seqno: int,
         base_path: Optional[str],
-        weights,
-        pending,
-        full_diff: bool = False,
+        weights: Sequence[DirtyEdge],
     ) -> None:
         """Compact at a rebuild: start the new epoch file, drop the rest."""
         old = [p for _, p in self.epoch_files(self.directory)]
@@ -453,8 +444,6 @@ class WriteAheadLog:
             base_seqno=base_seqno,
             base_path=base_path,
             weights=weights,
-            pending=pending,
-            full_diff=full_diff,
         )
         for path in old:
             if path != self._path:
@@ -508,11 +497,12 @@ def recover_coordinator(
     ``graph``/``index`` are the *cold-start* state (the original graph
     file and the index the server just mapped).  The highest usable
     epoch file decides everything else: its base record rebuilds the
-    current-weights graph and the post-snapshot overlay, and its batch
-    records replay through :meth:`UpdateCoordinator.apply_batch` — a
-    deterministic pipeline, so the recovered overlay is bit-identical
-    to the pre-crash one.  Returns the coordinator (log attached, open
-    for append) plus a :class:`RecoveryReport`.
+    current-weights graph and the overlay at the rotation point
+    (:meth:`UpdateCoordinator.restore`), and its batch records replay
+    through :meth:`UpdateCoordinator.apply_batch` — a deterministic
+    pipeline, so the recovered overlay is bit-identical to the
+    pre-crash one.  Returns the coordinator (log attached, open for
+    append) plus a :class:`RecoveryReport`.
 
     A directory holding only the per-worker logs an older fleet kept
     (``worker-<id>/wal-*.log``, none at the top) is refused with
@@ -543,7 +533,6 @@ def recover_coordinator(
             epoch=1,
             seqno=0,
             base_seqno=0,
-            pending_batches=0,
             replayed_batches=0,
             weights_applied=0,
             torn_tail=False,
@@ -558,10 +547,11 @@ def recover_coordinator(
     epoch = int(base_record["epoch"])
     rotation_seqno = int(base_record["seqno"])
     base_seqno = int(base_record["base_seqno"])
-    weights = [(int(a), int(b), w) for a, b, w in base_record["weights"]]
-    pending = [
-        (int(s), tuple((int(a), int(b)) for a, b in edges))
-        for s, edges in base_record["pending"]
+    # An older base record has no per-edge seqno: reading every edge
+    # as changed at the rotation point sweeps them all (exact).
+    weights = [
+        (int(a), int(b), w, int(changed[0]) if changed else rotation_seqno)
+        for a, b, w, *changed in base_record["weights"]
     ]
 
     base_index = index
@@ -588,28 +578,14 @@ def recover_coordinator(
         recorder=recorder,
         build_params=build_params,
     )
-    for a, b, w in weights:
-        coordinator.graph.add_edge(a, b, w, coordinator.graph.count(a, b))
-
-    # Re-derive the overlay at the rotation point.  Against the rotated
-    # on-disk base only post-snapshot batches can differ from the base
-    # labels; against the caller's default index (no saved base, or the
-    # saved one failed to load) every dirty edge can.
-    if saved_base and not base_record.get("full_diff"):
-        repair_edges = [edge for _, edges in pending for edge in edges]
-    else:
-        repair_edges = [(a, b) for a, b, _ in weights]
-    affected = affected_nodes(base_index.tree, repair_edges)
-    nodes = [affected[i] for i in sorted(affected)]
-    patches = coordinator.swept_overlay(base_index, nodes)
-    coordinator.live_index.swap(
-        base_index, OverlayState(epoch, rotation_seqno, patches)
+    # The caller's cold-start index holds the weights at seqno 0.
+    coordinator.restore(
+        weights,
+        epoch=epoch,
+        seqno=rotation_seqno,
+        base_seqno=base_seqno if saved_base else 0,
+        base_path=base_path if saved_base else None,
     )
-    coordinator._batch_log = list(pending)
-    coordinator._log_floor = base_seqno
-    for a, b, w in weights:
-        key = (a, b) if a <= b else (b, a)
-        coordinator._dirty_edges[key] = (a, b, w)
 
     # Replay post-rotation batches through the normal apply pipeline.
     replayed = 0
@@ -622,7 +598,6 @@ def recover_coordinator(
     wal.open_existing(path, scan.good_bytes)
     wal.appends = replayed
     coordinator.attach_wal(wal)
-    coordinator.base_path = base_path if saved_base else None
     state = coordinator.live_index.state
     recorder.incr("live.wal.recoveries")
     return coordinator, RecoveryReport(
@@ -630,7 +605,6 @@ def recover_coordinator(
         epoch=state.epoch,
         seqno=state.seqno,
         base_seqno=base_seqno,
-        pending_batches=len(pending),
         replayed_batches=replayed,
         weights_applied=len(weights),
         torn_tail=scan.torn is not None,

@@ -1247,8 +1247,8 @@ class SPCServer(FrontEnd):
 
         The full CTL construction runs on its own executor thread so
         streaming batches keep applying; the swap itself (adopting the
-        new base and replaying post-snapshot batches) is the only
-        pause, reported as ``serve.rebuild.swap_seconds``.
+        new base and sweeping the edges changed since the snapshot) is
+        the only pause, reported as ``serve.rebuild.swap_seconds``.
         """
         started = time.perf_counter()
         try:

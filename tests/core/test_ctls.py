@@ -108,6 +108,10 @@ class TestCTLSConstruction:
         CTLSIndex.build(road_graph)
         assert road_graph.num_edges == m_before
 
+    def test_stats_cover_every_vertex(self, road_graph, strategy):
+        index = CTLSIndex.build(road_graph, strategy=strategy)
+        assert index.stats().num_vertices == road_graph.num_vertices
+
 
 class TestCTLSQueryShape:
     def test_lca_only_scan_is_narrow(self, road_graph, road_pairs):

@@ -1,12 +1,15 @@
 """Write-ahead log: durability ordering, crash recovery, compaction."""
 
+import json
 import os
 import random
 import struct
+import zlib
 
 import pytest
 
 from repro.core.ctl import CTLIndex
+from repro.cli import main
 from repro.core.serialize import save_index
 from repro.exceptions import LiveUpdateError
 from repro.faults import FaultPlan, InjectedFault
@@ -351,6 +354,60 @@ class TestRotation:
         assert report.base_fallback
         assert report.epoch == 2
         _assert_parity(recovered, mirror, seed=44)
+
+
+class TestOlderLayout:
+    def test_base_record_without_edge_seqnos_recovers(
+        self, recover, tmp_path, graph, index, capsys
+    ):
+        """A base record from before the per-edge seqnos: 3-entry
+        ``weights`` plus ``pending``/``full_diff``.  Every changed edge
+        reads as changed at the rotation seqno, so recovery sweeps all
+        of them, which gives the same overlay."""
+        wal_dir = tmp_path / "wal"
+        coordinator, _ = recover(wal_dir, graph, index)
+        mirror = graph.copy()
+        batches = _random_batches(graph, rounds=6, seed=47)
+        for batch in batches[:2]:
+            _apply(coordinator, mirror, batch)
+        new_index, base_seqno = coordinator.rebuild()
+        for batch in batches[2:4]:  # between the snapshot and the adopt
+            _apply(coordinator, mirror, batch)
+        base_path = tmp_path / "base-epoch2.bin"
+        save_index(new_index, base_path, format="binary")
+        coordinator.adopt_base(new_index, base_seqno, str(base_path))
+        for batch in batches[4:]:
+            _apply(coordinator, mirror, batch)
+
+        # Rewrite the rotated file's base record in the older layout.
+        wal_path = coordinator.wal.path
+        scan = scan_wal(wal_path)
+        base = dict(scan.records[0].payload)
+        assert all(len(entry) == 4 for entry in base["weights"])
+        base["weights"] = [[a, b, w] for a, b, w, _s in base["weights"]]
+        base["pending"] = [
+            [seqno, [[a, b] for a, b, _w in batch]]
+            for seqno, batch in enumerate(batches[2:4], base_seqno + 1)
+        ]
+        base["full_diff"] = False
+        body = json.dumps(base, separators=(",", ":")).encode()
+        batch_bytes = wal_path.read_bytes()[scan.records[1].offset:]
+        old_dir = tmp_path / "old"
+        old_dir.mkdir()
+        (old_dir / wal_path.name).write_bytes(
+            WAL_MAGIC
+            + struct.pack("<II", len(body), zlib.crc32(body))
+            + body
+            + batch_bytes
+        )
+
+        recovered, report = recover(old_dir, graph, index)
+        assert not report.base_fallback
+        assert report.replayed_batches == 2
+        assert _overlay_key(recovered) == _overlay_key(coordinator)
+        _assert_parity(recovered, mirror, seed=48)
+        assert main(["wal-verify", str(old_dir)]) == 0
+        assert "error" not in capsys.readouterr().err
 
 
 def _expected_batches(record_starts, total, cut):

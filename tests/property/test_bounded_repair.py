@@ -102,7 +102,12 @@ def test_live_overlay_matches_full_sweep(data):
     for batch in batches:
         before = _current_labels(coordinator)
         report = coordinator.apply_batch(batch)
-        patches = coordinator.swept_overlay(index, index.tree.nodes)
+        patches = {}
+        for v, position, dist, count in sweep_labels(
+            coordinator.graph, index.tree, index.tree.nodes
+        ):
+            if index.arena.entry(v, position) != (dist, count):
+                patches.setdefault(v, {})[position] = (dist, count)
         state = coordinator.live_index.state
         assert state.patches == patches, batch
         after = _current_labels(coordinator)

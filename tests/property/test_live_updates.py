@@ -19,8 +19,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.ctl import CTLIndex
+from repro.core.serialize import save_index
 from repro.graph.graph import Graph
-from repro.live import UpdateCoordinator, recover_coordinator, verify_wal
+from repro.live import (
+    UpdateCoordinator,
+    recover_coordinator,
+    scan_wal,
+    verify_wal,
+)
 from repro.search.pairwise import spc_query
 
 
@@ -126,9 +132,18 @@ def test_wal_crash_recovery_restores_an_exact_prefix(data, cut_point):
     already-acknowledged seqno ``k`` — never a partial batch, never an
     invented one — and its answers must match a counting Dijkstra on
     the first ``k`` batches.
+
+    With a rebuild drawn, the snapshot is taken after that batch, the
+    rest of the stream lands before the adopt, the adopt rotates the
+    log onto a saved base, and the pre-snapshot batches land once more
+    so the rotated file has batch records to cut.  Rotation writes its
+    file whole, so the cut then falls after the base record.
     """
-    graph, batches, _rebuild_after = data
+    graph, batches, rebuild_after = data
     index = CTLIndex.build(graph)
+    schedule = list(batches)
+    if rebuild_after is not None:
+        schedule += batches[: rebuild_after + 1]
     with tempfile.TemporaryDirectory() as workdir:
         wal_dir = Path(workdir) / "wal"
         coordinator, report = recover_coordinator(wal_dir, graph, index)
@@ -136,29 +151,40 @@ def test_wal_crash_recovery_restores_an_exact_prefix(data, cut_point):
         mirror = graph.copy()
         reference = [_overlay_key(coordinator)]
         mirrors = [graph.copy()]
-        for batch in batches:
+        staged = None
+        for i, batch in enumerate(schedule):
+            if i == len(batches) and staged is not None:
+                base_path = str(Path(workdir) / "base.epoch-2")
+                save_index(staged[0], base_path, format="binary")
+                coordinator.adopt_base(*staged, base_path)
+                reference[-1] = _overlay_key(coordinator)
             coordinator.apply_batch(batch)
             for a, b, w in batch:
                 mirror.add_edge(a, b, w, mirror.count(a, b))
             reference.append(_overlay_key(coordinator))
             mirrors.append(mirror.copy())
+            if i == rebuild_after:
+                staged = coordinator.rebuild()
         wal_path = coordinator.wal.path
         coordinator.wal.close()
         data_bytes = wal_path.read_bytes()
-        cut = cut_point % (len(data_bytes) + 1)
+        records = scan_wal(wal_path).records
+        epoch, first = records[0].epoch, records[0].seqno
+        floor = 0 if epoch == 1 else records[1].offset
+        cut = floor + cut_point % (len(data_bytes) - floor + 1)
 
         crash_dir = Path(workdir) / "crash"
         crash_dir.mkdir()
         (crash_dir / wal_path.name).write_bytes(data_bytes[:cut])
         recovered, rec = recover_coordinator(crash_dir, graph, index)
         k = recovered.live_index.state.seqno
-        assert 0 <= k <= len(batches)
+        assert first <= k <= len(schedule)
         assert _overlay_key(recovered) == reference[k]
         _assert_exact(recovered, mirrors[k])
         # The reopened log is a valid, continuous prefix: the torn tail
-        # was truncated away and the watermark runs 0..k without gaps.
+        # was truncated away and the watermark runs without gaps.
         report = verify_wal(recovered.wal.path)
         assert report.ok
         assert report.torn_tail is None
-        assert report.watermark == (1, 0, k)
+        assert report.watermark == (epoch, first, k)
         recovered.wal.close()
