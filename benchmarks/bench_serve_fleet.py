@@ -1,6 +1,6 @@
 """Supervised serving benchmark: mmap cold starts and supervision cost.
 
-Three claims are measured here:
+Four claims are measured here:
 
 * **cold start** — a v4 (mmap-native) container must open in a small
   fraction of a heap load (``mmap=False``) of the same file, because
@@ -9,7 +9,9 @@ Three claims are measured here:
 * **parity** — ``serve --workers 2`` (one answering server under a
   supervisor) answers bit-identically to the index;
 * **supervision** — the supervisor's liveness probes cost under 10%
-  of the QPS of the same server running alone.
+  of the QPS of the same server running alone;
+* **memory** — ``serve --workers 2`` holds under 15 MB of PSS more
+  than ``serve`` alone: the supervisor process is all it adds.
 
 The workload is a CTLS index over a synthetic road network — the
 paper's target shape, and the shape whose overflow lane stays empty so
@@ -140,7 +142,7 @@ def test_mmap_cold_load_beats_heap_load(index_file, perf, capsys):
 @contextlib.contextmanager
 def _served(path, *flags):
     """``repro-spc serve PATH --cache-size 0 FLAGS`` in a subprocess:
-    yields ``(host, port)``, then SIGTERMs it."""
+    yields ``(host, port, pid)``, then SIGTERMs it."""
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -160,7 +162,7 @@ def _served(path, *flags):
                     break
                 assert process.poll() is None and time.time() < deadline
                 time.sleep(0.05)
-            yield match.group(1), int(match.group(2))
+            yield match.group(1), int(match.group(2)), process.pid
         finally:
             process.send_signal(signal.SIGTERM)
             try:
@@ -171,7 +173,7 @@ def _served(path, *flags):
 
 
 def _fleet_run(path, pairs, *flags):
-    with _served(path, *flags) as (host, port):
+    with _served(path, *flags) as (host, port, _pid):
         return replay(
             host, port, pairs,
             concurrency=CONCURRENCY, pipeline=PIPELINE,
@@ -240,4 +242,70 @@ def test_supervised_fleet_overhead_under_ten_percent(
     assert ratio >= 0.9, (
         f"supervised server runs at {ratio:.3f}x the QPS of the server "
         f"alone (bar: >= 0.9x)"
+    )
+
+
+def _tree_pss_mb(root):
+    """Summed PSS (``/proc/<pid>/smaps_rollup``) of ``root`` and every
+    process below it, in MB."""
+    children = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue
+        parent = int(stat.rsplit(")", 1)[1].split()[1])
+        children.setdefault(parent, []).append(int(entry))
+    total_kb, stack = 0, [root]
+    while stack:
+        pid = stack.pop()
+        stack.extend(children.get(pid, ()))
+        try:
+            rollup = Path(f"/proc/{pid}/smaps_rollup").read_text()
+        except OSError:
+            continue
+        match = re.search(r"^Pss:\s+(\d+) kB", rollup, re.M)
+        total_kb += int(match.group(1)) if match else 0
+    return total_kb / 1024
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/<pid>/smaps"
+)
+def test_fleet_memory_overhead_under_15_mb(index_file, pairs, perf, capsys):
+    """``serve --workers 2`` must hold < 15 MB of PSS over ``serve``.
+
+    The same index and the same replay through each, then the summed
+    PSS of each server's process tree: the difference is what
+    supervision costs in memory, the supervisor process and any helper
+    process beside the child.
+    """
+    overheads = []
+    for _ in range(3):
+        sizes = []
+        for flags in ((), ("--workers", "2")):
+            with _served(index_file, *flags) as (host, port, pid):
+                replay(host, port, pairs, concurrency=CONCURRENCY,
+                       pipeline=PIPELINE)
+                sizes.append(_tree_pss_mb(pid))
+        overheads.append(sizes[1] - sizes[0])
+    perf.record(
+        "fleet_pss_overhead_mb",
+        overheads,
+        unit="MB",
+        direction="lower",
+        dataset=f"road{ROAD_NODES}",
+        pairs=NUM_PAIRS,
+    )
+    overhead = sorted(overheads)[len(overheads) // 2]
+    with capsys.disabled():
+        print(
+            f"\n\nFleet memory overhead: {overhead:.1f} MB PSS over the "
+            f"server alone (runs: {', '.join(f'{o:.1f}' for o in overheads)})"
+        )
+    assert overhead < 15.0, (
+        f"serve --workers 2 holds {overhead:.1f} MB of PSS more than "
+        f"serve alone (bar: < 15 MB)"
     )

@@ -47,7 +47,6 @@ paths, malformed files, unknown vertices).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -376,8 +375,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.config import ServeConfig
+    from repro.serve.fleet import Supervised
 
-    _require_index_file(args.index)
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -401,6 +400,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         wal_dir=args.wal_dir,
         probe_interval_s=args.probe_interval_s,
     )
+    supervised = Supervised.inherited()
+    if supervised is not None:
+        # The answering child of ``--workers N``: its supervisor's own
+        # command line, checked there.  An error the CLI would print as
+        # one line is reported to the supervisor instead.
+        try:
+            return _serve_one(args, config, supervised.index_path,
+                              supervised)
+        except (ReproError, OSError, ValueError) as exc:
+            supervised.report("error", str(exc) or type(exc).__name__)
+            return 1
+    _require_index_file(args.index)
     if args.live_updates and args.graph is None:
         raise ParseError("--live-updates needs --graph GRAPH")
     if args.wal_dir is not None and not args.live_updates:
@@ -417,8 +428,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "respawned server recovers every acknowledged batch "
                 "from it)"
             )
-        serve = functools.partial(_serve_one, args, config)
-        return FleetRouter(args.index, serve, config).run()
+        return FleetRouter(args.index, config).run()
     return _serve_one(args, config, args.index)
 
 

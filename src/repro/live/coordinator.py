@@ -102,7 +102,7 @@ class UpdateCoordinator:
         if not isinstance(index, CTLIndex) or type(index).name != "CTL":
             raise LiveUpdateError(
                 "live updates require a CTL index (weight changes never "
-                f"invalidate its cut tree); got {type(index).name!r}"
+                f"invalidate its cut tree); got {type(index).__name__}"
             )
         indexed = set(index.arena.vertices)
         present = set(graph.vertices())

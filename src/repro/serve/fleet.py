@@ -9,8 +9,8 @@ recovery, result cache and breaker — as a child process, and a
 :class:`FleetRouter` supervisor in the foreground:
 
 * it binds the listening socket once and hands it to every child it
-  spawns (multiprocessing's ``spawn`` start method), so the port and
-  the connections waiting in its accept backlog survive a respawn;
+  starts, so the port and the connections waiting in its accept
+  backlog survive a respawn;
 * it forwards ``SIGTERM``/``SIGINT`` (drain and exit) and ``SIGHUP``
   (reload) to the child;
 * it probes the child every ``probe_interval_s``: a process that exits
@@ -21,27 +21,31 @@ recovery, result cache and breaker — as a child process, and a
   child that dies ``flap_max_restarts`` times within ``flap_window_s``
   trips the flap circuit: the supervisor gives up and exits non-zero.
 
+The child is the supervisor's own command line run again, so a
+launcher script that patches the server at import patches it too.  It
+inherits the listening socket and its end of a socket pair, the report
+channel, which closes when either side exits; the internal environment
+entry :data:`_HANDOFF` names both, its generation (0, then +1 per
+respawn, shown in ``/stats`` and ``/health``) and its index file.
+
 A respawn serves exactly what the child it replaces served.  A static
-child reports every committed reload over its pipe, and its
+child reports every committed reload on its channel, and its
 replacement opens the last reported file.  A live child logs every
 acknowledged batch to ``--wal-dir`` (required with ``--workers``), and
-its replacement recovers them, on the rebuilt base the log pins.
-
-The child's end of all this is a :class:`Supervised`: the socket, the
-child's generation (0 for the first spawn, +1 per respawn, shown in
-``/stats`` and ``/health``) and the pipe.  A child whose supervisor is
-gone drains and exits.
+its replacement recovers them, on the rebuilt base the log pins.  A
+child whose supervisor is gone drains and exits.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import json
 import os
+import select
 import signal
 import socket
+import subprocess
 import sys
 import time
-from multiprocessing.connection import wait
 from typing import Callable, List, Optional
 
 from repro.exceptions import ReproError
@@ -61,6 +65,11 @@ _STOP_MARGIN_S = 30.0
 #: Accept backlog of the listening socket (asyncio's default).
 _BACKLOG = 100
 
+#: Internal, not a setting: the supervisor hands its child ``"<socket
+#: fd> <channel fd> <generation> <index path>"`` in this environment
+#: entry, which :meth:`Supervised.inherited` removes.
+_HANDOFF = "REPRO_SPC_SUPERVISED"
+
 
 class FleetError(ReproError):
     """The supervised server could not be started."""
@@ -68,27 +77,40 @@ class FleetError(ReproError):
 
 class Supervised:
     """The child's side of the supervisor: the listening socket it
-    serves on, its generation and the pipe it reports on.  Picklable
-    for the ``spawn`` start method."""
+    serves on, its generation, the channel it reports on (its end of a
+    socket pair, one JSON array a line) and the index file it opens."""
 
-    def __init__(self, sock: socket.socket, generation: int, conn) -> None:
+    def __init__(self, sock: socket.socket, generation: int,
+                 channel: socket.socket, index_path: str = "") -> None:
         self.socket = sock
         self.generation = generation
-        self._conn = conn
+        self.index_path = index_path
+        self._channel = channel
+
+    @classmethod
+    def inherited(cls) -> Optional["Supervised"]:
+        """The handoff of the supervisor that started this process,
+        taken out of the environment; ``None`` without one."""
+        handoff = os.environ.pop(_HANDOFF, None)
+        if handoff is None:
+            return None
+        listen_fd, channel_fd, generation, index_path = handoff.split(" ", 3)
+        return cls(socket.socket(fileno=int(listen_fd)), int(generation),
+                   socket.socket(fileno=int(channel_fd)), index_path)
 
     def report(self, *message) -> None:
         """Send ``message`` to the supervisor (a gone one is ignored)."""
         try:
-            self._conn.send(message)
+            self._channel.sendall(json.dumps(message).encode() + b"\n")
         except OSError:
             pass
 
     def on_orphaned(self, loop, callback: Callable[[], None]) -> None:
         """Call ``callback`` on ``loop`` once the supervisor is gone.
 
-        The supervisor never writes to the pipe, so its end becomes
+        The supervisor never writes to the channel, so its end becomes
         readable only when it closes: when the supervisor exits."""
-        fd = self._conn.fileno()
+        fd = self._channel.fileno()
 
         def readable() -> None:
             loop.remove_reader(fd)
@@ -97,42 +119,26 @@ class Supervised:
         loop.add_reader(fd, readable)
 
 
-def _child_main(serve, index_path: str, supervised: Supervised) -> None:
-    """Entry point of the child process (module-level for spawn).  A
-    failure the CLI would print as one ``error:`` line is reported to
-    the supervisor instead; any other exception keeps its traceback."""
-    try:
-        code = serve(index_path, supervised)
-    except (ReproError, OSError, ValueError) as exc:
-        supervised.report("error", str(exc) or type(exc).__name__)
-        code = 1
-    sys.exit(code)
-
-
 class FleetRouter:
-    """The supervisor of ``serve --workers N``.
-
-    ``serve(index_path, supervised)`` runs one server in the child until
-    it drains and returns its exit code; it must be picklable (a
-    module-level function, or a :func:`functools.partial` of one).
-    """
+    """The supervisor of ``serve --workers N``.  Each child runs this
+    process's own command line, which must be a ``repro-spc serve``."""
 
     def __init__(
         self,
         index_path: str,
-        serve: Callable[[str, Supervised], int],
         config: Optional[ServeConfig] = None,
     ) -> None:
         self.config = config or ServeConfig()
         #: The file a respawned child opens: the last committed reload's.
         self.index_path = str(index_path)
-        self.serve = serve
         self.host = self.config.host
         self.port = self.config.port
         #: The child's incarnation: 0 for the first spawn, +1 per respawn.
         self.generation = 0
-        self.process: Optional[multiprocessing.process.BaseProcess] = None
-        self._conn = None
+        self.process: Optional[subprocess.Popen] = None
+        self._channel: Optional[socket.socket] = None
+        #: The start of a report line the channel has not completed.
+        self._unread = b""
         self._socket: Optional[socket.socket] = None
         #: Recent child deaths (monotonic) inside the flap window.
         self._deaths: List[float] = []
@@ -169,64 +175,60 @@ class FleetRouter:
     def _on_signal(self, signum, _frame) -> None:
         if signum != signal.SIGHUP and self._stopping is None:
             self._stopping = time.monotonic()
-        if self.process is not None and self.process.is_alive():
-            os.kill(self.process.pid, signum)
+        if self.process is not None:
+            self.process.send_signal(signum)
 
     # ------------------------------------------------------------------
     # the child
     # ------------------------------------------------------------------
     def _spawn(self) -> None:
-        context = multiprocessing.get_context("spawn")
-        parent_conn, child_conn = context.Pipe()
-        supervised = Supervised(self._socket, self.generation, child_conn)
-        self.process = context.Process(
-            target=_child_main,
-            args=(self.serve, self.index_path, supervised),
-            name=f"spc-serve-{self.generation}",
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-        self._conn = parent_conn
+        if self._channel is not None:
+            self._channel.close()
+        self._channel, child_end = socket.socketpair()
+        self._unread = b""
+        fds = (self._socket.fileno(), child_end.fileno())
+        handoff = f"{fds[0]} {fds[1]} {self.generation} {self.index_path}"
+        with child_end:
+            self.process = subprocess.Popen(
+                [sys.executable, *sys.orig_argv[1:]],
+                stdin=subprocess.DEVNULL, pass_fds=fds,
+                env={**os.environ, _HANDOFF: handoff},
+            )
         error = self._await_ready()
         if error is not None:
             raise FleetError(error)
 
+    def _read(self, timeout: float) -> Optional[list]:
+        """The child's reports that arrive within ``timeout`` seconds;
+        ``None`` once its end of the channel is closed: it exited."""
+        if not select.select([self._channel], [], [], timeout)[0]:
+            return []
+        data = self._channel.recv(65536)
+        if not data:
+            return None
+        *lines, self._unread = (self._unread + data).split(b"\n")
+        return [json.loads(line) for line in lines]
+
     def _await_ready(self) -> Optional[str]:
         """``None`` once the child reports that it serves, else why not."""
         deadline = time.monotonic() + _START_TIMEOUT_S
-        while time.monotonic() < deadline:
-            wait([self._conn, self.process.sentinel], 0.5)
-            try:
-                while self._conn.poll():
-                    message = self._conn.recv()
-                    if message[0] == "ready":
-                        return None
-                    if message[0] == "error":
-                        self.process.join(10.0)
-                        return message[1]
-            except (EOFError, OSError):
-                pass
-            if not self.process.is_alive():
-                return (
-                    f"the server exited with code {self.process.exitcode} "
-                    "before it served"
+        error = None
+        while (left := deadline - time.monotonic()) > 0:
+            messages = self._read(left)
+            if messages is None:
+                code = self.process.wait()
+                return error or (
+                    f"the server exited with code {code} before it served"
                 )
+            for message in messages:
+                if message[0] == "ready":
+                    return None
+                if message[0] == "error":
+                    error = message[1]
         self.process.kill()
-        return f"the server did not serve within {_START_TIMEOUT_S:.0f}s"
-
-    def _reports(self) -> bool:
-        """Take the child's reports; ``False`` once its end is closed."""
-        try:
-            while self._conn.poll():
-                message = self._conn.recv()
-                if message[0] == "serving":
-                    self.index_path = message[1]
-                elif message[0] == "error":
-                    _say(f"the server failed: {message[1]}")
-        except (EOFError, OSError):
-            return False
-        return True
+        return error or (
+            f"the server did not serve within {_START_TIMEOUT_S:.0f}s"
+        )
 
     def _probe(self) -> bool:
         """Whether ``GET /health`` on the served port gets a status line."""
@@ -252,28 +254,30 @@ class FleetRouter:
         interval = self.config.probe_interval_s
         strikes = 0
         while True:
-            ready = wait(
-                [self._conn, self.process.sentinel], interval or 1.0
-            )
-            if self._conn in ready and not self._reports():
-                self.process.join(1.0)
-            if self.process.is_alive():
+            messages = self._read(interval or 1.0)
+            if messages is None:
+                self.process.wait()
+                strikes = 0
                 if self._stopping is not None:
-                    limit = self.config.drain_grace_s + _STOP_MARGIN_S
-                    if time.monotonic() - self._stopping > limit:
-                        self.process.kill()
-                elif interval and not ready:
-                    strikes = 0 if self._probe() else strikes + 1
-                    if strikes >= _PROBE_STRIKES:
-                        _say(f"{strikes} liveness probes failed; killing "
-                             f"pid {self.process.pid}")
-                        self.process.kill()
+                    return 0
+                if not self._respawn():
+                    return 1
                 continue
-            strikes = 0
+            for message in messages:
+                if message[0] == "serving":
+                    self.index_path = message[1]
+                elif message[0] == "error":
+                    _say(f"the server failed: {message[1]}")
             if self._stopping is not None:
-                return 0
-            if not self._respawn():
-                return 1
+                limit = self.config.drain_grace_s + _STOP_MARGIN_S
+                if time.monotonic() - self._stopping > limit:
+                    self.process.kill()
+            elif interval and not messages:
+                strikes = 0 if self._probe() else strikes + 1
+                if strikes >= _PROBE_STRIKES:
+                    _say(f"{strikes} liveness probes failed; killing "
+                         f"pid {self.process.pid}")
+                    self.process.kill()
 
     def _respawn(self) -> bool:
         """Respawn the dead child after the backoff; ``False`` once the
@@ -285,7 +289,7 @@ class FleetRouter:
         ] + [now]
         _say(
             f"the server (pid {self.process.pid}, generation "
-            f"{self.generation}) exited with code {self.process.exitcode}"
+            f"{self.generation}) exited with code {self.process.returncode}"
         )
         if len(self._deaths) >= self.config.flap_max_restarts:
             _say(

@@ -319,17 +319,11 @@ async def read_raw_response(
     reader: asyncio.StreamReader,
 ) -> Tuple[int, Dict[str, str], bytes]:
     """Client side: one response as ``(status, headers, raw body)``."""
-    return parse_response(await read_response_bytes(reader))
-
-
-async def read_response_bytes(reader: asyncio.StreamReader) -> bytes:
-    """Client side: one whole response, head and body, as the bytes
-    received — what a proxy relays verbatim."""
     head = await read_head(reader)
     if head is None:
         raise HTTPProtocolError("connection closed before status line")
-    _, headers = _parse_status(head[:-4])
-    return head + await _read_body(reader, headers)
+    status, headers = _parse_status(head[:-4])
+    return status, headers, await _read_body(reader, headers)
 
 
 async def read_response(

@@ -215,7 +215,7 @@ class SPCServer(FrontEnd):
         #: visible (drives the ``live.staleness_s`` gauge).
         self._last_update_visible: Optional[float] = None
         #: The supervisor of ``serve --workers N``, when this server is
-        #: its child: the socket to serve on and the pipe to report on.
+        #: its child: the socket to serve on and the channel to report on.
         self.supervised = supervised
         if fault_plan is not None and fault_plan.targets(
             "scan.fail", "scan.slow"

@@ -48,6 +48,13 @@ class TestValidation:
         with pytest.raises(LiveUpdateError, match="CTL"):
             UpdateCoordinator(graph, CTLSIndex.build(graph))
 
+    def test_rejects_swapped_graph_and_index(self, graph):
+        # Any object in the index's place is refused with the same
+        # error, naming its type.
+        index = CTLIndex.build(graph)
+        with pytest.raises(LiveUpdateError, match="got Graph"):
+            UpdateCoordinator(index, graph)
+
     def test_rejects_unknown_edge(self, coordinator):
         with pytest.raises(EdgeError):
             coordinator.apply_batch([(0, 10**9, 5)])

@@ -9,7 +9,6 @@ became ready in one loop tick in one socket write.
 """
 
 import asyncio
-import multiprocessing
 import socket
 import threading
 import time
@@ -217,7 +216,7 @@ def test_pipelined_gets_leave_in_one_write_on_the_router(index, monkeypatch):
     # The supervised child's configuration: the server accepts on a
     # socket its supervisor bound, and writes a window in one call.
     listener = socket.create_server(("127.0.0.1", 0))
-    pipe, child_end = multiprocessing.Pipe()
+    channel, child_end = socket.socketpair()
     writes = _count_writes(monkeypatch)
     thread = ServerThread(
         index, ServeConfig(port=0),
@@ -229,7 +228,8 @@ def test_pipelined_gets_leave_in_one_write_on_the_router(index, monkeypatch):
             _pipeline(host, port, PIPELINED)
     finally:
         listener.close()
-        pipe.close()
+        channel.close()
+        child_end.close()
     assert writes == [len(PIPELINED)]
 
 

@@ -23,7 +23,6 @@ each costs a second or two; the static one is shared module-wide.
 """
 
 import json
-import multiprocessing
 import os
 import random
 import signal
@@ -115,22 +114,41 @@ def _assert_no_wrong_answers(results, index):
     assert not wrong, f"answered {len(wrong)} queries wrong: {wrong[:5]}"
 
 
-def _children(pid):
-    """Live child processes of ``pid`` and their command lines."""
-    out = []
+def _processes():
+    """``{pid: (parent pid, process group, state)}`` of every process;
+    a zombie's state is ``Z``."""
+    out = {}
     for entry in os.listdir("/proc"):
         if not entry.isdigit():
             continue
         try:
             with open(f"/proc/{entry}/stat") as handle:
                 fields = handle.read().rsplit(")", 1)[1].split()
-            with open(f"/proc/{entry}/cmdline", "rb") as handle:
-                cmdline = handle.read().replace(b"\0", b" ").decode()
         except OSError:
             continue
-        if int(fields[1]) == pid and fields[0] != "Z":
-            out.append((int(entry), cmdline))
+        out[int(entry)] = (int(fields[1]), int(fields[2]), fields[0])
     return out
+
+
+def _descendants(pid):
+    """Every process below ``pid``, zombies included: ``{pid: state}``."""
+    processes = _processes()
+    out, stack = {}, [pid]
+    while stack:
+        parent = stack.pop()
+        for child, (ppid, _group, state) in processes.items():
+            if ppid == parent:
+                out[child] = state
+                stack.append(child)
+    return out
+
+
+def _running_in_group(group):
+    """The processes of process group ``group`` that are not zombies."""
+    return [
+        pid for pid, (_ppid, pgrp, state) in _processes().items()
+        if pgrp == group and state != "Z"
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +191,7 @@ class TestFleetServing:
         supervisor = payload["supervisor"]
         assert supervisor["generation"] == 0
         assert supervisor["pid"] != served.process.pid
-        assert supervisor["pid"] in dict(_children(served.process.pid))
+        assert supervisor["pid"] in _descendants(served.process.pid)
 
     def test_metrics_aggregate_the_fleet(self, fleet):
         # Nothing to merge: the metrics are the answering process's.
@@ -258,19 +276,27 @@ class TestFleetChaos:
 
 
 class TestForwarding:
-    def test_forwarded_requests_go_round_robin(self, served, workload):
-        # Nothing is forwarded: --workers 2 starts one answering
-        # process, and every query a client sends reaches it and is
-        # counted there exactly once.
-        servers = [
-            pid for pid, cmdline in _children(served.process.pid)
-            if "resource_tracker" not in cmdline
-        ]
-        assert servers == [served.child_pid()]
-        before = served.counters().get("serve.requests", 0)
-        report = replay(*served.address, workload[:100], concurrency=4)
-        assert report.ok == 100
-        assert served.counters()["serve.requests"] - before == 100
+    def test_two_processes_ever_and_one_counts_every_query(
+        self, index_path, workload, tmp_path
+    ):
+        # Nothing is forwarded and nothing runs beside the child: the
+        # supervisor's only descendant is the one answering process,
+        # which counts every query a client sends exactly once.  A
+        # kill -9 of it is reaped (no zombie), and its respawn is again
+        # the supervisor's only descendant.
+        with Served([index_path, "--workers", "2"],
+                    tmp_path / "serve.log") as server:
+            child = server.child_pid()
+            below = _descendants(server.process.pid)
+            assert list(below) == [child] and below[child] != "Z"
+            os.kill(child, signal.SIGKILL)
+            respawn = server.wait_generation(1)["supervisor"]["pid"]
+            below = _descendants(server.process.pid)
+            assert list(below) == [respawn] and below[respawn] != "Z"
+            before = server.counters().get("serve.requests", 0)
+            report = replay(*server.address, workload[:100], concurrency=4)
+            assert report.ok == 100
+            assert server.counters()["serve.requests"] - before == 100
 
     def test_batch_members_go_in_admitted_chunks_and_keep_a_shed_503(
         self, index_path, index, tmp_path
@@ -369,6 +395,23 @@ class TestFleetLifecycle:
         with pytest.raises(OSError):
             socket.create_connection(server.address, timeout=2.0)
         server.kill()
+
+    def test_an_orphaned_child_drains_and_exits(self, index_path, tmp_path):
+        # With its supervisor SIGKILLed, the child sees its report
+        # channel close, drains and exits by itself within its drain
+        # grace, and no process of the server is left running.
+        server = Served([index_path, "--workers", "2"], tmp_path / "s.log")
+        try:
+            os.kill(server.process.pid, signal.SIGKILL)
+            server.process.wait(30)
+            deadline = time.monotonic() + ServeConfig().drain_grace_s + 10
+            while (_running_in_group(server.process.pid)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert _running_in_group(server.process.pid) == [], server.log
+        finally:
+            server.kill()
+        assert "drained cleanly" in server.log
 
 
 class TestFleetTracing:
@@ -943,7 +986,7 @@ class TestRouterBackpressure:
 
         monkeypatch.setattr(frontend._Connection, "queue", counting_queue)
         listener = socket.create_server(("127.0.0.1", 0))
-        pipe, child_end = multiprocessing.Pipe()
+        channel, child_end = socket.socketpair()
         thread = ServerThread(
             index, ServeConfig(port=0),
             fault_plan=FaultPlan.parse("scan.slow:1.0@5"),
@@ -967,7 +1010,8 @@ class TestRouterBackpressure:
         finally:
             thread.stop()
             listener.close()
-            pipe.close()
+            channel.close()
+            child_end.close()
         assert peak == _PIPELINE_DEPTH
         answers = []
         for part in data.split(b"HTTP/1.1 ")[1:]:
