@@ -21,11 +21,12 @@ Two on-disk formats:
   only read when a caller walks the tree.  A file written before
   ``tree_node_of`` existed still opens: its dense nodes are looked up
   in the tree's vertex map instead.  The ``dist`` and ``count``
-  sections keep the arena's element widths (int32 where the values
-  fit, see :mod:`repro.labels.arena`), named in the header's
+  sections keep the arena's element widths (uint16 or int32 where the
+  values fit, see :mod:`repro.labels.arena`), named in the header's
   ``arena.dist_typecode`` and ``arena.count_typecode``; a header
   without ``count_typecode`` was written before 32-bit counts and
-  means int64.  A variable-size footer carries
+  means int64.  A reader older than the uint16 widths refuses a file
+  with a ``"H"`` typecode as unsupported.  A variable-size footer carries
   one CRC32 per section plus the header CRC, the section count, the
   total length, and the ``RSPC4END`` marker.  By default
   :func:`load_index` maps the file read-only and hands the
@@ -411,9 +412,9 @@ def load_index(path: PathLike, *, mmap: bool = True, verify: bool = None):
 def _v4_header(index) -> Tuple[dict, LabelArena]:
     """The v4 JSON header's index metadata and arena description.
 
-    Also returns the arena to write: an index loaded from an older,
-    all-int64 file is re-packed here, so saving it again writes the
-    narrowest widths its values fit.
+    Also returns the arena to write: an index loaded from an older
+    file (int32 or int64 arrays) is re-packed here, so saving it again
+    writes the narrowest widths its values fit.
     """
     if isinstance(index, CTLSIndex):
         header = {"type": "CTLS", "strategy": index.strategy}

@@ -9,29 +9,33 @@ counts) indexed by a per-vertex offset table over *dense ids*
 ``0..n-1``.  A query resolves its two endpoints to dense ids once and
 then works purely on flat arrays.
 
-Encoding — each array's element width is chosen from its values when
-:meth:`LabelArena.from_lists` packs them, and one table (:data:`WIDTHS`)
-holds the per-width constants every reader uses:
+Encoding — each array's element width is the narrowest of
+:data:`DIST_TYPECODES` or :data:`COUNT_TYPECODES` that holds its values
+when :meth:`LabelArena.from_lists` packs them, and one table
+(:data:`WIDTHS`) holds the per-width constants every reader uses:
 
-* Distances are ``array('i')`` (signed 32-bit) when every finite
-  distance is an integer of at most ``2**29 - 1``, else ``array('q')``
-  (signed 64-bit) when every one is at most ``2**60 - 1``; ``INF`` is
-  stored as the width's code (``2**30 - 1`` or ``2**61``), chosen so
-  that the sum of a real distance pair can never reach a sum involving
-  an unreachable side — the scan loop needs no sentinel branch — and so
+* Distances are ``array('H')`` (unsigned 16-bit) when every finite
+  distance is an integer of at most ``2**14 - 1``, else ``array('i')``
+  (signed 32-bit) up to ``2**29 - 1``, else ``array('q')`` (signed
+  64-bit) up to ``2**60 - 1``; ``INF`` is stored as the width's code
+  (``2**15 - 1``, ``2**30 - 1`` or ``2**61``), chosen so that the sum
+  of a real distance pair can never reach a sum involving an
+  unreachable side — the scan loop needs no sentinel branch — and so
   that even ``INF + INF`` fits the width for the vectorised kernel.
   Graphs with float weights (or larger integers) fall back to
   ``array('d')`` with a real ``inf``.
 * Counts are exact arbitrary-precision integers in the library.  The
-  arena stores them in an ``array('i')`` when every count is at most
-  ``2**31 - 1``, else in an ``array('q')``; there the rare count that
-  exceeds 63 bits is diverted to the *overflow lane* (parallel
-  position/value Python lists) and marked with :data:`COUNT_OVERFLOW`
-  in the array, so exactness survives packing bit-for-bit.
+  arena stores them in an ``array('H')`` when every count is at most
+  ``2**16 - 1``, else ``array('i')`` up to ``2**31 - 1``, else
+  ``array('q')``; there the rare count that exceeds 63 bits is
+  diverted to the *overflow lane* (parallel position/value Python
+  lists) and marked with :data:`COUNT_OVERFLOW` in the array, so
+  exactness survives packing bit-for-bit.
 
-Road networks with integer weights fit 32 bits for both, the paper's
-index-size model (:meth:`LabelArena.size_bytes`), so their packed bytes
-match that model.
+Road networks with integer weights of moderate range fit 16 bits for
+both, half the paper's 32-bit index-size model
+(:meth:`LabelArena.size_bytes`); larger ones fall back a width at a
+time, array by array.
 
 The arena is immutable by convention: code that mutates labels in place
 (dynamic repair) edits the :class:`LabelStore` and re-seals.
@@ -105,16 +109,17 @@ class Width(NamedTuple):
 #: Per-width constants, keyed by ``array`` typecode.  Integer widths
 #: keep real distances at most ``max_dist`` so the sum of any two of
 #: them is below ``inf``, any sum involving an unreachable side is at
-#: least ``inf``, and even ``inf + inf`` stays inside the signed lane.
+#: least ``inf``, and even ``inf + inf`` stays inside the lane.
 WIDTHS: Dict[str, Width] = {
+    "H": Width("uint16", 2 ** 14 - 1, 2 ** 15 - 1, 2 ** 16 - 1),
     "i": Width("int32", 2 ** 29 - 1, 2 ** 30 - 1, 2 ** 31 - 1),
     "q": Width("int64", 2 ** 60 - 1, 2 ** 61, 2 ** 63 - 1),
     "d": Width("float64", None, INF, None),
 }
 
 #: Distance and count typecodes, narrowest first.
-DIST_TYPECODES = ("i", "q", "d")
-COUNT_TYPECODES = ("i", "q")
+DIST_TYPECODES = ("H", "i", "q", "d")
+COUNT_TYPECODES = ("H", "i", "q")
 
 #: The 64-bit layout's ``INF`` code and limits (the widest integer
 #: width; the overflow lane sits past ``MAX_INLINE_COUNT``).
@@ -145,6 +150,7 @@ class LabelArena:
         "overflow_positions",
         "overflow_counts",
         "_overflow",
+        "_narrow",
         "_inf",
         "_np_dist",
     )
@@ -185,6 +191,9 @@ class LabelArena:
             zip(self.overflow_positions, self.overflow_counts)
         )
         self._np_dist = None
+        #: Whether :meth:`from_lists` chose the widths (so they are
+        #: already the narrowest the values fit).
+        self._narrow = False
 
     # ------------------------------------------------------------------
     # packing
@@ -211,7 +220,6 @@ class LabelArena:
         dist = _pack_dist(flat_dist)
 
         top_count = max(flat_count, default=0)
-        count_code = "i" if top_count <= WIDTHS["i"].max_count else "q"
         overflow_positions: List[int] = []
         overflow_counts: List[int] = []
         if top_count > MAX_INLINE_COUNT:
@@ -220,10 +228,12 @@ class LabelArena:
                     overflow_positions.append(position)
                     overflow_counts.append(c)
                     flat_count[position] = COUNT_OVERFLOW
-        count = array(count_code, flat_count)
-        return cls(
+        count = array(_count_typecode(top_count), flat_count)
+        arena = cls(
             vertices, offsets, dist, count, overflow_positions, overflow_counts
         )
+        arena._narrow = True
+        return arena
 
     @classmethod
     def from_store(
@@ -237,11 +247,14 @@ class LabelArena:
     def narrowed(self) -> "LabelArena":
         """This arena at the narrowest widths its values fit.
 
-        ``self`` when both arrays are already 32-bit, else a re-packed
-        heap copy (an arena read from a file written before 32-bit
-        widths existed is all int64).
+        ``self`` when :meth:`from_lists` packed it or both arrays are at
+        the narrowest width, else a re-packed heap copy (an arena read
+        from a file written before 16-bit widths existed is int32 or
+        int64).
         """
-        if self.dist_typecode == "i" and self.count_typecode == "i":
+        if self._narrow or self.dist_typecode + self.count_typecode == (
+            DIST_TYPECODES[0] + COUNT_TYPECODES[0]
+        ):
             return self
         return LabelArena.from_lists(self.vertices, *self.to_lists())
 
@@ -513,8 +526,7 @@ class LabelArena:
             key=DIST_TYPECODES.index,
         )
         count_code = max(
-            old.count_typecode, "i" if top <= WIDTHS["i"].max_count else "q",
-            key=COUNT_TYPECODES.index,
+            old.count_typecode, _count_typecode(top), key=COUNT_TYPECODES.index
         )
         if side is None:
             dist = array(dist_code, [0]) * (2 * need)
@@ -689,19 +701,17 @@ def _pack_dist(values: List[Weight]) -> array:
     for position in unreachable:
         values[position] = 0
     top = max(values, default=0)
-    code = "d"
-    if top <= WIDTHS["i"].max_dist:
-        code = "i"
-    elif top <= WIDTHS["q"].max_dist:
-        code = "q"
-    if code != "d":
-        inf = WIDTHS[code].inf
+    for code in DIST_TYPECODES[:-1]:
+        if top > WIDTHS[code].max_dist:
+            continue
         for position in unreachable:
-            values[position] = inf
+            values[position] = WIDTHS[code].inf
         try:
             return array(code, values)
+        except OverflowError:  # a negative distance: not the unsigned width
+            continue
         except TypeError:  # a float distance: only the float width holds it
-            pass
+            break
     for position in unreachable:
         values[position] = INF
     return array("d", values)
@@ -710,6 +720,15 @@ def _pack_dist(values: List[Weight]) -> array:
 def _dist_typecode(values: Iterable[Weight]) -> str:
     """The narrowest distance width holding every value of ``values``."""
     return _pack_dist(list(values)).typecode
+
+
+def _count_typecode(top: int) -> str:
+    """The narrowest count width holding counts up to ``top`` inline
+    (or, past 63 bits, the widest: the rest go to the overflow lane)."""
+    return next(
+        (c for c in COUNT_TYPECODES if top <= WIDTHS[c].max_count),
+        COUNT_TYPECODES[-1],
+    )
 
 
 def record_layout_gauges(rec, arena: LabelArena) -> None:

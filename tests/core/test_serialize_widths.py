@@ -1,11 +1,13 @@
-"""v4 files and label widths: old all-int64 files open, new files narrow.
+"""v4 files and label widths: older wider files open, new files narrow.
 
 ``data/grid5x5_ctls_int64.v4`` is the 5×5 grid CTLS index as the v4
 writer laid it out before 32-bit label arrays existed: int64 ``dist``
-and ``count`` sections and no ``count_typecode`` in the header.  It
-must keep loading (mapped and on the heap), verifying, describing and
-answering exactly, and saving it again must write the 32-bit layout a
-fresh build writes.
+and ``count`` sections and no ``count_typecode`` in the header.
+``data/grid5x5_ctls_int32.v4`` is the same index as written before
+16-bit label arrays existed: int32 sections.  Both must keep loading
+(mapped and on the heap), verifying, describing and answering exactly,
+and saving either again must write the uint16 layout a fresh build
+writes.
 """
 
 import hashlib
@@ -27,12 +29,17 @@ from repro.exceptions import SerializationError
 from repro.graph.generators import grid_graph
 
 OLD_FILE = Path(__file__).parent / "data" / "grid5x5_ctls_int64.v4"
+INT32_FILE = Path(__file__).parent / "data" / "grid5x5_ctls_int32.v4"
 
 #: sha256 of the 5×5 grid CTLS v4 file with int64 label arrays (the
-#: committed fixture) and with the 32-bit arrays and the
-#: ``tree_node_of`` section written today.
+#: committed fixture), with int32 arrays and the ``tree_node_of``
+#: section (the other committed fixture), and with the uint16 arrays
+#: written today.
 OLD_SHA256 = "f69df52d45bf9e7af00a3dc1eb46996bebc3e4cdd73beca1307db0502fea2d84"
-NEW_SHA256 = "0c27ac8cd4fad9257aab724a8253fe4fb991abeb53de8e9142c3e2494cb8f87d"
+INT32_SHA256 = (
+    "0c27ac8cd4fad9257aab724a8253fe4fb991abeb53de8e9142c3e2494cb8f87d"
+)
+NEW_SHA256 = "8ca19918a5a256812f42c21fb45f210f0be9ffaa55f035ea80284cb17df19224"
 
 
 def _sha256(path) -> str:
@@ -80,7 +87,7 @@ class TestOldInt64File:
     def test_loads_and_answers_bit_identically(self, options, fresh, pairs):
         old = load_index(OLD_FILE, **options)
         assert _widths(old) == ("q", "q")
-        assert _widths(fresh) == ("i", "i")
+        assert _widths(fresh) == ("H", "H")
         assert old.arena.is_mapped == options.get("mmap", True)
         assert old.provenance["count_typecode"] == "q"
         assert _answers(old, pairs) == _answers(fresh, pairs)
@@ -95,7 +102,7 @@ class TestOldInt64File:
         path = tmp_path / "new.bin"
         save_index(fresh, path, format="binary")
         new = describe_index(path)
-        assert (new["dist_typecode"], new["count_typecode"]) == ("i", "i")
+        assert (new["dist_typecode"], new["count_typecode"]) == ("H", "H")
         for key in ("type", "num_vertices", "num_edges", "tree_nodes",
                     "height", "width", "total_label_entries", "size_bytes"):
             assert old[key] == new[key], key
@@ -103,13 +110,58 @@ class TestOldInt64File:
     def test_saving_again_narrows(self, tmp_path, fresh):
         path = tmp_path / "again.bin"
         save_index(load_index(OLD_FILE), path, format="binary")
-        assert _widths(load_index(path)) == ("i", "i")
+        assert _widths(load_index(path)) == ("H", "H")
         assert _sha256(path) == NEW_SHA256
         built = tmp_path / "built.bin"
         save_index(fresh, built, format="binary")
         assert _sha256(built) == NEW_SHA256
         sections = _header(path)["sections"]
-        assert sections["dist"] == sections["count"] == 4 * 215
+        assert sections["dist"] == sections["count"] == 2 * 215
+
+
+class TestOldInt32File:
+    def test_fixture_has_the_int32_layout(self):
+        assert _sha256(INT32_FILE) == INT32_SHA256
+        arena = _header(INT32_FILE)["arena"]
+        assert (arena["dist_typecode"], arena["count_typecode"]) == (
+            "i", "i",
+        )
+
+    @pytest.mark.parametrize(
+        "options", [{}, {"mmap": False}, {"verify": True}],
+        ids=["mmap", "heap", "verify"],
+    )
+    def test_loads_and_answers_bit_identically(self, options, fresh, pairs):
+        old = load_index(INT32_FILE, **options)
+        assert _widths(old) == ("i", "i")
+        assert old.arena.is_mapped == options.get("mmap", True)
+        assert old.provenance["dist_typecode"] == "i"
+        assert _answers(old, pairs) == _answers(fresh, pairs)
+
+    def test_verifies_clean(self):
+        report = verify_index_file(INT32_FILE)
+        assert report and all(ok for _, ok, _ in report), report
+
+    def test_describes_as_int32(self, tmp_path, fresh):
+        old = describe_index(INT32_FILE)
+        assert (old["dist_typecode"], old["count_typecode"]) == ("i", "i")
+        path = tmp_path / "new.bin"
+        save_index(fresh, path, format="binary")
+        new = describe_index(path)
+        for key in ("type", "num_vertices", "num_edges", "tree_nodes",
+                    "height", "width", "total_label_entries", "size_bytes"):
+            assert old[key] == new[key], key
+
+    def test_saving_again_narrows_to_uint16(self, tmp_path, fresh):
+        old = load_index(INT32_FILE)
+        assert old.arena.narrowed() is not old.arena
+        path = tmp_path / "again.bin"
+        save_index(old, path, format="binary")
+        again = load_index(path)
+        assert _widths(again) == ("H", "H")
+        assert again.arena.narrowed() is again.arena
+        assert again.arena == fresh.arena
+        assert _sha256(path) == NEW_SHA256
 
 
 class TestDenseNodeSection:
@@ -145,9 +197,9 @@ class TestDescribeWidths:
         save_index(fresh, path)
         summary = describe_index(path)
         assert (summary["dist_typecode"], summary["count_typecode"]) == (
-            "i", "i",
+            "H", "H",
         )
-        assert load_index(path).provenance["dist_typecode"] == "i"
+        assert load_index(path).provenance["dist_typecode"] == "H"
 
 
 class TestUnknownWidth:
@@ -157,7 +209,7 @@ class TestUnknownWidth:
         data = bytearray(path.read_bytes())
         (length,) = struct.unpack_from("<Q", data, 8)
         forged = data[16:16 + length].replace(
-            b'"count_typecode": "i"', b'"count_typecode": "d"'
+            b'"count_typecode": "H"', b'"count_typecode": "d"'
         )
         assert len(forged) == length
         data[16:16 + length] = forged

@@ -1,6 +1,7 @@
 """Tests for the packed label arena."""
 
 import random
+from array import array
 
 import pytest
 
@@ -42,14 +43,22 @@ def simple_lists():
 
 
 @pytest.fixture
-def both_widths(simple_lists):
-    """``(typecode, arena)``: ``simple_lists`` packed at 32 bits, then at
-    64 bits by one extra last vertex whose distance and count need it."""
+def all_widths(simple_lists):
+    """``(typecode, arena)``: ``simple_lists`` packed at 16 bits, then at
+    32 and at 64 bits by one extra last vertex whose distance and count
+    need it."""
     order, dist, count = simple_lists
-    wide = LabelArena.from_lists(
-        order + [11], {**dist, 11: [2 ** 29]}, {**count, 11: [2 ** 31]}
-    )
-    return [("i", LabelArena.from_lists(order, dist, count)), ("q", wide)]
+
+    def extra(distance, count_):
+        return LabelArena.from_lists(
+            order + [11], {**dist, 11: [distance]}, {**count, 11: [count_]}
+        )
+
+    return [
+        ("H", LabelArena.from_lists(order, dist, count)),
+        ("i", extra(2 ** 14, 2 ** 16)),
+        ("q", extra(2 ** 29, 2 ** 31)),
+    ]
 
 
 class TestPacking:
@@ -66,18 +75,20 @@ class TestPacking:
         assert arena.vertex_ids == {3: 0, 7: 1, 9: 2}
         assert list(arena.offsets) == [0, 3, 5, 5]
 
-    def test_inf_is_encoded_not_stored(self, both_widths):
-        for code, arena in both_widths:
+    def test_inf_is_encoded_not_stored(self, all_widths):
+        for code, arena in all_widths:
             assert arena.dist.typecode == code
             assert arena.count.typecode == code
             assert arena.dist[2] == WIDTHS[code].inf
             assert arena.decode_dist(arena.dist[2]) == INF
             assert arena.entry(3, 2) == (INF, 0)
-        assert both_widths[1][1].dist[2] == INF_ENCODED
+        assert all_widths[2][1].dist[2] == INF_ENCODED
 
     @pytest.mark.parametrize(
         "distance, code",
         [
+            (2 ** 14 - 1, "H"),
+            (2 ** 14, "i"),
             (2 ** 29 - 1, "i"),
             (2 ** 29, "q"),
             (MAX_INT_DIST, "q"),
@@ -95,6 +106,8 @@ class TestPacking:
     @pytest.mark.parametrize(
         "count, code, spilled",
         [
+            (2 ** 16 - 1, "H", 0),
+            (2 ** 16, "i", 0),
             (2 ** 31 - 1, "i", 0),
             (2 ** 31, "q", 0),
             (2 ** 63 - 1, "q", 0),
@@ -109,6 +122,19 @@ class TestPacking:
         assert len(arena.overflow_positions) == 2 * spilled
         assert arena.to_lists()[1] == {0: [count], 1: [count]}
         assert arena.scan(0, 1, 0, 1) == (7, count * count)
+
+    def test_narrowed_keeps_packed_and_repacks_wider(self, all_widths):
+        for _, arena in all_widths:
+            assert arena.narrowed() is arena
+        narrow = all_widths[0][1]
+        # The same values in int32 buffers, as a loader hands over a
+        # file written before 16-bit widths existed.
+        wider = LabelArena(
+            narrow.vertices, narrow.offsets,
+            array("i", [0, 2, WIDTHS["i"].inf, 1, 0]), array("i", narrow.count),
+        )
+        assert wider.to_lists() == narrow.to_lists()
+        assert wider.narrowed() == narrow
 
     def test_float_weights_fall_back_to_doubles(self):
         arena = LabelArena.from_lists(
@@ -252,7 +278,7 @@ class TestScan:
 
 class TestSideRows:
     """Rows in a side arena wider than the base compare decoded: the
-    base's int32 ``INF`` code (``2**30 - 1``) is no distance next to an
+    base's uint16 ``INF`` code (``2**15 - 1``) is no distance next to an
     int64 side row, and a base row copied into that side row keeps its
     ``INF`` an ``INF``."""
 
@@ -263,7 +289,7 @@ class TestSideRows:
             {0: [0, 2], 1: [1, 3], 2: [0, 1]},
         )
         side = base.with_rows(None, {1: {1: (2**40, 7)}, 2: {1: (2**41, 5)}})
-        assert (base.dist_typecode, side.arena.dist_typecode) == ("i", "q")
+        assert (base.dist_typecode, side.arena.dist_typecode) == ("H", "q")
         return base, side
 
     def test_mixed_width_pairs_match_the_decoded_merge(self, monkeypatch):
@@ -325,14 +351,16 @@ class TestShapeAndAccounting:
         assert arena.label_length(9) == 0
         assert arena.max_label_length() == 3
 
-    def test_nbytes_counts_buffers(self, both_widths):
-        (_, narrow), (_, wide) = both_widths
-        # offsets: 4 * 8, dist: 5 * 4, count: 5 * 4, no overflow.
-        assert narrow.nbytes() == 32 + 20 + 20
+    def test_nbytes_counts_buffers(self, all_widths):
+        (_, narrow), (_, middle), (_, wide) = all_widths
+        # offsets: 4 * 8, dist: 5 * 2, count: 5 * 2, no overflow.
+        assert narrow.nbytes() == 32 + 10 + 10
         assert narrow.size_bytes() == 2 * 4 * 5
+        # offsets: 5 * 8, dist: 6 * 4, count: 6 * 4, no overflow.
+        assert middle.nbytes() == 40 + 24 + 24
         # offsets: 5 * 8, dist: 6 * 8, count: 6 * 8, no overflow.
         assert wide.nbytes() == 40 + 48 + 48
-        assert wide.size_bytes() == 2 * 4 * 6
+        assert wide.size_bytes() == middle.size_bytes() == 2 * 4 * 6
 
     def test_dict_layout_dominates_arena(self, simple_lists):
         arena = LabelArena.from_lists(*simple_lists)

@@ -160,7 +160,7 @@ class TestStatsProvenance:
         ):
             _, _, _, body = _http(host, port, "GET", "/stats")
         prov = json.loads(body)["index"]["provenance"]
-        assert (prov["dist_typecode"], prov["count_typecode"]) == ("i", "i")
+        assert (prov["dist_typecode"], prov["count_typecode"]) == ("H", "H")
 
     def test_stats_without_provenance_still_serves(self, index):
         # An index built in-process has no file provenance; /stats

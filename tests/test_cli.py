@@ -262,7 +262,7 @@ class TestBinaryFormat:
             i for i, line in enumerate(lines)
             if line.startswith("size (32-bit model)")
         )
-        assert lines[at + 1] == "label widths:       dist int32, count int32"
+        assert lines[at + 1] == "label widths:       dist uint16, count uint16"
 
 
 class TestVerifyIndex:
