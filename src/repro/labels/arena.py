@@ -701,17 +701,16 @@ def _pack_dist(values: List[Weight]) -> array:
     for position in unreachable:
         values[position] = 0
     top = max(values, default=0)
-    for code in DIST_TYPECODES[:-1]:
-        if top > WIDTHS[code].max_dist:
-            continue
+    code = next(
+        (c for c in DIST_TYPECODES[:-1] if top <= WIDTHS[c].max_dist), "d"
+    )
+    if code != "d":
         for position in unreachable:
             values[position] = WIDTHS[code].inf
         try:
             return array(code, values)
-        except OverflowError:  # a negative distance: not the unsigned width
-            continue
         except TypeError:  # a float distance: only the float width holds it
-            break
+            pass
     for position in unreachable:
         values[position] = INF
     return array("d", values)
